@@ -49,8 +49,9 @@ void usage(const char *Argv0) {
       "  --socket PATH          unix-domain socket to listen on\n"
       "  --listen HOST:PORT     TCP listener (port 0 = ephemeral; the\n"
       "                         bound port is printed to stderr)\n"
-      "  --journal PATH         crash-recovery journal (A/V records)\n"
-      "  --resume               replay the journal before serving\n"
+      "  --journal PATH         crash-recovery journal\n"
+      "  --resume               replay the journal before serving and\n"
+      "                         append to it (otherwise it starts over)\n"
       "  --cache-file PATH      persistent verdict cache (TSCS store):\n"
       "                         loaded on startup, fresh verdicts spilled\n"
       "  --cache-cap-mb N       verdict/behaviour cache byte cap\n"

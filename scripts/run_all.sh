@@ -60,6 +60,17 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink
   --inject --inject-every 1 --expect-failures --no-thin-air --seed 2 \
   --repro-dir build-asan/fuzz_repros
 
+# On-disk input stage under ASan: every suite that parses durable files —
+# the record log itself (torn tails at every offset, a flipped bit in
+# every record, foreign headers), the TSCS verdict store and the fuzz
+# checkpoint journal (see docs/ROBUSTNESS.md, "Durable files").
+echo "===== sanitizer on-disk input smoke ====="
+cmake --build build-asan --target test_record_log test_cache_store \
+  test_resume
+./build-asan/tests/test_record_log
+./build-asan/tests/test_cache_store
+./build-asan/tests/test_resume
+
 # Daemon stage under ASan: wire-protocol corruption matrix, the full
 # in-process server suite (admission, idempotency, degradation, injected
 # transport faults, backpressure, scheduling), and the kill -9/resume

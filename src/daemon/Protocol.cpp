@@ -15,31 +15,6 @@ using namespace tracesafe::daemon;
 
 namespace {
 
-void putU16(std::string &Out, uint16_t V) {
-  Out.push_back(static_cast<char>(V & 0xFF));
-  Out.push_back(static_cast<char>((V >> 8) & 0xFF));
-}
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-uint16_t getU16(const unsigned char *P) {
-  return static_cast<uint16_t>(P[0] | (P[1] << 8));
-}
-
-uint32_t getU32(const unsigned char *P) {
-  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-         (static_cast<uint32_t>(P[2]) << 16) |
-         (static_cast<uint32_t>(P[3]) << 24);
-}
-
-uint64_t getU64(const unsigned char *P) {
-  return static_cast<uint64_t>(getU32(P)) |
-         (static_cast<uint64_t>(getU32(P + 4)) << 32);
-}
-
 /// Writes every byte of \p Iov[0..N), looping over partial writes.
 /// MSG_NOSIGNAL: a peer that died mid-frame must surface as an EPIPE
 /// ProtocolError (client retries, server drops the connection) — never as
@@ -154,58 +129,14 @@ DecodeStatus daemon::decodeFrame(std::string &Buf, Frame &Out) {
     return S;
   if (Buf.size() < FrameHeaderSize + Len)
     return DecodeStatus::NeedMore;
-  if (crc32(Buf.data() + FrameHeaderSize, Len) != getU32(P + 20))
+  uint32_t Crc = crc32(Buf.data() + FrameHeaderSize, Len);
+  if (Crc != getU32(P + 20))
     return DecodeStatus::BadCrc;
   takeHeader(P, Out);
+  Out.PayloadCrc = Crc;
   Out.Payload.assign(Buf, FrameHeaderSize, Len);
   Buf.erase(0, FrameHeaderSize + Len);
   return DecodeStatus::Ok;
-}
-
-//===----------------------------------------------------------------------===//
-// Payload primitives
-//===----------------------------------------------------------------------===//
-
-void daemon::putU8(std::string &Out, uint8_t V) {
-  Out.push_back(static_cast<char>(V));
-}
-
-void daemon::putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-void daemon::putStr(std::string &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out += S;
-}
-
-bool PayloadReader::u8(uint8_t &V) {
-  if (!Ok || Pos + 1 > Buf.size())
-    return Ok = false;
-  V = static_cast<uint8_t>(Buf[Pos++]);
-  return true;
-}
-
-bool PayloadReader::u64(uint64_t &V) {
-  if (!Ok || Pos + 8 > Buf.size())
-    return Ok = false;
-  V = getU64(reinterpret_cast<const unsigned char *>(Buf.data()) + Pos);
-  Pos += 8;
-  return true;
-}
-
-bool PayloadReader::str(std::string &V) {
-  if (!Ok || Pos + 4 > Buf.size())
-    return Ok = false;
-  uint32_t Len =
-      getU32(reinterpret_cast<const unsigned char *>(Buf.data()) + Pos);
-  Pos += 4;
-  if (Len > MaxFramePayload || Pos + Len > Buf.size())
-    return Ok = false;
-  V.assign(Buf, Pos, Len);
-  Pos += Len;
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -330,7 +261,7 @@ std::string daemon::encodeSubmit(const QueryRequest &Q, uint8_t Version) {
   return Out;
 }
 
-bool daemon::decodeSubmit(const std::string &Payload, QueryRequest &Q,
+bool daemon::decodeSubmit(std::string_view Payload, QueryRequest &Q,
                           uint8_t Version) {
   PayloadReader R(Payload);
   uint8_t Kind = 0;
@@ -367,7 +298,7 @@ std::string daemon::encodeResponse(const QueryResponse &R) {
   return Out;
 }
 
-bool daemon::decodeResponse(const std::string &Payload, QueryResponse &R) {
+bool daemon::decodeResponse(std::string_view Payload, QueryResponse &R) {
   PayloadReader Rd(Payload);
   uint8_t Status = 0, Kind = 0, Reason = 0, Degraded = 0;
   if (!Rd.u8(Status) || !Rd.u8(Kind) || !Rd.u8(Reason) ||
@@ -552,10 +483,12 @@ ReadStatus readPayload(int Fd, std::string &Buf, Frame &Out,
     Stash();
     throw;
   }
-  if (crc32(Out.Payload.data(), Len) != getU32(Header + 20))
+  uint32_t Crc = crc32(Out.Payload.data(), Len);
+  if (Crc != getU32(Header + 20))
     throw ProtocolError(std::string("corrupt frame: ") +
                         decodeStatusName(DecodeStatus::BadCrc));
   takeHeader(Header, Out);
+  Out.PayloadCrc = Crc;
   return ReadStatus::Frame;
 }
 

@@ -7,13 +7,13 @@
 /// TCP — the codec is transport-agnostic; see daemon/Transport.h for the
 /// socket helpers). Every frame carries a fixed little-endian header —
 /// magic, protocol version, frame type, flags, request id, payload
-/// length, payload CRC32 — followed by the payload bytes. The CRC makes
-/// torn or bit-flipped frames detectable at the decoder instead of
-/// surfacing as garbage queries: a corrupt stream is a *transport* error
-/// (reconnect and retry under idempotent request ids), never a wrong
-/// verdict. The format mirrors the journal's robustness contract (see
-/// docs/PROTOCOL.md for the byte layout and docs/ROBUSTNESS.md for the
-/// recovery semantics).
+/// length, payload CRC32 — followed by the payload bytes, whose fields use
+/// support/FieldCodec.h. The CRC makes torn or bit-flipped frames
+/// detectable at the decoder instead of surfacing as garbage queries: a
+/// corrupt stream is a *transport* error (reconnect and retry under
+/// idempotent request ids), never a wrong verdict. The format mirrors the
+/// journal's robustness contract (see docs/PROTOCOL.md for the byte
+/// layout and docs/ROBUSTNESS.md for the recovery semantics).
 ///
 /// Version 2 adds negotiated streaming: a client whose Hello carries the
 /// streaming flag receives Progress frames (per-request heartbeats and
@@ -34,10 +34,12 @@
 #define TRACESAFE_DAEMON_PROTOCOL_H
 
 #include "support/Budget.h"
+#include "support/FieldCodec.h"
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tracesafe {
@@ -77,6 +79,10 @@ struct Frame {
   uint16_t Flags = 0; ///< must be 0 for v1; subset of KnownFrameFlags for v2
   uint64_t RequestId = 0;
   std::string Payload;
+  /// crc32(Payload) as verified by decodeFrame/readFrame (encoders ignore
+  /// it and checksum Payload themselves). The daemon continues it over its
+  /// journal trailer instead of checksumming a Submit payload twice.
+  uint32_t PayloadCrc = 0;
 };
 
 /// Serialises header + payload. The payload CRC is support/Crc32.h's.
@@ -99,31 +105,6 @@ const char *decodeStatusName(DecodeStatus S);
 /// kept). Any Bad* status means the stream is unrecoverably corrupt: the
 /// connection must be dropped, not resynchronised.
 DecodeStatus decodeFrame(std::string &Buf, Frame &Out);
-
-//===----------------------------------------------------------------------===//
-// Payload primitives (little-endian u8/u64, u32-length-prefixed strings)
-//===----------------------------------------------------------------------===//
-
-void putU8(std::string &Out, uint8_t V);
-void putU64(std::string &Out, uint64_t V);
-void putStr(std::string &Out, const std::string &S);
-
-/// Bounds-checked cursor over a payload; every getter returns false once
-/// the payload is exhausted or malformed (and stays false).
-class PayloadReader {
-public:
-  explicit PayloadReader(const std::string &Buf) : Buf(Buf) {}
-  bool u8(uint8_t &V);
-  bool u64(uint64_t &V);
-  bool str(std::string &V);
-  /// True iff every byte was consumed and no getter failed.
-  bool done() const { return Ok && Pos == Buf.size(); }
-
-private:
-  const std::string &Buf;
-  size_t Pos = 0;
-  bool Ok = true;
-};
 
 //===----------------------------------------------------------------------===//
 // Query model
@@ -229,10 +210,10 @@ bool decodeWelcome(const std::string &Payload, std::string &ServerName,
 /// appends the class and priority bytes.
 std::string encodeSubmit(const QueryRequest &Q,
                          uint8_t Version = ProtocolVersion);
-bool decodeSubmit(const std::string &Payload, QueryRequest &Q,
+bool decodeSubmit(std::string_view Payload, QueryRequest &Q,
                   uint8_t Version = ProtocolVersion);
 std::string encodeResponse(const QueryResponse &R);
-bool decodeResponse(const std::string &Payload, QueryResponse &R);
+bool decodeResponse(std::string_view Payload, QueryResponse &R);
 
 /// Campaign sub-query list, carried in QueryRequest::Program. Sub-queries
 /// may be any single-query kind (no nested campaigns, no Stats).

@@ -4,6 +4,7 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "racelog/Detect.h"
+#include "support/Crc32.h"
 #include "support/Failure.h"
 #include "support/ThreadPool.h"
 #include "trace/Enumerate.h"
@@ -17,14 +18,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -412,241 +410,59 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
 }
 
 //===----------------------------------------------------------------------===//
-// Journal (same line/tab format family as the fuzz campaign journal:
-// append-only, whole records flushed under one lock, torn tails ignored
-// by the loader)
+// Journal: a support/RecordLog of admission and verdict records (layout in
+// Server.h)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// First byte in [P, End) that the journal escapes (\\, \t, \n), or End.
-/// Eight bytes are tested at a time with the has-zero-byte trick memchr
-/// uses, so escape-free runs cost a few operations per word.
-const char *findEscapable(const char *P, const char *End) {
-  constexpr uint64_t Ones = 0x0101010101010101ULL;
-  constexpr uint64_t Highs = 0x8080808080808080ULL;
-  auto HasByte = [](uint64_t W, unsigned char B) {
-    uint64_t X = W ^ (Ones * B);
-    return (X - Ones) & ~X & Highs;
-  };
-  while (End - P >= 8) {
-    uint64_t W;
-    std::memcpy(&W, P, 8);
-    if (HasByte(W, '\\') | HasByte(W, '\t') | HasByte(W, '\n'))
-      break;
-    P += 8;
-  }
-  while (P != End && *P != '\\' && *P != '\t' && *P != '\n')
-    ++P;
-  return P;
-}
-
-/// Appends \p S with the journal's three escapes, copying escape-free
-/// runs whole: a binary log payload has an escapable byte every ~85 bytes
-/// on average, so a byte-at-a-time append would dominate journaling it.
-void appendEscaped(std::string &Out, std::string_view S) {
-  const char *P = S.data(), *End = P + S.size();
-  for (;;) {
-    const char *Run = P;
-    P = findEscapable(P, End);
-    Out.append(Run, static_cast<size_t>(P - Run));
-    if (P == End)
-      return;
-    Out += '\\';
-    Out += *P == '\\' ? '\\' : *P == '\t' ? 't' : 'n';
-    ++P;
-  }
-}
-
-std::string unescField(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  size_t I = 0;
-  while (I < S.size()) {
-    const void *Hit = std::memchr(S.data() + I, '\\', S.size() - I);
-    size_t J = Hit ? static_cast<size_t>(static_cast<const char *>(Hit) -
-                                         S.data())
-                   : S.size();
-    Out.append(S.data() + I, J - I);
-    if (J + 1 >= S.size()) {
-      if (J < S.size())
-        Out += '\\'; // a trailing lone backslash is kept
-      break;
-    }
-    switch (S[J + 1]) {
-    case '\\':
-      Out += '\\';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    default: // Unknown escape: keep both chars (forward compatibility).
-      Out += '\\';
-      Out += S[J + 1];
-    }
-    I = J + 2;
-  }
-  return Out;
-}
-
-std::vector<std::string> splitTabs(const std::string &Line) {
-  std::vector<std::string> Out;
-  size_t Begin = 0;
-  while (true) {
-    size_t Tab = Line.find('\t', Begin);
-    if (Tab == std::string::npos) {
-      Out.push_back(Line.substr(Begin));
-      return Out;
-    }
-    Out.push_back(Line.substr(Begin, Tab - Begin));
-    Begin = Tab + 1;
-  }
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End == S.c_str() + S.size();
-}
-
-constexpr uint64_t JournalVersion = 1;
-
-/// One client request as the journal sees it: the admission record and,
-/// once computed, the verdict.
-struct JournalEntry {
-  std::string Client;
-  uint64_t Id = 0;
-  QueryRequest Q;
-  QueryResponse Resp;
-  bool Done = false;
-};
+constexpr uint8_t AdmissionRecord = 'A';
+constexpr uint8_t VerdictRecord = 'V';
+/// Trailer bytes after the client name: u32 name length, u64 request id,
+/// u8 protocol version, u8 record type.
+constexpr size_t TrailerFixedSize = 14;
 
 std::string requestKey(const std::string &Client, uint64_t Id) {
   return Client + '\0' + std::to_string(Id);
 }
 
-/// A records carry two scheduling fields (class, priority) after the
-/// payload; the loader below still accepts the older 9-field layout
-/// without them, so such a journal resumes with default scheduling.
-std::string admitLine(const std::string &Client, uint64_t Id,
-                      const QueryRequest &Q) {
+std::string journalTrailer(const std::string &Client, uint64_t Id,
+                           uint8_t Version, uint8_t Type) {
   std::string Out;
-  Out.reserve(96 + Client.size() + Q.Program.size() + Q.Program.size() / 32 +
-              Q.Transformed.size());
-  Out += "A\t";
-  appendEscaped(Out, Client);
-  Out += '\t' + std::to_string(Id) + '\t' +
-         std::to_string(static_cast<unsigned>(Q.Kind)) + '\t' +
-         std::to_string(Q.Budget.DeadlineMs) + '\t' +
-         std::to_string(Q.Budget.MaxVisited) + '\t' +
-         std::to_string(Q.Budget.MaxMemoryBytes) + '\t';
-  appendEscaped(Out, Q.Program);
-  Out += '\t';
-  appendEscaped(Out, Q.Transformed);
-  Out += '\t' + std::to_string(static_cast<unsigned>(Q.Class)) + '\t' +
-         std::to_string(static_cast<unsigned>(Q.Priority)) + '\n';
+  Out.reserve(Client.size() + TrailerFixedSize);
+  Out += Client;
+  putU32(Out, static_cast<uint32_t>(Client.size()));
+  putU64(Out, Id);
+  putU8(Out, Version);
+  putU8(Out, Type);
   return Out;
 }
 
-std::string verdictLine(const std::string &Client, uint64_t Id,
-                        const QueryResponse &R) {
-  std::string Out = "V\t";
-  appendEscaped(Out, Client);
-  Out += '\t' + std::to_string(Id) + '\t' +
-         std::to_string(static_cast<unsigned>(R.Status)) + '\t' +
-         std::to_string(static_cast<unsigned>(R.Kind)) + '\t' +
-         std::to_string(static_cast<unsigned>(R.Reason)) + '\t' +
-         (R.Degraded ? "1" : "0") + '\t' + std::to_string(R.Visited) + '\t';
-  appendEscaped(Out, R.Detail);
-  Out += '\n';
-  return Out;
-}
+/// One journal record split at its trailer: Body is the Submit payload
+/// (admissions) or the encoded response (verdicts).
+struct JournalRecord {
+  std::string_view Body;
+  std::string Client;
+  uint64_t Id = 0;
+  uint8_t Version = 0;
+  uint8_t Type = 0;
+};
 
-/// Loads a daemon journal, tolerating a torn tail and unknown record
-/// types: a crashed daemon's journal is, by construction, a valid prefix
-/// plus at most one torn line.
-std::vector<JournalEntry> loadDaemonJournal(const std::string &Path) {
-  std::vector<JournalEntry> Out;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Out;
-  std::stringstream Ss;
-  Ss << In.rdbuf();
-  std::string All = Ss.str();
-  std::unordered_map<std::string, size_t> Index;
-  size_t Begin = 0;
-  while (Begin < All.size()) {
-    size_t End = All.find('\n', Begin);
-    if (End == std::string::npos)
-      break; // torn tail: no terminating newline, ignore
-    std::string Line = All.substr(Begin, End - Begin);
-    Begin = End + 1;
-    std::vector<std::string> T = splitTabs(Line);
-    if (T.empty())
-      continue;
-    if (T[0] == "A" && (T.size() == 9 || T.size() == 11)) {
-      JournalEntry E;
-      E.Client = unescField(T[1]);
-      uint64_t Kind = 0, Deadline = 0;
-      if (!parseU64(T[2], E.Id) || !parseU64(T[3], Kind) ||
-          !parseU64(T[4], Deadline) ||
-          !parseU64(T[5], E.Q.Budget.MaxVisited) ||
-          !parseU64(T[6], E.Q.Budget.MaxMemoryBytes))
-        continue;
-      if (Kind < static_cast<uint64_t>(QueryKind::ProgramDrf) ||
-          Kind > static_cast<uint64_t>(QueryKind::Campaign))
-        continue;
-      E.Q.Kind = static_cast<QueryKind>(Kind);
-      E.Q.Budget.DeadlineMs = static_cast<int64_t>(Deadline);
-      E.Q.Program = unescField(T[7]);
-      E.Q.Transformed = unescField(T[8]);
-      if (T.size() == 11) {
-        uint64_t Class = 0, Priority = 0;
-        if (!parseU64(T[9], Class) || !parseU64(T[10], Priority) ||
-            Class > static_cast<uint64_t>(ClientClass::Batch) ||
-            Priority > 255)
-          continue;
-        E.Q.Class = static_cast<ClientClass>(Class);
-        E.Q.Priority = static_cast<uint8_t>(Priority);
-      }
-      std::string Key = requestKey(E.Client, E.Id);
-      if (Index.count(Key))
-        continue; // duplicate admission: first one wins
-      Index[Key] = Out.size();
-      Out.push_back(std::move(E));
-    } else if (T[0] == "V" && T.size() == 9) {
-      std::string Client = unescField(T[1]);
-      uint64_t Id = 0, Status = 0, Kind = 0, Reason = 0, Degraded = 0,
-               Visited = 0;
-      if (!parseU64(T[2], Id) || !parseU64(T[3], Status) ||
-          !parseU64(T[4], Kind) || !parseU64(T[5], Reason) ||
-          !parseU64(T[6], Degraded) || !parseU64(T[7], Visited))
-        continue;
-      auto It = Index.find(requestKey(Client, Id));
-      if (It == Index.end())
-        continue; // verdict without admission: ignore
-      JournalEntry &E = Out[It->second];
-      if (Status < static_cast<uint64_t>(ResponseStatus::Ok) ||
-          Status > static_cast<uint64_t>(ResponseStatus::Error) ||
-          Kind > static_cast<uint64_t>(VerdictKind::Unknown) ||
-          Reason > static_cast<uint64_t>(TruncationReason::EngineFault))
-        continue;
-      E.Resp.Status = static_cast<ResponseStatus>(Status);
-      E.Resp.Kind = static_cast<VerdictKind>(Kind);
-      E.Resp.Reason = static_cast<TruncationReason>(Reason);
-      E.Resp.Degraded = Degraded != 0;
-      E.Resp.Visited = Visited;
-      E.Resp.Detail = unescField(T[8]);
-      E.Done = true;
-    }
-    // "H" headers and unknown types: skipped (forward compatibility).
-  }
-  return Out;
+bool decodeJournalRecord(std::string_view Payload, JournalRecord &R) {
+  if (Payload.size() < TrailerFixedSize)
+    return false;
+  const auto *T = reinterpret_cast<const unsigned char *>(Payload.data()) +
+                  Payload.size() - TrailerFixedSize;
+  uint32_t ClientLen = getU32(T);
+  if (ClientLen > Payload.size() - TrailerFixedSize)
+    return false;
+  size_t BodyLen = Payload.size() - TrailerFixedSize - ClientLen;
+  R.Body = Payload.substr(0, BodyLen);
+  R.Client.assign(Payload.substr(BodyLen, ClientLen));
+  R.Id = getU64(T + 4);
+  R.Version = T[12];
+  R.Type = T[13];
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -821,18 +637,11 @@ private:
         1, Opts.QueueCap / static_cast<unsigned>(Clients));
   }
 
-  /// Appends one pre-built record and flushes it. The caller builds the
-  /// line outside M; only the write and the flush serialise on it.
-  void journalWriteLocked(const std::string &Line) {
-    if (Line.empty())
-      return;
-    Journal.write(Line.data(), static_cast<std::streamsize>(Line.size()));
-    Journal.flush();
-  }
-
   void journalVerdictLocked(const Request &R) {
-    if (Journaling)
-      journalWriteLocked(verdictLine(R.Client, R.Id, R.Resp));
+    if (Journal.isOpen())
+      Journal.append(encodeResponse(R.Resp) +
+                     journalTrailer(R.Client, R.Id, ProtocolVersion,
+                                    VerdictRecord));
   }
 
   static uint64_t payloadBytes(const Request &R) {
@@ -840,9 +649,9 @@ private:
   }
 
   /// A request that is done keeps only its verdict: idempotent replay
-  /// reads Resp, and --resume compaction reads the journal file, not
-  /// memory. Without this the idempotency table would hold every payload
-  /// (MiB-sized for RaceLog queries) for the life of the process.
+  /// reads Resp, and --resume reads the journal file, not memory. Without
+  /// this the idempotency table would hold every payload (MiB-sized for
+  /// RaceLog queries) for the life of the process.
   void releasePayloadLocked(Request &R) {
     HeldPayloadBytes -= payloadBytes(R);
     std::string().swap(R.Q.Program);
@@ -1180,12 +989,19 @@ private:
           canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
                             Q.Transformed,
                             clampBudget(Q.Budget, Opts.QuotaCeiling));
-    // The admission record is built here too, escaping a payload that can
-    // be MiB-sized; under M it is only written and flushed (and dropped
-    // unused if the submit turns out to be a replay or is shed).
-    std::string AdmitLine;
-    if (Journaling)
-      AdmitLine = admitLine(C->Client, F.RequestId, Q);
+    // The admission record is built here too: the Submit payload exactly
+    // as it arrived plus a trailer. Its CRC continues the frame's already
+    // verified payload CRC over the trailer, so a MiB-sized payload is
+    // copied once but not checksummed again. Under M the record is only
+    // written (and dropped unused if the submit is a replay or is shed).
+    std::string AdmitRecord;
+    if (Journal.isOpen()) {
+      std::string Trailer =
+          journalTrailer(C->Client, F.RequestId, F.Version, AdmissionRecord);
+      AdmitRecord = encodeRecord(
+          JournalFormat, F.Payload, Trailer,
+          crc32(Trailer.data(), Trailer.size(), F.PayloadCrc));
+    }
     ReqPtr Fresh;
     {
       std::lock_guard<std::mutex> Lock(M);
@@ -1229,7 +1045,8 @@ private:
         HeldPayloadBytes += payloadBytes(*Req);
         if (Req->Q.Kind == QueryKind::Campaign)
           ++Stats.Campaigns;
-        journalWriteLocked(AdmitLine);
+        if (!AdmitRecord.empty())
+          Journal.appendEncoded(AdmitRecord);
         // Single-flight: an admission canonically identical to one
         // already in flight rides it instead of queueing — charged and
         // journaled like any admission (so quotas and resume semantics
@@ -1464,8 +1281,8 @@ private:
   unsigned DispatchCapEff = 1;
   bool ShuttingDown = false;
   std::atomic<uint64_t> Tick{0}; ///< ~100ms health ticks since startup
-  std::ofstream Journal;
-  bool Journaling = false; ///< Journal is open; fixed before any listener
+  /// Open iff JournalPath is set; fixed before any listener starts.
+  RecordLogWriter Journal;
   ThreadPool::TaskGroup *Group = nullptr;
 };
 
@@ -1486,6 +1303,8 @@ int Server::run() {
       return 1;
     }
     Stats.PersistLoaded = Info.Loaded;
+    if (!Info.Error.empty())
+      log("cache file: " + Info.Error);
     if (Info.TornTail)
       log("cache file: torn tail, dropping " +
           std::to_string(Info.DroppedBytes) + " trailing bytes");
@@ -1511,61 +1330,53 @@ int Server::run() {
   } SinkCleanup;
 
   // Durability first: replay the journal before accepting traffic, so a
-  // reconnecting client's retries hit stored verdicts, and compact it
-  // (completed entries keep their verdicts; orphans keep only their
-  // admission and are recomputed below).
+  // reconnecting client's retries hit stored verdicts. Resume keeps the
+  // journal's valid prefix and appends after it; without --resume the
+  // journal starts over, so an old life's records can never answer this
+  // life's requests.
   std::vector<ReqPtr> Orphans;
   if (!Opts.JournalPath.empty()) {
-    if (Opts.Resume) {
-      std::vector<JournalEntry> Entries =
-          loadDaemonJournal(Opts.JournalPath);
-      std::ofstream Compact(Opts.JournalPath + ".tmp",
-                            std::ios::binary | std::ios::trunc);
-      Compact << "H\t" << JournalVersion << "\ttracesafed\n";
-      for (JournalEntry &E : Entries) {
-        Compact << admitLine(E.Client, E.Id, E.Q);
-        if (E.Done)
-          Compact << verdictLine(E.Client, E.Id, E.Resp);
+    std::vector<ReqPtr> Loaded; // in journal order
+    auto Visit = [&](std::string_view Payload) {
+      JournalRecord Rec;
+      if (!decodeJournalRecord(Payload, Rec))
+        return;
+      std::string Key = requestKey(Rec.Client, Rec.Id);
+      auto It = Requests.find(Key);
+      if (Rec.Type == AdmissionRecord && It == Requests.end()) {
         auto Req = std::make_shared<Request>();
-        Req->Client = E.Client;
-        Req->Id = E.Id;
-        Req->Q = std::move(E.Q);
-        Req->Resp = std::move(E.Resp);
-        Req->Done = E.Done;
-        HeldPayloadBytes += payloadBytes(*Req);
-        if (Req->Done)
-          releasePayloadLocked(*Req);
-        Requests.emplace(requestKey(Req->Client, Req->Id), Req);
-        if (!Req->Done)
-          Orphans.push_back(std::move(Req));
+        if (!decodeSubmit(Rec.Body, Req->Q, Rec.Version))
+          return;
+        Req->Client = std::move(Rec.Client);
+        Req->Id = Rec.Id;
+        Requests.emplace(std::move(Key), Req);
+        Loaded.push_back(std::move(Req));
+      } else if (Rec.Type == VerdictRecord && It != Requests.end()) {
+        QueryResponse Resp;
+        if (!decodeResponse(Rec.Body, Resp))
+          return;
+        It->second->Resp = std::move(Resp);
+        It->second->Done = true;
       }
-      Compact.flush();
-      if (!Compact) {
-        std::cerr << "tracesafed: cannot rewrite journal "
-                  << Opts.JournalPath << "\n";
-        return 1;
-      }
-      Compact.close();
-      if (std::rename((Opts.JournalPath + ".tmp").c_str(),
-                      Opts.JournalPath.c_str()) != 0) {
-        std::cerr << "tracesafed: cannot replace journal "
-                  << Opts.JournalPath << "\n";
-        return 1;
-      }
-      log("resumed " + std::to_string(Requests.size()) + " entries, " +
-          std::to_string(Orphans.size()) + " orphans to recompute");
-    }
-    Journal.open(Opts.JournalPath, std::ios::binary | std::ios::app);
-    if (!Journal) {
-      std::cerr << "tracesafed: cannot open journal " << Opts.JournalPath
-                << "\n";
+    };
+    std::string Err;
+    if (!Journal.open(Opts.JournalPath, JournalFormat,
+                      Opts.Resume ? RecordLogWriter::Mode::Resume
+                                  : RecordLogWriter::Mode::Fresh,
+                      Err, Visit)) {
+      std::cerr << "tracesafed: journal " << Err << "\n";
       return 1;
     }
-    Journaling = true;
-    if (!Opts.Resume) {
-      Journal << "H\t" << JournalVersion << "\ttracesafed\n";
-      Journal.flush();
+    for (ReqPtr &Req : Loaded) {
+      HeldPayloadBytes += payloadBytes(*Req);
+      if (Req->Done)
+        releasePayloadLocked(*Req);
+      else
+        Orphans.push_back(std::move(Req));
     }
+    if (Opts.Resume)
+      log("resumed " + std::to_string(Requests.size()) + " entries, " +
+          std::to_string(Orphans.size()) + " orphans to recompute");
   }
 
   // Listeners: unix and/or TCP through the shared transport layer. A
@@ -1758,8 +1569,6 @@ int Server::run() {
   }
   for (std::thread &T : Readers)
     T.join();
-  if (Journal.is_open())
-    Journal.flush();
   log("clean shutdown: " + std::to_string(Stats.Completed) +
       " completed, " + std::to_string(Stats.Overloaded) + " shed");
   return 0;

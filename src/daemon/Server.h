@@ -26,13 +26,15 @@
 ///    replayable) and never wedges a worker or starves other clients.
 ///
 ///  - *Durability.* With a journal configured, each admitted request is
-///    appended (A record) before it is scheduled and its verdict (V
-///    record) when it completes, both flushed. `--resume` replays the
-///    journal: completed verdicts are served from the journal without
-///    recomputation (and without re-charging any quota) and admitted-but-
-///    unfinished requests are recomputed, so a `kill -9` mid-batch
-///    resumes to byte-identical merged results. Replayed verdicts send
-///    no Progress frames — a resumed stream is final-frames only.
+///    appended (admission record) before it is scheduled and its verdict
+///    (verdict record) when it completes, each written before the daemon
+///    moves on. `--resume` replays the journal's valid prefix: completed
+///    verdicts are served from the journal without recomputation (and
+///    without re-charging any quota) and admitted-but-unfinished requests
+///    are recomputed, so a `kill -9` mid-batch resumes to byte-identical
+///    merged results. A corrupt record ends the replay there; nothing
+///    after it is served. Replayed verdicts send no Progress frames — a
+///    resumed stream is final-frames only.
 ///
 ///  - *Idempotency.* Requests are keyed (client name, request id): a
 ///    retransmitted Submit attaches to the in-flight computation or
@@ -56,6 +58,7 @@
 
 #include "daemon/Protocol.h"
 #include "support/Budget.h"
+#include "support/RecordLog.h"
 
 #include <atomic>
 #include <cstdint>
@@ -64,6 +67,20 @@
 
 namespace tracesafe {
 namespace daemon {
+
+/// The --journal file: a support/RecordLog ("TSDJ" file, "TSDR" records).
+/// Each record's payload is a body followed by a trailer:
+///
+///   body:    admission: the Submit frame's payload bytes as received
+///            verdict:   encodeResponse() of the verdict
+///   trailer: client name bytes | u32 name length | u64 request id
+///            | u8 protocol version (decodes an admission's body)
+///            | u8 type ('A' admission, 'V' verdict)
+///
+/// The loader keeps the first admission per (client, request id) and
+/// applies verdicts to it.
+constexpr RecordLogFormat JournalFormat{"daemon journal", 0x4A445354, 1,
+                                        0x52445354, 64u << 20};
 
 struct ServerOptions {
   /// Unix-domain listener path; empty = no unix listener.
@@ -76,9 +93,11 @@ struct ServerOptions {
   /// ephemeral-port runs) before the first accept.
   std::atomic<uint16_t> *BoundTcpPort = nullptr;
   /// Append-only journal for crash recovery; empty = no durability.
+  /// Without Resume the file is started over.
   std::string JournalPath;
   /// Replay JournalPath on startup (serve completed verdicts, recompute
-  /// orphaned admissions).
+  /// orphaned admissions) and append to it. A file that is not a daemon
+  /// journal is refused: runServer returns 1.
   bool Resume = false;
   /// Query workers. 0 = the shared pool's default width.
   unsigned Workers = 0;
@@ -141,8 +160,8 @@ struct ServerOptions {
 /// scraping).
 struct ServerStats {
   uint64_t Connections = 0;   ///< accepted sockets (both transports)
-  uint64_t Admitted = 0;      ///< queries admitted (journal A records)
-  uint64_t Completed = 0;     ///< verdicts computed (journal V records)
+  uint64_t Admitted = 0;      ///< queries admitted (journal admissions)
+  uint64_t Completed = 0;     ///< verdicts computed (journal verdicts)
   uint64_t Overloaded = 0;    ///< requests shed by admission control
   uint64_t BadRequests = 0;   ///< malformed submits
   uint64_t Replayed = 0;      ///< verdicts served from memory or journal

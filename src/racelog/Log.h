@@ -6,14 +6,17 @@
 /// A log is one observed execution of an arbitrarily large concurrent
 /// program: a 16-byte file header followed by CRC-checked blocks of fixed
 /// 16-byte little-endian event records (read, write, lock acquire/release,
-/// fork, join). The framing mirrors the robustness contract of the fuzz
-/// journal and the daemon protocol: a crashed or truncated recorder leaves
-/// a valid prefix plus at most one torn block, and the reader accepts
-/// exactly that prefix — a flipped bit fails the block CRC, a torn tail
-/// fails the length check, and garbage never parses as events.
+/// fork, join). The framing mirrors the robustness contract of
+/// support/RecordLog.h (the journals and the TSCS verdict store): a
+/// crashed or truncated recorder leaves a valid prefix plus at most one
+/// torn block, and the reader accepts exactly that prefix — a flipped bit
+/// fails the block CRC, a torn tail fails the length check, and garbage
+/// never parses as events. TSRL keeps its own block header rather than
+/// being a record log: it is the recorder's input format, and each block
+/// header carries the block's event count.
 ///
 /// Block CRCs are the code base's one slice-by-8 CRC-32 (support/Crc32.h),
-/// the same checksum the daemon frames and the TSCS verdict store use.
+/// the same checksum the daemon frames and every record log use.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -32,10 +32,10 @@ const Crc32Slice8 &crcTables() {
 
 } // namespace
 
-uint32_t tracesafe::crc32(const void *Data, size_t Len) {
+uint32_t tracesafe::crc32(const void *Data, size_t Len, uint32_t Prev) {
   const Crc32Slice8 &Tb = crcTables();
   const auto *P = static_cast<const unsigned char *>(Data);
-  uint32_t C = 0xFFFFFFFFu;
+  uint32_t C = Prev ^ 0xFFFFFFFFu;
   while (Len >= 8) {
     uint32_t Lo, Hi;
     std::memcpy(&Lo, P, 4);

@@ -1,142 +1,32 @@
 #include "verify/CacheStore.h"
 
-#include "support/Crc32.h"
-
-#include <filesystem>
-#include <functional>
+#include "support/FieldCodec.h"
 
 using namespace tracesafe;
 
 namespace {
 
-constexpr uint32_t StoreMagic = 0x53435354;      // "TSCS" little-endian
-constexpr uint32_t StoreBlockMagic = 0x42435354; // "TSCB" little-endian
-constexpr uint8_t StoreVersion = 1;
-constexpr size_t StoreHeaderSize = 16;
-constexpr size_t StoreBlockHeaderSize = 16;
-/// TSRL's block payload bound; a single verdict entry is tiny, so the
-/// bound only guards the loader against garbage lengths.
-constexpr uint32_t MaxEntryPayload = 4u << 20;
-
-uint32_t readU32(const unsigned char *P) {
-  return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
-         static_cast<uint32_t>(P[2]) << 16 | static_cast<uint32_t>(P[3]) << 24;
-}
-
-uint64_t readU64(const unsigned char *P) {
-  return static_cast<uint64_t>(readU32(P)) |
-         static_cast<uint64_t>(readU32(P + 4)) << 32;
-}
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (I * 8)) & 0xFF));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  putU32(Out, static_cast<uint32_t>(V));
-  putU32(Out, static_cast<uint32_t>(V >> 32));
-}
-
-struct ScanInfo {
-  bool HeaderOk = true;
-  bool Torn = false;
-  uint64_t Blocks = 0;
-  uint64_t ValidPrefixBytes = 0;
-  std::string Error;
-};
-
-/// Walks the valid block prefix of \p Data, calling \p Fn on each
-/// CRC-verified payload. Stops (Torn) at the first bad magic, oversized
-/// length, short block or CRC mismatch — everything after that offset is
-/// the torn tail.
-ScanInfo scanStore(const std::string &Data,
-                   const std::function<void(const unsigned char *, size_t)> &Fn) {
-  ScanInfo I;
-  const auto *D = reinterpret_cast<const unsigned char *>(Data.data());
-  if (Data.size() < StoreHeaderSize) {
-    I.HeaderOk = false;
-    I.Error = "short or missing TSCS header";
-    return I;
-  }
-  if (readU32(D) != StoreMagic) {
-    I.HeaderOk = false;
-    I.Error = "bad TSCS magic";
-    return I;
-  }
-  if (D[4] != StoreVersion) {
-    I.HeaderOk = false;
-    I.Error = "unsupported TSCS version " + std::to_string(D[4]);
-    return I;
-  }
-  size_t Off = StoreHeaderSize;
-  I.ValidPrefixBytes = Off;
-  while (Off + StoreBlockHeaderSize <= Data.size()) {
-    if (readU32(D + Off) != StoreBlockMagic) {
-      I.Torn = true;
-      break;
-    }
-    uint32_t Len = readU32(D + Off + 4);
-    uint32_t Crc = readU32(D + Off + 8);
-    if (Len > MaxEntryPayload ||
-        Off + StoreBlockHeaderSize + Len > Data.size()) {
-      I.Torn = true;
-      break;
-    }
-    const unsigned char *P = D + Off + StoreBlockHeaderSize;
-    if (crc32(P, Len) != Crc) {
-      I.Torn = true;
-      break;
-    }
-    ++I.Blocks;
-    if (Fn)
-      Fn(P, Len);
-    Off += StoreBlockHeaderSize + Len;
-    I.ValidPrefixBytes = Off;
-  }
-  if (!I.Torn && I.ValidPrefixBytes < Data.size())
-    I.Torn = true; // trailing bytes shorter than a block header
-  return I;
-}
+/// "TSCS" file, "TSCB" records. A single verdict entry is tiny, so the
+/// payload bound only guards the loader against garbage lengths.
+constexpr RecordLogFormat StoreFormat{"TSCS", 0x53435354, 1, 0x42435354,
+                                      4u << 20, VerdictSemanticsEpoch};
 
 /// Decodes one entry payload; false on malformed layout or an Unknown
 /// verdict kind (the store never contains incomplete results).
-bool decodeEntry(const unsigned char *P, size_t Len, std::string &Key,
+bool decodeEntry(std::string_view Payload, std::string &Key,
                  BehaviourCache::CachedQuery &E) {
-  if (Len < 4)
+  PayloadReader R(Payload);
+  uint8_t Kind = 0, Reason = 0;
+  uint16_t Zero = 0;
+  if (!R.str(Key) || !R.u8(Kind) || !R.u8(Reason) || !R.u16(Zero) ||
+      !R.u64(E.CostVisits) || !R.u64(E.CostBytes) || !R.str(E.Detail) ||
+      !R.done())
     return false;
-  uint64_t KeyLen = readU32(P);
-  if (Len < 28 + KeyLen)
-    return false;
-  const unsigned char *Q = P + 4 + KeyLen;
-  uint8_t Kind = Q[0];
-  uint8_t Reason = Q[1];
   if (Kind > static_cast<uint8_t>(VerdictKind::Refuted) ||
       Reason > static_cast<uint8_t>(TruncationReason::EngineFault))
     return false;
-  uint64_t DetailLen = readU32(Q + 20);
-  if (Len != 28 + KeyLen + DetailLen)
-    return false;
-  Key.assign(reinterpret_cast<const char *>(P + 4), KeyLen);
   E.Kind = static_cast<VerdictKind>(Kind);
   E.Reason = static_cast<TruncationReason>(Reason);
-  E.CostVisits = readU64(Q + 4);
-  E.CostBytes = readU64(Q + 12);
-  E.Detail.assign(reinterpret_cast<const char *>(Q + 24), DetailLen);
-  return true;
-}
-
-/// Reads the whole file at \p Path; false when it does not exist (or is
-/// unreadable), which loaders treat as an empty store.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
   return true;
 }
 
@@ -145,109 +35,47 @@ bool readFile(const std::string &Path, std::string &Out) {
 CacheStoreInfo tracesafe::loadCacheStore(const std::string &Path,
                                          BehaviourCache &Cache) {
   CacheStoreInfo Info;
-  std::string Data;
-  if (!readFile(Path, Data) || Data.empty())
-    return Info; // missing or empty: an empty store
-  ScanInfo I = scanStore(Data, [&](const unsigned char *P, size_t Len) {
+  RecordScan S = readRecordLog(Path, StoreFormat, [&](std::string_view P) {
     std::string Key;
     BehaviourCache::CachedQuery E;
-    if (decodeEntry(P, Len, Key, E)) {
+    if (decodeEntry(P, Key, E)) {
       Cache.insertQuery(Key, std::move(E), /*Notify=*/false);
       ++Info.Loaded;
     }
   });
-  Info.HeaderOk = I.HeaderOk;
-  Info.TornTail = I.Torn;
-  Info.Blocks = I.Blocks;
-  Info.ValidPrefixBytes = I.ValidPrefixBytes;
-  Info.DroppedBytes = Data.size() - I.ValidPrefixBytes;
-  Info.Error = I.Error;
-  if (!I.HeaderOk)
-    Info.DroppedBytes = Data.size();
+  Info.HeaderOk = S.HeaderOk;
+  Info.TornTail = S.torn();
+  Info.Blocks = S.Records;
+  Info.ValidPrefixBytes = S.ValidBytes;
+  Info.DroppedBytes = S.TotalBytes - S.ValidBytes;
+  Info.Error = S.Error;
+  if (S.Stale)
+    Info.Error = "TSCS semantics epoch " + std::to_string(S.Epoch) +
+                 " is not this build's " +
+                 std::to_string(VerdictSemanticsEpoch) +
+                 ": nothing loaded, the store restarts";
   return Info;
 }
 
 bool CacheStore::open(const std::string &Path, std::string &Err) {
-  close();
-  std::string Data;
-  bool Exists = readFile(Path, Data);
-  std::lock_guard<std::mutex> Lock(M);
-  if (Exists && !Data.empty()) {
-    ScanInfo I = scanStore(Data, nullptr);
-    if (!I.HeaderOk) {
-      Err = Path + ": " + I.Error;
-      return false;
-    }
-    if (I.ValidPrefixBytes < Data.size()) {
-      // Truncate the torn tail away: appending after it would hide every
-      // later block from the valid-prefix loader forever.
-      std::error_code Ec;
-      std::filesystem::resize_file(Path, I.ValidPrefixBytes, Ec);
-      if (Ec) {
-        Err = Path + ": cannot truncate torn tail: " + Ec.message();
-        return false;
-      }
-    }
-    File = std::fopen(Path.c_str(), "ab");
-    if (!File) {
-      Err = Path + ": cannot open for append";
-      return false;
-    }
-    return true;
-  }
-  File = std::fopen(Path.c_str(), "wb");
-  if (!File) {
-    Err = Path + ": cannot create";
-    return false;
-  }
-  std::string H;
-  putU32(H, StoreMagic);
-  H.push_back(static_cast<char>(StoreVersion));
-  H.append(3, '\0');
-  putU64(H, 0);
-  std::fwrite(H.data(), 1, H.size(), File);
-  std::fflush(File);
-  return true;
+  return Log.open(Path, StoreFormat, RecordLogWriter::Mode::Resume, Err);
 }
 
 void CacheStore::append(const std::string &Key,
                         const BehaviourCache::CachedQuery &E) {
   if (E.Kind == VerdictKind::Unknown)
     return;
-  if (28 + Key.size() + E.Detail.size() > MaxEntryPayload)
-    return;
   std::string Payload;
   Payload.reserve(28 + Key.size() + E.Detail.size());
-  putU32(Payload, static_cast<uint32_t>(Key.size()));
-  Payload += Key;
-  Payload.push_back(static_cast<char>(E.Kind));
-  Payload.push_back(static_cast<char>(E.Reason));
-  Payload.append(2, '\0');
+  putStr(Payload, Key);
+  putU8(Payload, static_cast<uint8_t>(E.Kind));
+  putU8(Payload, static_cast<uint8_t>(E.Reason));
+  putU16(Payload, 0);
   putU64(Payload, E.CostVisits);
   putU64(Payload, E.CostBytes);
-  putU32(Payload, static_cast<uint32_t>(E.Detail.size()));
-  Payload += E.Detail;
-  std::string Block;
-  Block.reserve(StoreBlockHeaderSize + Payload.size());
-  putU32(Block, StoreBlockMagic);
-  putU32(Block, static_cast<uint32_t>(Payload.size()));
-  putU32(Block, crc32(Payload.data(), Payload.size()));
-  putU32(Block, 0);
-  Block += Payload;
-  std::lock_guard<std::mutex> Lock(M);
-  if (!File)
-    return;
-  // One fwrite per block + flush: a crash tears at most the last block,
-  // which the valid-prefix load (and open's truncation) absorbs.
-  std::fwrite(Block.data(), 1, Block.size(), File);
-  std::fflush(File);
-  ++Appended;
-}
-
-void CacheStore::close() {
-  std::lock_guard<std::mutex> Lock(M);
-  if (File) {
-    std::fclose(File);
-    File = nullptr;
-  }
+  putStr(Payload, E.Detail);
+  // One write per record: a crash tears at most the last one, which the
+  // valid-prefix load (and open's truncation) absorbs.
+  if (Log.append(Payload))
+    Appended.fetch_add(1, std::memory_order_relaxed);
 }

@@ -14,18 +14,25 @@
 /// whose SymbolIds depend on the process's interning history and would be
 /// wrong to replay into another process.
 ///
-/// The file reuses the TSRL block-framing discipline from racelog/Log.h:
-/// a 16-byte header (magic, version), then one CRC32-framed block
-/// (support/Crc32.h) per entry, each flushed after the append. Loads stop at the first invalid
-/// block (valid-prefix semantics): a torn tail from a crash mid-append
-/// costs at most the last entry, never the file. `open` truncates a torn
-/// tail away before appending so the file can only grow valid blocks.
+/// The file is a support/RecordLog: a 16-byte header, then one
+/// CRC-framed record per entry, each written whole as it is appended.
+/// Loads stop at the first invalid record (valid-prefix semantics): a torn
+/// tail from a crash mid-append costs at most the last entry, never the
+/// file, and a corrupt record mid-file ends the load there. `open`
+/// truncates everything after the valid prefix before appending, so the
+/// file can only grow valid records.
+///
+/// The header's epoch word holds the VerdictSemanticsEpoch the entries
+/// were rendered under. A store with another epoch loads nothing and is
+/// restarted with a fresh header, so verdict bytes from an older engine
+/// are never served.
 ///
 /// Layout (all integers little-endian):
 ///
-///   file header:  u32 magic 'TSCS' | u8 version | u8[3] zero | u64 zero
-///   block header: u32 magic 'TSCB' | u32 payloadLen | u32 crc32(payload)
-///                 | u32 zero
+///   file header:  u32 magic 'TSCS' | u8 version 1 | u8[3] zero
+///                 | u64 semantics epoch
+///   record:       u32 magic 'TSCB' | u32 payloadLen | u32 crc32(payload)
+///                 | u32 zero | payload
 ///   payload:      u32 keyLen | key bytes
 ///                 | u8 verdictKind | u8 truncationReason | u16 zero
 ///                 | u64 costVisits | u64 costBytes
@@ -36,12 +43,19 @@
 #ifndef TRACESAFE_VERIFY_CACHESTORE_H
 #define TRACESAFE_VERIFY_CACHESTORE_H
 
+#include "support/RecordLog.h"
 #include "verify/BehaviourCache.h"
 
-#include <cstdio>
+#include <atomic>
 #include <string>
 
 namespace tracesafe {
+
+/// Version of the engines' verdict semantics: which verdict kind and
+/// Detail bytes a query yields. Bump it in any change that alters verdict
+/// bytes, so persisted stores written before the change stop loading.
+/// Stores written before the epoch existed hold 0.
+constexpr uint64_t VerdictSemanticsEpoch = 0;
 
 /// What a load found. HeaderOk=false means the file exists but is not a
 /// TSCS store (wrong magic/version) — the caller should refuse to append
@@ -53,7 +67,9 @@ struct CacheStoreInfo {
   uint64_t Blocks = 0;         ///< valid blocks seen (>= Loaded)
   uint64_t ValidPrefixBytes = 0; ///< header + valid blocks
   uint64_t DroppedBytes = 0;   ///< bytes after the valid prefix
-  std::string Error;           ///< set when HeaderOk is false
+  /// Set when HeaderOk is false, and when the store carries another
+  /// semantics epoch (then nothing loads and open() restarts the file).
+  std::string Error;
 };
 
 /// Loads the valid prefix of the store at \p Path into \p Cache's query
@@ -61,13 +77,13 @@ struct CacheStoreInfo {
 /// install the sink after loading or rely on this flag). A missing or
 /// empty file loads zero entries successfully. Blocks that frame
 /// malformed payloads (bad lengths, an Unknown verdict kind) are counted
-/// in Blocks but not Loaded.
+/// in Blocks but not Loaded. A store from another semantics epoch loads
+/// nothing and says so in Error.
 CacheStoreInfo loadCacheStore(const std::string &Path, BehaviourCache &Cache);
 
-/// The append side. One writer per file; appends are serialised by the
-/// caller (the BehaviourCache persist sink already runs its callbacks one
-/// at a time per insertion, but from multiple worker threads, so append()
-/// takes its own lock).
+/// The append side. One writer per file; append() may be called from
+/// several worker threads (the BehaviourCache persist sink runs on
+/// whichever worker inserted).
 class CacheStore {
 public:
   CacheStore() = default;
@@ -76,24 +92,23 @@ public:
   CacheStore &operator=(const CacheStore &) = delete;
 
   /// Opens \p Path for appending, creating it (with a fresh header) when
-  /// missing and truncating any torn tail on an existing store. Returns
-  /// false with \p Err set when the file is unusable (not a TSCS store,
-  /// unwritable).
+  /// missing or from another semantics epoch, and truncating whatever
+  /// follows the valid prefix of an existing store. Returns false with
+  /// \p Err set when the file is unusable (not a TSCS store, unwritable).
   bool open(const std::string &Path, std::string &Err);
 
-  /// Appends one entry as a flushed CRC-framed block. No-op when closed
-  /// or when the entry exceeds the block payload bound.
+  /// Appends one entry as a CRC-framed record. No-op when closed or when
+  /// the entry exceeds the record payload bound.
   void append(const std::string &Key, const BehaviourCache::CachedQuery &E);
 
-  void close();
+  void close() { Log.close(); }
 
-  bool isOpen() const { return File != nullptr; }
-  uint64_t appended() const { return Appended; }
+  bool isOpen() const { return Log.isOpen(); }
+  uint64_t appended() const { return Appended.load(); }
 
 private:
-  std::FILE *File = nullptr;
-  std::mutex M;
-  uint64_t Appended = 0;
+  RecordLogWriter Log;
+  std::atomic<uint64_t> Appended{0};
 };
 
 } // namespace tracesafe

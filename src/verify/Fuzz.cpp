@@ -3,6 +3,7 @@
 #include "lang/Printer.h"
 #include "opt/Pipeline.h"
 #include "opt/Unsafe.h"
+#include "support/FieldCodec.h"
 #include "support/ThreadPool.h"
 #include "verify/BehaviourCache.h"
 #include "verify/Theorems.h"
@@ -12,14 +13,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <tuple>
+#include <utility>
 
 using namespace tracesafe;
 
@@ -178,19 +178,24 @@ std::string jsonEscape(const std::string &S) {
 //===--------------------------------------------------------------------===//
 // Checkpoint journal.
 //
-// Append-only, line-oriented, one *record* per finished program index:
-//   H \t 1 \t <seed> \t <programs>                 (file header, once)
-//   S \t <idx> \t <checks> \t <proved> \t <unknown> \t <escalated>
-//     \t <injected> \t <faulted> \t <degraded>
-//   F \t <idx> \t ... one line per failure, strings escaped ...
-//   D \t <idx>                                     (commit marker)
-// A record only counts once its D line is on disk; a crash mid-record
-// leaves a tail the loader discards, and the index is simply re-run on
-// resume. Strings escape '\\', '\t', '\n' so the format stays line- and
-// tab-splittable without a real parser.
+// A support/RecordLog (CheckpointFormat in Fuzz.h). The first record names
+// the campaign; every later one is one finished program index, written as
+// a single CRC-framed record, so a crash mid-record leaves a torn tail the
+// reader drops and the index is simply re-run on resume. Payloads
+// (support/FieldCodec.h):
+//   campaign: u8 'C' | u64 seed | u64 programs
+//   index:    u8 'I' | u64 idx | u64 checks | u64 proved | u64 unknown
+//             | u64 escalated | u8 injected | u64 faulted | u64 degraded
+//             | u32 failure count | failures
+//   failure:  str property | u8 injected | u64 originalStmts
+//             | u64 reducedStmts | u64 shrinkRounds | u64 shrinkCandidates
+//             | u64 chainSteps | u64 reducedChainSteps | str reproPath
+//             | str detail | str reducedChain | str originalSource
+//             | str reducedSource
 //===--------------------------------------------------------------------===//
 
-constexpr int JournalVersion = 1;
+constexpr uint8_t CampaignRecord = 'C';
+constexpr uint8_t IndexRecordType = 'I';
 
 /// One finished program index's contribution to the campaign report.
 /// RunOne accumulates into this, and exactly this is journaled, so a
@@ -206,214 +211,121 @@ struct IndexRecord {
   std::vector<FuzzFailure> Failures;
 };
 
-std::string escField(const std::string &S) {
+std::string encodeCampaign(uint64_t Seed, uint64_t Programs) {
   std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      Out += C;
-    }
+  putU8(Out, CampaignRecord);
+  putU64(Out, Seed);
+  putU64(Out, Programs);
+  return Out;
+}
+
+std::string encodeIndex(uint64_t Idx, const IndexRecord &R) {
+  std::string Out;
+  putU8(Out, IndexRecordType);
+  putU64(Out, Idx);
+  putU64(Out, R.Checks);
+  putU64(Out, R.Proved);
+  putU64(Out, R.Unknown);
+  putU64(Out, R.Escalated);
+  putU8(Out, R.Injected);
+  putU64(Out, R.Faulted);
+  putU64(Out, R.Degraded);
+  putU32(Out, static_cast<uint32_t>(R.Failures.size()));
+  for (const FuzzFailure &F : R.Failures) {
+    putStr(Out, F.Property);
+    putU8(Out, F.Injected);
+    putU64(Out, F.OriginalStmts);
+    putU64(Out, F.ReducedStmts);
+    putU64(Out, F.ShrinkRounds);
+    putU64(Out, F.ShrinkCandidates);
+    putU64(Out, F.ChainSteps);
+    putU64(Out, F.ReducedChainSteps);
+    putStr(Out, F.ReproPath);
+    putStr(Out, F.Detail);
+    putStr(Out, F.ReducedChain);
+    putStr(Out, F.OriginalSource);
+    putStr(Out, F.ReducedSource);
   }
   return Out;
 }
 
-std::string unescField(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] != '\\' || I + 1 >= S.size()) {
-      Out += S[I];
-      continue;
-    }
-    switch (S[++I]) {
-    case '\\':
-      Out += '\\';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    default: // Unknown escape: keep both chars (forward compatibility).
-      Out += '\\';
-      Out += S[I];
-    }
+bool decodeIndex(std::string_view Payload, uint64_t &Idx, IndexRecord &R) {
+  PayloadReader Rd(Payload);
+  uint8_t Type = 0, Injected = 0;
+  uint32_t NumFailures = 0;
+  if (!Rd.u8(Type) || Type != IndexRecordType || !Rd.u64(Idx) ||
+      !Rd.u64(R.Checks) || !Rd.u64(R.Proved) || !Rd.u64(R.Unknown) ||
+      !Rd.u64(R.Escalated) || !Rd.u8(Injected) || !Rd.u64(R.Faulted) ||
+      !Rd.u64(R.Degraded) || !Rd.u32(NumFailures))
+    return false;
+  R.Injected = Injected != 0;
+  for (uint32_t I = 0; I < NumFailures; ++I) {
+    FuzzFailure F;
+    uint64_t OriginalStmts = 0, ReducedStmts = 0, ShrinkRounds = 0,
+             ChainSteps = 0, ReducedChainSteps = 0;
+    if (!Rd.str(F.Property) || !Rd.u8(Injected) || !Rd.u64(OriginalStmts) ||
+        !Rd.u64(ReducedStmts) || !Rd.u64(ShrinkRounds) ||
+        !Rd.u64(F.ShrinkCandidates) || !Rd.u64(ChainSteps) ||
+        !Rd.u64(ReducedChainSteps) || !Rd.str(F.ReproPath) ||
+        !Rd.str(F.Detail) || !Rd.str(F.ReducedChain) ||
+        !Rd.str(F.OriginalSource) || !Rd.str(F.ReducedSource))
+      return false;
+    F.ProgramIndex = Idx;
+    F.Injected = Injected != 0;
+    F.OriginalStmts = OriginalStmts;
+    F.ReducedStmts = ReducedStmts;
+    F.ShrinkRounds = static_cast<unsigned>(ShrinkRounds);
+    F.ChainSteps = ChainSteps;
+    F.ReducedChainSteps = ReducedChainSteps;
+    R.Failures.push_back(std::move(F));
   }
-  return Out;
+  return Rd.done();
 }
 
-std::vector<std::string> splitTabs(const std::string &Line) {
-  std::vector<std::string> Out;
-  size_t Begin = 0;
-  while (true) {
-    size_t Tab = Line.find('\t', Begin);
-    if (Tab == std::string::npos) {
-      Out.push_back(Line.substr(Begin));
-      return Out;
-    }
-    Out.push_back(Line.substr(Begin, Tab - Begin));
-    Begin = Tab + 1;
-  }
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End == S.c_str() + S.size();
-}
-
-void writeFailureLine(std::ostream &Os, uint64_t Idx, const FuzzFailure &F) {
-  Os << "F\t" << Idx << '\t' << escField(F.Property) << '\t'
-     << (F.Injected ? 1 : 0) << '\t' << F.OriginalStmts << '\t'
-     << F.ReducedStmts << '\t' << F.ShrinkRounds << '\t'
-     << F.ShrinkCandidates << '\t' << F.ChainSteps << '\t'
-     << F.ReducedChainSteps << '\t' << escField(F.ReproPath) << '\t'
-     << escField(F.Detail) << '\t' << escField(F.ReducedChain) << '\t'
-     << escField(F.OriginalSource) << '\t' << escField(F.ReducedSource)
-     << '\n';
-}
-
-bool parseFailureLine(const std::vector<std::string> &T, FuzzFailure &F) {
-  if (T.size() != 15)
-    return false;
-  uint64_t N = 0;
-  if (!parseU64(T[1], N))
-    return false;
-  F.ProgramIndex = N;
-  F.Property = unescField(T[2]);
-  F.Injected = T[3] == "1";
-  if (!parseU64(T[4], N))
-    return false;
-  F.OriginalStmts = N;
-  if (!parseU64(T[5], N))
-    return false;
-  F.ReducedStmts = N;
-  if (!parseU64(T[6], N))
-    return false;
-  F.ShrinkRounds = static_cast<unsigned>(N);
-  if (!parseU64(T[7], F.ShrinkCandidates))
-    return false;
-  if (!parseU64(T[8], N))
-    return false;
-  F.ChainSteps = N;
-  if (!parseU64(T[9], N))
-    return false;
-  F.ReducedChainSteps = N;
-  F.ReproPath = unescField(T[10]);
-  F.Detail = unescField(T[11]);
-  F.ReducedChain = unescField(T[12]);
-  F.OriginalSource = unescField(T[13]);
-  F.ReducedSource = unescField(T[14]);
-  return true;
-}
-
-/// Serialised writer for the checkpoint journal. Each record is written
-/// and flushed under one lock acquisition, so concurrent campaign workers
-/// interleave whole records, never lines.
+/// The checkpoint journal's writer; concurrent campaign workers append
+/// whole records.
 class Journal {
 public:
-  bool open(const std::string &Path, bool Append, uint64_t Seed,
-            uint64_t Programs) {
-    Os.open(Path, Append ? std::ios::app : std::ios::trunc);
-    if (!Os)
-      return false;
-    if (!Append) {
-      Os << "H\t" << JournalVersion << '\t' << Seed << '\t' << Programs
-         << '\n';
-      Os.flush();
+  /// Opens \p Path for the (Seed, Programs) campaign. With \p Resume, a
+  /// journal of the same campaign keeps its valid prefix, whose index
+  /// records land in \p Resumed (an index recorded twice keeps the later
+  /// record), and is appended to. Anything else (no journal, another
+  /// campaign, not a checkpoint journal) is started over.
+  bool open(const std::string &Path, bool Resume, uint64_t Seed,
+            uint64_t Programs, std::map<uint64_t, IndexRecord> &Resumed) {
+    std::string Err;
+    if (Resume) {
+      const std::string Campaign = encodeCampaign(Seed, Programs);
+      bool First = true, Ours = false;
+      auto Visit = [&](std::string_view Payload) {
+        if (std::exchange(First, false)) {
+          Ours = Payload == Campaign;
+          return;
+        }
+        uint64_t Idx = 0;
+        IndexRecord R;
+        if (Ours && decodeIndex(Payload, Idx, R) && Idx < Programs)
+          Resumed[Idx] = std::move(R);
+      };
+      if (Log.open(Path, CheckpointFormat, RecordLogWriter::Mode::Resume, Err,
+                   Visit) &&
+          Ours)
+        return true;
+      Resumed.clear();
     }
-    return true;
+    return Log.open(Path, CheckpointFormat, RecordLogWriter::Mode::Fresh,
+                    Err) &&
+           Log.append(encodeCampaign(Seed, Programs));
   }
 
-  bool active() const { return Os.is_open(); }
-
   void record(uint64_t Idx, const IndexRecord &R) {
-    if (!Os.is_open())
-      return;
-    std::lock_guard<std::mutex> Lock(M);
-    Os << "S\t" << Idx << '\t' << R.Checks << '\t' << R.Proved << '\t'
-       << R.Unknown << '\t' << R.Escalated << '\t' << (R.Injected ? 1 : 0)
-       << '\t' << R.Faulted << '\t' << R.Degraded << '\n';
-    for (const FuzzFailure &F : R.Failures)
-      writeFailureLine(Os, Idx, F);
-    Os << "D\t" << Idx << '\n';
-    Os.flush();
+    if (Log.isOpen())
+      Log.append(encodeIndex(Idx, R));
   }
 
 private:
-  std::mutex M;
-  std::ofstream Os;
+  RecordLogWriter Log;
 };
-
-/// Loads every committed (D-terminated) record of \p Path. False when the
-/// file is unreadable or its header does not describe the (Seed, Programs)
-/// campaign — the caller then starts fresh. Tolerates a torn tail and
-/// arbitrary garbage lines; an index recorded twice keeps the later
-/// record.
-bool loadJournal(const std::string &Path, uint64_t Seed, uint64_t Programs,
-                 std::map<uint64_t, IndexRecord> &Out) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return false;
-  std::string Line;
-  if (!std::getline(Is, Line))
-    return false;
-  {
-    std::vector<std::string> T = splitTabs(Line);
-    uint64_t V = 0, S = 0, P = 0;
-    if (T.size() != 4 || T[0] != "H" || !parseU64(T[1], V) ||
-        !parseU64(T[2], S) || !parseU64(T[3], P) || V != JournalVersion ||
-        S != Seed || P != Programs)
-      return false;
-  }
-  std::map<uint64_t, IndexRecord> Pending;
-  while (std::getline(Is, Line)) {
-    std::vector<std::string> T = splitTabs(Line);
-    if (T.size() < 2)
-      continue;
-    uint64_t Idx = 0;
-    if (!parseU64(T[1], Idx) || Idx >= Programs)
-      continue;
-    if (T[0] == "S") {
-      if (T.size() != 9)
-        continue;
-      IndexRecord R;
-      uint64_t Inj = 0;
-      if (!parseU64(T[2], R.Checks) || !parseU64(T[3], R.Proved) ||
-          !parseU64(T[4], R.Unknown) || !parseU64(T[5], R.Escalated) ||
-          !parseU64(T[6], Inj) || !parseU64(T[7], R.Faulted) ||
-          !parseU64(T[8], R.Degraded))
-        continue;
-      R.Injected = Inj != 0;
-      Pending[Idx] = std::move(R); // Restarts any earlier torn record.
-    } else if (T[0] == "F") {
-      auto It = Pending.find(Idx);
-      FuzzFailure F;
-      if (It != Pending.end() && parseFailureLine(T, F))
-        It->second.Failures.push_back(std::move(F));
-    } else if (T[0] == "D") {
-      auto It = Pending.find(Idx);
-      if (It != Pending.end()) {
-        Out[Idx] = std::move(It->second);
-        Pending.erase(It);
-      }
-    }
-  }
-  return true;
-}
 
 //===--------------------------------------------------------------------===//
 // Coverage-guided seed scheduling.
@@ -867,23 +779,10 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
 
   // Resume: merge the journaled records and mark their indices done.
   std::map<uint64_t, IndexRecord> Resumed;
-  if (Options.Resume && !Options.CheckpointPath.empty())
-    loadJournal(Options.CheckpointPath, Options.Seed, Options.Programs,
-                Resumed);
-  // Satellite: journal compaction. The journal is always rewritten fresh
-  // — header first, then every resumed record re-recorded in index order
-  // — instead of appending to the old file. A journal that has survived
-  // several kill/resume cycles accumulates torn tails, superseded
-  // duplicate records and garbage lines; compaction drops all of that.
-  // Each record is flushed as it is rewritten, so a crash mid-compaction
-  // still leaves a loadable (if shorter) journal.
   Journal J;
-  if (!Options.CheckpointPath.empty()) {
-    J.open(Options.CheckpointPath, /*Append=*/false, Options.Seed,
-           Options.Programs);
-    for (const auto &[Idx, R] : Resumed)
-      J.record(Idx, R);
-  }
+  if (!Options.CheckpointPath.empty())
+    J.open(Options.CheckpointPath, Options.Resume, Options.Seed,
+           Options.Programs, Resumed);
 
   // Completion map: true once an index's record is merged (from the
   // journal or a finished run). Drives the post-loop sweep that re-runs

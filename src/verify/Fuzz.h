@@ -25,6 +25,7 @@
 #ifndef TRACESAFE_VERIFY_FUZZ_H
 #define TRACESAFE_VERIFY_FUZZ_H
 
+#include "support/RecordLog.h"
 #include "verify/Escalate.h"
 #include "verify/ProgramGen.h"
 #include "verify/Shrink.h"
@@ -33,6 +34,13 @@
 #include <vector>
 
 namespace tracesafe {
+
+/// The checkpoint journal (FuzzOptions::CheckpointPath): a
+/// support/RecordLog ("TSFC" file, "TSFR" records) whose first record names
+/// the campaign and whose every later record is one finished program
+/// index. Payload layouts are in verify/Fuzz.cpp.
+constexpr RecordLogFormat CheckpointFormat{"fuzz checkpoint", 0x43465354, 1,
+                                           0x52465354, 64u << 20};
 
 struct FuzzOptions {
   uint64_t Seed = 1;
@@ -68,15 +76,14 @@ struct FuzzOptions {
   /// Reduction limits for failure minimisation.
   ShrinkOptions Shrink{/*MaxRounds=*/32, /*MaxCandidates=*/1500,
                        /*DeadlineMs=*/10'000};
-  /// Append-only checkpoint journal ("" = none). One record per finished
-  /// program index, flushed as it completes, so a killed campaign loses at
-  /// most the indices that were in flight. See docs/PERFORMANCE.md for the
-  /// format.
+  /// Append-only checkpoint journal ("" = none; CheckpointFormat). One
+  /// record per finished program index, written as it completes, so a
+  /// killed campaign loses at most the indices that were in flight.
   std::string CheckpointPath;
-  /// Load CheckpointPath first and skip every index it records as done
-  /// (their recorded results are merged instead). Ignored when the
-  /// journal's header does not match (Seed, Programs) — a mismatched
-  /// journal describes a different campaign and is discarded.
+  /// Load the valid prefix of CheckpointPath first, skip every index it
+  /// records as done (their recorded results are merged instead) and
+  /// append to it. A journal of another (Seed, Programs) campaign, or a
+  /// file that is not a checkpoint journal, is discarded and started over.
   bool Resume = false;
   /// Cooperative cancellation for the whole campaign (non-owning; may be
   /// null). Wired into every query budget, so a request unwinds in-flight

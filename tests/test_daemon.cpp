@@ -149,6 +149,23 @@ std::string slowProgram(unsigned Salt) {
   return P;
 }
 
+/// Program big enough to hit the 200k-visit test ceiling: a long-running,
+/// deterministically-truncated query for scheduling tests. Salted through
+/// a stored *constant* so repeats stay distinct under the canonical
+/// verdict key (an identifier salt would be alpha-renamed away and the
+/// queries would coalesce via single-flight instead of queueing).
+std::string hugeProgram(unsigned Salt = 0) {
+  std::string P;
+  for (int T = 0; T < 4; ++T) {
+    P += "thread { ";
+    for (int I = 0; I < 6; ++I)
+      P += "x := " + std::to_string(I + 10 * (Salt + 1)) + "; r" +
+           std::to_string(T) + " := x; ";
+    P += "}\n";
+  }
+  return P;
+}
+
 TEST(Daemon, VerdictsMatchTheSharedEvaluator) {
   ServerOptions O;
   O.SocketPath = uniqueSocket("verdicts");
@@ -553,39 +570,53 @@ TEST(Daemon, RaceLogRetransmissionsReplayStoredVerdicts) {
   EXPECT_EQ(S.Replayed, 1u);
 }
 
-/// The journal's field escaping as the format defines it, one byte at a
-/// time: the reference the daemon's run-based escaper must match.
-std::string referenceEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '\\')
-      Out += "\\\\";
-    else if (C == '\t')
-      Out += "\\t";
-    else if (C == '\n')
-      Out += "\\n";
-    else
-      Out += C;
+/// Bitwise CRC-32, independent of support/Crc32.h.
+uint32_t referenceCrc32(const std::string &Data) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (unsigned char B : Data) {
+    C ^= B;
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
   }
+  return C ^ 0xFFFFFFFFu;
+}
+
+void putLe(std::string &Out, uint64_t V, int Bytes) {
+  for (int I = 0; I < Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
+}
+
+/// One journal record as the format defines it (Server.h), framed by this
+/// test's own code: the reference the daemon's records must match.
+std::string referenceRecord(const std::string &Body, const std::string &Client,
+                            uint64_t Id, uint8_t Version, char Type) {
+  std::string Payload = Body + Client;
+  putLe(Payload, Client.size(), 4);
+  putLe(Payload, Id, 8);
+  putLe(Payload, Version, 1);
+  Payload.push_back(Type);
+  std::string Record;
+  putLe(Record, JournalFormat.RecordMagic, 4);
+  putLe(Record, Payload.size(), 4);
+  putLe(Record, referenceCrc32(Payload), 4);
+  putLe(Record, 0, 4);
+  return Record + Payload;
+}
+
+/// Start offset and type byte of every record in the journal image
+/// \p Data's valid prefix.
+std::vector<std::pair<size_t, char>> journalRecords(const std::string &Data) {
+  std::vector<std::pair<size_t, char>> Out;
+  scanRecords(Data, JournalFormat, [&](std::string_view P) {
+    Out.emplace_back(static_cast<size_t>(P.data() - Data.data()) -
+                         RecordHeaderSize,
+                     P.empty() ? '\0' : P.back());
+  });
   return Out;
 }
 
-/// An 11-field admission record, written the way every earlier daemon
-/// release writes it.
-std::string referenceAdmitLine(const std::string &Client, uint64_t Id,
-                               const QueryRequest &Q) {
-  return "A\t" + referenceEscape(Client) + "\t" + std::to_string(Id) + "\t" +
-         std::to_string(static_cast<unsigned>(Q.Kind)) + "\t" +
-         std::to_string(Q.Budget.DeadlineMs) + "\t" +
-         std::to_string(Q.Budget.MaxVisited) + "\t" +
-         std::to_string(Q.Budget.MaxMemoryBytes) + "\t" +
-         referenceEscape(Q.Program) + "\t" + referenceEscape(Q.Transformed) +
-         "\t" + std::to_string(static_cast<unsigned>(Q.Class)) + "\t" +
-         std::to_string(static_cast<unsigned>(Q.Priority)) + "\n";
-}
-
-/// A racy TSRL log whose addresses are made of the journal's escape
-/// bytes (\\, \t, \n), so its image is full of them.
+/// A racy TSRL log whose addresses are made of the bytes a text format
+/// would have to escape (\\, \t, \n), so its image is full of them.
 QueryRequest escapeHeavyLogQuery(uint64_t Salt) {
   racelog::LogWriter W;
   for (uint64_t I = 0; I < 3000; ++I)
@@ -603,6 +634,11 @@ std::string readAll(const std::string &Path) {
   return std::string(std::istreambuf_iterator<char>(In), {});
 }
 
+void writeAll(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out << Bytes;
+}
+
 TEST(Daemon, BinaryPayloadJournalsResumeByteIdentically) {
   const QueryRequest Done = escapeHeavyLogQuery(0);
   const QueryRequest Orphan = escapeHeavyLogQuery(4);
@@ -613,11 +649,11 @@ TEST(Daemon, BinaryPayloadJournalsResumeByteIdentically) {
   O.SocketPath = uniqueSocket("journalbin");
   O.JournalPath = O.SocketPath + ".journal";
   ClientOptions CO;
-  CO.Name = "journal\tbin"; // the client name is an escaped field too
+  CO.Name = "journal\tbin\n"; // binary-safe client names too
   CO.FirstRequestId = 1;
 
   // First life: one binary query, journaled. Its admission record must be
-  // byte-identical to the format's reference escaping.
+  // byte-identical to the format's reference framing.
   QueryResponse First;
   std::string Journal;
   {
@@ -629,16 +665,23 @@ TEST(Daemon, BinaryPayloadJournalsResumeByteIdentically) {
     Journal = readAll(O.JournalPath);
   }
   EXPECT_EQ(First.str(), evaluateQuery(Done, TestCeiling).str());
-  EXPECT_NE(Journal.find(referenceAdmitLine(CO.Name, 1, Done)),
+  EXPECT_NE(Journal.find(referenceRecord(encodeSubmit(Done), CO.Name, 1,
+                                         ProtocolVersion, 'A')),
             std::string::npos);
+  // Every record the daemon wrote carries crc32(payload).
+  std::vector<std::pair<size_t, char>> Records = journalRecords(Journal);
+  ASSERT_EQ(Records.size(), 2u);
+  EXPECT_EQ(Records[0].second, 'A');
+  EXPECT_EQ(Records[1].second, 'V');
+  EXPECT_EQ(scanRecords(Journal, JournalFormat, nullptr).ValidBytes,
+            Journal.size());
 
-  // Second life resumes that journal plus an orphaned admission appended
-  // in the earlier releases' format: the completed query replays from the
-  // journal, the orphan is recomputed from its unescaped payload.
-  {
-    std::ofstream J(O.JournalPath, std::ios::binary | std::ios::trunc);
-    J << Journal << referenceAdmitLine(CO.Name, 2, Orphan);
-  }
+  // Second life resumes that journal plus an orphaned admission framed by
+  // the reference encoder: the completed query replays from the journal,
+  // the orphan is recomputed from its payload.
+  writeAll(O.JournalPath,
+           Journal + referenceRecord(encodeSubmit(Orphan), CO.Name, 2,
+                                     ProtocolVersion, 'A'));
   O.Resume = true;
   ServerFixture Server(O);
   CO.SocketPath = Server.Opts.SocketPath;
@@ -652,6 +695,147 @@ TEST(Daemon, BinaryPayloadJournalsResumeByteIdentically) {
   EXPECT_EQ(S.Admitted, 0u);
   EXPECT_EQ(S.Resumed, 1u);
   EXPECT_GE(S.Replayed, 1u);
+}
+
+TEST(Daemon, AFlippedByteMidJournalIsNeverReplayed) {
+  // Life 1 answers four queries one at a time, so the journal reads
+  // A1 V1 A2 V2 A3 V3 A4 V4. A byte of V2's visit count is flipped: were it
+  // replayed, its verdict would differ from a fresh evaluation. --resume
+  // must keep only A1 V1 A2 — request 2 is recomputed, requests 3 and 4
+  // are admitted afresh.
+  std::vector<QueryRequest> Qs;
+  for (unsigned I = 0; I < 4; ++I)
+    Qs.push_back(drfQuery("thread { x := " + std::to_string(I + 40) +
+                          "; }\nthread { r0 := x; }\n"));
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("journalflip");
+  O.JournalPath = O.SocketPath + ".journal";
+  ClientOptions CO;
+  CO.Name = "flip-client";
+  CO.FirstRequestId = 1;
+  std::string Journal;
+  {
+    ServerFixture Server(O);
+    CO.SocketPath = Server.Opts.SocketPath;
+    DaemonClient A(CO);
+    for (const QueryRequest &Q : Qs)
+      A.call(Q);
+    Server.shutdown();
+    Journal = readAll(O.JournalPath);
+  }
+  std::vector<std::pair<size_t, char>> Records = journalRecords(Journal);
+  ASSERT_EQ(Records.size(), 8u);
+  ASSERT_EQ(Records[3].second, 'V');
+  // Body of V2: status, kind, reason, degraded, then u64 visited.
+  size_t Victim = Records[3].first + RecordHeaderSize + 4;
+  Journal[Victim] = static_cast<char>(Journal[Victim] ^ 0x01);
+  writeAll(O.JournalPath, Journal);
+
+  O.Resume = true;
+  ServerFixture Server(O);
+  CO.SocketPath = Server.Opts.SocketPath;
+  DaemonClient B(CO);
+  for (const QueryRequest &Q : Qs)
+    EXPECT_EQ(B.call(Q).str(), evaluateQuery(Q, TestCeiling).str());
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.Resumed, 1u) << "request 2 is recomputed";
+  EXPECT_EQ(S.Admitted, 2u) << "requests 3 and 4 are admitted afresh";
+  RecordScan Scan = readRecordLog(O.JournalPath, JournalFormat, nullptr);
+  EXPECT_FALSE(Scan.torn()) << "resume truncates the corrupt suffix";
+  EXPECT_EQ(Scan.Records, 3u + 1 + 4) << "A1 V1 A2, V2, then A3 V3 A4 V4";
+}
+
+TEST(Daemon, ALifeWithoutResumeStartsANewJournal) {
+  // Life 1 completes (X, 1, P1). Life 2 starts without --resume on the
+  // same journal, admits (X, 1, P2) and dies before its verdict. Life 3
+  // resumes: X's retry of request 1 must get P2's verdict. A life 2 that
+  // appended to life 1's journal would let life 3 see P1's admission and
+  // verdict first and answer the retry with them.
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("threelives");
+  O.JournalPath = O.SocketPath + ".journal";
+  ClientOptions CO;
+  CO.Name = "X";
+  CO.FirstRequestId = 1;
+  const QueryRequest P1 =
+      drfQuery("thread { x := 1; }\nthread { r0 := x; }\n");
+  const QueryRequest P2 = drfQuery(hugeProgram(11));
+  QueryResponse First;
+  std::string Journal;
+  {
+    ServerFixture Server(O);
+    CO.SocketPath = Server.Opts.SocketPath;
+    DaemonClient A(CO);
+    First = A.call(P1);
+    Server.shutdown();
+    Journal = readAll(O.JournalPath);
+  }
+  ASSERT_EQ(First.str(), evaluateQuery(P1, TestCeiling).str());
+
+  {
+    writeAll(O.JournalPath, Journal);
+    ServerOptions O2 = O;
+    // Unbounded visits: P2 is still running when life 2 is stopped.
+    O2.QuotaCeiling = BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/0,
+                                 /*MaxMemoryBytes=*/128ULL << 20};
+    ServerFixture Server(O2);
+    ConnectOutcome Outcome;
+    std::string Err;
+    int Fd = connectUnix(O2.SocketPath, Outcome, Err);
+    ASSERT_GE(Fd, 0) << Err;
+    Frame Hello;
+    Hello.Type = FrameType::Hello;
+    Hello.Payload = encodeHello(CO.Name);
+    writeFrame(Fd, Hello);
+    std::string Buf;
+    Frame Welcome;
+    ASSERT_TRUE(readFrame(Fd, Buf, Welcome));
+    Frame Submit;
+    Submit.Type = FrameType::Submit;
+    Submit.RequestId = 1;
+    Submit.Payload = encodeSubmit(P2);
+    writeFrame(Fd, Submit);
+    bool Admitted = false;
+    for (int I = 0; I < 2000 && !Admitted; ++I) {
+      Admitted = !journalRecords(readAll(O2.JournalPath)).empty();
+      if (!Admitted)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(Admitted) << "life 2 never journaled its admission";
+    Server.shutdown(); // cancels P2: its admission stays orphaned
+    ::close(Fd);
+    Journal = readAll(O2.JournalPath);
+  }
+  std::vector<std::pair<size_t, char>> Records = journalRecords(Journal);
+  EXPECT_EQ(Records.size(), 1u) << "life 2 journals only its own admission";
+  EXPECT_EQ(Records.back().second, 'A');
+
+  writeAll(O.JournalPath, Journal);
+  O.Resume = true;
+  ServerFixture Server(O);
+  CO.SocketPath = Server.Opts.SocketPath;
+  DaemonClient C(CO);
+  QueryResponse Retry = C.call(P2);
+  EXPECT_EQ(Retry.str(), evaluateQuery(P2, TestCeiling).str());
+  EXPECT_NE(Retry.str(), First.str());
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.Resumed, 1u);
+  EXPECT_EQ(S.Admitted, 0u);
+}
+
+TEST(Daemon, ResumeRefusesALineFormatJournal) {
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("linejournal");
+  O.JournalPath = O.SocketPath + ".journal";
+  O.Resume = true;
+  const std::string Old =
+      "H\t1\ttracesafed\nA\tc\t1\t1\t0\t0\t0\tp\t\t0\t0\n";
+  writeAll(O.JournalPath, Old);
+  CancelToken Stop;
+  O.Stop = &Stop;
+  EXPECT_EQ(runServer(O), 1);
+  EXPECT_EQ(readAll(O.JournalPath), Old) << "a refused journal is untouched";
+  std::remove(O.JournalPath.c_str());
 }
 
 TEST(Daemon, TcpVerdictsMatchTheUnixTransport) {
@@ -763,23 +947,6 @@ TEST(Daemon, StalledTcpReaderIsShedAndNeverBlocksOthers) {
   ServerStats S = Server.shutdown();
   EXPECT_GE(S.SlowClientsShed, 1u);
   EXPECT_GE(S.Campaigns, 1u);
-}
-
-/// Program big enough to hit the 200k-visit test ceiling: a long-running,
-/// deterministically-truncated query for scheduling tests. Salted through
-/// a stored *constant* so repeats stay distinct under the canonical
-/// verdict key (an identifier salt would be alpha-renamed away and the
-/// queries would coalesce via single-flight instead of queueing).
-std::string hugeProgram(unsigned Salt = 0) {
-  std::string P;
-  for (int T = 0; T < 4; ++T) {
-    P += "thread { ";
-    for (int I = 0; I < 6; ++I)
-      P += "x := " + std::to_string(I + 10 * (Salt + 1)) + "; r" +
-           std::to_string(T) + " := x; ";
-    P += "}\n";
-  }
-  return P;
 }
 
 TEST(Daemon, InteractivePreemptsQueuedBatchWork) {

@@ -33,7 +33,6 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -78,13 +77,13 @@ pid_t spawnDaemon(const Listener &L, const std::string &Journal,
   _exit(127);
 }
 
-size_t countVerdictLines(const std::string &Path) {
-  std::ifstream In(Path);
+/// Verdict records in the journal's valid prefix (a record's last payload
+/// byte is its type; see JournalFormat).
+size_t countVerdictRecords(const std::string &Path) {
   size_t N = 0;
-  std::string Line;
-  while (std::getline(In, Line))
-    if (Line.rfind("V\t", 0) == 0)
-      ++N;
+  readRecordLog(Path, JournalFormat, [&](std::string_view P) {
+    N += !P.empty() && P.back() == 'V';
+  });
   return N;
 }
 
@@ -191,7 +190,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
   // durable, the rest orphaned admissions).
   bool SawProgress = false;
   for (int I = 0; I < 20000; ++I) {
-    if (countVerdictLines(Journal) >= 2) {
+    if (countVerdictRecords(Journal) >= 2) {
       SawProgress = true;
       break;
     }
@@ -203,7 +202,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
   ASSERT_EQ(::waitpid(First, &Status, 0), First);
   ASSERT_TRUE(WIFSIGNALED(Status) && WTERMSIG(Status) == SIGKILL);
 
-  size_t Durable = countVerdictLines(Journal);
+  size_t Durable = countVerdictRecords(Journal);
   pid_t Second = spawnDaemon(L, Journal, /*Resume=*/true);
   ASSERT_GT(Second, 0);
 
@@ -215,7 +214,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
     EXPECT_EQ(Got[I].str(), Want[I])
         << "query " << I << " diverged across the crash";
   }
-  EXPECT_GE(countVerdictLines(Journal), Qs.size())
+  EXPECT_GE(countVerdictRecords(Journal), Qs.size())
       << "the merged journal must cover the whole batch";
   EXPECT_LT(Durable, Qs.size())
       << "the kill was supposed to land mid-batch (flaky-machine note: "

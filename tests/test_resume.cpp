@@ -1,14 +1,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for crash-safe resumable fuzz campaigns: the checkpoint journal,
-/// cancellation mid-campaign, and the headline guarantee — a killed and
-/// resumed campaign produces a byte-identical canonical report to an
+/// Tests for crash-safe resumable fuzz campaigns: the checkpoint journal
+/// (torn tails and mid-file corruption included), cancellation
+/// mid-campaign, and the headline guarantee — a killed and resumed
+/// campaign produces a byte-identical canonical report to an
 /// uninterrupted run of the same (seed, programs) campaign.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "verify/Fuzz.h"
+
+#include "support/Crc32.h"
+#include "support/FieldCodec.h"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -50,7 +55,7 @@ std::string tempPath(const std::string &Name) {
 }
 
 std::string slurp(const std::string &Path) {
-  std::ifstream Is(Path);
+  std::ifstream Is(Path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(Is), {});
 }
 
@@ -86,7 +91,23 @@ TEST(Resume, ResumedCampaignMatchesUninterruptedByteForByte) {
   std::remove(Journal.c_str());
 }
 
-TEST(Resume, TornTailAndGarbageLinesAreDiscarded) {
+/// One checkpoint record framing \p Payload, as the format defines it.
+std::string frameRecord(const std::string &Payload) {
+  return encodeRecord(CheckpointFormat, Payload, {},
+                      crc32(Payload.data(), Payload.size()));
+}
+
+/// Start offset of every record in the journal image \p Data.
+std::vector<size_t> recordOffsets(const std::string &Data) {
+  std::vector<size_t> Out;
+  scanRecords(Data, CheckpointFormat, [&](std::string_view P) {
+    Out.push_back(static_cast<size_t>(P.data() - Data.data()) -
+                  RecordHeaderSize);
+  });
+  return Out;
+}
+
+TEST(Resume, TornTailAndGarbageRecordsAreDiscarded) {
   std::string Journal = tempPath("resume_torn");
   std::remove(Journal.c_str());
 
@@ -94,23 +115,64 @@ TEST(Resume, TornTailAndGarbageLinesAreDiscarded) {
   FuzzReport Want = runFuzz(Full);
   ASSERT_EQ(Want.ProgramsRun, Full.Programs);
 
-  // Simulate a crash mid-record: an S line with no D commit marker, plus
-  // assorted garbage. The loader must drop all of it and re-run only the
-  // affected index (here: an index that is already committed, so nothing
-  // re-runs — the point is that the tail does not corrupt the merge).
+  // Well-framed records the loader must skip (a payload that is not an
+  // index record, an out-of-range index), then a record torn mid-payload
+  // as a crash mid-append leaves it. Nothing re-runs (every index is
+  // already committed); the point is that the tail does not corrupt the
+  // merge.
+  std::string OutOfRange;
+  putU8(OutOfRange, 'I');
+  putU64(OutOfRange, 9999); // index, then seven counters and no failures
+  for (int I = 0; I < 4; ++I)
+    putU64(OutOfRange, 1);
+  putU8(OutOfRange, 0);
+  putU64(OutOfRange, 0);
+  putU64(OutOfRange, 0);
+  putU32(OutOfRange, 0);
+  std::string Torn = frameRecord(std::string(64, 'I'));
   {
-    std::ofstream Os(Journal, std::ios::app);
-    Os << "S\t3\t999\t999\t999\t999\t1\t0\t0\n" // torn: never committed
-       << "F\t3\tnot-even-enough-fields\n"
-       << "this is not a journal line\n"
-       << "S\t9999\t1\t1\t1\t1\t0\t0\t0\nD\t9999\n" // out-of-range index
-       << "S\t5\t1\t1\t"; // torn mid-line
+    std::ofstream Os(Journal, std::ios::binary | std::ios::app);
+    Os << frameRecord("this is not a journal record")
+       << frameRecord(OutOfRange) << Torn.substr(0, Torn.size() - 9);
   }
   FuzzOptions Rest = campaign(Journal);
   Rest.Resume = true;
   FuzzReport Merged = runFuzz(Rest);
   EXPECT_EQ(Merged.ProgramsRun, Full.Programs);
   EXPECT_EQ(Merged.SkippedFromCheckpoint, Full.Programs);
+  EXPECT_EQ(Merged.toJson(false), Want.toJson(false));
+  // The resumed writer truncated the torn record: the journal reads whole.
+  RecordScan S = readRecordLog(Journal, CheckpointFormat, nullptr);
+  EXPECT_FALSE(S.torn());
+  std::remove(Journal.c_str());
+}
+
+TEST(Resume, AFlippedByteMidJournalReplaysNothingFromThereOn) {
+  std::string Journal = tempPath("resume_flip");
+  std::remove(Journal.c_str());
+
+  FuzzOptions Full = campaign(Journal);
+  FuzzReport Want = runFuzz(Full);
+  ASSERT_EQ(Want.ProgramsRun, Full.Programs);
+
+  // Record 0 names the campaign; flip a byte inside the payload of the
+  // third index record (record 3).
+  std::string Data = slurp(Journal);
+  std::vector<size_t> Offsets = recordOffsets(Data);
+  ASSERT_EQ(Offsets.size(), 1 + Full.Programs);
+  size_t Victim = Offsets[3] + RecordHeaderSize + 5;
+  Data[Victim] = static_cast<char>(Data[Victim] ^ 0x10);
+  {
+    std::ofstream Os(Journal, std::ios::binary | std::ios::trunc);
+    Os << Data;
+  }
+
+  FuzzOptions Rest = campaign(Journal);
+  Rest.Resume = true;
+  FuzzReport Merged = runFuzz(Rest);
+  EXPECT_EQ(Merged.SkippedFromCheckpoint, 2u)
+      << "only the index records before the corrupt one replay";
+  EXPECT_EQ(Merged.ProgramsRun, Full.Programs);
   EXPECT_EQ(Merged.toJson(false), Want.toJson(false));
   std::remove(Journal.c_str());
 }

@@ -167,4 +167,17 @@ TEST(Crc32, MatchesTheBytewiseReferenceAtEveryAlignment) {
           << "len " << Len << " align " << Align;
 }
 
+TEST(Crc32, AContinuedCrcEqualsTheOneShotValueAtEverySplit) {
+  Rng R(20261017);
+  std::vector<unsigned char> Data(300);
+  for (unsigned char &B : Data)
+    B = static_cast<unsigned char>(R.below(256));
+  const uint32_t Whole = crc32(Data.data(), Data.size());
+  for (size_t Split = 0; Split <= Data.size(); ++Split)
+    ASSERT_EQ(crc32(Data.data() + Split, Data.size() - Split,
+                    crc32(Data.data(), Split)),
+              Whole)
+        << "split at " << Split;
+}
+
 } // namespace
