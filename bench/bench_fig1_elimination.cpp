@@ -11,7 +11,6 @@
 
 #include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "semantics/Elimination.h"
 
 using namespace tracesafe;
@@ -87,7 +86,7 @@ BENCHMARK(benchEliminationCheck)->Arg(3)->Arg(4);
 void benchRaceDetection(benchmark::State &State) {
   Program O = parseOrDie(Fig1Original);
   for (auto _ : State) {
-    ProgramRaceReport R = findProgramRace(O);
+    RaceReport R = findProgramRace(O);
     benchmark::DoNotOptimize(R.HasRace);
   }
 }

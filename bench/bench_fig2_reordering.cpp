@@ -11,7 +11,6 @@
 
 #include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "semantics/Reordering.h"
 
 using namespace tracesafe;

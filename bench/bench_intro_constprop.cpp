@@ -10,8 +10,8 @@
 
 #include "BenchUtil.h"
 
+#include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "opt/Unsafe.h"
 #include "verify/Checks.h"
 

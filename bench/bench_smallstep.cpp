@@ -2,8 +2,8 @@
 ///
 /// \file
 /// E8 — Fig 6-8 infrastructure: parser round-trips, small-step throughput,
-/// traceset-vs-direct-executor agreement, and the |domain|^reads ablation
-/// from DESIGN.md decision 1.
+/// agreement of [[P]]'s executions with the all-volatile TSO machine, and
+/// the |domain|^reads ablation from DESIGN.md decision 1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,8 +12,8 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "trace/Enumerate.h"
+#include "tso/TsoMachine.h"
 
 using namespace tracesafe;
 using namespace tracesafe::benchutil;
@@ -39,12 +39,13 @@ void claims() {
   Program P = parseOrDie(Workload);
   ParseResult Back = parseProgram(printProgram(P));
   claim("printer/parser round-trip", Back && P.equals(*Back.Prog));
-  std::vector<Value> D = defaultDomainFor(P, 2);
-  std::set<Behaviour> FromTraceset =
-      collectBehaviours(programTraceset(P, D));
-  std::set<Behaviour> FromDirect = programBehaviours(P);
-  claim("traceset executions agree with the direct SC executor",
-        FromTraceset == FromDirect);
+  Program Fenced = P;
+  for (SymbolId Loc : P.locations())
+    Fenced.markVolatile(Loc);
+  TsoLimits Machine;
+  Machine.ExhaustiveOracle = true;
+  claim("[[P]] executions agree with the all-volatile TSO machine",
+        programBehaviours(P) == tsoBehaviours(Fenced, Machine));
   claim("the message-passing workload is DRF (volatile flag)",
         isProgramDrf(P));
 }
@@ -97,14 +98,6 @@ void benchDomainAblation(benchmark::State &State) {
   State.counters["traces"] = static_cast<double>(Traces);
 }
 BENCHMARK(benchDomainAblation)->DenseRange(1, 6);
-
-/// Ablation: direct executor vs traceset enumeration (decision 3).
-void benchDirectExecutor(benchmark::State &State) {
-  Program P = parseOrDie(Workload);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(programBehaviours(P).size());
-}
-BENCHMARK(benchDirectExecutor);
 
 void benchTracesetExecutor(benchmark::State &State) {
   Program P = parseOrDie(Workload);

@@ -9,9 +9,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "tso/PsoMachine.h"
 #include "tso/TsoExplain.h"
 #include "support/Signal.h"

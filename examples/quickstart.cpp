@@ -14,7 +14,6 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "opt/Pipeline.h"
 #include "semantics/Elimination.h"
 #include "verify/Checks.h"

@@ -13,7 +13,6 @@
 #include "daemon/Client.h"
 #include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "lang/Printer.h"
 #include "semantics/Reordering.h"
 #include "support/Signal.h"

@@ -145,14 +145,19 @@ cmake --build build-tsan --target \
 
 # UBSan pass: undefined-behaviour checking over the robustness stack —
 # fault injection, degradation, journal resume, and a chaos campaign
-# (random fault plan + mid-run cancel + resume; see docs/ROBUSTNESS.md).
+# (random fault plan + mid-run cancel + resume; see docs/ROBUSTNESS.md) —
+# plus the suites of the program-level SC route ([[P]] + the enumerator).
 echo "===== ubsan robustness smoke ====="
 cmake -B build-ubsan -G Ninja -DTRACESAFE_UBSAN=ON
 cmake --build build-ubsan --target \
-  test_failure test_degrade test_resume test_behaviour_cache fuzz_harness
+  test_failure test_degrade test_resume test_behaviour_cache \
+  test_checks test_input test_cross_engine fuzz_harness
 ./build-ubsan/tests/test_failure
 ./build-ubsan/tests/test_degrade
 ./build-ubsan/tests/test_resume
 ./build-ubsan/tests/test_behaviour_cache
+./build-ubsan/tests/test_checks
+./build-ubsan/tests/test_input
+./build-ubsan/tests/test_cross_engine
 ./build-ubsan/examples/fuzz_harness --chaos --chaos-rounds 2 \
   --programs 40 --seed 4 --no-thin-air --query-deadline-ms 50

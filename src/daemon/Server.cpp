@@ -102,11 +102,12 @@ void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t ExtraVisited,
 }
 
 /// One attempt at a query. \p Oracle selects the sequential
-/// std::set-memoised engines (the Degrade layer's fallback path, sharing
-/// no code with the interned reduced engines) and bypasses the
-/// BehaviourCache, so a fault in the primary path cannot recur in the
-/// fallback. Engines run Workers=1: the daemon parallelises across
-/// queries, and sequential engines keep verdict bytes run-independent.
+/// std::set-memoised enumerator for every kind (the Degrade layer's
+/// fallback path, sharing no code with the interned reduced engines) and
+/// bypasses the BehaviourCache, so a fault in the primary path cannot
+/// recur in the fallback; only the plain-DFS [[P]] build is common to
+/// both. Engines run Workers=1: the daemon parallelises across queries,
+/// and sequential engines keep verdict bytes run-independent.
 QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
                       Budget &B, bool Oracle) {
   QueryResponse R;
@@ -159,6 +160,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
   case QueryKind::DrfGuarantee: {
     ExecLimits E;
     E.Shared = &B;
+    E.ExhaustiveOracle = Oracle;
     DrfGuaranteeReport Rep = checkDrfGuarantee(O, *T2, E);
     R.Kind = outcomeVerdict(Rep.outcome());
     if (R.Kind == VerdictKind::Unknown)
@@ -172,6 +174,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     Value C = freshConstantFor(O);
     ExecLimits E;
     E.Shared = &B;
+    E.ExhaustiveOracle = Oracle;
     ExploreLimits XL;
     XL.Shared = &B;
     XL.Workers = 1;

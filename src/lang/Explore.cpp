@@ -110,8 +110,9 @@ void collectConstants(const Stmt &S, std::set<Value> &Out) {
 
 ExploreStats tracesafe::exploreThread(const Program &P, ThreadId Tid,
                                       const std::vector<Value> &Domain,
-                                      Traceset &Out, ExploreLimits Limits) {
-  LangContext Ctx(P, Domain);
+                                      Traceset &Out, ExploreLimits Limits,
+                                      const std::vector<Value> &Inputs) {
+  LangContext Ctx(P, Domain, Inputs);
   ThreadExplorer E(Ctx, Out, Limits);
   return E.run(P, Tid);
 }
@@ -119,7 +120,8 @@ ExploreStats tracesafe::exploreThread(const Program &P, ThreadId Tid,
 Traceset tracesafe::programTraceset(const Program &P,
                                     const std::vector<Value> &Domain,
                                     ExploreLimits Limits,
-                                    ExploreStats *Stats) {
+                                    ExploreStats *Stats,
+                                    const std::vector<Value> &Inputs) {
   Traceset Out(Domain);
   ExploreStats Total;
   ThreadId NumThreads = P.threadCount();
@@ -130,7 +132,7 @@ Traceset tracesafe::programTraceset(const Program &P,
       // exactly what a truncated traceset means — callers already refuse
       // to conclude anything definitive from it.
       try {
-        Total.merge(exploreThread(P, Tid, Domain, Out, Limits));
+        Total.merge(exploreThread(P, Tid, Domain, Out, Limits, Inputs));
       } catch (...) {
         Total.truncate(TruncationReason::EngineFault);
         if (Limits.Shared)
@@ -152,9 +154,9 @@ Traceset tracesafe::programTraceset(const Program &P,
     {
       ThreadPool::TaskGroup G(*Pool);
       for (ThreadId Tid = 0; Tid < NumThreads; ++Tid)
-        G.spawn([&P, &Domain, &Parts, &PartStats, Limits, Tid] {
+        G.spawn([&P, &Domain, &Inputs, &Parts, &PartStats, Limits, Tid] {
           PartStats[Tid] =
-              exploreThread(P, Tid, Domain, Parts[Tid], Limits);
+              exploreThread(P, Tid, Domain, Parts[Tid], Limits, Inputs);
         });
       G.wait();
       // A task that threw left its Parts[Tid] partial and its PartStats
@@ -188,4 +190,67 @@ std::vector<Value> tracesafe::defaultDomainFor(const Program &P,
   while (Vals.size() < MinSize)
     Vals.insert(Fresh++);
   return std::vector<Value>(Vals.begin(), Vals.end());
+}
+
+ScProgram::ScProgram(const Program &P, const ExecLimits &Limits) {
+  std::vector<Value> Own = defaultDomainFor(P);
+  const std::vector<Value> &Inputs =
+      Limits.InputDomain.empty() ? Own : Limits.InputDomain;
+  std::set<Value> Reads(Own.begin(), Own.end());
+  Reads.insert(Inputs.begin(), Inputs.end());
+  ExploreLimits XL;
+  XL.MaxActions = Limits.MaxActionsPerThread;
+  XL.MaxSilentRun = Limits.MaxSilentRun;
+  XL.MaxStates = Limits.MaxVisited;
+  XL.Shared = Limits.Shared;
+  Meaning = programTraceset(P, std::vector<Value>(Reads.begin(), Reads.end()),
+                            XL, &Built, Inputs);
+  Search.MaxVisited = Limits.MaxVisited;
+  // [[P]] already bounds every trace (start action included); the search's
+  // own depth cap sits above that so it never truncates a complete build.
+  Search.MaxEvents = Limits.MaxActionsPerThread + 2;
+  Search.Shared = Limits.Shared;
+  Search.ExhaustiveOracle = Limits.ExhaustiveOracle;
+}
+
+std::set<Behaviour> ScProgram::behaviours(ExecStats *Stats) const {
+  EnumerationStats S;
+  std::set<Behaviour> Out = collectBehaviours(Meaning, Search, &S);
+  if (Stats) {
+    *Stats = Built;
+    Stats->merge({S.Visited, S.Truncated, S.Reason});
+  }
+  return Out;
+}
+
+RaceReport ScProgram::race() const {
+  RaceReport R = findAdjacentRace(Meaning, Search);
+  R.Stats = {Built.Visited + R.Stats.Visited,
+             Built.Truncated || R.Stats.Truncated,
+             mergeReason(Built.Reason, R.Stats.Reason)};
+  return R;
+}
+
+std::set<Behaviour> tracesafe::programBehaviours(const Program &P,
+                                                 ExecLimits Limits,
+                                                 ExecStats *Stats) {
+  return ScProgram(P, Limits).behaviours(Stats);
+}
+
+RaceReport tracesafe::findProgramRace(const Program &P, ExecLimits Limits) {
+  return ScProgram(P, Limits).race();
+}
+
+Verdict<Interleaving> tracesafe::checkProgramDrf(const Program &P,
+                                                 ExecLimits Limits) {
+  RaceReport R = findProgramRace(P, Limits);
+  if (R.HasRace)
+    return Verdict<Interleaving>::refuted(R.Witness);
+  if (R.Stats.Truncated)
+    return Verdict<Interleaving>::unknown(R.Stats.Reason);
+  return Verdict<Interleaving>::proved();
+}
+
+bool tracesafe::isProgramDrf(const Program &P, ExecLimits Limits) {
+  return checkProgramDrf(P, Limits).isProved();
 }

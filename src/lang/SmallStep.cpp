@@ -36,7 +36,7 @@ void push(ThreadState &S, const Stmt *Stm) { S.Cont.push_back(Stm); }
 
 /// Core of the step function. \p LoadValues lists the values a load may
 /// return for a given location; inputs always branch over the context's
-/// value domain (the environment may supply anything).
+/// input values (the environment may supply any of them).
 std::vector<Step>
 steps(const ThreadState &S, const LangContext &Ctx,
       const std::function<std::vector<Value>(SymbolId)> &LoadValues) {
@@ -106,9 +106,9 @@ steps(const ThreadState &S, const LangContext &Ctx,
         Step{Action::mkExternal(evalOperand(S, P.src())), std::move(Base)});
     break;
   }
-  case StmtKind::Input: { // EXT (input): X(v) for each domain value.
+  case StmtKind::Input: { // EXT (input): X(v) for each input value.
     const auto &In = cast<InputStmt>(*Top);
-    for (Value V : Ctx.Domain) {
+    for (Value V : Ctx.Inputs) {
       ThreadState N = Base;
       setReg(N, In.reg(), V);
       Out.push_back(Step{Action::mkExternal(V), std::move(N)});

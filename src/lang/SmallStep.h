@@ -45,14 +45,17 @@ struct ThreadState {
 };
 
 /// Everything a step needs to know beyond the thread state: which locations
-/// are volatile, and the value domain reads range over.
+/// are volatile, the value domain reads range over, and the values the
+/// environment may supply to `input` (empty means "the read domain").
 struct LangContext {
   const std::set<SymbolId> *Volatiles;
   std::vector<Value> Domain;
+  std::vector<Value> Inputs;
 
-  explicit LangContext(const Program &P,
-                       std::vector<Value> Domain = {0, 1})
-      : Volatiles(&P.volatiles()), Domain(std::move(Domain)) {}
+  explicit LangContext(const Program &P, std::vector<Value> Domain = {0, 1},
+                       std::vector<Value> Inputs = {})
+      : Volatiles(&P.volatiles()), Domain(std::move(Domain)),
+        Inputs(Inputs.empty() ? this->Domain : std::move(Inputs)) {}
 
   bool isVolatile(SymbolId Loc) const { return Volatiles->count(Loc) != 0; }
 };
@@ -78,9 +81,9 @@ bool evalCond(const ThreadState &S, const Cond &C);
 /// continuation has no steps. Loads yield one step per domain value.
 std::vector<Step> possibleSteps(const ThreadState &S, const LangContext &Ctx);
 
-/// Variant used by the direct (sequentially consistent) program executor:
-/// loads read the single value \p Memory(loc) instead of branching over the
-/// domain. All other rules are identical.
+/// Variant used by the store-buffer machines (tso/): loads read the single
+/// value \p Memory(loc) instead of branching over the domain. All other
+/// rules are identical.
 std::vector<Step>
 possibleStepsWithMemory(const ThreadState &S, const LangContext &Ctx,
                         const std::function<Value(SymbolId)> &Memory);

@@ -12,8 +12,8 @@
 ///
 /// Typical entry points:
 ///  - parseProgram / printProgram               (lang/Parser.h, Printer.h)
-///  - programBehaviours / isProgramDrf          (lang/ProgramExec.h)
-///  - programTraceset                           (lang/Explore.h)
+///  - programTraceset, and the SC queries on it:
+///    programBehaviours / isProgramDrf          (lang/Explore.h)
 ///  - checkElimination / checkReordering /
 ///    checkEliminationThenReordering            (semantics/*.h)
 ///  - findRewriteSites / applyRewrite           (opt/Rewrite.h)
@@ -30,7 +30,6 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "lang/SmallStep.h"
 #include "opt/Pipeline.h"
 #include "opt/Rewrite.h"

@@ -183,12 +183,7 @@ std::set<Behaviour> tracesafe::psoOnlyBehaviours(const Program &P,
                                                  ExecStats *Stats) {
   ExecStats PsoStats, ScStats;
   std::set<Behaviour> Pso = psoBehaviours(P, Limits, &PsoStats);
-  ExecLimits ScLimits;
-  ScLimits.MaxActionsPerThread = Limits.MaxActionsPerThread;
-  ScLimits.MaxSilentRun = Limits.MaxSilentRun;
-  ScLimits.MaxVisited = Limits.MaxVisited;
-  ScLimits.Shared = Limits.Shared;
-  std::set<Behaviour> Sc = programBehaviours(P, ScLimits, &ScStats);
+  std::set<Behaviour> Sc = programBehaviours(P, scLimitsFor(Limits), &ScStats);
   if (Stats) {
     Stats->Visited = PsoStats.Visited + ScStats.Visited;
     Stats->Truncated = PsoStats.Truncated || ScStats.Truncated;

@@ -11,6 +11,10 @@ tracesafe::reachableScBehaviours(const Program &P, size_t MaxDepth,
                                  const RuleSet &Rules, ExecLimits Limits,
                                  bool *Truncated,
                                  size_t *ProgramsExplored) {
+  // Every rewritten program faces P's environment: a rewrite that drops a
+  // constant must not shrink the input domain.
+  if (Limits.InputDomain.empty())
+    Limits.InputDomain = defaultDomainFor(P);
   std::set<Behaviour> Union;
   std::set<std::string> SeenPrograms;
   std::deque<std::pair<Program, size_t>> Queue;
@@ -51,13 +55,9 @@ tracesafe::explainTsoByTransformations(const Program &P, size_t MaxDepth,
   Result.Truncated |= TsoStats.Truncated;
   Result.TsoBehaviours = Tso.size();
 
-  ExecLimits ScLimits;
-  ScLimits.MaxActionsPerThread = Limits.MaxActionsPerThread;
-  ScLimits.MaxSilentRun = Limits.MaxSilentRun;
-  ScLimits.MaxVisited = Limits.MaxVisited;
   bool UnionTruncated = false;
   std::set<Behaviour> Union = reachableScBehaviours(
-      P, MaxDepth, Rules, ScLimits, &UnionTruncated,
+      P, MaxDepth, Rules, scLimitsFor(Limits), &UnionTruncated,
       &Result.ProgramsExplored);
   Result.Truncated |= UnionTruncated;
   Result.ScBehaviours = Union.size();

@@ -170,12 +170,7 @@ std::set<Behaviour> tracesafe::tsoOnlyBehaviours(const Program &P,
                                                  ExecStats *Stats) {
   ExecStats TsoStats, ScStats;
   std::set<Behaviour> Tso = tsoBehaviours(P, Limits, &TsoStats);
-  ExecLimits ScLimits;
-  ScLimits.MaxActionsPerThread = Limits.MaxActionsPerThread;
-  ScLimits.MaxSilentRun = Limits.MaxSilentRun;
-  ScLimits.MaxVisited = Limits.MaxVisited;
-  ScLimits.Shared = Limits.Shared;
-  std::set<Behaviour> Sc = programBehaviours(P, ScLimits, &ScStats);
+  std::set<Behaviour> Sc = programBehaviours(P, scLimitsFor(Limits), &ScStats);
   if (Stats) {
     Stats->Visited = TsoStats.Visited + ScStats.Visited;
     Stats->Truncated = TsoStats.Truncated || ScStats.Truncated;
@@ -186,4 +181,15 @@ std::set<Behaviour> tracesafe::tsoOnlyBehaviours(const Program &P,
     if (!Sc.count(B))
       Out.insert(B);
   return Out;
+}
+
+ExecLimits tracesafe::scLimitsFor(const TsoLimits &Limits) {
+  ExecLimits Sc;
+  Sc.InputDomain = Limits.InputDomain;
+  Sc.MaxActionsPerThread = Limits.MaxActionsPerThread;
+  Sc.MaxSilentRun = Limits.MaxSilentRun;
+  Sc.MaxVisited = Limits.MaxVisited;
+  Sc.Shared = Limits.Shared;
+  Sc.ExhaustiveOracle = Limits.ExhaustiveOracle;
+  return Sc;
 }

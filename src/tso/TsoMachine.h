@@ -25,7 +25,7 @@
 #ifndef TRACESAFE_TSO_TSOMACHINE_H
 #define TRACESAFE_TSO_TSOMACHINE_H
 
-#include "lang/ProgramExec.h"
+#include "lang/Explore.h"
 
 namespace tracesafe {
 
@@ -67,6 +67,10 @@ std::set<Behaviour> tsoBehaviours(const Program &P, TsoLimits Limits = {},
 std::set<Behaviour> tsoOnlyBehaviours(const Program &P,
                                       TsoLimits Limits = {},
                                       ExecStats *Stats = nullptr);
+
+/// The SC side of a machine-vs-SC comparison: the same bounds, input
+/// domain, budget and engine choice as \p Limits.
+ExecLimits scLimitsFor(const TsoLimits &Limits);
 
 } // namespace tracesafe
 

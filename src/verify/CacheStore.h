@@ -55,7 +55,11 @@ namespace tracesafe {
 /// Detail bytes a query yields. Bump it in any change that alters verdict
 /// bytes, so persisted stores written before the change stop loading.
 /// Stores written before the epoch existed hold 0.
-constexpr uint64_t VerdictSemanticsEpoch = 0;
+///  - 1: DrfGuarantee and ThinAir run on [[P]] plus the execution
+///    enumerator (their visit costs change), and a racy original's
+///    DrfGuarantee Detail reports the unsearched transformed side as
+///    `trans-drf=0 preserved=0`.
+constexpr uint64_t VerdictSemanticsEpoch = 1;
 
 /// What a load found. HeaderOk=false means the file exists but is not a
 /// TSCS store (wrong magic/version) — the caller should refuse to append

@@ -16,19 +16,23 @@ const char *tracesafe::guaranteeOutcomeName(GuaranteeOutcome O) {
   return "invalid";
 }
 
-BehaviourComparison tracesafe::compareBehaviours(const Program &Orig,
-                                                 const Program &Transformed,
-                                                 ExecLimits Limits) {
-  BehaviourComparison Out;
-  // Both programs must face the same environment: pin the input domain to
-  // the original's (a transformation may remove constants, which would
-  // otherwise shrink the transformed program's default domain and mask or
-  // manufacture behaviour differences).
+namespace {
+
+/// Both programs of a pair must face the same environment: pin the input
+/// domain to the original's (a transformation may remove constants, which
+/// would otherwise shrink the transformed program's default domain and
+/// mask or manufacture behaviour differences).
+void pinEnvironment(ExecLimits &Limits, const Program &Orig) {
   if (Limits.InputDomain.empty())
     Limits.InputDomain = defaultDomainFor(Orig);
+}
+
+BehaviourComparison compare(const ScProgram &Orig,
+                            const ScProgram &Transformed) {
+  BehaviourComparison Out;
   ExecStats SA, SB;
-  std::set<Behaviour> A = programBehaviours(Orig, Limits, &SA);
-  std::set<Behaviour> B = programBehaviours(Transformed, Limits, &SB);
+  std::set<Behaviour> A = Orig.behaviours(&SA);
+  std::set<Behaviour> B = Transformed.behaviours(&SB);
   Out.OrigTruncated = SA.Truncated;
   Out.TransformedTruncated = SB.Truncated;
   Out.Truncated = SA.Truncated || SB.Truncated;
@@ -45,19 +49,35 @@ BehaviourComparison tracesafe::compareBehaviours(const Program &Orig,
   return Out;
 }
 
+} // namespace
+
+BehaviourComparison tracesafe::compareBehaviours(const Program &Orig,
+                                                 const Program &Transformed,
+                                                 ExecLimits Limits) {
+  pinEnvironment(Limits, Orig);
+  return compare(ScProgram(Orig, Limits), ScProgram(Transformed, Limits));
+}
+
 DrfGuaranteeReport tracesafe::checkDrfGuarantee(const Program &Orig,
                                                 const Program &Transformed,
                                                 ExecLimits Limits) {
   DrfGuaranteeReport Out;
-  if (Limits.InputDomain.empty())
-    Limits.InputDomain = defaultDomainFor(Orig); // See compareBehaviours.
-  ProgramRaceReport RO = findProgramRace(Orig, Limits);
-  ProgramRaceReport RT = findProgramRace(Transformed, Limits);
+  pinEnvironment(Limits, Orig);
+  ScProgram O(Orig, Limits);
+  RaceReport RO = O.race();
   Out.OriginalDrf = !RO.HasRace;
-  Out.TransformedDrf = !RT.HasRace;
   Out.OriginalRaceTruncated = RO.Stats.Truncated;
+  Out.Truncated = RO.Stats.Truncated;
+  Out.Reason = RO.Stats.Reason;
+  // A racy original makes the outcome vacuously Holds: the transformed
+  // program is not searched and its fields keep their defaults.
+  if (RO.HasRace)
+    return Out;
+  ScProgram T(Transformed, Limits);
+  RaceReport RT = T.race();
+  Out.TransformedDrf = !RT.HasRace;
   Out.TransformedRaceTruncated = RT.Stats.Truncated;
-  Out.Comparison = compareBehaviours(Orig, Transformed, Limits);
+  Out.Comparison = compare(O, T);
   Out.BehavioursPreserved = Out.Comparison.Subset;
   Out.NewBehaviour = Out.Comparison.NewBehaviour;
   Out.Truncated = RO.Stats.Truncated || RT.Stats.Truncated ||

@@ -10,13 +10,16 @@
 /// transformed program must stay data race free; and no transformation may
 /// output a constant the original program cannot build.
 ///
+/// Every SC question here is answered on [[P]] by the execution enumerator
+/// (lang/Explore.h), each program's traceset built once per check;
+/// ExecLimits::ExhaustiveOracle swaps in the seed enumerator.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRACESAFE_VERIFY_CHECKS_H
 #define TRACESAFE_VERIFY_CHECKS_H
 
 #include "lang/Explore.h"
-#include "lang/ProgramExec.h"
 
 #include <optional>
 #include <string>
@@ -52,6 +55,8 @@ BehaviourComparison compareBehaviours(const Program &Orig,
                                       ExecLimits Limits = {});
 
 /// The statement of the DRF guarantee for one original/transformed pair.
+/// When the original has a race the transformed program is not searched:
+/// TransformedDrf, BehavioursPreserved and Comparison keep their defaults.
 struct DrfGuaranteeReport {
   bool OriginalDrf = false;
   bool TransformedDrf = false;

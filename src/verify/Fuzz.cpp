@@ -686,11 +686,12 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
 
     Program T = *Transform(P);
 
-    // Degraded retry for a faulted query: the armed fault trigger was
-    // consumed by the failing attempt, so one sequential re-run under the
-    // escalation ceiling (minus what the attempt spent) usually produces
-    // a real answer. Only EngineFault retries — cancellation must win,
-    // and budget exhaustion would exhaust the smaller budget faster.
+    // Degraded retry for a faulted query: one re-run on the seed
+    // enumerator (ExhaustiveOracle: no intern pools, so the armed fault
+    // sites of the reduced engine cannot fire again) under the escalation
+    // ceiling usually produces a real answer. Only EngineFault retries —
+    // cancellation must win, and budget exhaustion would exhaust the
+    // smaller budget faster.
     auto FaultedReason = [](TruncationReason R2) {
       return R2 == TruncationReason::EngineFault;
     };
@@ -701,6 +702,7 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
       Budget B(Options.Escalation.Ceiling, Options.Cancel);
       ExecLimits E;
       E.Shared = &B;
+      E.ExhaustiveOracle = true;
       DrfGuaranteeReport R2 = checkDrfGuarantee(P, T, E);
       switch (R2.outcome()) {
       case GuaranteeOutcome::Holds:
@@ -730,6 +732,7 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
         Budget B(Options.Escalation.Ceiling, Options.Cancel);
         ExecLimits E;
         E.Shared = &B;
+        E.ExhaustiveOracle = true;
         ExploreLimits X;
         X.Shared = &B;
         ThinAirReport R2 = checkThinAir(P, T, C, E, X);

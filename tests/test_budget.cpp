@@ -9,7 +9,6 @@
 
 #include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "support/Budget.h"
 #include "trace/Enumerate.h"
 #include "verify/Escalate.h"

@@ -265,45 +265,54 @@ TEST(CacheStore, ValidlyFramedGarbagePayloadsAreSkippedNotLoaded) {
 }
 
 TEST(CacheStore, AnotherSemanticsEpochLoadsNothingAndRestartsTheStore) {
-  TempFile F("epoch");
-  {
-    CacheStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
-    Store.append("key-a", entry(VerdictKind::Proved, "old engine", 1));
-  }
-  {
-    // The header's epoch word (bytes 8..15) as another build wrote it.
-    std::fstream S(F.Path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(S.is_open());
-    S.seekp(8);
-    S.put(static_cast<char>(VerdictSemanticsEpoch + 1));
-  }
-  uint64_t Before = fileSize(F.Path);
+  // A later build's store, and an epoch-0 store: epoch 0 predates the
+  // [[P]] route of DrfGuarantee/ThinAir, whose visit costs and racy-original
+  // Details differ.
+  ASSERT_NE(VerdictSemanticsEpoch, 0u);
+  for (uint64_t Stale : {VerdictSemanticsEpoch + 1, uint64_t{0}}) {
+    SCOPED_TRACE("stale epoch " + std::to_string(Stale));
+    TempFile F("epoch");
+    {
+      CacheStore Store;
+      std::string Err;
+      ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
+      Store.append("key-a", entry(VerdictKind::Proved, "old engine", 1));
+    }
+    {
+      // The header's epoch word (bytes 8..15) as another build wrote it.
+      std::fstream S(F.Path,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(S.is_open());
+      S.seekp(8);
+      for (int I = 0; I < 8; ++I)
+        S.put(static_cast<char>((Stale >> (8 * I)) & 0xFF));
+    }
+    uint64_t Before = fileSize(F.Path);
 
-  BehaviourCache Cache;
-  CacheStoreInfo Info = loadCacheStore(F.Path, Cache);
-  EXPECT_TRUE(Info.HeaderOk);
-  EXPECT_FALSE(Info.TornTail);
-  EXPECT_EQ(Info.Loaded, 0u);
-  EXPECT_EQ(Info.DroppedBytes, Before);
-  EXPECT_NE(Info.Error.find("epoch"), std::string::npos) << Info.Error;
-  Budget B(BudgetSpec{});
-  EXPECT_FALSE(Cache.queryFor("key-a", &B).has_value())
-      << "a verdict from another semantics epoch must never load";
+    BehaviourCache Cache;
+    CacheStoreInfo Info = loadCacheStore(F.Path, Cache);
+    EXPECT_TRUE(Info.HeaderOk);
+    EXPECT_FALSE(Info.TornTail);
+    EXPECT_EQ(Info.Loaded, 0u);
+    EXPECT_EQ(Info.DroppedBytes, Before);
+    EXPECT_NE(Info.Error.find("epoch"), std::string::npos) << Info.Error;
+    Budget B(BudgetSpec{});
+    EXPECT_FALSE(Cache.queryFor("key-a", &B).has_value())
+        << "a verdict from another semantics epoch must never load";
 
-  {
-    CacheStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
-    EXPECT_EQ(fileSize(F.Path), 16u) << "open restarts the store";
-    Store.append("key-b", entry(VerdictKind::Refuted, "this engine", 2));
+    {
+      CacheStore Store;
+      std::string Err;
+      ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
+      EXPECT_EQ(fileSize(F.Path), 16u) << "open restarts the store";
+      Store.append("key-b", entry(VerdictKind::Refuted, "this engine", 2));
+    }
+    BehaviourCache Cache2;
+    Info = loadCacheStore(F.Path, Cache2);
+    EXPECT_TRUE(Info.Error.empty()) << Info.Error;
+    EXPECT_EQ(Info.Loaded, 1u);
+    EXPECT_TRUE(Cache2.queryFor("key-b", &B).has_value());
   }
-  BehaviourCache Cache2;
-  Info = loadCacheStore(F.Path, Cache2);
-  EXPECT_TRUE(Info.Error.empty()) << Info.Error;
-  EXPECT_EQ(Info.Loaded, 1u);
-  EXPECT_TRUE(Cache2.queryFor("key-b", &B).has_value());
 }
 
 TEST(CacheStore, LoadingNeverRetriggersThePersistSink) {

@@ -2,12 +2,16 @@
 ///
 /// \file
 /// Unit tests for the verification queries: behaviour comparison, the DRF
-/// guarantee report, and the thin-air report.
+/// guarantee report, and the thin-air report, plus a sweep asserting the
+/// reduced and the seed enumerator produce identical reports.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "lang/Parser.h"
+#include "lang/Printer.h"
+#include "opt/Pipeline.h"
 #include "verify/Checks.h"
+#include "verify/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
@@ -149,6 +153,63 @@ TEST(FreshConstant, AvoidsProgramConstantsAndZero) {
   EXPECT_NE(C, 0);
   EXPECT_FALSE(P.containsConstant(C));
   EXPECT_EQ(C, 45);
+}
+
+TEST(CompareBehaviours, InputsDrawOnlyFromTheInputDomain) {
+  // T's own constant 5 joins the read domain (x may hold 5), but the
+  // environment still supplies only the original's input values: were
+  // inputs drawn from the read domain, T would print a spurious [5].
+  Program O = parseOrDie("thread { input r1; print r1; }");
+  Program T = parseOrDie("thread { input r1; print r1; x := 5; }");
+  BehaviourComparison C = compareBehaviours(O, T);
+  EXPECT_TRUE(C.Equal);
+  EXPECT_FALSE(C.NewBehaviour.has_value());
+  EXPECT_TRUE(checkDrfGuarantee(O, T).holds());
+}
+
+void expectSameDrfReports(const DrfGuaranteeReport &A,
+                          const DrfGuaranteeReport &B,
+                          const std::string &Label) {
+  EXPECT_EQ(A.outcome(), B.outcome()) << Label;
+  EXPECT_EQ(A.OriginalDrf, B.OriginalDrf) << Label;
+  EXPECT_EQ(A.TransformedDrf, B.TransformedDrf) << Label;
+  EXPECT_EQ(A.BehavioursPreserved, B.BehavioursPreserved) << Label;
+  EXPECT_EQ(A.NewBehaviour, B.NewBehaviour) << Label;
+  EXPECT_EQ(A.Truncated, B.Truncated) << Label;
+  EXPECT_EQ(A.Comparison.Equal, B.Comparison.Equal) << Label;
+}
+
+void expectSameThinAirReports(const ThinAirReport &A, const ThinAirReport &B,
+                              const std::string &Label) {
+  EXPECT_EQ(A.outcome(), B.outcome()) << Label;
+  EXPECT_EQ(A.TransformedOutputs, B.TransformedOutputs) << Label;
+  EXPECT_EQ(A.OrigHasOrigin, B.OrigHasOrigin) << Label;
+  EXPECT_EQ(A.TransformedHasOrigin, B.TransformedHasOrigin) << Label;
+  EXPECT_EQ(A.Truncated, B.Truncated) << Label;
+}
+
+TEST(Checks, SeedEnumeratorGivesIdenticalReports) {
+  ExecLimits Oracle;
+  Oracle.ExhaustiveOracle = true;
+  for (GenDiscipline D :
+       {GenDiscipline::Racy, GenDiscipline::LockDiscipline,
+        GenDiscipline::VolatileLocations, GenDiscipline::Mixed})
+    for (bool Input : {false, true})
+      for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+        GenOptions Options;
+        Options.Discipline = D;
+        Options.AllowInput = Input;
+        Options.MaxStmtsPerThread = 4;
+        Rng R(Seed);
+        Program P = generateProgram(R, Options);
+        Program T = randomChain(P, RuleSet::all(), 2, R).Result;
+        std::string Label = printProgram(P) + "=>\n" + printProgram(T);
+        expectSameDrfReports(checkDrfGuarantee(P, T),
+                             checkDrfGuarantee(P, T, Oracle), Label);
+        Value C = freshConstantFor(P);
+        expectSameThinAirReports(checkThinAir(P, T, C),
+                                 checkThinAir(P, T, C, Oracle), Label);
+      }
 }
 
 } // namespace

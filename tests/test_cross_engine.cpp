@@ -3,11 +3,14 @@
 /// \file
 /// Cross-engine consistency properties (DESIGN.md decisions 2 and 3):
 ///
-///  - the behaviours of [[P]]'s executions equal the behaviours of the
-///    direct SC program executor;
+///  - the SC behaviours of [[P]] (programBehaviours) equal those of the
+///    seed TSO machine run on P with every location volatile — a machine
+///    that fences every access and reads real memory, so it runs SC, and
+///    shares no code with the traceset enumerator;
 ///  - the adjacent-conflict race definition agrees with the
 ///    happens-before race definition;
-///  - traceset-level DRF agrees with program-level DRF.
+///  - the reduced program-level race search agrees with the seed
+///    enumerator's.
 ///
 /// Checked over a handwritten corpus and seeded random programs.
 ///
@@ -16,8 +19,8 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "trace/Enumerate.h"
+#include "tso/TsoMachine.h"
 #include "verify/ProgramGen.h"
 
 #include <gtest/gtest.h>
@@ -27,22 +30,22 @@ using namespace tracesafe;
 namespace {
 
 void expectEnginesAgree(const Program &P, const std::string &Label) {
-  std::vector<Value> Domain = defaultDomainFor(P, 2);
-  ExploreStats GenStats;
-  Traceset T = programTraceset(P, Domain, {}, &GenStats);
-  ASSERT_FALSE(GenStats.Truncated) << Label;
+  ExecStats ScStats;
+  std::set<Behaviour> Sc = programBehaviours(P, {}, &ScStats);
+  ASSERT_FALSE(ScStats.Truncated) << Label;
 
-  EnumerationStats SetStats;
-  std::set<Behaviour> FromTraceset = collectBehaviours(T, {}, &SetStats);
-  ASSERT_FALSE(SetStats.Truncated) << Label;
+  Program Fenced = P;
+  for (SymbolId Loc : P.locations())
+    Fenced.markVolatile(Loc);
+  TsoLimits Machine;
+  Machine.ExhaustiveOracle = true;
+  ExecStats MachineStats;
+  std::set<Behaviour> FromMachine =
+      tsoBehaviours(Fenced, Machine, &MachineStats);
+  ASSERT_FALSE(MachineStats.Truncated) << Label;
+  EXPECT_EQ(Sc, FromMachine) << Label << ":\n" << printProgram(P);
 
-  ExecStats ExecStats_;
-  std::set<Behaviour> FromProgram = programBehaviours(P, {}, &ExecStats_);
-  ASSERT_FALSE(ExecStats_.Truncated) << Label;
-
-  EXPECT_EQ(FromTraceset, FromProgram)
-      << Label << ":\n" << printProgram(P);
-
+  Traceset T = programTraceset(P, defaultDomainFor(P, 2));
   RaceReport Adjacent = findAdjacentRace(T);
   RaceReport Hb = findHappensBeforeRace(T);
   ASSERT_FALSE(Adjacent.Stats.Truncated) << Label;
@@ -51,10 +54,14 @@ void expectEnginesAgree(const Program &P, const std::string &Label) {
       << Label << ": the two §3 race definitions disagree on\n"
       << printProgram(P);
 
-  ProgramRaceReport Direct = findProgramRace(P);
-  ASSERT_FALSE(Direct.Stats.Truncated) << Label;
-  EXPECT_EQ(Adjacent.HasRace, Direct.HasRace)
-      << Label << ": traceset- and program-level races disagree on\n"
+  ExecLimits Oracle;
+  Oracle.ExhaustiveOracle = true;
+  RaceReport Reduced = findProgramRace(P);
+  RaceReport Seed = findProgramRace(P, Oracle);
+  ASSERT_FALSE(Reduced.Stats.Truncated) << Label;
+  ASSERT_FALSE(Seed.Stats.Truncated) << Label;
+  EXPECT_EQ(Reduced.HasRace, Seed.HasRace)
+      << Label << ": reduced and seed race searches disagree on\n"
       << printProgram(P);
 }
 

@@ -391,6 +391,41 @@ TEST(Daemon, EngineFaultsDegradeToTheSequentialOracle) {
   EXPECT_EQ(After.Kind, Want.Kind);
 }
 
+TEST(Daemon, PairChecksDegradeToTheSeedEnumerator) {
+  // The pair checks' primary search interns its states. An allocation
+  // fault there must degrade to the seed enumerator, which has no intern
+  // pool, and answer exactly what a fault-free evaluation answers.
+  std::vector<QueryRequest> Qs(2);
+  Qs[0].Kind = QueryKind::DrfGuarantee;
+  Qs[0].Program = "thread { sync m { x := 3; x := 4; } }\n"
+                  "thread { sync m { r0 := x; print r0; } }\n";
+  Qs[0].Transformed = "thread { sync m { x := 4; } }\n"
+                      "thread { sync m { r0 := x; print r0; } }\n";
+  Qs[1].Kind = QueryKind::ThinAir;
+  Qs[1].Program = "thread { r2 := y; x := r2; print r2; }\n"
+                  "thread { r1 := x; y := r1; print r1; }\n";
+  Qs[1].Transformed = Qs[1].Program;
+  for (const QueryRequest &Q : Qs) {
+    QueryResponse Got;
+    {
+      FaultPlan Plan;
+      Plan.arm(FaultSite::InternAlloc, 1, /*Repeat=*/1'000'000);
+      FaultPlan::Scope Armed(Plan);
+      Got = evaluateQuery(Q, TestCeiling);
+      EXPECT_GT(Plan.fired(FaultSite::InternAlloc), 0u);
+    }
+    // Fault-free second: a degraded verdict is never cached, so this one
+    // recomputes on the primary path.
+    QueryResponse Want = evaluateQuery(Q, TestCeiling);
+    EXPECT_EQ(Got.Status, ResponseStatus::Ok);
+    EXPECT_TRUE(Got.Degraded) << Got.str();
+    EXPECT_FALSE(Want.Degraded);
+    EXPECT_NE(Want.Kind, VerdictKind::Unknown) << Want.str();
+    EXPECT_EQ(Got.Kind, Want.Kind);
+    EXPECT_EQ(Got.Detail, Want.Detail);
+  }
+}
+
 TEST(Daemon, ClientRetriesThroughInjectedTransportFaults) {
   ServerOptions O;
   O.SocketPath = uniqueSocket("retry");

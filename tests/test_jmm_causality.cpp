@@ -20,7 +20,6 @@
 
 #include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "opt/Rewrite.h"
 #include "semantics/Composition.h"
 #include "semantics/Reordering.h"

@@ -17,7 +17,6 @@
 
 #include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 #include "opt/Unsafe.h"
 #include "semantics/Reordering.h"
 #include "verify/Checks.h"

@@ -9,7 +9,6 @@
 
 #include "lang/Parser.h"
 #include "lang/Explore.h"
-#include "lang/ProgramExec.h"
 #include "opt/Unsafe.h"
 #include "semantics/Elimination.h"
 #include "semantics/Reordering.h"

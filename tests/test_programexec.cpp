@@ -1,13 +1,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the direct SC program executor: behaviours, mutual
+/// Unit tests for the program-level SC queries of lang/Explore.h
+/// ([[P]] plus the execution enumerator): behaviours, mutual
 /// exclusion, race detection, and limit handling.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "lang/Explore.h"
 #include "lang/Parser.h"
-#include "lang/ProgramExec.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,7 @@ using namespace tracesafe;
 
 namespace {
 
-TEST(ProgramExec, SequentialProgramHasOneMaximalBehaviour) {
+TEST(ProgramSc, SequentialProgramHasOneMaximalBehaviour) {
   Program P = parseOrDie("thread { print 1; print 2; print 3; }");
   std::set<Behaviour> Bs = programBehaviours(P);
   // Prefix-closed: {}, {1}, {1,2}, {1,2,3}.
@@ -23,14 +24,14 @@ TEST(ProgramExec, SequentialProgramHasOneMaximalBehaviour) {
   EXPECT_TRUE(Bs.count(Behaviour{1, 2, 3}));
 }
 
-TEST(ProgramExec, InterleavingsMixOutputs) {
+TEST(ProgramSc, InterleavingsMixOutputs) {
   Program P = parseOrDie("thread { print 1; } thread { print 2; }");
   std::set<Behaviour> Bs = programBehaviours(P);
   EXPECT_TRUE(Bs.count(Behaviour{1, 2}));
   EXPECT_TRUE(Bs.count(Behaviour{2, 1}));
 }
 
-TEST(ProgramExec, ReadsSeeSharedMemory) {
+TEST(ProgramSc, ReadsSeeSharedMemory) {
   Program P = parseOrDie(R"(
 thread { x := 1; }
 thread { r1 := x; print r1; }
@@ -41,7 +42,7 @@ thread { r1 := x; print r1; }
   EXPECT_FALSE(Bs.count(Behaviour{2}));
 }
 
-TEST(ProgramExec, LocksSerialiseCriticalSections) {
+TEST(ProgramSc, LocksSerialiseCriticalSections) {
   Program P = parseOrDie(R"(
 thread { lock m; x := 1; r1 := x; print r1; unlock m; }
 thread { lock m; x := 2; r2 := x; print r2; unlock m; }
@@ -54,13 +55,13 @@ thread { lock m; x := 2; r2 := x; print r2; unlock m; }
   EXPECT_FALSE(Bs.count(Behaviour{1, 1}));
 }
 
-TEST(ProgramExec, ReentrantLocking) {
+TEST(ProgramSc, ReentrantLocking) {
   Program P = parseOrDie(
       "thread { lock m; lock m; print 1; unlock m; unlock m; }");
   EXPECT_TRUE(programBehaviours(P).count(Behaviour{1}));
 }
 
-TEST(ProgramExec, EUlkDoesNotReleaseOthersLocks) {
+TEST(ProgramSc, EUlkDoesNotReleaseOthersLocks) {
   // Thread 1's unlock of an unheld monitor is silent; it must not free
   // thread 0's lock, so print 2 can only follow print 1.
   Program P = parseOrDie(R"(
@@ -83,7 +84,7 @@ thread { unlock m; lock m; print 2; unlock m; }
   EXPECT_TRUE(Saw219) << "thread 1 should be able to take the lock first";
 }
 
-TEST(ProgramExec, WhileLoopOnSharedFlagTerminates) {
+TEST(ProgramSc, WhileLoopOnSharedFlagTerminates) {
   Program P = parseOrDie(R"(
 thread { flag := 1; }
 thread { r1 := flag; while (r1 != 1) { r1 := flag; } print r1; }
@@ -97,9 +98,9 @@ thread { r1 := flag; while (r1 != 1) { r1 := flag; } print r1; }
   EXPECT_TRUE(Stats.Truncated);
 }
 
-TEST(ProgramExec, RaceDetectionFindsAdjacentConflicts) {
+TEST(ProgramSc, RaceDetectionFindsAdjacentConflicts) {
   Program Racy = parseOrDie("thread { x := 1; } thread { r1 := x; }");
-  ProgramRaceReport R = findProgramRace(Racy);
+  RaceReport R = findProgramRace(Racy);
   EXPECT_TRUE(R.HasRace);
   ASSERT_GE(R.Witness.size(), 2u);
   const Event &A = R.Witness[R.Witness.size() - 2];
@@ -108,17 +109,17 @@ TEST(ProgramExec, RaceDetectionFindsAdjacentConflicts) {
   EXPECT_NE(A.Tid, B.Tid);
 }
 
-TEST(ProgramExec, ReadReadSharingIsNotARace) {
+TEST(ProgramSc, ReadReadSharingIsNotARace) {
   Program P = parseOrDie("thread { r1 := x; } thread { r2 := x; }");
   EXPECT_TRUE(isProgramDrf(P));
 }
 
-TEST(ProgramExec, VolatileRacesDoNotCount) {
+TEST(ProgramSc, VolatileRacesDoNotCount) {
   Program P = parseOrDie("volatile x; thread { x := 1; } thread { r1 := x; }");
   EXPECT_TRUE(isProgramDrf(P));
 }
 
-TEST(ProgramExec, LockProtectionPreventsRaces) {
+TEST(ProgramSc, LockProtectionPreventsRaces) {
   Program P = parseOrDie(R"(
 thread { lock m; x := 1; unlock m; }
 thread { lock m; r1 := x; unlock m; }
@@ -126,12 +127,12 @@ thread { lock m; r1 := x; unlock m; }
   EXPECT_TRUE(isProgramDrf(P));
 }
 
-TEST(ProgramExec, SameThreadConflictsAreNotRaces) {
+TEST(ProgramSc, SameThreadConflictsAreNotRaces) {
   Program P = parseOrDie("thread { x := 1; r1 := x; x := 2; }");
   EXPECT_TRUE(isProgramDrf(P));
 }
 
-TEST(ProgramExec, VisitedStatsAccumulate) {
+TEST(ProgramSc, VisitedStatsAccumulate) {
   Program P = parseOrDie("thread { x := 1; } thread { y := 1; }");
   ExecStats Stats;
   programBehaviours(P, {}, &Stats);

@@ -6,9 +6,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "verify/ProgramGen.h"
 
 #include <gtest/gtest.h>

@@ -4,8 +4,9 @@
 /// Theorems 1 and 2 at the *traceset* level: whenever the checker certifies
 /// T' as an elimination (or reordering of an elimination) of a data race
 /// free T, then T' is data race free and every behaviour of T' is a
-/// behaviour of T — computed with the traceset execution enumerator, not
-/// the program executor, so this exercises the semantic layer end to end.
+/// behaviour of T — computed with the traceset execution enumerator on
+/// the checked tracesets themselves, so this exercises the semantic layer
+/// end to end.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -103,6 +103,18 @@ thread { lock m; y := 1; r2 := x; unlock m; print r2; }
   EXPECT_TRUE(tsoOnlyBehaviours(P).empty());
 }
 
+TEST(TsoMachine, ScSideSharesTheMachineInputDomain) {
+  // 7 is no constant of P: if the SC side drew inputs from P's default
+  // domain, the echoed 7 would read as a machine-only behaviour.
+  Program P = parseOrDie("thread { input r1; print r1; }");
+  TsoLimits Limits;
+  Limits.InputDomain = {0, 7};
+  ASSERT_TRUE(tsoBehaviours(P, Limits).count(Behaviour{7, 7}));
+  EXPECT_TRUE(tsoOnlyBehaviours(P, Limits).empty());
+  EXPECT_TRUE(psoOnlyBehaviours(P, Limits).empty());
+  EXPECT_TRUE(explainTsoByTransformations(P, 1, {}, Limits).Explained);
+}
+
 TEST(TsoMachine, BufferBoundForcesTruncationFlag) {
   Program P = parseOrDie(R"(
 thread { x := 1; x := 2; x := 3; r1 := y; print r1; }

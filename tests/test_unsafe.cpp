@@ -7,9 +7,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "lang/ProgramExec.h"
 #include "opt/Unsafe.h"
 
 #include <gtest/gtest.h>
