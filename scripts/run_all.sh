@@ -125,13 +125,13 @@ cmake --build build-asan --target test_racelog racelog_scan
 
 # ThreadSanitizer pass: rebuild with TSan and drive the parallel engine —
 # pool + interning unit tests, the POR-vs-oracle equivalence suites (SC
-# enumeration and the TSO/PSO buffered engine), and a parallel fuzz
-# campaign (see docs/PERFORMANCE.md).
+# enumeration and the TSO/PSO buffered engine), the in-process daemon
+# suite, and a parallel fuzz campaign (see docs/PERFORMANCE.md).
 echo "===== thread sanitizer parallel smoke ====="
 cmake -B build-tsan -G Ninja -DTRACESAFE_TSAN=ON
 cmake --build build-tsan --target \
   test_threadpool test_intern test_parallel_enumerate test_tso_parallel \
-  test_racelog_differential fuzz_harness
+  test_racelog_differential test_daemon fuzz_harness
 ./build-tsan/tests/test_threadpool
 ./build-tsan/tests/test_intern
 ./build-tsan/tests/test_parallel_enumerate
@@ -140,6 +140,10 @@ cmake --build build-tsan --target \
 # tasks + interned clock snapshots) on every trace — the racelog TSan
 # surface.
 ./build-tsan/tests/test_racelog_differential
+# The daemon suite: reader threads probe the verdict cache, append to the
+# journal and fill the answered-verdict table while workers complete
+# computed queries and the health tick streams heartbeats.
+./build-tsan/tests/test_daemon
 ./build-tsan/examples/fuzz_harness --programs 100 --deadline-ms 60000 \
   --seed 3 --no-thin-air --query-deadline-ms 50 --jobs 4 --semantic
 

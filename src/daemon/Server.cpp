@@ -247,9 +247,6 @@ QueryResponse runCampaign(const QueryRequest &Q, const BudgetSpec &Ceiling,
     if (Hooks) {
       SubHooks = *Hooks;
       SubHooks.OnPartial = nullptr;
-      // Any key hint describes the campaign, not its subs: each sub
-      // canonicalises itself (that is the sub-query memoisation path).
-      SubHooks.CanonicalKey = nullptr;
       SubHooks.VisitedBase += VisitedTotal;
     }
     QueryResponse SR =
@@ -288,6 +285,129 @@ QueryResponse runCampaign(const QueryRequest &Q, const BudgetSpec &Ceiling,
   return R;
 }
 
+bool needsPair(QueryKind K) {
+  return K == QueryKind::DrfGuarantee || K == QueryKind::ThinAir;
+}
+
+/// A program query parsed once: its canonical key and its engines read
+/// the same ASTs. T is parsed when the kind needs a pair or the key
+/// includes Q.Transformed, and only after O parsed.
+struct ParsedQuery {
+  ParseResult O;
+  ParseResult T;
+};
+
+ParsedQuery parseQuery(const QueryRequest &Q) {
+  ParsedQuery P;
+  P.O = parseProgram(Q.Program);
+  if (P.O && (needsPair(Q.Kind) || !Q.Transformed.empty()))
+    P.T = parseProgram(Q.Transformed);
+  return P;
+}
+
+/// The BadRequest for a query whose program(s) did not parse, or nullopt.
+std::optional<QueryResponse> parseFailure(QueryKind K, const ParsedQuery &P) {
+  QueryResponse R;
+  R.Status = ResponseStatus::BadRequest;
+  if (!P.O)
+    R.Detail = "parse error (program): " + P.O.Error;
+  else if (needsPair(K) && !P.T)
+    R.Detail = "parse error (transformed): " + P.T.Error;
+  else
+    return std::nullopt;
+  return R;
+}
+
+/// The verdict-cache key: canonicalQueryKey over the parsed ASTs.
+std::string queryKey(const QueryRequest &Q, const ParsedQuery &P,
+                     const BudgetSpec &Spec) {
+  return canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
+                           P.O ? &*P.O.Prog : nullptr, Q.Transformed,
+                           P.T ? &*P.T.Prog : nullptr, Spec);
+}
+
+/// The verdict-cache hit, or nullopt on a miss. Whole-query responses are
+/// cached under the canonical key (alpha-renamed, thread-order-normalised
+/// text plus the clamped budget class). A hit replays the recorded
+/// visit/byte cost into a budget of class \p Spec first — warmth
+/// invariance — so the response is byte-identical to what recomputation
+/// under the same budget would have produced, including the exhausted
+/// case. evaluateQuery and the daemon's admission-time answer both build
+/// hits here, so their bytes agree by construction.
+std::optional<QueryResponse> cachedVerdict(const std::string &Key,
+                                           const BudgetSpec &Spec,
+                                           const CancelToken *Cancel,
+                                           const EvalHooks *Hooks) {
+  Budget B(Spec, Cancel);
+  wireMirrors(B, Hooks, 0, 0);
+  std::optional<BehaviourCache::CachedQuery> Hit =
+      BehaviourCache::global().queryFor(Key, &B);
+  if (!Hit)
+    return std::nullopt;
+  QueryResponse R;
+  R.Status = ResponseStatus::Ok;
+  R.Kind = Hit->Kind;
+  R.Reason = Hit->Reason;
+  R.Detail = std::move(Hit->Detail);
+  R.Visited = B.visited();
+  return R;
+}
+
+/// Computes a parsed, memoisable query whose cache probe missed: the
+/// primary engines, the oracle fallback, and the insertion of a complete
+/// verdict under \p Key. It does not probe again.
+QueryResponse computeVerdict(QueryKind K, const ParsedQuery &P,
+                             const std::string &Key, const BudgetSpec &Spec,
+                             const CancelToken *Cancel,
+                             const EvalHooks *Hooks) {
+  const Program *T2 = needsPair(K) ? &*P.T.Prog : nullptr;
+  // Primary attempt: reduced engines, warm cache. Containment: anything
+  // thrown here is this query's problem only.
+  Budget B(Spec, Cancel);
+  wireMirrors(B, Hooks, 0, 0);
+  QueryResponse R;
+  try {
+    R = runKind(K, *P.O.Prog, T2, B, /*Oracle=*/false);
+  } catch (...) {
+    B.poison(TruncationReason::EngineFault);
+    R = QueryResponse{};
+    R.Status = ResponseStatus::Ok;
+    R.Kind = VerdictKind::Unknown;
+    R.Reason = TruncationReason::EngineFault;
+  }
+  R.Visited = B.visited();
+
+  // EngineFault (and only EngineFault — cancellation must win, and an
+  // exhausted budget would exhaust the leftovers faster) degrades to the
+  // sequential oracle under whatever budget the primary left behind.
+  if (R.Status == ResponseStatus::Ok && R.Kind == VerdictKind::Unknown &&
+      R.Reason == TruncationReason::EngineFault) {
+    Budget B2(remainingBudget(Spec, B), Cancel);
+    wireMirrors(B2, Hooks, B.visited(), B.chargedBytes());
+    try {
+      QueryResponse R2 = runKind(K, *P.O.Prog, T2, B2, /*Oracle=*/true);
+      R2.Degraded = true;
+      R2.Visited = B.visited() + B2.visited();
+      return R2;
+    } catch (...) {
+      R.Detail = "oracle fallback faulted";
+    }
+  }
+  // Complete primary-path verdicts only: truncated or degraded results
+  // are artefacts of this run's budget/faults, not facts about the query.
+  if (R.Status == ResponseStatus::Ok && R.Kind != VerdictKind::Unknown &&
+      !R.Degraded && !B.exhausted()) {
+    BehaviourCache::CachedQuery E;
+    E.Kind = R.Kind;
+    E.Reason = R.Reason;
+    E.Detail = R.Detail;
+    E.CostVisits = R.Visited;
+    E.CostBytes = B.chargedBytes();
+    BehaviourCache::global().insertQuery(Key, std::move(E));
+  }
+  return R;
+}
+
 } // namespace
 
 QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
@@ -321,95 +441,15 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
     }
     return R;
   }
-  ParseResult O = parseProgram(Q.Program);
-  if (!O) {
-    R.Status = ResponseStatus::BadRequest;
-    R.Detail = "parse error (program): " + O.Error;
-    return R;
-  }
-  const bool NeedsPair =
-      Q.Kind == QueryKind::DrfGuarantee || Q.Kind == QueryKind::ThinAir;
-  ParseResult T;
-  if (NeedsPair) {
-    T = parseProgram(Q.Transformed);
-    if (!T) {
-      R.Status = ResponseStatus::BadRequest;
-      R.Detail = "parse error (transformed): " + T.Error;
-      return R;
-    }
-  }
+  ParsedQuery P = parseQuery(Q);
+  if (std::optional<QueryResponse> Bad = parseFailure(Q.Kind, P))
+    return *Bad;
   BudgetSpec Spec = clampBudget(Q.Budget, Ceiling);
-
-  // Verdict memoisation: whole-query responses are cached under the
-  // canonical key (alpha-renamed, thread-order-normalised text plus the
-  // clamped budget class). A hit replays the recorded visit/byte cost
-  // into this query's budget first — warmth invariance — so the response
-  // below is byte-identical to what recomputation under the same budget
-  // would have produced, including the exhausted case.
-  std::string KeyStorage;
-  const std::string *CacheKey = Hooks ? Hooks->CanonicalKey : nullptr;
-  if (!CacheKey) {
-    KeyStorage = canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
-                                   Q.Transformed, Spec);
-    CacheKey = &KeyStorage;
-  }
-
-  // Primary attempt: reduced engines, warm cache. Containment: anything
-  // thrown here is this query's problem only.
-  Budget B(Spec, Cancel);
-  wireMirrors(B, Hooks, 0, 0);
-  if (std::optional<BehaviourCache::CachedQuery> Hit =
-          BehaviourCache::global().queryFor(*CacheKey, &B)) {
-    R.Status = ResponseStatus::Ok;
-    R.Kind = Hit->Kind;
-    R.Reason = Hit->Reason;
-    R.Detail = Hit->Detail;
-    R.Visited = B.visited();
-    return R;
-  }
-  try {
-    R = runKind(Q.Kind, *O.Prog, NeedsPair ? &*T.Prog : nullptr, B,
-                /*Oracle=*/false);
-  } catch (...) {
-    B.poison(TruncationReason::EngineFault);
-    R = QueryResponse{};
-    R.Status = ResponseStatus::Ok;
-    R.Kind = VerdictKind::Unknown;
-    R.Reason = TruncationReason::EngineFault;
-  }
-  R.Visited = B.visited();
-
-  // EngineFault (and only EngineFault — cancellation must win, and an
-  // exhausted budget would exhaust the leftovers faster) degrades to the
-  // sequential oracle under whatever budget the primary left behind.
-  if (R.Status == ResponseStatus::Ok && R.Kind == VerdictKind::Unknown &&
-      R.Reason == TruncationReason::EngineFault) {
-    Budget B2(remainingBudget(Spec, B), Cancel);
-    wireMirrors(B2, Hooks, B.visited(), B.chargedBytes());
-    try {
-      QueryResponse R2 = runKind(Q.Kind, *O.Prog,
-                                 NeedsPair ? &*T.Prog : nullptr, B2,
-                                 /*Oracle=*/true);
-      R2.Degraded = true;
-      R2.Visited = B.visited() + B2.visited();
-      return R2;
-    } catch (...) {
-      R.Detail = "oracle fallback faulted";
-    }
-  }
-  // Complete primary-path verdicts only: truncated or degraded results
-  // are artefacts of this run's budget/faults, not facts about the query.
-  if (R.Status == ResponseStatus::Ok && R.Kind != VerdictKind::Unknown &&
-      !R.Degraded && !B.exhausted()) {
-    BehaviourCache::CachedQuery E;
-    E.Kind = R.Kind;
-    E.Reason = R.Reason;
-    E.Detail = R.Detail;
-    E.CostVisits = R.Visited;
-    E.CostBytes = B.chargedBytes();
-    BehaviourCache::global().insertQuery(*CacheKey, std::move(E));
-  }
-  return R;
+  std::string Key = queryKey(Q, P, Spec);
+  if (std::optional<QueryResponse> Hit =
+          cachedVerdict(Key, Spec, Cancel, Hooks))
+    return *Hit;
+  return computeVerdict(Q.Kind, P, Key, Spec, Cancel, Hooks);
 }
 
 //===----------------------------------------------------------------------===//
@@ -594,12 +634,16 @@ public:
   int run();
 
 private:
+  /// A live request: admitted and not yet completed. Completion frees it
+  /// and leaves only its verdict bytes in Answered.
   struct Request {
     std::string Client;
     uint64_t Id = 0;
-    QueryRequest Q; ///< payload strings released once Done
-    QueryResponse Resp;
-    bool Done = false;
+    QueryRequest Q; ///< payload strings released at completion
+    /// The submit path's parses of a memoisable query, handed to the
+    /// engines so the worker does not parse again. Empty for orphans
+    /// recovered by --resume: their worker runs evaluateQuery.
+    std::optional<ParsedQuery> Parsed;
     CancelToken Cancel;
     std::weak_ptr<Connection> Waiter;
     /// The waiter negotiated streaming when the request was (re)attached.
@@ -640,26 +684,43 @@ private:
         1, Opts.QueueCap / static_cast<unsigned>(Clients));
   }
 
-  void journalVerdictLocked(const Request &R) {
-    if (Journal.isOpen())
-      Journal.append(encodeResponse(R.Resp) +
-                     journalTrailer(R.Client, R.Id, ProtocolVersion,
-                                    VerdictRecord));
+  /// Completes (client, id) with the verdict \p Bytes (its
+  /// encodeResponse): the live entry, if any, leaves Requests, the journal
+  /// gets the verdict record and Answered keeps the bytes for replay.
+  /// \p AdmitRecord, when non-empty, is written in the same append, so an
+  /// admission answered on the spot costs one write.
+  void completeLocked(const std::string &Client, uint64_t Id,
+                      const std::string &Bytes,
+                      std::string AdmitRecord = {}) {
+    std::string Key = requestKey(Client, Id);
+    Requests.erase(Key);
+    if (Journal.isOpen()) {
+      std::string Trailer =
+          journalTrailer(Client, Id, ProtocolVersion, VerdictRecord);
+      AdmitRecord += encodeRecord(
+          JournalFormat, Bytes, Trailer,
+          crc32(Trailer.data(), Trailer.size(),
+                crc32(Bytes.data(), Bytes.size())));
+      Journal.appendEncoded(AdmitRecord);
+    }
+    Answered.insert_or_assign(std::move(Key), Bytes);
+    ++Stats.Completed;
   }
 
   static uint64_t payloadBytes(const Request &R) {
     return R.Q.Program.size() + R.Q.Transformed.size();
   }
 
-  /// A request that is done keeps only its verdict: idempotent replay
-  /// reads Resp, and --resume reads the journal file, not memory. Without
-  /// this the idempotency table would hold every payload (MiB-sized for
-  /// RaceLog queries) for the life of the process.
+  /// A finished request's payload, parses and key go as soon as it
+  /// completes, not when the last reference to the Request drops:
+  /// idempotent replay reads Answered, and --resume reads the journal
+  /// file, not memory.
   void releasePayloadLocked(Request &R) {
     HeldPayloadBytes -= payloadBytes(R);
     std::string().swap(R.Q.Program);
     std::string().swap(R.Q.Transformed);
     std::string().swap(R.CanonKey);
+    R.Parsed.reset();
   }
 
   //===--------------------------------------------------------------------===//
@@ -793,11 +854,6 @@ private:
     EvalHooks Hooks;
     Hooks.LiveVisited = &Req->LiveVisited;
     Hooks.LiveBytes = &Req->LiveBytes;
-    // The submit path already canonicalised this query for the
-    // single-flight table; hand the key down so the evaluator's cache
-    // lookup skips a second canonicalising parse.
-    if (!Req->CanonKey.empty())
-      Hooks.CanonicalKey = &Req->CanonKey;
     Request *RawReq = Req.get();
     Hooks.OnPartial = [this, RawReq](uint64_t SubIndex,
                                      const QueryResponse &Sub) {
@@ -811,7 +867,20 @@ private:
     };
     QueryResponse R;
     try {
-      R = evaluateQuery(Req->Q, Opts.QuotaCeiling, &Req->Cancel, &Hooks);
+      // A submitted memoisable query was parsed, keyed and probed at
+      // admission; the worker computes on those ASTs and does not probe
+      // again.
+      if (Req->Parsed) {
+        std::optional<QueryResponse> Bad =
+            parseFailure(Req->Q.Kind, *Req->Parsed);
+        R = Bad ? std::move(*Bad)
+                : computeVerdict(Req->Q.Kind, *Req->Parsed, Req->CanonKey,
+                                 clampBudget(Req->Q.Budget,
+                                             Opts.QuotaCeiling),
+                                 &Req->Cancel, &Hooks);
+      } else {
+        R = evaluateQuery(Req->Q, Opts.QuotaCeiling, &Req->Cancel, &Hooks);
+      }
     } catch (...) {
       // evaluateQuery contains everything already; this is the last-ditch
       // belt so a bug in the containment cannot fault the task group.
@@ -821,6 +890,9 @@ private:
       R.Reason = TruncationReason::EngineFault;
     }
     Req->RunningNow.store(false, std::memory_order_relaxed);
+    // Encoded once: the same bytes go to the journal, the wire and
+    // Answered, for the leader and every follower.
+    const std::string Bytes = encodeResponse(R);
     ConnPtr W;
     std::vector<std::pair<ConnPtr, ReqPtr>> FanOut;
     {
@@ -857,21 +929,15 @@ private:
           ReleaseLocked(F);
         }
       } else {
-        Req->Done = true;
-        Req->Resp = R;
-        ++Stats.Completed;
         if (R.Degraded)
           ++Stats.Degraded;
-        journalVerdictLocked(*Req);
+        completeLocked(Req->Client, Req->Id, Bytes);
         // Fan-out: every coalesced follower completes with the leader's
         // verdict bytes — journaled under its own (client, id) so a
         // retry or resume replays it like any other verdict.
         for (const ReqPtr &F : Followers) {
           F->Leader.reset();
-          F->Done = true;
-          F->Resp = R;
-          ++Stats.Completed;
-          journalVerdictLocked(*F);
+          completeLocked(F->Client, F->Id, Bytes);
           releasePayloadLocked(*F);
           ReleaseLocked(F);
           if (ConnPtr FW = F->Waiter.lock())
@@ -890,7 +956,7 @@ private:
       Out.Version = To->Version;
       Out.Type = FrameType::Verdict;
       Out.RequestId = Id;
-      Out.Payload = encodeResponse(R);
+      Out.Payload = Bytes;
       sendCritical(To, Out);
     };
     SendVerdict(W, Req->Id);
@@ -934,6 +1000,7 @@ private:
     // BehaviourCache (M -> cache lock; no path takes them in the other
     // order).
     Out += KV("coalesced", Stats.Coalesced);
+    Out += KV("answered-at-admission", Stats.AnsweredAtAdmission);
     BehaviourCache::CacheStats CS = BehaviourCache::global().stats();
     Out += KV("cache-hits", CS.hits());
     Out += KV("cache-misses", CS.misses());
@@ -982,16 +1049,19 @@ private:
       sendCritical(C, Out);
       return;
     }
-    // Canonicalise memoisable kinds before taking the admission lock:
-    // the rename walks the whole program and must not serialise submits.
-    // The key doubles as the evaluator's cache key and the single-flight
-    // identity below.
+    // Parse and canonicalise memoisable kinds before taking the admission
+    // lock: the rename walks the whole program and must not serialise
+    // submits. The key is the cache key probed below and the
+    // single-flight identity; the parses go to the worker on a miss.
+    const BudgetSpec Spec = clampBudget(Q.Budget, Opts.QuotaCeiling);
     std::string CanonKey;
-    if (Q.Kind >= QueryKind::ProgramDrf && Q.Kind <= QueryKind::ThinAir)
-      CanonKey =
-          canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
-                            Q.Transformed,
-                            clampBudget(Q.Budget, Opts.QuotaCeiling));
+    std::optional<ParsedQuery> Parsed;
+    bool Probe = false;
+    if (Q.Kind >= QueryKind::ProgramDrf && Q.Kind <= QueryKind::ThinAir) {
+      Parsed = parseQuery(Q);
+      CanonKey = queryKey(Q, *Parsed, Spec);
+      Probe = !parseFailure(Q.Kind, *Parsed);
+    }
     // The admission record is built here too: the Submit payload exactly
     // as it arrived plus a trailer. Its CRC continues the frame's already
     // verified payload CRC over the trailer, so a MiB-sized payload is
@@ -1009,19 +1079,20 @@ private:
     {
       std::lock_guard<std::mutex> Lock(M);
       std::string Key = requestKey(C->Client, F.RequestId);
-      auto It = Requests.find(Key);
-      if (It != Requests.end()) {
-        // Idempotent retry: an in-flight request is re-targeted at this
-        // connection; a completed one replays its stored verdict. Neither
-        // consumes admission quota again, and a replayed verdict streams
-        // no Progress — the work already happened.
-        if (!It->second->Done) {
-          It->second->Waiter = C;
-          It->second->Streaming = C->Streaming;
-          return;
-        }
+      auto Live = Requests.find(Key);
+      if (Live != Requests.end()) {
+        // Idempotent retry of an in-flight request: re-target it at this
+        // connection, without consuming admission quota again.
+        Live->second->Waiter = C;
+        Live->second->Streaming = C->Streaming;
+        return;
+      }
+      auto Done = Answered.find(Key);
+      if (Done != Answered.end()) {
+        // Idempotent retry of a completed request: replay its verdict
+        // bytes. No Progress streams — the work already happened.
         ++Stats.Replayed;
-        Out.Payload = encodeResponse(It->second->Resp);
+        Out.Payload = Done->second;
       } else if (ShuttingDown || faultPoint(FaultSite::Admission) ||
                  Inflight >= Opts.QueueCap ||
                  ClientLoad[C->Client] >= perClientCapLocked()) {
@@ -1034,43 +1105,57 @@ private:
         R.Detail = ShuttingDown ? "shutting down" : "queue full";
         Out.Payload = encodeResponse(R);
       } else {
-        auto Req = std::make_shared<Request>();
-        Req->Client = C->Client;
-        Req->Id = F.RequestId;
-        Req->Q = std::move(Q);
-        Req->Waiter = C;
-        Req->Streaming = C->Streaming;
-        Req->CanonKey = std::move(CanonKey);
-        Requests.emplace(std::move(Key), Req);
-        ++Inflight;
-        ++ClientLoad[C->Client];
-        ++Stats.Admitted;
-        HeldPayloadBytes += payloadBytes(*Req);
-        if (Req->Q.Kind == QueryKind::Campaign)
-          ++Stats.Campaigns;
-        if (!AdmitRecord.empty())
-          Journal.appendEncoded(AdmitRecord);
         // Single-flight: an admission canonically identical to one
         // already in flight rides it instead of queueing — charged and
         // journaled like any admission (so quotas and resume semantics
         // are unchanged), but computed once. Cancelling a follower is a
         // no-op; cancelling the leader cancels the whole flight.
         ReqPtr Leader;
-        if (!Req->CanonKey.empty()) {
-          auto InIt = InFlightByCanon.find(Req->CanonKey);
-          if (InIt != InFlightByCanon.end() && !InIt->second->Done)
+        if (!CanonKey.empty()) {
+          auto InIt = InFlightByCanon.find(CanonKey);
+          if (InIt != InFlightByCanon.end())
             Leader = InIt->second;
-          else
-            InFlightByCanon[Req->CanonKey] = Req;
         }
-        if (Leader) {
-          Req->Leader = Leader;
-          Leader->Followers.push_back(Req);
-          ++Stats.Coalesced;
+        // Otherwise the one cache probe this admission gets. A hit is
+        // answered here, on the reader thread: journaled, counted as
+        // admitted and completed, and never queued or dispatched.
+        std::optional<QueryResponse> Hit;
+        if (!Leader && Probe)
+          Hit = cachedVerdict(CanonKey, Spec, nullptr, nullptr);
+        ++Stats.Admitted;
+        if (Hit) {
+          ++Stats.AnsweredAtAdmission;
+          Out.Payload = encodeResponse(*Hit);
+          completeLocked(C->Client, F.RequestId, Out.Payload,
+                         std::move(AdmitRecord));
         } else {
-          enqueuePendingLocked(Req);
+          auto Req = std::make_shared<Request>();
+          Req->Client = C->Client;
+          Req->Id = F.RequestId;
+          Req->Q = std::move(Q);
+          Req->Parsed = std::move(Parsed);
+          Req->Waiter = C;
+          Req->Streaming = C->Streaming;
+          Req->CanonKey = std::move(CanonKey);
+          Requests.emplace(std::move(Key), Req);
+          ++Inflight;
+          ++ClientLoad[C->Client];
+          HeldPayloadBytes += payloadBytes(*Req);
+          if (Req->Q.Kind == QueryKind::Campaign)
+            ++Stats.Campaigns;
+          if (!AdmitRecord.empty())
+            Journal.appendEncoded(AdmitRecord);
+          if (Leader) {
+            Req->Leader = Leader;
+            Leader->Followers.push_back(Req);
+            ++Stats.Coalesced;
+          } else {
+            if (!Req->CanonKey.empty())
+              InFlightByCanon[Req->CanonKey] = Req;
+            enqueuePendingLocked(Req);
+          }
+          Fresh = Req;
         }
-        Fresh = Req;
       }
     }
     if (!Out.Payload.empty())
@@ -1090,7 +1175,7 @@ private:
       throw ProtocolError("cancel before hello");
     std::lock_guard<std::mutex> Lock(M);
     auto It = Requests.find(requestKey(C->Client, F.RequestId));
-    if (It != Requests.end() && !It->second->Done)
+    if (It != Requests.end())
       It->second->Cancel.request();
   }
 
@@ -1149,8 +1234,8 @@ private:
       // Heartbeats: one Running update per streaming request whose visit
       // counter moved since the last tick. Only dispatched requests and
       // the followers coalesced onto them can beat, so the walk covers
-      // those and never the idempotency table, which grows for the life
-      // of the process. A follower beats on its *leader's* counters — the
+      // those and never the idempotency tables, whose Answered half grows
+      // for the life of the process. A follower beats on its *leader's* counters — the
       // computation running on its behalf.
       auto Beat = [&](const ReqPtr &Req, const ReqPtr &Src) {
         if (!Src->RunningNow.load(std::memory_order_relaxed) ||
@@ -1266,7 +1351,10 @@ private:
   const ServerOptions &Opts;
   ServerStats &Stats;
   std::mutex M;
+  /// The idempotency table, keyed by requestKey: live requests, and the
+  /// encodeResponse bytes of completed ones (a key is in one or neither).
   std::unordered_map<std::string, ReqPtr> Requests;
+  std::unordered_map<std::string, std::string> Answered;
   /// Canonical key -> the request currently computing it (the leader).
   /// Entries are erased as their verdicts land; never persisted.
   std::unordered_map<std::string, ReqPtr> InFlightByCanon;
@@ -1345,8 +1433,9 @@ int Server::run() {
       if (!decodeJournalRecord(Payload, Rec))
         return;
       std::string Key = requestKey(Rec.Client, Rec.Id);
-      auto It = Requests.find(Key);
-      if (Rec.Type == AdmissionRecord && It == Requests.end()) {
+      auto Live = Requests.find(Key);
+      const bool Known = Live != Requests.end() || Answered.count(Key);
+      if (Rec.Type == AdmissionRecord && !Known) {
         auto Req = std::make_shared<Request>();
         if (!decodeSubmit(Rec.Body, Req->Q, Rec.Version))
           return;
@@ -1354,12 +1443,15 @@ int Server::run() {
         Req->Id = Rec.Id;
         Requests.emplace(std::move(Key), Req);
         Loaded.push_back(std::move(Req));
-      } else if (Rec.Type == VerdictRecord && It != Requests.end()) {
+      } else if (Rec.Type == VerdictRecord && Known) {
+        // The record's body is the verdict's encodeResponse bytes: kept
+        // as they are once they decode.
         QueryResponse Resp;
         if (!decodeResponse(Rec.Body, Resp))
           return;
-        It->second->Resp = std::move(Resp);
-        It->second->Done = true;
+        if (Live != Requests.end())
+          Requests.erase(Live);
+        Answered.insert_or_assign(std::move(Key), std::string(Rec.Body));
       }
     };
     std::string Err;
@@ -1370,15 +1462,17 @@ int Server::run() {
       std::cerr << "tracesafed: journal " << Err << "\n";
       return 1;
     }
+    // Orphans: admissions still live after the replay, in journal order.
     for (ReqPtr &Req : Loaded) {
-      HeldPayloadBytes += payloadBytes(*Req);
-      if (Req->Done)
-        releasePayloadLocked(*Req);
-      else
+      auto Live = Requests.find(requestKey(Req->Client, Req->Id));
+      if (Live != Requests.end() && Live->second == Req) {
+        HeldPayloadBytes += payloadBytes(*Req);
         Orphans.push_back(std::move(Req));
+      }
     }
     if (Opts.Resume)
-      log("resumed " + std::to_string(Requests.size()) + " entries, " +
+      log("resumed " + std::to_string(Requests.size() + Answered.size()) +
+          " entries, " +
           std::to_string(Orphans.size()) + " orphans to recompute");
   }
 
@@ -1545,8 +1639,7 @@ int Server::run() {
       PendInteractive.clear();
       PendBatch.clear();
       for (auto &KV : Requests)
-        if (!KV.second->Done)
-          KV.second->Cancel.request();
+        KV.second->Cancel.request();
       // Break the single-flight ownership cycles now: a leader that was
       // still *queued* never runs its completion fan-out, and mutually
       // owning shared_ptrs would outlive the Requests map. The journal

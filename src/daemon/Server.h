@@ -10,11 +10,12 @@
 ///  - *Bounded admission.* Queries are admitted under a global in-flight
 ///    cap and a fair per-client share of it; a request over either limit
 ///    is answered immediately with a structured Overloaded response,
-///    never queued unboundedly. Admitted queries wait in per-class
-///    dispatch queues (interactive before batch, priority-ordered, with
-///    aging so batch work cannot starve) and run on the shared
-///    work-stealing ThreadPool under a Budget clamped to the server's
-///    quota ceiling.
+///    never queued unboundedly. A query the verdict cache already
+///    answers is answered at admission, on its connection's reader
+///    thread. Other admitted queries wait in per-class dispatch queues
+///    (interactive before batch, priority-ordered, with aging so batch
+///    work cannot starve) and run on the shared work-stealing
+///    ThreadPool under a Budget clamped to the server's quota ceiling.
 ///
 ///  - *Containment.* Every query task catches everything; a poisoned
 ///    query degrades to the sequential oracle (Degrade layer) and at
@@ -39,8 +40,9 @@
 ///  - *Idempotency.* Requests are keyed (client name, request id): a
 ///    retransmitted Submit attaches to the in-flight computation or
 ///    replays the stored verdict instead of double-charging admission.
-///    A completed request keeps only its verdict in memory; its payload
-///    is released as the verdict lands.
+///    A completed request keeps only its encoded verdict bytes in memory;
+///    its payload, parses and request state are released as the verdict
+///    lands.
 ///
 ///  - *Liveness.* v2 connections get server-initiated keepalive pings
 ///    with a reply deadline; silent peers and (optionally) idle ones are
@@ -161,7 +163,7 @@ struct ServerOptions {
 struct ServerStats {
   uint64_t Connections = 0;   ///< accepted sockets (both transports)
   uint64_t Admitted = 0;      ///< queries admitted (journal admissions)
-  uint64_t Completed = 0;     ///< verdicts computed (journal verdicts)
+  uint64_t Completed = 0;     ///< verdicts journaled (computed or answered at admission)
   uint64_t Overloaded = 0;    ///< requests shed by admission control
   uint64_t BadRequests = 0;   ///< malformed submits
   uint64_t Replayed = 0;      ///< verdicts served from memory or journal
@@ -177,6 +179,7 @@ struct ServerStats {
   uint64_t Campaigns = 0;     ///< campaign queries admitted
   uint64_t StatsQueries = 0;  ///< stats snapshots served
   uint64_t Coalesced = 0;     ///< admissions attached to an identical in-flight query
+  uint64_t AnsweredAtAdmission = 0; ///< verdict-cache hits answered by the reader, never queued
   uint64_t PersistLoaded = 0; ///< verdicts warm-started from the cache file
   uint64_t PersistSpilled = 0;///< fresh verdicts appended to the cache file
 };
@@ -202,15 +205,10 @@ struct EvalHooks {
   /// campaign iterating sub-queries) reports cumulative totals.
   uint64_t VisitedBase = 0;
   uint64_t BytesBase = 0;
-  /// Precomputed canonicalQueryKey for this query (single-program and
-  /// pair kinds only), so evaluateQuery skips the canonicalising parse
-  /// the daemon already did. Null = compute internally. Campaign
-  /// sub-queries always recompute (the hint describes the campaign, not
-  /// its subs).
-  const std::string *CanonicalKey = nullptr;
 };
 
-/// Evaluates one query exactly as a daemon worker does — budget clamp,
+/// Evaluates one query exactly as the daemon does — one parse, the
+/// verdict-cache probe (the daemon's happens at admission), budget clamp,
 /// sequential engines, exception containment, oracle degradation,
 /// campaign aggregation — shared by the standalone CLI modes and the
 /// chaos test's single-process reference run. \p Ceiling is applied

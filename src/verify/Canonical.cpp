@@ -245,27 +245,37 @@ std::string tracesafe::canonicalQueryKey(uint8_t KindTag,
                                          const std::string &Program,
                                          const std::string &Transformed,
                                          const BudgetSpec &Clamped) {
+  ParseResult P = parseProgram(Program);
+  ParseResult T;
+  if (P && !Transformed.empty())
+    T = parseProgram(Transformed);
+  return canonicalQueryKey(KindTag, Program, P ? &*P.Prog : nullptr,
+                           Transformed, T ? &*T.Prog : nullptr, Clamped);
+}
+
+std::string tracesafe::canonicalQueryKey(uint8_t KindTag,
+                                         const std::string &Source,
+                                         const Program *SourceAst,
+                                         const std::string &Transformed,
+                                         const Program *TransformedAst,
+                                         const BudgetSpec &Clamped) {
   std::string Key;
   Key.push_back(static_cast<char>(KindTag));
+  const bool Parsed = SourceAst && (Transformed.empty() || TransformedAst);
   bool Canonical = false;
   try {
     faultThrowInjected(FaultSite::Canonicalise);
-    ParseResult P = parseProgram(Program);
-    if (P) {
+    if (Parsed) {
       if (!Transformed.empty()) {
-        ParseResult T = parseProgram(Transformed);
-        if (T) {
-          std::string CP, CT;
-          canonicalPairText(*P.Prog, *T.Prog, CP, CT);
-          appendSized(Key, CP);
-          appendSized(Key, CT);
-          Canonical = true;
-        }
+        std::string CP, CT;
+        canonicalPairText(*SourceAst, *TransformedAst, CP, CT);
+        appendSized(Key, CP);
+        appendSized(Key, CT);
       } else {
-        appendSized(Key, canonicalProgramText(*P.Prog));
+        appendSized(Key, canonicalProgramText(*SourceAst));
         appendSized(Key, std::string());
-        Canonical = true;
       }
+      Canonical = true;
     }
   } catch (...) {
     // Injected Canonicalise faults (and any allocation failure inside the
@@ -275,7 +285,7 @@ std::string tracesafe::canonicalQueryKey(uint8_t KindTag,
   }
   if (!Canonical) {
     Key.resize(1);
-    appendSized(Key, Program);
+    appendSized(Key, Source);
     appendSized(Key, Transformed);
   }
   appendWord(Key, static_cast<uint64_t>(Clamped.DeadlineMs));

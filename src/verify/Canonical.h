@@ -83,6 +83,18 @@ std::string canonicalQueryKey(uint8_t KindTag, const std::string &Program,
                               const std::string &Transformed,
                               const BudgetSpec &Clamped);
 
+/// The same key from programs the caller already parsed, so a query is
+/// parsed once for both its key and its engines. \p SourceAst is the
+/// parse of \p Source and \p TransformedAst that of \p Transformed
+/// (ignored when Transformed is empty); null stands for a failed parse
+/// and degrades to the raw key, exactly as the text overload does, so
+/// both overloads give every query the same key.
+std::string canonicalQueryKey(uint8_t KindTag, const std::string &Source,
+                              const Program *SourceAst,
+                              const std::string &Transformed,
+                              const Program *TransformedAst,
+                              const BudgetSpec &Clamped);
+
 } // namespace tracesafe
 
 #endif // TRACESAFE_VERIFY_CANONICAL_H

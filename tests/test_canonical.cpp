@@ -182,6 +182,38 @@ TEST(Canonical, InjectedFaultsDegradeToARawKeyNotAnEscape) {
   EXPECT_EQ(canonicalQueryKey(1, Src, "", KeySpec), Canonical);
 }
 
+TEST(Canonical, ParsedAndTextKeysAgree) {
+  // The daemon parses a query once and keys the ASTs; the key must be the
+  // text overload's, canonical or degraded, or warm verdicts would miss.
+  auto Parsed = [](uint8_t Kind, const std::string &P, const std::string &T,
+                   const BudgetSpec &B) {
+    ParseResult PP = parseProgram(P), PT = parseProgram(T);
+    return canonicalQueryKey(Kind, P, PP ? &*PP.Prog : nullptr, T,
+                             PT ? &*PT.Prog : nullptr, B);
+  };
+  std::string P = "thread { x := 1; x := 2; }\nthread { r1 := x; }\n";
+  std::string T = "thread { x := 2; }\nthread { r1 := x; }\n";
+  std::string Bad = "thread { this is not a program";
+  EXPECT_EQ(Parsed(1, P, "", KeySpec), canonicalQueryKey(1, P, "", KeySpec));
+  EXPECT_EQ(Parsed(3, P, T, KeySpec), canonicalQueryKey(3, P, T, KeySpec));
+  EXPECT_EQ(Parsed(1, Bad, "", KeySpec),
+            canonicalQueryKey(1, Bad, "", KeySpec));
+  EXPECT_EQ(Parsed(3, P, Bad, KeySpec),
+            canonicalQueryKey(3, P, Bad, KeySpec));
+
+  FaultPlan Plan;
+  Plan.arm(FaultSite::Canonicalise, /*FireAt=*/1, /*Repeat=*/100);
+  std::string FromText, FromAst;
+  {
+    FaultPlan::Scope Armed(Plan);
+    FromText = canonicalQueryKey(1, P, "", KeySpec);
+    FromAst = Parsed(1, P, "", KeySpec);
+  }
+  EXPECT_GE(Plan.fired(FaultSite::Canonicalise), 2u);
+  EXPECT_EQ(FromAst, FromText) << "both overloads degrade to the raw key";
+  EXPECT_NE(FromAst, canonicalQueryKey(1, P, "", KeySpec));
+}
+
 TEST(Canonical, CanonicalTextReparsesToItself) {
   // Idempotence: canonical names follow the parser's register convention,
   // so the canonical text is itself a valid program whose canonical text

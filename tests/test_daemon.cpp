@@ -17,6 +17,7 @@
 #include "daemon/Transport.h"
 #include "support/Failure.h"
 #include "verify/BehaviourCache.h"
+#include "verify/Canonical.h"
 
 #include <gtest/gtest.h>
 
@@ -1069,7 +1070,11 @@ TEST(Daemon, AgingKeepsBatchStarvationFree) {
   BCO.SocketPath = Server.Opts.SocketPath;
   BCO.Name = "starved-batch";
   DaemonClient BatchClient(BCO);
-  QueryRequest BQ = drfQuery("thread { y := 1; }\n");
+  // Salted like the flood: a verdict already in the process-wide cache
+  // (`y := 1` is an alpha-variant of an earlier test's `x := 1`) is
+  // answered at admission and never queues, leaving aging nothing to
+  // dispatch.
+  QueryRequest BQ = drfQuery("thread { y := 917; }\n");
   BQ.Class = ClientClass::Batch;
   QueryResponse B = BatchClient.call(BQ);
   EXPECT_EQ(B.Status, ResponseStatus::Ok);
@@ -1473,6 +1478,199 @@ TEST(Daemon, PersistentCacheWarmStartsARestartedDaemon) {
     EXPECT_GE(S.PersistLoaded, 1u);
   }
   std::remove(CachePath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Admission-time answers: a verdict-cache hit is answered by the reader
+// thread, never queued, dispatched or parsed twice.
+//===----------------------------------------------------------------------===//
+
+/// One Stats snapshot over \p C.
+std::string statsDetail(DaemonClient &C) {
+  QueryRequest SQ;
+  SQ.Kind = QueryKind::Stats;
+  return C.call(SQ).Detail;
+}
+
+TEST(Daemon, WarmHitsAreAnsweredPastABusyWorker) {
+  // One worker, one dispatch slot, and a query that runs until cancelled:
+  // a computed query would wait behind it, a warm hit must not.
+  const BudgetSpec Big{0, 50'000'000, 512ULL << 20};
+  QueryRequest Warm = drfQuery("thread { k := 91; r0 := k; }\n"
+                               "thread { k := 92; }\n");
+  ASSERT_EQ(evaluateQuery(Warm, Big).Status, ResponseStatus::Ok);
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("admithit");
+  O.Workers = 1;
+  O.DispatchCap = 1;
+  O.QuotaCeiling = Big;
+  ServerFixture Server(O);
+
+  ClientOptions BCO;
+  BCO.SocketPath = Server.Opts.SocketPath;
+  BCO.Name = "busy-client";
+  DaemonClient Busy(BCO);
+  const uint64_t LongId = Busy.nextRequestId();
+  std::atomic<bool> LongDone{false};
+  QueryResponse Long;
+  std::thread LongThread([&] {
+    Long = Busy.call(drfQuery(hugeProgram(93)));
+    LongDone = true;
+  });
+
+  ClientOptions WCO;
+  WCO.SocketPath = Server.Opts.SocketPath;
+  WCO.Name = "warm-client";
+  DaemonClient Client(WCO);
+  for (int I = 0; I < 500 && statsField(statsDetail(Client), "running") != 1;
+       ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  // An alpha-variant of the warmed query.
+  QueryRequest Variant = drfQuery("thread { z := 91; r3 := z; }\n"
+                                  "thread { z := 92; }\n");
+  QueryResponse Hit = Client.call(Variant);
+  EXPECT_FALSE(LongDone.load())
+      << "the warm hit waited for the busy worker";
+  EXPECT_EQ(Hit.Status, ResponseStatus::Ok);
+  EXPECT_EQ(Hit.str(), evaluateQuery(Variant, Big).str());
+  std::string Detail = statsDetail(Client);
+  EXPECT_EQ(statsField(Detail, "answered-at-admission"), 1u) << Detail;
+  EXPECT_EQ(statsField(Detail, "running"), 1u) << Detail;
+
+  {
+    DaemonClient Side(BCO); // same client name: may cancel its request
+    statsDetail(Side);      // connects; cancel() needs a live connection
+    Side.cancel(LongId);
+  }
+  LongThread.join();
+  EXPECT_EQ(Long.Status, ResponseStatus::Ok);
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.AnsweredAtAdmission, 1u);
+  EXPECT_EQ(S.Admitted, 2u);
+}
+
+TEST(Daemon, EveryAdmittedQueryProbesTheVerdictCacheOnce) {
+  // N distinct cold queries miss once each (at admission; the worker
+  // computes without probing again), then their alpha-variants hit once
+  // each. A second probe anywhere shows up in these deltas.
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("oneprobe");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "oneprobe-test";
+  DaemonClient Client(CO);
+
+  const unsigned N = 4;
+  auto Query = [](unsigned I, const char *Loc) {
+    std::string C = std::to_string(201 + I);
+    return drfQuery(std::string("thread { ") + Loc + " := " + C +
+                    "; r0 := " + Loc + "; }\nthread { " + Loc + " := " +
+                    C + "; }\n");
+  };
+  std::string Before = statsDetail(Client);
+  std::vector<QueryResponse> Cold;
+  for (unsigned I = 0; I < N; ++I)
+    Cold.push_back(Client.call(Query(I, "p")));
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(Client.call(Query(I, "q")).str(), Cold[I].str()) << I;
+  std::string After = statsDetail(Client);
+  auto Delta = [&](const char *Key) {
+    return statsField(After, Key) - statsField(Before, Key);
+  };
+  EXPECT_EQ(Delta("cache-query-misses"), N) << Before << "\n" << After;
+  EXPECT_EQ(Delta("cache-query-hits"), N) << Before << "\n" << After;
+  EXPECT_EQ(Delta("answered-at-admission"), N);
+  EXPECT_EQ(Delta("completed"), 2 * N);
+}
+
+TEST(Daemon, AdmissionAnswersReplayOnRetryAndAfterResume) {
+  QueryRequest Warm = drfQuery("thread { s := 301; r0 := s; }\n"
+                               "thread { s := 302; }\n");
+  ASSERT_EQ(evaluateQuery(Warm, TestCeiling).Status, ResponseStatus::Ok);
+  QueryRequest Variant = drfQuery("thread { t := 301; r1 := t; }\n"
+                                  "thread { t := 302; }\n");
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("admitreplay");
+  O.JournalPath = O.SocketPath + ".journal";
+  ClientOptions CO;
+  CO.Name = "admitreplay-test";
+  CO.FirstRequestId = 1;
+
+  QueryResponse First, Retry;
+  std::string Journal;
+  {
+    ServerFixture Server(O);
+    CO.SocketPath = Server.Opts.SocketPath;
+    {
+      DaemonClient A(CO);
+      First = A.call(Variant);
+    }
+    {
+      DaemonClient B(CO); // same identity, same request id
+      Retry = B.call(Variant);
+    }
+    ServerStats S = Server.shutdown();
+    EXPECT_EQ(S.AnsweredAtAdmission, 1u);
+    EXPECT_EQ(S.Admitted, 1u);
+    EXPECT_EQ(S.Completed, 1u);
+    EXPECT_EQ(S.Replayed, 1u);
+    Journal = readAll(O.JournalPath); // the fixture removes the file
+  }
+  EXPECT_EQ(First.str(), evaluateQuery(Variant, TestCeiling).str());
+  EXPECT_EQ(Retry.str(), First.str());
+  // The answer was journaled as an admission followed by its verdict.
+  std::vector<std::pair<size_t, char>> Records = journalRecords(Journal);
+  ASSERT_EQ(Records.size(), 2u);
+  EXPECT_EQ(Records[0].second, 'A');
+  EXPECT_EQ(Records[1].second, 'V');
+
+  // A resumed daemon with a cold cache replays the id from the journal:
+  // nothing is admitted, probed or recomputed.
+  writeAll(O.JournalPath, Journal);
+  BehaviourCache::global().clear();
+  O.Resume = true;
+  ServerFixture Server(O);
+  CO.SocketPath = Server.Opts.SocketPath;
+  DaemonClient C(CO);
+  const uint64_t Misses = BehaviourCache::global().stats().QueryMisses;
+  EXPECT_EQ(C.call(Variant).str(), First.str());
+  EXPECT_EQ(BehaviourCache::global().stats().QueryMisses, Misses);
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.Admitted, 0u);
+  EXPECT_EQ(S.Completed, 0u);
+  EXPECT_EQ(S.Resumed, 0u);
+  EXPECT_EQ(S.Replayed, 1u);
+}
+
+TEST(Daemon, AdmissionHitsReplayAnExhaustedBudgetLikeTheEvaluator) {
+  // A cached verdict whose recorded cost exceeds the query's budget class
+  // replays into an exhausted budget: Unknown, the same bytes on the
+  // admission path as in evaluateQuery.
+  QueryRequest Q = drfQuery("thread { u := 401; r0 := u; }\n");
+  Q.Budget.MaxVisited = 10;
+  BehaviourCache::CachedQuery E;
+  E.Kind = VerdictKind::Proved;
+  E.Detail = "data-race-free";
+  E.CostVisits = 1000;
+  BehaviourCache::global().insertQuery(
+      canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program, "",
+                        clampBudget(Q.Budget, TestCeiling)),
+      E);
+  QueryResponse Want = evaluateQuery(Q, TestCeiling);
+  ASSERT_EQ(Want.Kind, VerdictKind::Unknown);
+
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("admitexhaust");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "admitexhaust-test";
+  DaemonClient Client(CO);
+  EXPECT_EQ(Client.call(Q).str(), Want.str());
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.AnsweredAtAdmission, 1u);
 }
 
 } // namespace
