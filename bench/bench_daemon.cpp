@@ -57,6 +57,46 @@ namespace {
 const char *WarmSource = "thread { x := 1; r0 := x; print r0; }\n"
                          "thread { x := 0; r1 := x; }\n";
 
+/// A repeat-hot-shaped query (~480 bytes): two threads, comments, mixed
+/// indentation and assignment spacing, alpha-renamed names — what the
+/// daemon keys on every submit of that workload.
+const char *RepeatHotSource =
+    "// v417\n"
+    "volatile cell_3;\n"
+    "thread {\n"
+    "    rq_0  :=\tx_2;\n"
+    "  // v88\n"
+    "  if (rq_0 == 1) {\n"
+    "      cell_3:=rq_0;   // 51723\n"
+    "  } else {\n"
+    "\tlk_5 := 2;\n"
+    "  }\n"
+    "    print rq_0;\n"
+    "  x_2 := rq_0;   // 3391\n"
+    "    rq_0 := x_2;   // 60021\n"
+    "  rz_9 := 1007;\n"
+    "}\n"
+    "// v902\n"
+    "thread {\n"
+    "\tlock mu_4;\n"
+    "      x_2 := 1;   // 90412\n"
+    "  rk_1:=cell_3;\n"
+    "\tunlock mu_4;\n"
+    "  // v5\n"
+    "\n"
+    "  lk_5  :=\trk_1;\n"
+    "    if (rk_1 != 0) {\n"
+    "      rm_6 := lk_5;\n"
+    "    } else {\n"
+    "      skip;\n"
+    "    }\n"
+    "  print rk_1;\n"
+    "\tprint rm_6;\n"
+    "      cell_3 := 2;   // 7715\n"
+    "  skip;\n"
+    "}\n"
+    "// v1\n";
+
 /// Wall-clock-free ceiling: the rows measure work, not deadline jitter.
 const BudgetSpec BenchCeiling{/*DeadlineMs=*/0, /*MaxVisited=*/500'000,
                               /*MaxMemoryBytes=*/256ULL << 20};
@@ -240,13 +280,15 @@ void daemon_batch32_warm_tcp(benchmark::State &State) {
 BENCHMARK(daemon_batch32_warm_tcp)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void canonical_key(benchmark::State &State) {
-  // The canonicalisation tax every submit pays: parse, alpha-rename,
-  // thread-order sort, key build. Pure CPU — no daemon round trip.
+  // The key every submit of a program query pays before its cache probe:
+  // lex, frame, alpha-rename, thread-order sort, key build. Pure CPU — no
+  // daemon round trip.
   BudgetSpec Spec = clampBudget(BudgetSpec{}, BenchCeiling);
+  const std::string Source = RepeatHotSource;
   for (auto _ : State) {
     std::string K = canonicalQueryKey(
-        static_cast<uint8_t>(QueryKind::ProgramDrf), WarmSource,
-        std::string(), Spec);
+        static_cast<uint8_t>(QueryKind::ProgramDrf), Source, std::string(),
+        Spec);
     benchmark::DoNotOptimize(K.data());
   }
   State.SetItemsProcessed(State.iterations());

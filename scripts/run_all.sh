@@ -71,6 +71,19 @@ cmake --build build-asan --target test_record_log test_cache_store \
 ./build-asan/tests/test_cache_store
 ./build-asan/tests/test_resume
 
+# Key builder stage under ASan: every query's verdict key is built from
+# its raw token stream before anything parses it. The lexer/parser suite,
+# the adversarial key cases (10k-deep braces, unterminated threads, stray
+# bytes) and the metamorphic suite over generated programs, checked
+# against the AST oracle (see docs/PERFORMANCE.md, "Canonical query
+# keys").
+echo "===== sanitizer key builder smoke ====="
+cmake --build build-asan --target test_parser test_canonical \
+  test_canonical_metamorphic
+./build-asan/tests/test_parser
+./build-asan/tests/test_canonical
+./build-asan/tests/test_canonical_metamorphic
+
 # Daemon stage under ASan: wire-protocol corruption matrix, the full
 # in-process server suite (admission, idempotency, degradation, injected
 # transport faults, backpressure, scheduling), and the kill -9/resume

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <poll.h>
@@ -103,11 +105,14 @@ void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t ExtraVisited,
 
 /// One attempt at a query. \p Oracle selects the sequential
 /// std::set-memoised enumerator for every kind (the Degrade layer's
-/// fallback path, sharing no code with the interned reduced engines) and
-/// bypasses the BehaviourCache, so a fault in the primary path cannot
-/// recur in the fallback; only the plain-DFS [[P]] build is common to
-/// both. Engines run Workers=1: the daemon parallelises across queries,
-/// and sequential engines keep verdict bytes run-independent.
+/// fallback path, sharing no code with the interned reduced engines), so
+/// a fault in the primary path cannot recur in the fallback; only the
+/// plain-DFS [[P]] build is common to both. Neither path uses the
+/// BehaviourCache's engine-level families: the query family in front of
+/// them, keyed by alpha-variant, answers every repeat first, so on this
+/// path they only ever missed and filled the cache. Engines run
+/// Workers=1: the daemon parallelises across queries, and sequential
+/// engines keep verdict bytes run-independent.
 QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
                       Budget &B, bool Oracle) {
   QueryResponse R;
@@ -120,10 +125,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     XL.Shared = &B;
     XL.Workers = 1;
     ExploreStats XS;
-    std::shared_ptr<const Traceset> TS =
-        Oracle ? std::make_shared<const Traceset>(
-                     programTraceset(O, Domain, XL, &XS))
-               : BehaviourCache::global().tracesetFor(O, Domain, XL, &XS);
+    Traceset TS = programTraceset(O, Domain, XL, &XS);
     if (XS.Truncated) {
       R.Kind = VerdictKind::Unknown;
       R.Reason = XS.Reason;
@@ -134,9 +136,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     EL.Workers = 1;
     EL.ExhaustiveOracle = Oracle;
     if (K == QueryKind::ProgramDrf) {
-      Verdict<Interleaving> V =
-          Oracle ? checkDataRaceFreedom(*TS, EL)
-                 : BehaviourCache::global().drfFor(*TS, EL);
+      Verdict<Interleaving> V = checkDataRaceFreedom(TS, EL);
       R.Kind = V.Kind;
       R.Reason = V.Reason;
       R.Detail = V.isProved()    ? "data-race-free"
@@ -145,9 +145,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
       return R;
     }
     EnumerationStats ES;
-    std::set<Behaviour> S =
-        Oracle ? collectBehaviours(*TS, EL, &ES)
-               : BehaviourCache::global().behavioursFor(*TS, EL, &ES);
+    std::set<Behaviour> S = collectBehaviours(TS, EL, &ES);
     if (ES.Truncated) {
       R.Kind = VerdictKind::Unknown;
       R.Reason = ES.Reason;
@@ -289,43 +287,6 @@ bool needsPair(QueryKind K) {
   return K == QueryKind::DrfGuarantee || K == QueryKind::ThinAir;
 }
 
-/// A program query parsed once: its canonical key and its engines read
-/// the same ASTs. T is parsed when the kind needs a pair or the key
-/// includes Q.Transformed, and only after O parsed.
-struct ParsedQuery {
-  ParseResult O;
-  ParseResult T;
-};
-
-ParsedQuery parseQuery(const QueryRequest &Q) {
-  ParsedQuery P;
-  P.O = parseProgram(Q.Program);
-  if (P.O && (needsPair(Q.Kind) || !Q.Transformed.empty()))
-    P.T = parseProgram(Q.Transformed);
-  return P;
-}
-
-/// The BadRequest for a query whose program(s) did not parse, or nullopt.
-std::optional<QueryResponse> parseFailure(QueryKind K, const ParsedQuery &P) {
-  QueryResponse R;
-  R.Status = ResponseStatus::BadRequest;
-  if (!P.O)
-    R.Detail = "parse error (program): " + P.O.Error;
-  else if (needsPair(K) && !P.T)
-    R.Detail = "parse error (transformed): " + P.T.Error;
-  else
-    return std::nullopt;
-  return R;
-}
-
-/// The verdict-cache key: canonicalQueryKey over the parsed ASTs.
-std::string queryKey(const QueryRequest &Q, const ParsedQuery &P,
-                     const BudgetSpec &Spec) {
-  return canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
-                           P.O ? &*P.O.Prog : nullptr, Q.Transformed,
-                           P.T ? &*P.T.Prog : nullptr, Spec);
-}
-
 /// The verdict-cache hit, or nullopt on a miss. Whole-query responses are
 /// cached under the canonical key (alpha-renamed, thread-order-normalised
 /// text plus the clamped budget class). A hit replays the recorded
@@ -355,19 +316,19 @@ std::optional<QueryResponse> cachedVerdict(const std::string &Key,
 
 /// Computes a parsed, memoisable query whose cache probe missed: the
 /// primary engines, the oracle fallback, and the insertion of a complete
-/// verdict under \p Key. It does not probe again.
-QueryResponse computeVerdict(QueryKind K, const ParsedQuery &P,
+/// verdict under \p Key. It does not probe again. \p T2 is the
+/// transformed program of a pair kind, null otherwise.
+QueryResponse computeVerdict(QueryKind K, const Program &O, const Program *T2,
                              const std::string &Key, const BudgetSpec &Spec,
                              const CancelToken *Cancel,
                              const EvalHooks *Hooks) {
-  const Program *T2 = needsPair(K) ? &*P.T.Prog : nullptr;
   // Primary attempt: reduced engines, warm cache. Containment: anything
   // thrown here is this query's problem only.
   Budget B(Spec, Cancel);
   wireMirrors(B, Hooks, 0, 0);
   QueryResponse R;
   try {
-    R = runKind(K, *P.O.Prog, T2, B, /*Oracle=*/false);
+    R = runKind(K, O, T2, B, /*Oracle=*/false);
   } catch (...) {
     B.poison(TruncationReason::EngineFault);
     R = QueryResponse{};
@@ -385,7 +346,7 @@ QueryResponse computeVerdict(QueryKind K, const ParsedQuery &P,
     Budget B2(remainingBudget(Spec, B), Cancel);
     wireMirrors(B2, Hooks, B.visited(), B.chargedBytes());
     try {
-      QueryResponse R2 = runKind(K, *P.O.Prog, T2, B2, /*Oracle=*/true);
+      QueryResponse R2 = runKind(K, O, T2, B2, /*Oracle=*/true);
       R2.Degraded = true;
       R2.Visited = B.visited() + B2.visited();
       return R2;
@@ -406,6 +367,32 @@ QueryResponse computeVerdict(QueryKind K, const ParsedQuery &P,
     BehaviourCache::global().insertQuery(Key, std::move(E));
   }
   return R;
+}
+
+/// A program query (kinds 1-4) whose probe under \p Key missed: parses
+/// its program(s) once, for the engines, and computes. A program that
+/// does not parse is a BadRequest naming its own line and column.
+QueryResponse parseAndCompute(const QueryRequest &Q, const std::string &Key,
+                              const BudgetSpec &Spec,
+                              const CancelToken *Cancel,
+                              const EvalHooks *Hooks) {
+  QueryResponse Bad;
+  Bad.Status = ResponseStatus::BadRequest;
+  ParseResult O = parseProgram(Q.Program);
+  if (!O) {
+    Bad.Detail = "parse error (program): " + O.Error;
+    return Bad;
+  }
+  ParseResult T;
+  if (needsPair(Q.Kind)) {
+    T = parseProgram(Q.Transformed);
+    if (!T) {
+      Bad.Detail = "parse error (transformed): " + T.Error;
+      return Bad;
+    }
+  }
+  return computeVerdict(Q.Kind, *O.Prog, T ? &*T.Prog : nullptr, Key, Spec,
+                        Cancel, Hooks);
 }
 
 } // namespace
@@ -441,15 +428,17 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
     }
     return R;
   }
-  ParsedQuery P = parseQuery(Q);
-  if (std::optional<QueryResponse> Bad = parseFailure(Q.Kind, P))
-    return *Bad;
+  // Key, probe, and only on a miss parse: a query the cache answers is
+  // never parsed. A program that does not parse never shares a key with
+  // one that does (Canonical.h), so it always misses and gets its own
+  // BadRequest.
   BudgetSpec Spec = clampBudget(Q.Budget, Ceiling);
-  std::string Key = queryKey(Q, P, Spec);
+  std::string Key = canonicalQueryKey(static_cast<uint8_t>(Q.Kind),
+                                      Q.Program, Q.Transformed, Spec);
   if (std::optional<QueryResponse> Hit =
           cachedVerdict(Key, Spec, Cancel, Hooks))
     return *Hit;
-  return computeVerdict(Q.Kind, P, Key, Spec, Cancel, Hooks);
+  return parseAndCompute(Q, Key, Spec, Cancel, Hooks);
 }
 
 //===----------------------------------------------------------------------===//
@@ -513,11 +502,13 @@ bool decodeJournalRecord(std::string_view Payload, JournalRecord &R) {
 //===----------------------------------------------------------------------===//
 
 /// Per-connection state. All writes go through enqueue(): workers and the
-/// health tick never block on a peer's socket — the writer thread absorbs
-/// kernel-buffer stalls, the byte-bounded queue absorbs the writer, and a
-/// peer that stalls past both loses *its own* connection (advisory frames
-/// first, then the whole connection once a critical frame no longer
-/// fits). Verdicts shed this way stay journaled and replayable.
+/// health tick never block on a peer's socket — a frame is written on the
+/// spot only as far as the socket takes it without blocking, the writer
+/// thread absorbs kernel-buffer stalls, the byte-bounded queue absorbs the
+/// writer, and a peer that stalls past both loses *its own* connection
+/// (advisory frames first, then the whole connection once a critical
+/// frame no longer fits). Verdicts shed this way stay journaled and
+/// replayable.
 struct Connection {
   int Fd = -1;
   std::string Client; ///< set by Hello; guarded by the server mutex
@@ -535,11 +526,12 @@ struct Connection {
   std::condition_variable WriteCv;
   std::deque<std::string> Outbound;
   uint64_t OutboundBytes = 0;
-  bool Closed = false; ///< guarded by WriteM; sticky
+  bool Closed = false;  ///< guarded by WriteM; sticky
+  bool Writing = false; ///< guarded by WriteM: the writer has a frame out
   std::thread Writer;
 
   enum class Send : uint8_t {
-    Ok,      ///< queued for the writer
+    Ok,      ///< written, or queued for the writer
     Dropped, ///< advisory frame shed (queue full or connection closed)
     Shed,    ///< critical frame did not fit: connection shed *now*
   };
@@ -554,6 +546,20 @@ struct Connection {
   Send enqueueLocked(std::string Bytes, bool Critical) {
     if (Closed)
       return Send::Dropped;
+    // Nothing queued and nothing in flight: the caller writes the frame
+    // itself, as far as the socket takes it without blocking, instead of
+    // waking the writer. On a host whose cores are busy with queries the
+    // writer may not run for milliseconds, and every reply — a verdict
+    // answered on the reader thread above all — would wait that long.
+    // Whatever the socket does not take is queued as usual.
+    if (Outbound.empty() && !Writing) {
+      size_t Sent = 0;
+      if (!sendNowLocked(Bytes, Sent))
+        return Send::Dropped;
+      if (Sent == Bytes.size())
+        return Send::Ok;
+      Bytes.erase(0, Sent);
+    }
     if (OutboundBytes + Bytes.size() > OutboundCap) {
       if (!Critical)
         return Send::Dropped;
@@ -561,18 +567,49 @@ struct Connection {
       // frames and now a frame that must not be dropped doesn't fit.
       // Killing the connection (not blocking, not buffering unboundedly)
       // is the only option that protects the worker pool.
-      Closed = true;
-      Outbound.clear();
-      OutboundBytes = 0;
-      Open.store(false, std::memory_order_relaxed);
-      ::shutdown(Fd, SHUT_RDWR);
-      WriteCv.notify_all();
+      failLocked();
       return Send::Shed;
     }
     OutboundBytes += Bytes.size();
     Outbound.push_back(std::move(Bytes));
     WriteCv.notify_all();
     return Send::Ok;
+  }
+
+  /// Writes as much of \p Bytes as the socket takes without blocking,
+  /// counting it in \p Sent. False when the connection failed; it is then
+  /// closed, exactly as the writer closes it.
+  bool sendNowLocked(const std::string &Bytes, size_t &Sent) {
+    if (!faultPoint(FaultSite::ProtoWrite)) {
+      while (Sent < Bytes.size()) {
+        ssize_t N = ::send(Fd, Bytes.data() + Sent, Bytes.size() - Sent,
+                           MSG_DONTWAIT | MSG_NOSIGNAL);
+        if (N > 0)
+          Sent += static_cast<size_t>(N);
+        else if (N < 0 && errno == EINTR)
+          continue;
+        else if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+          return true;
+        else
+          break;
+      }
+      if (Sent == Bytes.size())
+        return true;
+    }
+    failLocked();
+    return false;
+  }
+
+  /// The connection is given up (peer gone, write fault injected, or
+  /// shed): every queued frame is undeliverable. Verdicts are journaled;
+  /// the client's retry path replays them over a fresh connection.
+  void failLocked() {
+    Closed = true;
+    Outbound.clear();
+    OutboundBytes = 0;
+    Open.store(false, std::memory_order_relaxed);
+    ::shutdown(Fd, SHUT_RDWR);
+    WriteCv.notify_all();
   }
 
   Send send(const Frame &F, bool Critical) {
@@ -598,29 +635,33 @@ struct Connection {
       std::string Bytes = std::move(Outbound.front());
       Outbound.pop_front();
       OutboundBytes -= Bytes.size();
+      Writing = true;
       Lock.unlock();
       try {
         if (faultPoint(FaultSite::ProtoWrite))
           throw ProtocolError("injected write fault");
         writeBytes(Fd, Bytes);
       } catch (...) {
-        // Peer gone mid-write (or injected fault): every queued frame is
-        // undeliverable. Verdicts are journaled; the client's retry path
-        // replays them over a fresh connection.
         Lock.lock();
-        Closed = true;
-        Outbound.clear();
-        OutboundBytes = 0;
-        Open.store(false, std::memory_order_relaxed);
-        ::shutdown(Fd, SHUT_RDWR);
+        Writing = false;
+        failLocked();
         return;
       }
       Lock.lock();
+      Writing = false;
     }
   }
 };
 
 using ConnPtr = std::shared_ptr<Connection>;
+
+/// Transparent, so a string_view probes a table of strings as it is.
+struct BytesHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const {
+    return std::hash<std::string_view>{}(S);
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // Server
@@ -640,10 +681,6 @@ private:
     std::string Client;
     uint64_t Id = 0;
     QueryRequest Q; ///< payload strings released at completion
-    /// The submit path's parses of a memoisable query, handed to the
-    /// engines so the worker does not parse again. Empty for orphans
-    /// recovered by --resume: their worker runs evaluateQuery.
-    std::optional<ParsedQuery> Parsed;
     CancelToken Cancel;
     std::weak_ptr<Connection> Waiter;
     /// The waiter negotiated streaming when the request was (re)attached.
@@ -703,15 +740,27 @@ private:
                 crc32(Bytes.data(), Bytes.size())));
       Journal.appendEncoded(AdmitRecord);
     }
-    Answered.insert_or_assign(std::move(Key), Bytes);
+    answerLocked(std::move(Key), Bytes);
     ++Stats.Completed;
+  }
+
+  /// Records \p Bytes as the answer of request key \p Key. Alpha-variants
+  /// of one query complete with equal bytes, so each distinct verdict is
+  /// kept once and the table holds a pointer to it: a daemon life that
+  /// serves hundreds of thousands of hits keeps a few dozen bytes for
+  /// each, not a copy of its verdict.
+  void answerLocked(std::string Key, std::string_view Bytes) {
+    auto It = VerdictBytes.find(Bytes);
+    if (It == VerdictBytes.end())
+      It = VerdictBytes.emplace(Bytes).first;
+    Answered.insert_or_assign(std::move(Key), &*It);
   }
 
   static uint64_t payloadBytes(const Request &R) {
     return R.Q.Program.size() + R.Q.Transformed.size();
   }
 
-  /// A finished request's payload, parses and key go as soon as it
+  /// A finished request's payload and key go as soon as it
   /// completes, not when the last reference to the Request drops:
   /// idempotent replay reads Answered, and --resume reads the journal
   /// file, not memory.
@@ -720,7 +769,6 @@ private:
     std::string().swap(R.Q.Program);
     std::string().swap(R.Q.Transformed);
     std::string().swap(R.CanonKey);
-    R.Parsed.reset();
   }
 
   //===--------------------------------------------------------------------===//
@@ -867,17 +915,13 @@ private:
     };
     QueryResponse R;
     try {
-      // A submitted memoisable query was parsed, keyed and probed at
-      // admission; the worker computes on those ASTs and does not probe
-      // again.
-      if (Req->Parsed) {
-        std::optional<QueryResponse> Bad =
-            parseFailure(Req->Q.Kind, *Req->Parsed);
-        R = Bad ? std::move(*Bad)
-                : computeVerdict(Req->Q.Kind, *Req->Parsed, Req->CanonKey,
-                                 clampBudget(Req->Q.Budget,
-                                             Opts.QuotaCeiling),
-                                 &Req->Cancel, &Hooks);
+      // A submitted memoisable query was keyed and probed at admission;
+      // the worker parses it and does not probe again. Orphans recovered
+      // by --resume carry no key and run the whole evaluator.
+      if (!Req->CanonKey.empty()) {
+        R = parseAndCompute(Req->Q, Req->CanonKey,
+                            clampBudget(Req->Q.Budget, Opts.QuotaCeiling),
+                            &Req->Cancel, &Hooks);
       } else {
         R = evaluateQuery(Req->Q, Opts.QuotaCeiling, &Req->Cancel, &Hooks);
       }
@@ -934,9 +978,18 @@ private:
         completeLocked(Req->Client, Req->Id, Bytes);
         // Fan-out: every coalesced follower completes with the leader's
         // verdict bytes — journaled under its own (client, id) so a
-        // retry or resume replays it like any other verdict.
+        // retry or resume replays it like any other verdict. A
+        // BadRequest is the exception: it names the leader's own parse
+        // error position, so a follower spelled differently is queued to
+        // be parsed on its own.
         for (const ReqPtr &F : Followers) {
           F->Leader.reset();
+          if (R.Status == ResponseStatus::BadRequest &&
+              (F->Q.Program != Req->Q.Program ||
+               F->Q.Transformed != Req->Q.Transformed)) {
+            enqueuePendingLocked(F);
+            continue;
+          }
           completeLocked(F->Client, F->Id, Bytes);
           releasePayloadLocked(*F);
           ReleaseLocked(F);
@@ -1049,19 +1102,16 @@ private:
       sendCritical(C, Out);
       return;
     }
-    // Parse and canonicalise memoisable kinds before taking the admission
-    // lock: the rename walks the whole program and must not serialise
+    // Key memoisable kinds before taking the admission lock: the key
+    // builder walks the whole token stream and must not serialise
     // submits. The key is the cache key probed below and the
-    // single-flight identity; the parses go to the worker on a miss.
+    // single-flight identity. Nothing is parsed here: a hit never is,
+    // and a miss is parsed by its worker.
     const BudgetSpec Spec = clampBudget(Q.Budget, Opts.QuotaCeiling);
     std::string CanonKey;
-    std::optional<ParsedQuery> Parsed;
-    bool Probe = false;
-    if (Q.Kind >= QueryKind::ProgramDrf && Q.Kind <= QueryKind::ThinAir) {
-      Parsed = parseQuery(Q);
-      CanonKey = queryKey(Q, *Parsed, Spec);
-      Probe = !parseFailure(Q.Kind, *Parsed);
-    }
+    if (Q.Kind >= QueryKind::ProgramDrf && Q.Kind <= QueryKind::ThinAir)
+      CanonKey = canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
+                                   Q.Transformed, Spec);
     // The admission record is built here too: the Submit payload exactly
     // as it arrived plus a trailer. Its CRC continues the frame's already
     // verified payload CRC over the trailer, so a MiB-sized payload is
@@ -1092,7 +1142,7 @@ private:
         // Idempotent retry of a completed request: replay its verdict
         // bytes. No Progress streams — the work already happened.
         ++Stats.Replayed;
-        Out.Payload = Done->second;
+        Out.Payload = *Done->second;
       } else if (ShuttingDown || faultPoint(FaultSite::Admission) ||
                  Inflight >= Opts.QueueCap ||
                  ClientLoad[C->Client] >= perClientCapLocked()) {
@@ -1120,7 +1170,7 @@ private:
         // answered here, on the reader thread: journaled, counted as
         // admitted and completed, and never queued or dispatched.
         std::optional<QueryResponse> Hit;
-        if (!Leader && Probe)
+        if (!Leader && !CanonKey.empty())
           Hit = cachedVerdict(CanonKey, Spec, nullptr, nullptr);
         ++Stats.Admitted;
         if (Hit) {
@@ -1133,7 +1183,6 @@ private:
           Req->Client = C->Client;
           Req->Id = F.RequestId;
           Req->Q = std::move(Q);
-          Req->Parsed = std::move(Parsed);
           Req->Waiter = C;
           Req->Streaming = C->Streaming;
           Req->CanonKey = std::move(CanonKey);
@@ -1353,8 +1402,11 @@ private:
   std::mutex M;
   /// The idempotency table, keyed by requestKey: live requests, and the
   /// encodeResponse bytes of completed ones (a key is in one or neither).
+  /// Answered points into VerdictBytes, which holds each distinct verdict
+  /// once; node-based, so the pointers stay valid as it grows.
   std::unordered_map<std::string, ReqPtr> Requests;
-  std::unordered_map<std::string, std::string> Answered;
+  std::unordered_map<std::string, const std::string *> Answered;
+  std::unordered_set<std::string, BytesHash, std::equal_to<>> VerdictBytes;
   /// Canonical key -> the request currently computing it (the leader).
   /// Entries are erased as their verdicts land; never persisted.
   std::unordered_map<std::string, ReqPtr> InFlightByCanon;
@@ -1451,7 +1503,7 @@ int Server::run() {
           return;
         if (Live != Requests.end())
           Requests.erase(Live);
-        Answered.insert_or_assign(std::move(Key), std::string(Rec.Body));
+        answerLocked(std::move(Key), Rec.Body);
       }
     };
     std::string Err;

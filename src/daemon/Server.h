@@ -41,8 +41,7 @@
 ///    retransmitted Submit attaches to the in-flight computation or
 ///    replays the stored verdict instead of double-charging admission.
 ///    A completed request keeps only its encoded verdict bytes in memory;
-///    its payload, parses and request state are released as the verdict
-///    lands.
+///    its payload and request state are released as the verdict lands.
 ///
 ///  - *Liveness.* v2 connections get server-initiated keepalive pings
 ///    with a reply deadline; silent peers and (optionally) idle ones are
@@ -207,10 +206,10 @@ struct EvalHooks {
   uint64_t BytesBase = 0;
 };
 
-/// Evaluates one query exactly as the daemon does — one parse, the
-/// verdict-cache probe (the daemon's happens at admission), budget clamp,
-/// sequential engines, exception containment, oracle degradation,
-/// campaign aggregation — shared by the standalone CLI modes and the
+/// Evaluates one query exactly as the daemon does — budget clamp, the
+/// canonical key and the verdict-cache probe (the daemon's happen at
+/// admission), one parse on a miss, sequential engines, exception
+/// containment, oracle degradation, campaign aggregation — shared by the standalone CLI modes and the
 /// chaos test's single-process reference run. \p Ceiling is applied
 /// field-wise; \p Cancel and \p Hooks may be null. Stats queries are
 /// daemon-only and answered BadRequest here.

@@ -28,6 +28,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tracesafe {
@@ -50,7 +51,7 @@ struct Operand {
     O.Reg = R;
     return O;
   }
-  static Operand reg(const std::string &Name) {
+  static Operand reg(std::string_view Name) {
     return reg(Symbol::intern(Name));
   }
 
@@ -383,7 +384,7 @@ public:
   StmtList &thread(ThreadId Tid) { return Threads[Tid]; }
 
   void markVolatile(SymbolId Loc) { Volatiles.insert(Loc); }
-  void markVolatile(const std::string &Loc) {
+  void markVolatile(std::string_view Loc) {
     Volatiles.insert(Symbol::intern(Loc));
   }
   bool isVolatile(SymbolId Loc) const { return Volatiles.count(Loc) != 0; }

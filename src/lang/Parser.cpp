@@ -7,7 +7,7 @@
 
 using namespace tracesafe;
 
-bool tracesafe::isRegisterName(const std::string &Name) {
+bool tracesafe::isRegisterName(std::string_view Name) {
   return !Name.empty() && Name[0] == 'r';
 }
 
@@ -26,7 +26,7 @@ public:
     while (peekIdent("volatile")) {
       next();
       do {
-        Token T = next();
+        const Token &T = next();
         if (T.Kind != TokenKind::Ident)
           return fail(T, "expected location name in volatile declaration");
         P.markVolatile(T.Text);
@@ -44,7 +44,7 @@ public:
         return takeError();
       P.addThread(std::move(Body));
     }
-    Token T = peek();
+    const Token &T = peek();
     if (T.Kind != TokenKind::EndOfFile)
       return fail(T, "expected 'thread' or end of input");
     if (P.threadCount() == 0)
@@ -65,9 +65,11 @@ private:
   std::string Err;
 
   const Token &peek() const { return Tokens[Pos]; }
-  Token next() { return Tokens[Pos == Tokens.size() - 1 ? Pos : Pos++]; }
+  const Token &next() {
+    return Tokens[Pos == Tokens.size() - 1 ? Pos : Pos++];
+  }
 
-  bool peekIdent(const std::string &S) const {
+  bool peekIdent(std::string_view S) const {
     return peek().Kind == TokenKind::Ident && peek().Text == S;
   }
 
@@ -78,10 +80,10 @@ private:
     return true;
   }
 
-  bool expect(TokenKind K, const std::string &What) {
+  bool expect(TokenKind K, std::string_view What) {
     if (accept(K))
       return true;
-    error(peek(), "expected " + What);
+    error(peek(), "expected " + std::string(What));
     return false;
   }
 
@@ -122,7 +124,7 @@ private:
   }
 
   std::optional<Operand> parseOperand() {
-    Token T = next();
+    const Token &T = next();
     if (T.Kind == TokenKind::Number)
       return Operand::imm(T.Num);
     if (T.Kind == TokenKind::Ident && isRegisterName(T.Text))
@@ -135,7 +137,7 @@ private:
     std::optional<Operand> L = parseOperand();
     if (!L)
       return std::nullopt;
-    Token Op = next();
+    const Token &Op = next();
     bool IsEq;
     if (Op.Kind == TokenKind::EqEq)
       IsEq = true;
@@ -164,7 +166,7 @@ private:
   }
 
   StmtPtr parseStmtInner() {
-    Token T = next();
+    const Token &T = next();
     switch (T.Kind) {
     case TokenKind::LBrace: {
       StmtList Body = parseStmtListUntilRBrace();
@@ -179,7 +181,7 @@ private:
       return nullptr;
     }
 
-    const std::string &Name = T.Text;
+    std::string_view Name = T.Text;
     if (Name == "skip") {
       if (!expect(TokenKind::Semi, "';' after skip"))
         return nullptr;
@@ -188,7 +190,7 @@ private:
     if (Name == "sync") {
       // Java-flavoured sugar: `sync m { L }` is
       // `{ lock m; { L } unlock m; }`.
-      Token M = next();
+      const Token &M = next();
       if (M.Kind != TokenKind::Ident) {
         error(M, "expected monitor name after 'sync'");
         return nullptr;
@@ -206,12 +208,13 @@ private:
       return std::make_unique<BlockStmt>(std::move(Out));
     }
     if (Name == "lock" || Name == "unlock") {
-      Token M = next();
+      const Token &M = next();
       if (M.Kind != TokenKind::Ident) {
-        error(M, "expected monitor name after '" + Name + "'");
+        error(M, "expected monitor name after '" + std::string(Name) + "'");
         return nullptr;
       }
-      if (!expect(TokenKind::Semi, "';' after " + Name))
+      if (!expect(TokenKind::Semi,
+                  Name == "lock" ? "';' after lock" : "';' after unlock"))
         return nullptr;
       SymbolId Mon = Symbol::intern(M.Text);
       if (Name == "lock")
@@ -219,7 +222,7 @@ private:
       return std::make_unique<UnlockStmt>(Mon);
     }
     if (Name == "input") {
-      Token Rg = next();
+      const Token &Rg = next();
       if (Rg.Kind != TokenKind::Ident || !isRegisterName(Rg.Text)) {
         error(Rg, "expected register name after 'input'");
         return nullptr;
@@ -276,7 +279,7 @@ private:
       return nullptr;
     if (isRegisterName(Name)) {
       SymbolId Reg = Symbol::intern(Name);
-      Token Rhs = peek();
+      const Token &Rhs = peek();
       if (Rhs.Kind == TokenKind::Ident && !isRegisterName(Rhs.Text)) {
         next();
         if (!expect(TokenKind::Semi, "';' after load"))
@@ -303,12 +306,12 @@ private:
 
 } // namespace
 
-ParseResult tracesafe::parseProgram(const std::string &Source) {
+ParseResult tracesafe::parseProgram(std::string_view Source) {
   std::vector<Token> Tokens = lex(Source);
   for (const Token &T : Tokens)
     if (T.Kind == TokenKind::Error) {
       ParseResult R;
-      R.Error = T.Text;
+      R.Error = lexErrorMessage(T);
       return R;
     }
   return Parser(std::move(Tokens)).run();

@@ -36,6 +36,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace tracesafe {
 
@@ -52,14 +53,14 @@ struct ParseResult {
 };
 
 /// Parses \p Source into a Program.
-ParseResult parseProgram(const std::string &Source);
+ParseResult parseProgram(std::string_view Source);
 
 /// Convenience for tests: parses and asserts success (aborts with the error
 /// message otherwise).
 Program parseOrDie(const std::string &Source);
 
 /// True iff \p Name denotes a register (starts with 'r').
-bool isRegisterName(const std::string &Name);
+bool isRegisterName(std::string_view Name);
 
 } // namespace tracesafe
 

@@ -13,9 +13,18 @@ namespace {
 /// valid while other threads intern (deque growth never moves elements).
 /// The mutex makes interning safe from the parallel engines; ids are dense
 /// and stable for the process lifetime as before.
+/// Transparent, so a std::string_view probes the table without building a
+/// std::string.
+struct NameHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const {
+    return std::hash<std::string_view>{}(S);
+  }
+};
+
 struct Interner {
   std::mutex M;
-  std::unordered_map<std::string, SymbolId> Ids;
+  std::unordered_map<std::string, SymbolId, NameHash, std::equal_to<>> Ids;
   std::deque<std::string> Names;
 };
 
@@ -26,15 +35,15 @@ Interner &interner() {
 
 } // namespace
 
-SymbolId Symbol::intern(const std::string &Name) {
+SymbolId Symbol::intern(std::string_view Name) {
   Interner &I = interner();
   std::lock_guard<std::mutex> Lock(I.M);
   auto It = I.Ids.find(Name);
   if (It != I.Ids.end())
     return It->second;
   SymbolId Id = static_cast<SymbolId>(I.Names.size());
-  I.Names.push_back(Name);
-  I.Ids.emplace(Name, Id);
+  I.Names.emplace_back(Name);
+  I.Ids.emplace(I.Names.back(), Id);
   return Id;
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace tracesafe {
 
@@ -31,8 +32,9 @@ using SymbolId = uint32_t;
 /// constructor), so symbols created in tests, benches and examples all agree.
 class Symbol {
 public:
-  /// Interns \p Name and returns its id. Idempotent.
-  static SymbolId intern(const std::string &Name);
+  /// Interns \p Name and returns its id. Idempotent; allocates only when
+  /// \p Name is new.
+  static SymbolId intern(std::string_view Name);
 
   /// Returns the string for an id previously returned by intern().
   static const std::string &name(SymbolId Id);

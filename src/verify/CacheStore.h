@@ -23,7 +23,7 @@
 /// file can only grow valid records.
 ///
 /// The header's epoch word holds the VerdictSemanticsEpoch the entries
-/// were rendered under. A store with another epoch loads nothing and is
+/// were rendered and keyed under. A store with another epoch loads nothing and is
 /// restarted with a fresh header, so verdict bytes from an older engine
 /// are never served.
 ///
@@ -52,14 +52,17 @@
 namespace tracesafe {
 
 /// Version of the engines' verdict semantics: which verdict kind and
-/// Detail bytes a query yields. Bump it in any change that alters verdict
-/// bytes, so persisted stores written before the change stop loading.
-/// Stores written before the epoch existed hold 0.
+/// Detail bytes a query yields, under which key. Bump it in any change
+/// that alters verdict bytes or the key format, so persisted stores
+/// written before the change stop loading. Stores written before the
+/// epoch existed hold 0.
 ///  - 1: DrfGuarantee and ThinAir run on [[P]] plus the execution
 ///    enumerator (their visit costs change), and a racy original's
 ///    DrfGuarantee Detail reports the unsearched transformed side as
 ///    `trans-drf=0 preserved=0`.
-constexpr uint64_t VerdictSemanticsEpoch = 1;
+///  - 2: keys are built from the token stream (verify/Canonical.h), not
+///    printed from the AST; the canonical text bytes changed.
+constexpr uint64_t VerdictSemanticsEpoch = 2;
 
 /// What a load found. HeaderOk=false means the file exists but is not a
 /// TSCS store (wrong magic/version) — the caller should refuse to append

@@ -265,11 +265,11 @@ TEST(CacheStore, ValidlyFramedGarbagePayloadsAreSkippedNotLoaded) {
 }
 
 TEST(CacheStore, AnotherSemanticsEpochLoadsNothingAndRestartsTheStore) {
-  // A later build's store, and an epoch-0 store: epoch 0 predates the
-  // [[P]] route of DrfGuarantee/ThinAir, whose visit costs and racy-original
-  // Details differ.
-  ASSERT_NE(VerdictSemanticsEpoch, 0u);
-  for (uint64_t Stale : {VerdictSemanticsEpoch + 1, uint64_t{0}}) {
+  // A later build's store, an epoch-1 store and an epoch-0 store: epoch 0
+  // predates the [[P]] route of DrfGuarantee/ThinAir, whose visit costs
+  // and racy-original Details differ, and epoch 1 the token-stream keys.
+  ASSERT_GE(VerdictSemanticsEpoch, 2u);
+  for (uint64_t Stale : {VerdictSemanticsEpoch + 1, uint64_t{1}, uint64_t{0}}) {
     SCOPED_TRACE("stale epoch " + std::to_string(Stale));
     TempFile F("epoch");
     {

@@ -16,6 +16,7 @@
 #include "daemon/Server.h"
 #include "daemon/Transport.h"
 #include "support/Failure.h"
+#include "support/Symbol.h"
 #include "verify/BehaviourCache.h"
 #include "verify/Canonical.h"
 
@@ -1669,6 +1670,94 @@ TEST(Daemon, AdmissionHitsReplayAnExhaustedBudgetLikeTheEvaluator) {
   CO.Name = "admitexhaust-test";
   DaemonClient Client(CO);
   EXPECT_EQ(Client.call(Q).str(), Want.str());
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.AnsweredAtAdmission, 1u);
+}
+
+TEST(Daemon, AdversarialProgramsAnswerTheirOwnBadRequest) {
+  // Each is either unframable (raw key) or framed but unparseable: the
+  // daemon's answer is the shared evaluator's, naming the submitted
+  // text's own line and column.
+  std::vector<std::string> Srcs = {
+      "thread { " + std::string(10000, '{') + "x := 1;" +
+          std::string(10000, '}') + " }\n",
+      "thread { " + std::string(10000, '{'),
+      "thread { x := 1;\n",
+      "thread { x := 1; }\nvolatile x;\n",
+      "",
+      "thread { x := 99999999999999999999; }\n",
+      "thread { x := 1; @ }\n",
+      "thread { skip := 1; }\n",
+      "thread { x := ; }\n",
+      "\n\nthread {\n   y  :=  ;\n}\n",
+  };
+  std::vector<QueryRequest> Qs;
+  for (const std::string &Src : Srcs)
+    Qs.push_back(drfQuery(Src));
+  // A pair whose transformed half is the broken one.
+  QueryRequest Pair;
+  Pair.Kind = QueryKind::DrfGuarantee;
+  Pair.Program = "thread { x := 1; }\n";
+  Pair.Transformed = "thread { x := ; }\n";
+  Qs.push_back(Pair);
+
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("adversarial");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "adversarial-test";
+  DaemonClient Client(CO);
+  std::vector<QueryResponse> Got = Client.callBatch(Qs);
+  ASSERT_EQ(Got.size(), Qs.size());
+  for (size_t I = 0; I < Qs.size(); ++I) {
+    QueryResponse Want = evaluateQuery(Qs[I], TestCeiling);
+    EXPECT_EQ(Want.Status, ResponseStatus::BadRequest) << I;
+    EXPECT_EQ(Got[I].str(), Want.str()) << I;
+  }
+}
+
+TEST(Daemon, CoalescedMalformedVariantsKeepTheirOwnErrors) {
+  // Layout variants of one malformed program share a key, so pipelined
+  // together they may ride one flight; each still gets the BadRequest
+  // naming its own line and column.
+  std::vector<QueryRequest> Qs;
+  for (unsigned I = 0; I < 24; ++I)
+    Qs.push_back(drfQuery(std::string(I % 6, '\n') + "thread {" +
+                          std::string(I % 4, ' ') + " x := ; }\n"));
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("badflight");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "badflight-test";
+  DaemonClient Client(CO);
+  std::vector<QueryResponse> Got = Client.callBatch(Qs);
+  ASSERT_EQ(Got.size(), Qs.size());
+  for (size_t I = 0; I < Qs.size(); ++I)
+    EXPECT_EQ(Got[I].str(), evaluateQuery(Qs[I], TestCeiling).str()) << I;
+}
+
+TEST(Daemon, AdmissionHitsNeverParse) {
+  // A hit is answered from the key alone: a variant spelled with names
+  // the process has never seen interns none of them.
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("noparse");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "noparse-test";
+  DaemonClient Client(CO);
+  QueryResponse Cold = Client.call(
+      drfQuery("thread { x := 1; r1 := y; }\nthread { y := 2; r2 := x; }\n"));
+  ASSERT_EQ(Cold.Status, ResponseStatus::Ok);
+  size_t Before = Symbol::count();
+  QueryResponse Warm =
+      Client.call(drfQuery("thread { daemon_fresh_b := 2; r_fresh_b := "
+                           "daemon_fresh_a; }\nthread { daemon_fresh_a := 1; "
+                           "r_fresh_a := daemon_fresh_b; }\n"));
+  EXPECT_EQ(Symbol::count(), Before) << "the hit parsed the query";
+  EXPECT_EQ(Warm.str(), Cold.str());
   ServerStats S = Server.shutdown();
   EXPECT_EQ(S.AnsweredAtAdmission, 1u);
 }

@@ -44,6 +44,34 @@ TEST(Lexer, ReportsBadCharacters) {
   std::vector<Token> Ts = lex("a $ b");
   ASSERT_GE(Ts.size(), 2u);
   EXPECT_EQ(Ts[1].Kind, TokenKind::Error);
+  EXPECT_EQ(lexErrorMessage(Ts[1]), "line 1, col 3: unexpected character '$'");
+}
+
+TEST(Lexer, SpellingsViewTheSource) {
+  std::string Src = "thread { r12 := x_1; lock m; }\t// tail";
+  std::vector<Token> Ts = lex(Src);
+  ASSERT_EQ(Ts.size(), 11u);
+  EXPECT_EQ(Ts[0].Text, "thread");
+  EXPECT_EQ(Ts[2].Text, "r12");
+  EXPECT_EQ(Ts[3].Text, ":=");
+  EXPECT_EQ(Ts[4].Text, "x_1");
+  EXPECT_EQ(Ts[7].Text, "m");
+  // No copies: every spelling points into the lexed source.
+  for (const Token &T : Ts) {
+    EXPECT_GE(T.Text.data(), Src.data());
+    EXPECT_LE(T.Text.data() + T.Text.size(), Src.data() + Src.size());
+  }
+  EXPECT_EQ(Ts.back().Kind, TokenKind::EndOfFile);
+}
+
+TEST(Lexer, KeywordsAreSpellingsNotReservedWords) {
+  for (const char *K : {"if", "else", "while", "skip", "sync", "lock",
+                        "unlock", "print", "input", "thread", "volatile"})
+    EXPECT_TRUE(isKeyword(K)) << K;
+  for (const char *N : {"x", "r1", "elsewhere", "locks", "m", "Thread"})
+    EXPECT_FALSE(isKeyword(N)) << N;
+  // Only the grammar makes a keyword: a statement may store to `else`.
+  EXPECT_TRUE(parseProgram("thread { else := 1; r1 := else; }"));
 }
 
 TEST(Parser, RegisterVsLocationConvention) {
@@ -164,7 +192,9 @@ TEST(Lexer, OutOfRangeLiteralIsDiagnosedNotFatal) {
   for (const Token &T : Ts)
     if (T.Kind == TokenKind::Error) {
       SawError = true;
-      EXPECT_NE(T.Text.find("out of range"), std::string::npos) << T.Text;
+      std::string Msg = lexErrorMessage(T);
+      EXPECT_NE(Msg.find("out of range"), std::string::npos) << Msg;
+      EXPECT_NE(Msg.find("line 1, col 7"), std::string::npos) << Msg;
     }
   EXPECT_TRUE(SawError);
 }
