@@ -28,6 +28,11 @@
 /// row also sets bytes_per_second (log bytes verdicted), on which
 /// check_bench_regression.py gates it.
 ///
+/// `crc32_4mib` and `crc32_portable_4mib` price the checksum every frame,
+/// TSRL block and record-log record pays, on a 4 MiB buffer (the top of
+/// the racelog-scan query sizes): crc32 as dispatched on this host
+/// against its slice-by-8 path alone. Both set bytes_per_second.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -36,6 +41,7 @@
 #include "daemon/Server.h"
 #include "racelog/Log.h"
 #include "racelog/Synth.h"
+#include "support/Crc32.h"
 #include "verify/BehaviourCache.h"
 #include "verify/CacheStore.h"
 #include "verify/Canonical.h"
@@ -328,6 +334,35 @@ void daemon_racelog_2mib(benchmark::State &State) {
                           static_cast<int64_t>(Q.Program.size()));
 }
 BENCHMARK(daemon_racelog_2mib)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/// A 4 MiB buffer of run-time bytes for the CRC rows.
+const std::string &crcInput() {
+  static const std::string Buf = [] {
+    racelog::SynthOptions SO;
+    SO.Events = (4u << 20) / racelog::EventRecordSize;
+    return racelog::makeMixedLog(SO);
+  }();
+  return Buf;
+}
+
+void crcRow(benchmark::State &State,
+            uint32_t (*Crc)(const void *, size_t, uint32_t)) {
+  const std::string &Buf = crcInput();
+  for (auto _ : State) {
+    uint32_t C = Crc(Buf.data(), Buf.size(), 0);
+    benchmark::DoNotOptimize(C);
+  }
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<int64_t>(Buf.size()));
+}
+
+void crc32_4mib(benchmark::State &State) { crcRow(State, crc32); }
+BENCHMARK(crc32_4mib)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+void crc32_portable_4mib(benchmark::State &State) {
+  crcRow(State, crc32Portable);
+}
+BENCHMARK(crc32_portable_4mib)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // Registered last: it clears the process-global cache every iteration,
 // which would turn any later warm row cold.

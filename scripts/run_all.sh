@@ -48,12 +48,16 @@ for e in build/examples/*; do
 done
 
 # Sanitizer pass: rebuild with ASan+UBSan and drive the differential
-# fuzzer for ~30 seconds (see docs/ROBUSTNESS.md).
+# fuzzer for ~30 seconds (see docs/ROBUSTNESS.md). test_support runs the
+# dispatched CRC-32 kernel's unaligned 16-byte loads at every length and
+# offset against its portable oracle.
 echo "===== sanitizer fuzz smoke ====="
 cmake -B build-asan -G Ninja -DTRACESAFE_SANITIZE=ON
-cmake --build build-asan --target fuzz_harness test_budget test_shrink
+cmake --build build-asan --target fuzz_harness test_budget test_shrink \
+  test_support
 ./build-asan/tests/test_budget
 ./build-asan/tests/test_shrink
+./build-asan/tests/test_support
 ./build-asan/examples/fuzz_harness --programs 2000 --deadline-ms 30000 \
   --seed 1 --query-deadline-ms 50
 ./build-asan/examples/fuzz_harness --programs 200 --deadline-ms 30000 \

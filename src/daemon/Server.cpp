@@ -724,21 +724,23 @@ private:
   /// Completes (client, id) with the verdict \p Bytes (its
   /// encodeResponse): the live entry, if any, leaves Requests, the journal
   /// gets the verdict record and Answered keeps the bytes for replay.
-  /// \p AdmitRecord, when non-empty, is written in the same append, so an
-  /// admission answered on the spot costs one write.
+  /// \p Admit, when given, is written in the same append, so an admission
+  /// answered on the spot costs one write.
   void completeLocked(const std::string &Client, uint64_t Id,
                       const std::string &Bytes,
-                      std::string AdmitRecord = {}) {
+                      const RecordPieces *Admit = nullptr) {
     std::string Key = requestKey(Client, Id);
     Requests.erase(Key);
     if (Journal.isOpen()) {
       std::string Trailer =
           journalTrailer(Client, Id, ProtocolVersion, VerdictRecord);
-      AdmitRecord += encodeRecord(
-          JournalFormat, Bytes, Trailer,
-          crc32(Trailer.data(), Trailer.size(),
-                crc32(Bytes.data(), Bytes.size())));
-      Journal.appendEncoded(AdmitRecord);
+      RecordPieces Verdict{Bytes, Trailer,
+                           crc32(Trailer.data(), Trailer.size(),
+                                 crc32(Bytes.data(), Bytes.size()))};
+      if (Admit)
+        Journal.appendRecords({*Admit, Verdict});
+      else
+        Journal.appendRecords({Verdict});
     }
     answerLocked(std::move(Key), Bytes);
     ++Stats.Completed;
@@ -1112,18 +1114,20 @@ private:
     if (Q.Kind >= QueryKind::ProgramDrf && Q.Kind <= QueryKind::ThinAir)
       CanonKey = canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
                                    Q.Transformed, Spec);
-    // The admission record is built here too: the Submit payload exactly
-    // as it arrived plus a trailer. Its CRC continues the frame's already
-    // verified payload CRC over the trailer, so a MiB-sized payload is
-    // copied once but not checksummed again. Under M the record is only
-    // written (and dropped unused if the submit is a replay or is shed).
-    std::string AdmitRecord;
+    // The admission record is prepared here too: the Submit payload
+    // exactly as it arrived plus a trailer. Its CRC continues the frame's
+    // already verified payload CRC over the trailer, so a MiB-sized
+    // payload is neither checksummed again nor copied: under M the record
+    // is gathered from F.Payload straight into the journal write (and
+    // dropped unused if the submit is a replay or is shed).
+    std::string AdmitTrailer;
+    RecordPieces Admit;
     if (Journal.isOpen()) {
-      std::string Trailer =
+      AdmitTrailer =
           journalTrailer(C->Client, F.RequestId, F.Version, AdmissionRecord);
-      AdmitRecord = encodeRecord(
-          JournalFormat, F.Payload, Trailer,
-          crc32(Trailer.data(), Trailer.size(), F.PayloadCrc));
+      Admit = {F.Payload, AdmitTrailer,
+               crc32(AdmitTrailer.data(), AdmitTrailer.size(),
+                     F.PayloadCrc)};
     }
     ReqPtr Fresh;
     {
@@ -1176,8 +1180,7 @@ private:
         if (Hit) {
           ++Stats.AnsweredAtAdmission;
           Out.Payload = encodeResponse(*Hit);
-          completeLocked(C->Client, F.RequestId, Out.Payload,
-                         std::move(AdmitRecord));
+          completeLocked(C->Client, F.RequestId, Out.Payload, &Admit);
         } else {
           auto Req = std::make_shared<Request>();
           Req->Client = C->Client;
@@ -1192,8 +1195,8 @@ private:
           HeldPayloadBytes += payloadBytes(*Req);
           if (Req->Q.Kind == QueryKind::Campaign)
             ++Stats.Campaigns;
-          if (!AdmitRecord.empty())
-            Journal.appendEncoded(AdmitRecord);
+          if (Journal.isOpen())
+            Journal.appendRecords({Admit});
           if (Leader) {
             Req->Leader = Leader;
             Leader->Followers.push_back(Req);

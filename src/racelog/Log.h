@@ -15,7 +15,8 @@
 /// being a record log: it is the recorder's input format, and each block
 /// header carries the block's event count.
 ///
-/// Block CRCs are the code base's one slice-by-8 CRC-32 (support/Crc32.h),
+/// Block CRCs are the code base's one CRC-32 (support/Crc32.h: a
+/// carry-less-multiply fold where the CPU has one, slice-by-8 elsewhere),
 /// the same checksum the daemon frames and every record log use.
 ///
 //===----------------------------------------------------------------------===//

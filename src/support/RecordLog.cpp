@@ -3,11 +3,15 @@
 #include "support/Crc32.h"
 #include "support/FieldCodec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
+#include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
+#include <vector>
 
 using namespace tracesafe;
 
@@ -25,16 +29,46 @@ std::string readFile(const std::string &Path) {
   return Out;
 }
 
-/// Writes all of \p Data to \p Fd; false on a write error.
-bool writeAll(int Fd, std::string_view Data) {
-  while (!Data.empty()) {
-    ssize_t N = ::write(Fd, Data.data(), Data.size());
+/// Appends the 16-byte header of a \p Len-byte record with CRC \p Crc.
+void putRecordHeader(std::string &Out, const RecordLogFormat &F, size_t Len,
+                     uint32_t Crc) {
+  putU32(Out, F.RecordMagic);
+  putU32(Out, static_cast<uint32_t>(Len));
+  putU32(Out, Crc);
+  putU32(Out, 0);
+}
+
+/// Writes the \p Count buffers at \p Iov to \p Fd, resuming after a short
+/// write and waiting out a descriptor that would block. Consumes \p Iov.
+bool writeAllV(int Fd, iovec *Iov, int Count) {
+  size_t Left = 0;
+  for (int I = 0; I < Count; ++I)
+    Left += Iov[I].iov_len;
+  while (Left > 0) {
+    ssize_t N = ::writev(Fd, Iov, Count);
     if (N < 0) {
       if (errno == EINTR)
         continue;
-      return false;
+      if (errno != EAGAIN && errno != EWOULDBLOCK)
+        return false;
+      pollfd P{Fd, POLLOUT, 0};
+      if (::poll(&P, 1, -1) < 0 && errno != EINTR)
+        return false;
+      continue;
     }
-    Data.remove_prefix(static_cast<size_t>(N));
+    if (N == 0)
+      return false;
+    Left -= static_cast<size_t>(N);
+    for (size_t Done = static_cast<size_t>(N); Done > 0;) {
+      size_t Step = std::min(Done, Iov->iov_len);
+      Iov->iov_base = static_cast<char *>(Iov->iov_base) + Step;
+      Iov->iov_len -= Step;
+      Done -= Step;
+      if (Iov->iov_len == 0) {
+        ++Iov;
+        --Count;
+      }
+    }
   }
   return true;
 }
@@ -100,13 +134,27 @@ std::string tracesafe::encodeRecord(const RecordLogFormat &F,
                                     std::string_view Tail, uint32_t Crc) {
   std::string Out;
   Out.reserve(RecordHeaderSize + Head.size() + Tail.size());
-  putU32(Out, F.RecordMagic);
-  putU32(Out, static_cast<uint32_t>(Head.size() + Tail.size()));
-  putU32(Out, Crc);
-  putU32(Out, 0);
+  putRecordHeader(Out, F, Head.size() + Tail.size(), Crc);
   Out += Head;
   Out += Tail;
   return Out;
+}
+
+bool tracesafe::writeRecords(int Fd, const RecordLogFormat &F,
+                             std::initializer_list<RecordPieces> Records) {
+  std::string Headers;
+  for (const RecordPieces &R : Records)
+    putRecordHeader(Headers, F, R.Head.size() + R.Tail.size(), R.Crc);
+  std::vector<iovec> Iov;
+  Iov.reserve(3 * Records.size());
+  char *Header = Headers.data();
+  for (const RecordPieces &R : Records) {
+    Iov.push_back({Header, RecordHeaderSize});
+    Iov.push_back({const_cast<char *>(R.Head.data()), R.Head.size()});
+    Iov.push_back({const_cast<char *>(R.Tail.data()), R.Tail.size()});
+    Header += RecordHeaderSize;
+  }
+  return writeAllV(Fd, Iov.data(), static_cast<int>(Iov.size()));
 }
 
 bool RecordLogWriter::open(const std::string &Path, const RecordLogFormat &F,
@@ -151,7 +199,8 @@ bool RecordLogWriter::open(const std::string &Path, const RecordLogFormat &F,
   putU8(Header, F.Version);
   Header.append(3, '\0');
   putU64(Header, F.Epoch);
-  if (!writeAll(Fd, Header)) {
+  iovec Iov{Header.data(), Header.size()};
+  if (!writeAllV(Fd, &Iov, 1)) {
     Err = Path + ": cannot write header: " + std::strerror(errno);
     ::close(Fd);
     Fd = -1;
@@ -161,15 +210,16 @@ bool RecordLogWriter::open(const std::string &Path, const RecordLogFormat &F,
 }
 
 bool RecordLogWriter::append(std::string_view Payload) {
-  if (Payload.size() > Format.MaxPayload)
-    return false;
-  return appendEncoded(encodeRecord(Format, Payload, {},
-                                    crc32(Payload.data(), Payload.size())));
+  return appendRecords({{Payload, {}, crc32(Payload.data(), Payload.size())}});
 }
 
-bool RecordLogWriter::appendEncoded(std::string_view Record) {
+bool RecordLogWriter::appendRecords(
+    std::initializer_list<RecordPieces> Records) {
   std::lock_guard<std::mutex> Lock(M);
-  return Fd >= 0 && writeAll(Fd, Record);
+  for (const RecordPieces &R : Records)
+    if (R.Head.size() + R.Tail.size() > Format.MaxPayload)
+      return false;
+  return Fd >= 0 && writeRecords(Fd, Format, Records);
 }
 
 void RecordLogWriter::close() {

@@ -21,10 +21,10 @@
 /// crash mid-append and a byte flipped mid-file are therefore both
 /// detected, never replayed.
 ///
-/// Durability scope: each record goes out in write(2) calls on an
-/// unbuffered descriptor before append() returns, with no fsync. A record
-/// survives the process being killed (kill -9) but not the machine losing
-/// power.
+/// Durability scope: each append goes out in one writev(2) (resumed only
+/// if the descriptor takes part of it) on an unbuffered descriptor before
+/// it returns, with no fsync. A record survives the process being killed
+/// (kill -9) but not the machine losing power.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -84,12 +85,27 @@ RecordScan scanRecords(std::string_view Data, const RecordLogFormat &F,
 RecordScan readRecordLog(const std::string &Path, const RecordLogFormat &F,
                          const RecordVisitor &Visit);
 
-/// The record framing \p Head followed by \p Tail as one payload. \p Crc
-/// must be crc32 of that payload; a caller that already holds crc32(Head)
-/// continues it over Tail (crc32's Prev argument) instead of reading Head
-/// again.
+/// One record whose payload is Head followed by Tail. Crc must be crc32
+/// of that payload; a caller that already holds crc32(Head) continues it
+/// over Tail (crc32's Prev argument) instead of reading Head again.
+struct RecordPieces {
+  std::string_view Head;
+  std::string_view Tail;
+  uint32_t Crc = 0;
+};
+
+/// The framed record of RecordPieces{Head, Tail, Crc} as one string,
+/// byte for byte what writeRecords writes for it.
 std::string encodeRecord(const RecordLogFormat &F, std::string_view Head,
                          std::string_view Tail, uint32_t Crc);
+
+/// Writes \p Records, framed as encodeRecord frames them, to \p Fd with
+/// one writev gathered from the caller's bytes, so no payload is copied.
+/// A write the descriptor takes only part of, or none of for now (a full
+/// non-blocking pipe), is waited on and resumed where it stopped. False
+/// on a write error.
+bool writeRecords(int Fd, const RecordLogFormat &F,
+                  std::initializer_list<RecordPieces> Records);
 
 /// The one writer of a record log. append() may be called from several
 /// threads; each record is written whole under the writer's lock.
@@ -121,8 +137,10 @@ public:
   /// Frames and appends one record. False when closed, when the payload
   /// exceeds the format's bound, or when the write fails.
   bool append(std::string_view Payload);
-  /// Appends one record already framed by encodeRecord.
-  bool appendEncoded(std::string_view Record);
+  /// Appends \p Records with one writeRecords call. False when closed or
+  /// when any payload exceeds the format's bound (nothing is written
+  /// then), or when the write fails.
+  bool appendRecords(std::initializer_list<RecordPieces> Records);
 
   void close();
   bool isOpen() const { return Fd >= 0; }

@@ -133,9 +133,11 @@ TEST(Format, Indent) {
 }
 
 /// Byte-at-a-time bitwise CRC-32, straight from the definition: the
-/// reference the slice-by-8 table walk must agree with.
-uint32_t referenceCrc32(const unsigned char *P, size_t Len) {
-  uint32_t C = 0xFFFFFFFFu;
+/// reference both paths of crc32 (the carry-less fold and its slice-by-8
+/// tail) and crc32Portable must agree with.
+uint32_t referenceCrc32(const unsigned char *P, size_t Len,
+                        uint32_t Prev = 0) {
+  uint32_t C = Prev ^ 0xFFFFFFFFu;
   for (size_t I = 0; I < Len; ++I) {
     C ^= P[I];
     for (int K = 0; K < 8; ++K)
@@ -144,36 +146,83 @@ uint32_t referenceCrc32(const unsigned char *P, size_t Len) {
   return C ^ 0xFFFFFFFFu;
 }
 
+std::vector<unsigned char> randomBytes(uint64_t Seed, size_t Len) {
+  Rng R(Seed);
+  std::vector<unsigned char> Data(Len);
+  for (unsigned char &B : Data)
+    B = static_cast<unsigned char>(R.below(256));
+  return Data;
+}
+
 TEST(Crc32, StandardCheckValue) {
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32Portable("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("", 0), 0u);
 }
 
 TEST(Crc32, MatchesTheBytewiseReferenceAtEveryAlignment) {
-  // Random lengths up to past 64 KiB, each checksummed from every start
-  // offset 0..7, so the eight-byte loads and the byte tail both meet
-  // every misalignment and every tail length.
-  Rng R(20261016);
-  std::vector<unsigned char> Data(70000 + 8);
-  for (unsigned char &B : Data)
-    B = static_cast<unsigned char>(R.below(256));
-  std::vector<size_t> Lens = {0, 1, 7, 8, 9, 15, 16, 17, 70000};
-  for (int I = 0; I < 40; ++I)
-    Lens.push_back(R.below(70001));
+  // Every length 0..1100 from every start offset 0..15 and under three
+  // seeds: the lengths cross the 64-byte fold threshold, every 16-byte
+  // fold remainder and every slice-by-8 tail, and the offsets give the
+  // unaligned loads every misalignment.
+  const std::vector<unsigned char> Data = randomBytes(20261016, 1100 + 16);
+  const uint32_t Seeds[] = {0u, 0xFFFFFFFFu,
+                            static_cast<uint32_t>(Rng(7).below(1ULL << 32))};
+  for (uint32_t Seed : Seeds)
+    for (size_t Len = 0; Len <= 1100; ++Len)
+      for (size_t Off = 0; Off < 16; ++Off) {
+        const unsigned char *P = Data.data() + Off;
+        uint32_t Want = referenceCrc32(P, Len, Seed);
+        ASSERT_EQ(crc32(P, Len, Seed), Want)
+            << "len " << Len << " offset " << Off << " seed " << Seed;
+        ASSERT_EQ(crc32Portable(P, Len, Seed), Want)
+            << "len " << Len << " offset " << Off << " seed " << Seed;
+      }
+}
+
+TEST(Crc32, LongInputsMatchThePortableOracle) {
+  // Past the exhaustive range: random lengths up to 4 MiB, so the
+  // four-accumulator loop runs for many iterations before its reduction.
+  Rng R(20261018);
+  const std::vector<unsigned char> Data =
+      randomBytes(20261019, (4u << 20) + 16);
+  std::vector<size_t> Lens = {1101, 4096, 65536, 70000, 4u << 20};
+  for (int I = 0; I < 12; ++I)
+    Lens.push_back(R.below((4u << 20) + 1));
   for (size_t Len : Lens)
-    for (size_t Align = 0; Align < 8; ++Align)
-      ASSERT_EQ(crc32(Data.data() + Align, Len),
-                referenceCrc32(Data.data() + Align, Len))
-          << "len " << Len << " align " << Align;
+    for (size_t Off : {0, 3, 8, 15})
+      ASSERT_EQ(crc32(Data.data() + Off, Len),
+                crc32Portable(Data.data() + Off, Len))
+          << "len " << Len << " offset " << Off;
+  EXPECT_EQ(crc32(Data.data(), 70000), referenceCrc32(Data.data(), 70000));
 }
 
 TEST(Crc32, AContinuedCrcEqualsTheOneShotValueAtEverySplit) {
-  Rng R(20261017);
-  std::vector<unsigned char> Data(300);
-  for (unsigned char &B : Data)
-    B = static_cast<unsigned char>(R.below(256));
+  const std::vector<unsigned char> Data = randomBytes(20261017, 1024);
   const uint32_t Whole = crc32(Data.data(), Data.size());
-  for (size_t Split = 0; Split <= Data.size(); ++Split)
+  EXPECT_EQ(Whole, referenceCrc32(Data.data(), Data.size()));
+  for (size_t Split = 0; Split <= Data.size(); ++Split) {
+    ASSERT_EQ(crc32(Data.data() + Split, Data.size() - Split,
+                    crc32(Data.data(), Split)),
+              Whole)
+        << "split at " << Split;
+    ASSERT_EQ(crc32Portable(Data.data() + Split, Data.size() - Split,
+                            crc32Portable(Data.data(), Split)),
+              Whole)
+        << "split at " << Split;
+  }
+}
+
+TEST(Crc32, AContinuedCrcOverFourMiBEqualsTheOneShotValue) {
+  const std::vector<unsigned char> Data = randomBytes(20261020, 4u << 20);
+  const uint32_t Whole = crc32Portable(Data.data(), Data.size());
+  EXPECT_EQ(crc32(Data.data(), Data.size()), Whole);
+  Rng R(20261021);
+  std::vector<size_t> Splits = {1, 15, 16, 63, 64, 65, 2u << 20,
+                                Data.size() - 1};
+  for (int I = 0; I < 8; ++I)
+    Splits.push_back(R.below(Data.size() + 1));
+  for (size_t Split : Splits)
     ASSERT_EQ(crc32(Data.data() + Split, Data.size() - Split,
                     crc32(Data.data(), Split)),
               Whole)
