@@ -1,22 +1,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel exploration engine benches: the seed's exhaustive sequential
-/// enumerator (ExhaustiveOracle) against the reduced engine (hash-consed
-/// interned states + sleep-set POR) at several worker counts, on the two
-/// memoised workhorse queries — behaviour collection and adjacent-race
-/// search.
+/// Exploration engine benches: the seed's exhaustive enumerator
+/// (ExhaustiveOracle) against the reduced engine (hash-consed interned
+/// states + sleep-set POR), both sequential, on the two memoised
+/// workhorse queries — behaviour collection and adjacent-race search.
 ///
-/// The headline claim is the PR's acceptance bar: the reduced engine at 8
-/// workers is at least 4x faster than the seed engine on the
-/// interleaving-heavy tracesets (the speedup is algorithmic — sleep sets
-/// prune redundant arrivals and interning replaces lexicographic
-/// std::set compares — so it holds even on a single-core host).
+/// The headline claim: the reduced engine is at least 4x faster than the
+/// seed engine on the interleaving-heavy tracesets. The speedup is
+/// algorithmic — sleep sets prune redundant arrivals and interning
+/// replaces lexicographic std::set compares.
 ///
 /// Bench names encode the engine configuration for BENCH_results.json
 /// (scripts/merge_bench_json.py): `_oracle` is the seed engine, `_nopor`
-/// the interned engine without reduction, `_por` the full engine, and a
-/// `_wN` suffix gives the worker count.
+/// the interned engine without reduction, `_por` the full engine; `_w1`
+/// keeps the row names of earlier recordings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,9 +80,8 @@ Traceset readersAndWriters(unsigned Readers) {
   return T;
 }
 
-EnumerationLimits engine(unsigned Workers, bool Oracle, bool Por = true) {
+EnumerationLimits engine(bool Oracle, bool Por = true) {
   EnumerationLimits L;
-  L.Workers = Workers;
   L.ExhaustiveOracle = Oracle;
   L.SleepSets = Por;
   return L;
@@ -105,8 +102,7 @@ template <typename Fn> double secondsFor(Fn &&F) {
 }
 
 void claims() {
-  benchutil::header("parallel exploration engine",
-                    "work-stealing + sleep-set POR + interning");
+  benchutil::header("exploration engine", "sleep-set POR + interning");
 
   Traceset Ind = independentWriters(4, 10);
   Traceset Tail = sharedTailWriters(4, 10);
@@ -114,42 +110,40 @@ void claims() {
   Traceset Rw = readersAndWriters(3);
 
   // Verdict parity first: a fast wrong engine is worthless.
-  std::set<Behaviour> WantB = collectBehaviours(Rw, engine(1, true));
+  std::set<Behaviour> WantB = collectBehaviours(Rw, engine(true));
   benchutil::claim("reduced engine behaviour set == seed oracle",
-                   collectBehaviours(Rw, engine(8, false)) == WantB);
-  bool WantRace = findAdjacentRace(Tail, engine(1, true)).HasRace;
+                   collectBehaviours(Rw, engine(false)) == WantB);
+  bool WantRace = findAdjacentRace(Tail, engine(true)).HasRace;
   benchutil::claim("reduced engine race verdict == seed oracle (racy set)",
-                   findAdjacentRace(Tail, engine(8, false)).HasRace ==
+                   findAdjacentRace(Tail, engine(false)).HasRace ==
                        WantRace);
   benchutil::claim("seed oracle finds the shared-tail race", WantRace);
   benchutil::claim(
       "reduced engine proves the independent set race-free",
-      !findAdjacentRace(Ind, engine(8, false)).HasRace &&
-          !findAdjacentRace(Ind, engine(1, true)).HasRace);
+      !findAdjacentRace(Ind, engine(false)).HasRace &&
+          !findAdjacentRace(Ind, engine(true)).HasRace);
 
-  // The acceptance bar: >= 4x on both memoised queries at 8 workers.
+  // The acceptance bar: >= 4x on both memoised queries.
   double RaceOracle =
-      secondsFor([&] { findAdjacentRace(Ind, engine(1, true)); });
-  double RacePor8 =
-      secondsFor([&] { findAdjacentRace(Ind, engine(8, false)); });
+      secondsFor([&] { findAdjacentRace(Ind, engine(true)); });
+  double RacePor = secondsFor([&] { findAdjacentRace(Ind, engine(false)); });
   double BehOracle =
-      secondsFor([&] { collectBehaviours(BigTail, engine(1, true)); });
-  double BehPor8 =
-      secondsFor([&] { collectBehaviours(BigTail, engine(8, false)); });
-  std::printf("  race query:      oracle %.1fms, reduced(8w) %.1fms (%.1fx)\n",
-              RaceOracle * 1e3, RacePor8 * 1e3, RaceOracle / RacePor8);
-  std::printf("  behaviour query: oracle %.1fms, reduced(8w) %.1fms (%.1fx)\n",
-              BehOracle * 1e3, BehPor8 * 1e3, BehOracle / BehPor8);
-  benchutil::claim("race query >= 4x faster than seed engine at 8 workers",
-                   RaceOracle / RacePor8 >= 4.0);
-  benchutil::claim(
-      "behaviour query >= 4x faster than seed engine at 8 workers",
-      BehOracle / BehPor8 >= 4.0);
+      secondsFor([&] { collectBehaviours(BigTail, engine(true)); });
+  double BehPor =
+      secondsFor([&] { collectBehaviours(BigTail, engine(false)); });
+  std::printf("  race query:      oracle %.1fms, reduced %.1fms (%.1fx)\n",
+              RaceOracle * 1e3, RacePor * 1e3, RaceOracle / RacePor);
+  std::printf("  behaviour query: oracle %.1fms, reduced %.1fms (%.1fx)\n",
+              BehOracle * 1e3, BehPor * 1e3, BehOracle / BehPor);
+  benchutil::claim("race query >= 4x faster than seed engine",
+                   RaceOracle / RacePor >= 4.0);
+  benchutil::claim("behaviour query >= 4x faster than seed engine",
+                   BehOracle / BehPor >= 4.0);
 
   // Source sets layered on sleep sets: same answers, fewer arrivals on
   // independence-heavy tracesets.
-  EnumerationLimits Src = engine(1, false);
-  EnumerationLimits NoSrc = engine(1, false);
+  EnumerationLimits Src = engine(false);
+  EnumerationLimits NoSrc = engine(false);
   NoSrc.SourceSets = false;
   EnumerationStats WithSrc, WithoutSrc;
   std::set<Behaviour> SrcB = collectBehaviours(Ind, Src, &WithSrc);
@@ -185,7 +179,7 @@ void claims() {
 void BM_race_independent_oracle(benchmark::State &S) {
   Traceset T = independentWriters(4, 10);
   for (auto _ : S)
-    benchmark::DoNotOptimize(findAdjacentRace(T, engine(1, true)).HasRace);
+    benchmark::DoNotOptimize(findAdjacentRace(T, engine(true)).HasRace);
 }
 BENCHMARK(BM_race_independent_oracle)->Unit(benchmark::kMillisecond);
 
@@ -193,51 +187,30 @@ void BM_race_independent_nopor_w1(benchmark::State &S) {
   Traceset T = independentWriters(4, 10);
   for (auto _ : S)
     benchmark::DoNotOptimize(
-        findAdjacentRace(T, engine(1, false, /*Por=*/false)).HasRace);
+        findAdjacentRace(T, engine(false, /*Por=*/false)).HasRace);
 }
 BENCHMARK(BM_race_independent_nopor_w1)->Unit(benchmark::kMillisecond);
 
 void BM_race_independent_por_w1(benchmark::State &S) {
   Traceset T = independentWriters(4, 10);
   for (auto _ : S)
-    benchmark::DoNotOptimize(findAdjacentRace(T, engine(1, false)).HasRace);
+    benchmark::DoNotOptimize(findAdjacentRace(T, engine(false)).HasRace);
 }
 BENCHMARK(BM_race_independent_por_w1)->Unit(benchmark::kMillisecond);
-
-void BM_race_independent_por_w2(benchmark::State &S) {
-  Traceset T = independentWriters(4, 10);
-  for (auto _ : S)
-    benchmark::DoNotOptimize(findAdjacentRace(T, engine(2, false)).HasRace);
-}
-BENCHMARK(BM_race_independent_por_w2)->Unit(benchmark::kMillisecond);
-
-void BM_race_independent_por_w8(benchmark::State &S) {
-  Traceset T = independentWriters(4, 10);
-  for (auto _ : S)
-    benchmark::DoNotOptimize(findAdjacentRace(T, engine(8, false)).HasRace);
-}
-BENCHMARK(BM_race_independent_por_w8)->Unit(benchmark::kMillisecond);
 
 void BM_behaviours_sharedtail_oracle(benchmark::State &S) {
   Traceset T = sharedTailWriters(5, 9);
   for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(1, true)).size());
+    benchmark::DoNotOptimize(collectBehaviours(T, engine(true)).size());
 }
 BENCHMARK(BM_behaviours_sharedtail_oracle)->Unit(benchmark::kMillisecond);
 
 void BM_behaviours_sharedtail_por_w1(benchmark::State &S) {
   Traceset T = sharedTailWriters(5, 9);
   for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(1, false)).size());
+    benchmark::DoNotOptimize(collectBehaviours(T, engine(false)).size());
 }
 BENCHMARK(BM_behaviours_sharedtail_por_w1)->Unit(benchmark::kMillisecond);
-
-void BM_behaviours_sharedtail_por_w8(benchmark::State &S) {
-  Traceset T = sharedTailWriters(5, 9);
-  for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(8, false)).size());
-}
-BENCHMARK(BM_behaviours_sharedtail_por_w8)->Unit(benchmark::kMillisecond);
 
 // Source-set sweep on the independence-heavy traceset (best case for the
 // grouping: fully disjoint thread footprints).
@@ -245,7 +218,7 @@ BENCHMARK(BM_behaviours_sharedtail_por_w8)->Unit(benchmark::kMillisecond);
 void BM_behaviours_independent_oracle(benchmark::State &S) {
   Traceset T = independentWriters(4, 10);
   for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(1, true)).size());
+    benchmark::DoNotOptimize(collectBehaviours(T, engine(true)).size());
 }
 BENCHMARK(BM_behaviours_independent_oracle)->Unit(benchmark::kMillisecond);
 
@@ -253,37 +226,30 @@ void BM_behaviours_independent_nopor_w1(benchmark::State &S) {
   Traceset T = independentWriters(4, 10);
   for (auto _ : S)
     benchmark::DoNotOptimize(
-        collectBehaviours(T, engine(1, false, /*Por=*/false)).size());
+        collectBehaviours(T, engine(false, /*Por=*/false)).size());
 }
 BENCHMARK(BM_behaviours_independent_nopor_w1)->Unit(benchmark::kMillisecond);
 
 void BM_behaviours_independent_por_w1(benchmark::State &S) {
   Traceset T = independentWriters(4, 10);
   for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(1, false)).size());
+    benchmark::DoNotOptimize(collectBehaviours(T, engine(false)).size());
 }
 BENCHMARK(BM_behaviours_independent_por_w1)->Unit(benchmark::kMillisecond);
-
-void BM_behaviours_independent_por_w8(benchmark::State &S) {
-  Traceset T = independentWriters(4, 10);
-  for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(8, false)).size());
-}
-BENCHMARK(BM_behaviours_independent_por_w8)->Unit(benchmark::kMillisecond);
 
 void BM_behaviours_readers_oracle(benchmark::State &S) {
   Traceset T = readersAndWriters(5);
   for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(1, true)).size());
+    benchmark::DoNotOptimize(collectBehaviours(T, engine(true)).size());
 }
 BENCHMARK(BM_behaviours_readers_oracle)->Unit(benchmark::kMillisecond);
 
-void BM_behaviours_readers_por_w8(benchmark::State &S) {
+void BM_behaviours_readers_por_w1(benchmark::State &S) {
   Traceset T = readersAndWriters(5);
   for (auto _ : S)
-    benchmark::DoNotOptimize(collectBehaviours(T, engine(8, false)).size());
+    benchmark::DoNotOptimize(collectBehaviours(T, engine(false)).size());
 }
-BENCHMARK(BM_behaviours_readers_por_w8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_behaviours_readers_por_w1)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

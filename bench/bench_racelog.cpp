@@ -6,14 +6,14 @@
 /// Three workload mixes (racelog/Synth.h) at 1M-50M events:
 ///  - `racelog_racefree_epoch`: private-ownership traffic, the epoch
 ///    engine's same-epoch fast path — the single-thread MB/s headline.
-///  - `racelog_mixed_epoch` / `_s8`: lock-protected cross-thread traffic
-///    plus a racy pool, inline vs 8 address shards.
+///  - `racelog_mixed_epoch`: lock-protected cross-thread traffic plus a
+///    racy pool.
 ///  - `racelog_mixed_oracle`: the same mix through the full-vector-clock
 ///    oracle engine — the baseline the epoch optimisation is measured
 ///    against (its writes scan an O(threads) read clock the epoch engine
 ///    replaces with one compare).
 ///  - `racelog_lockheavy_epoch`: acquire/release-dominated traffic, the
-///    clock-join and interning path.
+///    clock-join path.
 ///  - `racelog_mixed128_*`: the mixed workload at 128 threads, where the
 ///    oracle's per-write scan is at full width — the epoch-vs-oracle
 ///    speedup headline.
@@ -63,12 +63,10 @@ const std::string &logFor(int Kind, uint64_t Events) {
   return Cache.back().Log;
 }
 
-void scanRow(benchmark::State &State, int Kind, bool Epochs,
-             unsigned Shards) {
+void scanRow(benchmark::State &State, int Kind, bool Epochs) {
   const std::string &Log = logFor(Kind, static_cast<uint64_t>(State.range(0)));
   RaceLogOptions O;
   O.Epochs = Epochs;
-  O.Shards = Shards;
   uint64_t Events = 0;
   for (auto _ : State) {
     RaceLogReport R = scanRaceLog(Log, O);
@@ -81,20 +79,18 @@ void scanRow(benchmark::State &State, int Kind, bool Epochs,
                           static_cast<int64_t>(Events));
 }
 
-void racelog_racefree_epoch(benchmark::State &S) { scanRow(S, 0, true, 1); }
-void racelog_mixed_epoch(benchmark::State &S) { scanRow(S, 1, true, 1); }
-void racelog_mixed_epoch_s8(benchmark::State &S) { scanRow(S, 1, true, 8); }
-void racelog_mixed_oracle(benchmark::State &S) { scanRow(S, 1, false, 1); }
-void racelog_lockheavy_epoch(benchmark::State &S) { scanRow(S, 2, true, 1); }
-void racelog_mixed128_epoch(benchmark::State &S) { scanRow(S, 3, true, 1); }
-void racelog_mixed128_oracle(benchmark::State &S) { scanRow(S, 3, false, 1); }
+void racelog_racefree_epoch(benchmark::State &S) { scanRow(S, 0, true); }
+void racelog_mixed_epoch(benchmark::State &S) { scanRow(S, 1, true); }
+void racelog_mixed_oracle(benchmark::State &S) { scanRow(S, 1, false); }
+void racelog_lockheavy_epoch(benchmark::State &S) { scanRow(S, 2, true); }
+void racelog_mixed128_epoch(benchmark::State &S) { scanRow(S, 3, true); }
+void racelog_mixed128_oracle(benchmark::State &S) { scanRow(S, 3, false); }
 
 BENCHMARK(racelog_racefree_epoch)
     ->Arg(1 << 20)
     ->Arg(8 << 20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(racelog_mixed_epoch)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
-BENCHMARK(racelog_mixed_epoch_s8)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 BENCHMARK(racelog_mixed_oracle)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 BENCHMARK(racelog_lockheavy_epoch)
     ->Arg(1 << 20)
@@ -114,11 +110,8 @@ void claims() {
     RaceLogOptions Epoch;
     RaceLogOptions Oracle;
     Oracle.Epochs = false;
-    RaceLogOptions Sharded;
-    Sharded.Shards = 8;
     RaceLogReport RE = scanRaceLog(Log, Epoch);
     RaceLogReport RO = scanRaceLog(Log, Oracle);
-    RaceLogReport RS = scanRaceLog(Log, Sharded);
     const char *Name = Kind == 0   ? "race-free"
                        : Kind == 1 ? "mixed"
                        : Kind == 2 ? "lock-heavy"
@@ -131,9 +124,6 @@ void claims() {
               " mix: oracle agrees with the epoch engine race-by-race",
           RO.Stats.RacyLocations == RE.Stats.RacyLocations &&
               RO.Races.size() == RE.Races.size());
-    claim(std::string(Name) + " mix: 8-shard scan is bit-identical",
-          RS.Races == RE.Races &&
-              RS.Stats.RacyLocations == RE.Stats.RacyLocations);
   }
 }
 

@@ -20,9 +20,8 @@ using namespace tracesafe::benchutil;
 
 namespace {
 
-TsoLimits tsoEngine(unsigned Workers, bool Oracle, bool Por = true) {
+TsoLimits tsoEngine(bool Oracle, bool Por = true) {
   TsoLimits L;
-  L.Workers = Workers;
   L.ExhaustiveOracle = Oracle;
   L.UseReduction = Por;
   return L;
@@ -83,19 +82,19 @@ void claims() {
           PsoExplained);
   }
 
-  // Parallel interned engine: verdict parity with the seed machine, the
+  // Interned engine: verdict parity with the seed machine, the
   // store-buffer POR state-count reduction, and the speedup bar.
   Program Sweep = sweepProgram();
-  std::set<Behaviour> Want = tsoBehaviours(Sweep, tsoEngine(1, true));
+  std::set<Behaviour> Want = tsoBehaviours(Sweep, tsoEngine(true));
   claim("interned TSO engine behaviour set == seed machine",
-        tsoBehaviours(Sweep, tsoEngine(8, false)) == Want);
+        tsoBehaviours(Sweep, tsoEngine(false)) == Want);
   claim("interned PSO engine behaviour set == seed machine",
-        psoBehaviours(Sweep, tsoEngine(8, false)) ==
-            psoBehaviours(Sweep, tsoEngine(1, true)));
+        psoBehaviours(Sweep, tsoEngine(false)) ==
+            psoBehaviours(Sweep, tsoEngine(true)));
 
   ExecStats Por, NoPor;
-  tsoBehaviours(Sweep, tsoEngine(1, false, /*Por=*/true), &Por);
-  tsoBehaviours(Sweep, tsoEngine(1, false, /*Por=*/false), &NoPor);
+  tsoBehaviours(Sweep, tsoEngine(false, /*Por=*/true), &Por);
+  tsoBehaviours(Sweep, tsoEngine(false, /*Por=*/false), &NoPor);
   std::printf("  store-buffer POR: %llu states vs %llu unreduced (%.1fx "
               "fewer)\n",
               static_cast<unsigned long long>(Por.Visited),
@@ -106,19 +105,19 @@ void claims() {
   claim("sleep-set POR prunes store-buffer states",
         Por.Visited < NoPor.Visited);
 
-  // Speedup over the seed machine at 8 workers. The speedup is
+  // Speedup over the seed machine, both sequential. The speedup is
   // algorithmic (interned states + sleep sets over the seed's
-  // std::set-memoised recursion), so it holds even on a single-core
-  // host; extra cores raise it further. The acceptance number (>= 3x)
-  // is read from BENCH_results.json's speedups section, which compares
-  // best-of-N benchmark repetitions; this in-binary claim uses a
-  // conservative 2x bar so host noise cannot flip a one-shot run.
-  double Oracle = secondsFor([&] { tsoBehaviours(Sweep, tsoEngine(1, true)); });
-  double Por8 = secondsFor([&] { tsoBehaviours(Sweep, tsoEngine(8, false)); });
-  std::printf("  TSO behaviours: oracle %.1fms, interned(8w) %.1fms (%.1fx)\n",
-              Oracle * 1e3, Por8 * 1e3, Oracle / Por8);
-  claim("TSO behaviours >= 2x faster than seed machine at 8 workers",
-        Oracle / Por8 >= 2.0);
+  // std::set-memoised recursion). The acceptance number (>= 3x) is read
+  // from BENCH_results.json's speedups section, which compares best-of-N
+  // benchmark repetitions; this in-binary claim uses a conservative 2x
+  // bar so host noise cannot flip a one-shot run.
+  double Oracle = secondsFor([&] { tsoBehaviours(Sweep, tsoEngine(true)); });
+  double Reduced =
+      secondsFor([&] { tsoBehaviours(Sweep, tsoEngine(false)); });
+  std::printf("  TSO behaviours: oracle %.1fms, interned %.1fms (%.1fx)\n",
+              Oracle * 1e3, Reduced * 1e3, Oracle / Reduced);
+  claim("TSO behaviours >= 2x faster than seed machine",
+        Oracle / Reduced >= 2.0);
 }
 
 void benchTsoMachine(benchmark::State &State) {
@@ -161,15 +160,15 @@ void benchExplanationSearch(benchmark::State &State) {
 }
 BENCHMARK(benchExplanationSearch)->Arg(1)->Arg(2)->Arg(3);
 
-// Worker/POR sweep on the interleaving-heavy workload. Names encode the
-// engine configuration for scripts/merge_bench_json.py: `_oracle` is the
-// seed sequential machine, `_nopor` the interned engine without
-// reduction, `_por` the full engine, `_wN` the worker count.
+// POR sweep on the interleaving-heavy workload. Names encode the engine
+// configuration for scripts/merge_bench_json.py: `_oracle` is the seed
+// machine, `_nopor` the interned engine without reduction, `_por` the
+// full engine; `_w1` keeps the row names of earlier recordings.
 
 void BM_tso_sweep_oracle(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(1, true)).size());
+    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(true)).size());
 }
 BENCHMARK(BM_tso_sweep_oracle)->Unit(benchmark::kMillisecond);
 
@@ -177,51 +176,30 @@ void BM_tso_sweep_nopor_w1(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        tsoBehaviours(P, tsoEngine(1, false, /*Por=*/false)).size());
+        tsoBehaviours(P, tsoEngine(false, /*Por=*/false)).size());
 }
 BENCHMARK(BM_tso_sweep_nopor_w1)->Unit(benchmark::kMillisecond);
 
 void BM_tso_sweep_por_w1(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(1, false)).size());
+    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(false)).size());
 }
 BENCHMARK(BM_tso_sweep_por_w1)->Unit(benchmark::kMillisecond);
-
-void BM_tso_sweep_por_w2(benchmark::State &State) {
-  Program P = sweepProgram();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(2, false)).size());
-}
-BENCHMARK(BM_tso_sweep_por_w2)->Unit(benchmark::kMillisecond);
-
-void BM_tso_sweep_por_w8(benchmark::State &State) {
-  Program P = sweepProgram();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(8, false)).size());
-}
-BENCHMARK(BM_tso_sweep_por_w8)->Unit(benchmark::kMillisecond);
 
 void BM_pso_sweep_oracle(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(1, true)).size());
+    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(true)).size());
 }
 BENCHMARK(BM_pso_sweep_oracle)->Unit(benchmark::kMillisecond);
 
 void BM_pso_sweep_por_w1(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(1, false)).size());
+    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(false)).size());
 }
 BENCHMARK(BM_pso_sweep_por_w1)->Unit(benchmark::kMillisecond);
-
-void BM_pso_sweep_por_w8(benchmark::State &State) {
-  Program P = sweepProgram();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(8, false)).size());
-}
-BENCHMARK(BM_pso_sweep_por_w8)->Unit(benchmark::kMillisecond);
 
 void benchBufferBoundAblation(benchmark::State &State) {
   Program P = parseOrDie(litmusTests()[5].Source); // SB+RFI.

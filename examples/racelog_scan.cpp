@@ -24,7 +24,7 @@
 ///
 /// Examples:
 ///   racelog_scan --gen mixed --events 1000000 --out /tmp/mixed.tsrl
-///   racelog_scan --shards 8 --jobs 4 /tmp/mixed.tsrl
+///   racelog_scan /tmp/mixed.tsrl
 ///   racelog_scan --oracle --max-visited 100000 /tmp/mixed.tsrl
 ///
 //===----------------------------------------------------------------------===//
@@ -57,11 +57,7 @@ void usage(const char *Argv0) {
       stderr,
       "usage: %s [options] [LOG.tsrl...]\n"
       "scan options:\n"
-      "  --shards N          address shards (power of two, default 1)\n"
-      "  --jobs N            detect workers: 1 sequential (default),\n"
-      "                      anything else = shard tasks on the shared pool\n"
       "  --oracle            full-vector-clock engine instead of epochs\n"
-      "  --window N          pipeline window in events (default 65536)\n"
       "  --max-races N       cap on reported races (default 64)\n"
       "  --deadline-ms N     wall-clock budget for each scan\n"
       "  --max-visited N     event budget for each scan\n"
@@ -116,10 +112,8 @@ int runDemo() {
   std::string Log = makeMixedLog(SO);
   std::printf("demo: synthetic mixed log, %zu bytes\n", Log.size());
 
-  RaceLogOptions Epoch;
-  Epoch.Shards = 4;
-  RaceLogReport RE = scanRaceLog(Log, Epoch);
-  printReport("epoch engine (4 shards)", RE);
+  RaceLogReport RE = scanRaceLog(Log);
+  printReport("epoch engine", RE);
   if (signalled())
     return ExitInterrupted;
 
@@ -199,20 +193,8 @@ int main(int argc, char **argv) {
     } else if (A == "--seed") {
       if (!needUnsigned(SO.Seed))
         return 2;
-    } else if (A == "--shards") {
-      if (!needUnsigned(U))
-        return 2;
-      RO.Shards = static_cast<unsigned>(U);
-    } else if (A == "--jobs") {
-      if (!needUnsigned(U))
-        return 2;
-      RO.Workers = static_cast<unsigned>(U);
     } else if (A == "--oracle") {
       RO.Epochs = false;
-    } else if (A == "--window") {
-      if (!needUnsigned(U))
-        return 2;
-      RO.WindowEvents = static_cast<size_t>(U);
     } else if (A == "--max-races") {
       if (!needUnsigned(U))
         return 2;

@@ -12,9 +12,8 @@ parsed from the benchmark name:
   *_por           the interned engine with sleep-set POR
   *_epoch         the racelog streaming detector's epoch engine (its
                   *_oracle sibling is the full-vector-clock engine)
-  *_wN            N search workers (absent: 1)
-  *_sN            N address shards (racelog; folded into workers, the
-                  configuration's parallel width)
+  *_w1            the engine rows' width; every engine is sequential, so
+                  it is always 1 (kept so row names stay comparable)
   daemon_*        daemon throughput benches (engine "daemon")
 
 google-benchmark appends slash-separated qualifiers to the registered
@@ -26,8 +25,9 @@ and numeric args stay part of the family, so
 `daemon_query_warm_c4`, engine `daemon`, workers 4.
 
 For every (bench, query) family that has both an `_oracle` row and a
-`_por*_w8` row, a speedup entry oracle/por_w8 is emitted — the PR's
-acceptance metric (>= 4x on the race and behaviour queries). Families
+`_por_w1` row, a speedup entry oracle/por_w1 is emitted — the algorithmic
+factor the engine benches claim (>= 4x on the race and behaviour
+queries). Families
 with an `_oracle` row and an `_epoch` row (the racelog detector) get the
 same treatment: the entry records the epoch engine's speedup over the
 full-vector-clock baseline.
@@ -75,7 +75,7 @@ def parse_name(name):
             workers = int(q.split(":", 1)[1])
             continue
         args.append(q)
-    m = re.search(r"_[ws](\d+)$", base)
+    m = re.search(r"_w(\d+)$", base)
     if m:
         if workers is None:
             workers = int(m.group(1))
@@ -179,7 +179,7 @@ def main(argv):
                 row["cache_hit_rate"] = b["cache_hit_rate"]
             rows.append(row)
 
-    # Speedups: seed oracle vs the reduced engine at its widest run. With
+    # Speedups: seed oracle vs the reduced engine. With
     # --benchmark_repetitions each configuration has several rows; take the
     # minimum ns/op per configuration (best-of-N, the standard way to shave
     # scheduler noise off wall-clock comparisons on a shared host).
@@ -196,23 +196,10 @@ def main(argv):
         if not oracle or not reduced:
             continue
         oracle_ns = min(r["ns_per_op"] for r in oracle)
-        if por:
-            # Search engines: widest run, the multicore convention.
-            widest_w = max(r["workers"] for r in reduced)
-            reduced_ns = min(
-                r["ns_per_op"] for r in reduced if r["workers"] == widest_w
-            )
-        else:
-            # Racelog epoch rows: best configuration outright — shard
-            # width trades against routing overhead per host, and on a
-            # 1-core host the widest run would be the *worst* one.
-            best = min(reduced, key=lambda r: r["ns_per_op"])
-            widest_w = best["workers"]
-            reduced_ns = best["ns_per_op"]
+        reduced_ns = min(r["ns_per_op"] for r in reduced)
         speedups[family] = {
             "oracle_ns_per_op": oracle_ns,
             "reduced_ns_per_op": reduced_ns,
-            "reduced_workers": widest_w,
             "speedup": oracle_ns / reduced_ns if reduced_ns else 0.0,
         }
 

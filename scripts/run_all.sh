@@ -64,6 +64,17 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink \
   --inject --inject-every 1 --expect-failures --no-thin-air --seed 2 \
   --repro-dir build-asan/fuzz_repros
 
+# Engine stage under ASan: the intern pools and the sleep-set memo free
+# each slot table as soon as a larger one replaces it, and the reduced SC
+# and TSO/PSO engines drive them through every growth; their
+# oracle-equivalence suites run here (see docs/PERFORMANCE.md).
+echo "===== sanitizer engine smoke ====="
+cmake --build build-asan --target test_intern test_parallel_enumerate \
+  test_tso_parallel
+./build-asan/tests/test_intern
+./build-asan/tests/test_parallel_enumerate
+./build-asan/tests/test_tso_parallel
+
 # On-disk input stage under ASan: every suite that parses durable files —
 # the record log itself (torn tails at every offset, a flipped bit in
 # every record, foreign headers), the TSCS verdict store and the fuzz
@@ -128,8 +139,7 @@ wait "$dpid" && drc=0 || drc=$?
 
 # Racelog stage under ASan: the log-format/engine suite (torn tails,
 # flipped CRCs, injected detect faults) plus an end-to-end generate+scan
-# through the CLI in its default (single-shard) configuration, the one the
-# daemon runs — the writer, CRC framing, and both engines touch every
+# through the CLI — the writer, CRC framing, and both engines touch every
 # byte they produce (see docs/TRACELOG.md).
 echo "===== sanitizer racelog smoke ====="
 cmake --build build-asan --target test_racelog racelog_scan
@@ -140,32 +150,27 @@ cmake --build build-asan --target test_racelog racelog_scan
   && rc=0 || rc=$?
 [ "$rc" -eq 1 ] || { echo "expected races in the mixed log (rc=$rc)"; exit 1; }
 
-# ThreadSanitizer pass: rebuild with TSan and drive the parallel engine —
-# pool + interning unit tests, the POR-vs-oracle equivalence suites (SC
-# enumeration and the TSO/PSO buffered engine), the in-process daemon
-# suite, and a parallel fuzz campaign (see docs/PERFORMANCE.md).
+# ThreadSanitizer pass: rebuild with TSan and drive what still has
+# threads. Every engine is sequential; parallelism lives across queries
+# only (see docs/PERFORMANCE.md): the pool's unit tests, the in-process
+# daemon suite, and a parallel fuzz campaign.
 echo "===== thread sanitizer parallel smoke ====="
 cmake -B build-tsan -G Ninja -DTRACESAFE_TSAN=ON
-cmake --build build-tsan --target \
-  test_threadpool test_intern test_parallel_enumerate test_tso_parallel \
-  test_racelog_differential test_daemon fuzz_harness
+cmake --build build-tsan --target test_threadpool test_daemon fuzz_harness
 ./build-tsan/tests/test_threadpool
-./build-tsan/tests/test_intern
-./build-tsan/tests/test_parallel_enumerate
-./build-tsan/tests/test_tso_parallel
-# The racelog differential suite drives the pooled shard pipeline (worker
-# tasks + interned clock snapshots) on every trace — the racelog TSan
-# surface.
-./build-tsan/tests/test_racelog_differential
 # The daemon suite: reader threads probe the verdict cache, append to the
 # journal and fill the answered-verdict table while workers complete
 # computed queries and the health tick streams heartbeats.
 ./build-tsan/tests/test_daemon
+# Programs run on four pool workers at once, each query with its own
+# intern pools and memo tables; this campaign is the check that no
+# per-query structure is shared across jobs.
 ./build-tsan/examples/fuzz_harness --programs 100 --deadline-ms 60000 \
   --seed 3 --no-thin-air --query-deadline-ms 50 --jobs 4 --semantic
 
 # UBSan pass: undefined-behaviour checking over the robustness stack —
-# fault injection, degradation, journal resume, and a chaos campaign
+# fault injection, degradation to the oracle engines (test_degrade, on
+# the daemon's evaluateQuery path), journal resume, and a chaos campaign
 # (random fault plan + mid-run cancel + resume; see docs/ROBUSTNESS.md) —
 # plus the suites of the program-level SC route ([[P]] + the enumerator).
 echo "===== ubsan robustness smoke ====="

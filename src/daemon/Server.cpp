@@ -12,7 +12,6 @@
 #include "verify/CacheStore.h"
 #include "verify/Canonical.h"
 #include "verify/Checks.h"
-#include "verify/Degrade.h"
 
 #include <algorithm>
 #include <atomic>
@@ -103,16 +102,15 @@ void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t ExtraVisited,
                  Hooks->LiveBytes, Hooks->BytesBase + ExtraBytes);
 }
 
-/// One attempt at a query. \p Oracle selects the sequential
-/// std::set-memoised enumerator for every kind (the Degrade layer's
-/// fallback path, sharing no code with the interned reduced engines), so
-/// a fault in the primary path cannot recur in the fallback; only the
-/// plain-DFS [[P]] build is common to both. Neither path uses the
-/// BehaviourCache's engine-level families: the query family in front of
-/// them, keyed by alpha-variant, answers every repeat first, so on this
-/// path they only ever missed and filled the cache. Engines run
-/// Workers=1: the daemon parallelises across queries, and sequential
-/// engines keep verdict bytes run-independent.
+/// One attempt at a query. \p Oracle selects the seed std::set-memoised
+/// enumerator for every kind (the degraded fallback path, sharing no code
+/// with the interned reduced engines), so a fault in the primary path
+/// cannot recur in the fallback; only the plain-DFS [[P]] build is common
+/// to both. Neither path uses the BehaviourCache's engine-level families:
+/// the query family in front of them, keyed by alpha-variant, answers
+/// every repeat first, so on this path they only ever missed and filled
+/// the cache. Every engine is sequential: the daemon parallelises across
+/// queries.
 QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
                       Budget &B, bool Oracle) {
   QueryResponse R;
@@ -123,7 +121,6 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     std::vector<Value> Domain = defaultDomainFor(O, 2);
     ExploreLimits XL;
     XL.Shared = &B;
-    XL.Workers = 1;
     ExploreStats XS;
     Traceset TS = programTraceset(O, Domain, XL, &XS);
     if (XS.Truncated) {
@@ -133,7 +130,6 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     }
     EnumerationLimits EL;
     EL.Shared = &B;
-    EL.Workers = 1;
     EL.ExhaustiveOracle = Oracle;
     if (K == QueryKind::ProgramDrf) {
       Verdict<Interleaving> V = checkDataRaceFreedom(TS, EL);
@@ -175,7 +171,6 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     E.ExhaustiveOracle = Oracle;
     ExploreLimits XL;
     XL.Shared = &B;
-    XL.Workers = 1;
     ThinAirReport Rep = checkThinAir(O, *T2, C, E, XL);
     R.Kind = outcomeVerdict(Rep.outcome());
     if (R.Kind == VerdictKind::Unknown)
@@ -194,17 +189,14 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
 }
 
 /// RaceLog queries bypass the program pipeline entirely: Q.Program is a
-/// TSRL log image, scanned by the streaming detector. Primary = the
-/// single-shard epoch engine (inline address sharding only adds routing
-/// work on one worker; verdict bytes are the same at any shard count);
-/// the degraded fallback (EngineFault only, like every other kind) is the
-/// full-vector-clock oracle engine.
+/// TSRL log image, scanned by the streaming detector. Primary = the epoch
+/// engine; the degraded fallback (EngineFault only, like every other
+/// kind) is the full-vector-clock oracle engine.
 QueryResponse runRaceLog(const std::string &Log, Budget &B, bool Oracle) {
   QueryResponse R;
   R.Status = ResponseStatus::Ok;
   racelog::RaceLogOptions O;
   O.Epochs = !Oracle;
-  O.Workers = 1;
   O.Shared = &B;
   racelog::RaceLogReport Rep = racelog::scanRaceLog(Log, O);
   if (!Rep.FormatOk) {

@@ -17,8 +17,8 @@
 ///    work cannot starve) and run on the shared work-stealing
 ///    ThreadPool under a Budget clamped to the server's quota ceiling.
 ///
-///  - *Containment.* Every query task catches everything; a poisoned
-///    query degrades to the sequential oracle (Degrade layer) and at
+///  - *Containment.* Every query task catches everything; a faulted
+///    query degrades to the seed oracle engines (computeVerdict) and at
 ///    worst reports Unknown(EngineFault). The pool, the listeners and the
 ///    other clients never observe the fault. The same isolation holds on
 ///    the write side: every connection's outbound traffic goes through a
@@ -47,9 +47,9 @@
 ///    with a reply deadline; silent peers and (optionally) idle ones are
 ///    reaped so dead TCP peers cannot pin connection state forever.
 ///
-/// Determinism note: the daemon parallelises *across* queries and runs
-/// each query's engines sequentially (Workers=1), so any query under a
-/// wall-clock-free budget produces the same verdict bytes in any run —
+/// Determinism note: the daemon parallelises *across* queries and every
+/// engine runs sequentially, so any query under a wall-clock-free budget
+/// produces the same verdict bytes in any run —
 /// the property the chaos smoke test diffs, over both transports.
 ///
 //===----------------------------------------------------------------------===//

@@ -1,10 +1,7 @@
 #include "lang/Explore.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 using namespace tracesafe;
 
@@ -124,54 +121,18 @@ Traceset tracesafe::programTraceset(const Program &P,
                                     const std::vector<Value> &Inputs) {
   Traceset Out(Domain);
   ExploreStats Total;
-  ThreadId NumThreads = P.threadCount();
-  if (Limits.Workers == 1 || NumThreads <= 1) {
-    for (ThreadId Tid = 0; Tid < NumThreads; ++Tid) {
-      // Exception containment: a failed exploration (allocation failure,
-      // injected fault) leaves this thread's traceset partial, which is
-      // exactly what a truncated traceset means — callers already refuse
-      // to conclude anything definitive from it.
-      try {
-        Total.merge(exploreThread(P, Tid, Domain, Out, Limits, Inputs));
-      } catch (...) {
-        Total.truncate(TruncationReason::EngineFault);
-        if (Limits.Shared)
-          Limits.Shared->poison(TruncationReason::EngineFault);
-        break;
-      }
-    }
-  } else {
-    // One task per program thread, each into its own traceset; merging in
-    // thread order keeps the result independent of scheduling.
-    std::vector<Traceset> Parts(NumThreads, Traceset(Domain));
-    std::vector<ExploreStats> PartStats(NumThreads);
-    std::unique_ptr<ThreadPool> Owned;
-    ThreadPool *Pool = &ThreadPool::shared();
-    if (Limits.Workers > 1) {
-      Owned = std::make_unique<ThreadPool>(Limits.Workers);
-      Pool = Owned.get();
-    }
-    {
-      ThreadPool::TaskGroup G(*Pool);
-      for (ThreadId Tid = 0; Tid < NumThreads; ++Tid)
-        G.spawn([&P, &Domain, &Inputs, &Parts, &PartStats, Limits, Tid] {
-          PartStats[Tid] =
-              exploreThread(P, Tid, Domain, Parts[Tid], Limits, Inputs);
-        });
-      G.wait();
-      // A task that threw left its Parts[Tid] partial and its PartStats
-      // default-complete; the merged traceset below is therefore missing
-      // whole suffixes and must be marked truncated, not trusted.
-      if (G.faulted()) {
-        G.takeException();
-        Total.truncate(TruncationReason::EngineFault);
-        if (Limits.Shared)
-          Limits.Shared->poison(TruncationReason::EngineFault);
-      }
-    }
-    for (ThreadId Tid = 0; Tid < NumThreads; ++Tid) {
-      Out.merge(Parts[Tid]);
-      Total.merge(PartStats[Tid]);
+  for (ThreadId Tid = 0; Tid < P.threadCount(); ++Tid) {
+    // Exception containment: a failed exploration (allocation failure,
+    // injected fault) leaves this thread's traceset partial, which is
+    // exactly what a truncated traceset means — callers already refuse to
+    // conclude anything definitive from it.
+    try {
+      Total.merge(exploreThread(P, Tid, Domain, Out, Limits, Inputs));
+    } catch (...) {
+      Total.truncate(TruncationReason::EngineFault);
+      if (Limits.Shared)
+        Limits.Shared->poison(TruncationReason::EngineFault);
+      break;
     }
   }
   if (Stats)

@@ -43,10 +43,10 @@ struct ExploreLimits {
   /// Optional shared query budget (deadline / visit / memory caps across
   /// every engine of one query). Non-owning; may be null.
   Budget *Shared = nullptr;
-  /// programTraceset workers: 1 = sequential; 0 = the shared work-stealing
-  /// pool at its default width; N > 1 = exactly N. Threads are explored
-  /// into per-thread tracesets and merged in thread order, so the result
-  /// is identical for every width.
+  /// Inert: programTraceset explores the threads one after another in the
+  /// calling thread. It stays only because the perfbench replay model
+  /// still assigns it; ROADMAP item 1's benchmark PR deletes it along with
+  /// Trace.cpp's replay model.
   unsigned Workers = 1;
 };
 

@@ -1,8 +1,6 @@
 #include "racelog/Detect.h"
 
 #include "support/Failure.h"
-#include "support/Intern.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -74,7 +72,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Per-shard variable state
+// Per-variable state
 //===----------------------------------------------------------------------===//
 
 constexpr uint32_t NoSpill = ~0u;
@@ -98,12 +96,11 @@ struct SpillVC {
   uint32_t Len = 0;
 };
 
-/// The FastTrack / DJIT+ state machine for the addresses of one shard.
-/// Accesses must arrive in log order per address; the caller guarantees
-/// this (either the inline scan, or shard routing which preserves it).
-class ShardState {
+/// The FastTrack / DJIT+ state machine for every address of the log.
+/// Accesses must arrive in log order.
+class VarTable {
 public:
-  ShardState(Budget *B, bool Epochs, size_t MaxRaces)
+  VarTable(Budget *B, bool Epochs, size_t MaxRaces)
       : Arena(B), B(B), Epochs(Epochs), MaxRaces(MaxRaces) {
     Table.resize(1u << 12);
     Mask = Table.size() - 1;
@@ -182,8 +179,8 @@ public:
   /// Hints the cache that \p Addr's slot is about to be probed. Issued a
   /// few events ahead of access() so the (random-address) table miss
   /// overlaps the decode of the intervening events instead of stalling
-  /// the state machine. Purely a hint: a pointer staled by a concurrent
-  /// grow() is still safe to prefetch.
+  /// the state machine. Purely a hint: a line staled by a later grow()
+  /// costs nothing.
   void prefetch(uint64_t Addr) const {
     __builtin_prefetch(&Table[mixAddr(Addr) & Mask], 1, 3);
   }
@@ -289,44 +286,19 @@ struct LiveClocks {
 
   ClockRef ref(uint32_t T) const { return {C[T].data(), C[T].size()}; }
 
-  /// Dst |_|= Src. Returns true when Dst changed.
-  static bool joinInto(std::vector<uint64_t> &Dst,
+  /// Dst |_|= Src.
+  static void joinInto(std::vector<uint64_t> &Dst,
                        const std::vector<uint64_t> &Src) {
     if (Src.size() > Dst.size())
       Dst.resize(Src.size(), 0);
-    bool Changed = false;
     for (size_t I = 0; I < Src.size(); ++I)
-      if (Src[I] > Dst[I]) {
-        Dst[I] = Src[I];
-        Changed = true;
-      }
-    return Changed;
+      Dst[I] = std::max(Dst[I], Src[I]);
   }
 };
 
 //===----------------------------------------------------------------------===//
-// The scan pipeline
+// The scan
 //===----------------------------------------------------------------------===//
-
-unsigned normalisedShards(unsigned Requested) {
-  unsigned N = std::clamp(Requested, 1u, 64u);
-  unsigned P = 1;
-  while (P < N)
-    P <<= 1;
-  return P;
-}
-
-/// An access routed to its shard: everything the per-shard state machine
-/// needs, with the issuing thread's clock referenced by interned snapshot
-/// id (clocks only change at synchronisation events, so one snapshot
-/// covers a whole run of accesses).
-struct Routed {
-  uint64_t Addr;
-  Epoch E;
-  uint64_t EventIndex;
-  uint32_t Snap;
-  uint8_t IsWrite;
-};
 
 RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
   RaceLogReport Rep;
@@ -337,70 +309,12 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
     return Rep;
   }
 
-  const unsigned NShards = normalisedShards(O.Shards);
-  const bool Inline = NShards == 1;
-  const bool Pooled = !Inline && O.Workers != 1;
-  const unsigned ShardShift = 64 - __builtin_ctz(NShards);
-
   Budget *B = O.Shared;
   Budget::Scope Charge(B);
 
   LiveClocks TC;
   std::unordered_map<uint64_t, std::vector<uint64_t>> Locks;
-
-  std::vector<std::unique_ptr<ShardState>> Shards;
-  Shards.reserve(NShards);
-  for (unsigned I = 0; I < NShards; ++I)
-    Shards.push_back(
-        std::make_unique<ShardState>(B, O.Epochs, O.MaxRaces));
-
-  // Sharded-mode machinery: clock snapshots interned once per sync step
-  // (lock-free lookups from the shard tasks), per-shard routed queues,
-  // and a window barrier bounding their memory.
-  InternPool Snaps(0, B);
-  std::vector<uint32_t> SnapId; // per tid; ~0u = stale
-  std::vector<std::vector<Routed>> Queues(NShards);
-  size_t WindowFill = 0;
-  const size_t Window = std::max<size_t>(O.WindowEvents, 1024);
-
-  auto invalidate = [&](uint32_t T) {
-    if (T < SnapId.size())
-      SnapId[T] = ~0u;
-  };
-  auto snapOf = [&](uint32_t T) {
-    if (T >= SnapId.size())
-      SnapId.resize(T + 1, ~0u);
-    if (SnapId[T] == ~0u)
-      SnapId[T] = Snaps.intern(TC.C[T].data(), TC.C[T].size()).Id;
-    return SnapId[T];
-  };
-  auto flushWindow = [&] {
-    auto runShard = [&](unsigned S) {
-      ShardState &St = *Shards[S];
-      const std::vector<Routed> &Q = Queues[S];
-      for (size_t I = 0; I != Q.size(); ++I) {
-        if (I + 8 < Q.size())
-          St.prefetch(Q[I + 8].Addr);
-        const Routed &R = Q[I];
-        auto [Ptr, Len] = Snaps.view(R.Snap);
-        St.access(R.Addr, R.IsWrite != 0, epochTid(R.E), R.E,
-                  ClockRef{Ptr, Len}, R.EventIndex);
-      }
-      Queues[S].clear();
-    };
-    if (!Pooled) {
-      for (unsigned S = 0; S < NShards; ++S)
-        runShard(S);
-    } else {
-      ThreadPool::TaskGroup G(ThreadPool::shared());
-      for (unsigned S = 0; S < NShards; ++S)
-        G.spawn([&runShard, S] { runShard(S); });
-      G.wait();
-      if (std::exception_ptr E = G.takeException())
-        std::rethrow_exception(E);
-    }
-    WindowFill = 0;
-  };
+  VarTable Vars(B, O.Epochs, O.MaxRaces);
 
   uint64_t EventIndex = 0;
   bool Stop = false;
@@ -441,14 +355,14 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
     for (; Ptr != End; Ptr += EventRecordSize) {
       LogEvent E;
       decodeEvent(Ptr, E);
-      if (Inline && End - Ptr > static_cast<ptrdiff_t>(PrefetchDist)) {
+      if (End - Ptr > static_cast<ptrdiff_t>(PrefetchDist)) {
         // Peek at the raw record a few slots ahead (the payload is
         // already validated) and warm its table line.
         const char *F = Ptr + PrefetchDist;
         if (static_cast<uint8_t>(F[0]) <= static_cast<uint8_t>(Op::Write)) {
           uint64_t A;
           __builtin_memcpy(&A, F + 8, 8);
-          Shards[0]->prefetch(A);
+          Vars.prefetch(A);
         }
       }
       if (!Charge.charge()) {
@@ -464,27 +378,15 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
       case Op::Write: {
         if (!TC.known(E.Tid))
           TC.ensure(E.Tid);
-        bool W = E.Kind == Op::Write;
-        if (Inline) {
-          Shards[0]->access(E.Addr, W, E.Tid, TC.Cur[E.Tid],
-                            TC.ref(E.Tid), Idx);
-        } else {
-          uint32_t S = snapOf(E.Tid);
-          unsigned Sh =
-              static_cast<unsigned>(mixAddr(E.Addr) >> ShardShift);
-          Queues[Sh].push_back(
-              {E.Addr, TC.Cur[E.Tid], Idx, S, W ? uint8_t(1) : uint8_t(0)});
-          if (++WindowFill >= Window)
-            flushWindow();
-        }
+        Vars.access(E.Addr, E.Kind == Op::Write, E.Tid, TC.Cur[E.Tid],
+                    TC.ref(E.Tid), Idx);
         break;
       }
       case Op::Acquire: {
         TC.ensure(E.Tid);
         auto It = Locks.find(E.Addr);
-        if (It != Locks.end() &&
-            LiveClocks::joinInto(TC.C[E.Tid], It->second))
-          invalidate(E.Tid);
+        if (It != Locks.end())
+          LiveClocks::joinInto(TC.C[E.Tid], It->second);
         break;
       }
       case Op::Release: {
@@ -496,32 +398,25 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
         // Equivalent to the classic overwrite for well-nested monitors.
         LiveClocks::joinInto(Locks[E.Addr], TC.C[E.Tid]);
         TC.tick(E.Tid);
-        invalidate(E.Tid);
         break;
       }
       case Op::Fork: {
         TC.ensure(E.Tid);
         TC.ensure(E.Target);
-        if (LiveClocks::joinInto(TC.C[E.Target], TC.C[E.Tid]))
-          invalidate(E.Target);
+        LiveClocks::joinInto(TC.C[E.Target], TC.C[E.Tid]);
         TC.tick(E.Tid);
-        invalidate(E.Tid);
         break;
       }
       case Op::Join: {
         TC.ensure(E.Tid);
         TC.ensure(E.Target);
-        if (LiveClocks::joinInto(TC.C[E.Tid], TC.C[E.Target]))
-          invalidate(E.Tid);
+        LiveClocks::joinInto(TC.C[E.Tid], TC.C[E.Target]);
         TC.tick(E.Target);
-        invalidate(E.Target);
         break;
       }
       }
     }
   }
-  if (!Inline)
-    flushWindow();
   Charge.settle();
 
   if (Cur.tornTail()) {
@@ -529,20 +424,10 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
     Rep.Stats.DroppedBytes = Cur.droppedBytes();
   }
   Rep.Stats.Threads = TC.Threads;
-
-  std::vector<RaceRecord> All;
-  for (auto &S : Shards) {
-    All.insert(All.end(), S->Races.begin(), S->Races.end());
-    Rep.Stats.RacyLocations += S->RacyLocations;
-    Rep.Stats.ReadShares += S->ReadShares;
-  }
-  std::sort(All.begin(), All.end(),
-            [](const RaceRecord &A, const RaceRecord &B) {
-              return A.EventIndex < B.EventIndex;
-            });
-  if (All.size() > O.MaxRaces)
-    All.resize(O.MaxRaces);
-  Rep.Races = std::move(All);
+  // Races are recorded in log order and capped at MaxRaces as they come.
+  Rep.Races = std::move(Vars.Races);
+  Rep.Stats.RacyLocations = Vars.RacyLocations;
+  Rep.Stats.ReadShares = Vars.ReadShares;
   return Rep;
 }
 

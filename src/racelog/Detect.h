@@ -25,15 +25,11 @@
 ///    location, by the FastTrack equivalence argument (docs/
 ///    PERFORMANCE.md).
 ///
-/// Sharding: with Options.Shards > 1 the scan runs as a pipeline —
-/// synchronisation events update the live thread clocks sequentially (in
-/// log order), accesses are stamped with their thread's current clock
-/// (interned once per sync step into an InternPool, the PR-7 lock-free
-/// discipline) and routed by address hash to per-shard detectors, which
-/// the window barrier runs on the shared ThreadPool. Every address lives
-/// in exactly one shard and its accesses arrive in log order, so the
-/// racy-location set and the first racy event per location are identical
-/// for every shard count and worker width.
+/// The scan is one sequential pass in log order: synchronisation events
+/// update the live thread clocks, and each access goes straight to one
+/// open-addressing table of per-variable states, stamped with its
+/// thread's current clock. Parallelism is across scans (the daemon's
+/// workers), never inside one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,25 +47,21 @@ namespace tracesafe {
 namespace racelog {
 
 struct RaceLogOptions {
-  /// Address shards for the detect stage (rounded up to a power of two,
-  /// clamped to [1, 64]). 1 = the inline single-table fast path.
+  /// Inert, like Workers: the scan is one table in the calling thread.
+  /// Both stay only because the perfbench replay model still assigns
+  /// them; ROADMAP item 1's benchmark PR deletes them along with
+  /// Trace.cpp's replay model.
   unsigned Shards = 1;
-  /// 1 = everything in the calling thread (shards processed in order);
-  /// anything else = per-shard detection tasks on the shared ThreadPool.
-  /// Verdicts are identical for every width.
   unsigned Workers = 1;
   /// False selects the full-vector-clock oracle engine.
   bool Epochs = true;
-  /// Pipeline window: accesses routed between two shard barriers. Bounds
-  /// the routed-queue memory, does not affect results.
-  size_t WindowEvents = 1 << 16;
   /// Cap on reported RaceRecords (the racy-location *count* in Stats is
   /// always exact). Races are reported first-per-location in log order.
   size_t MaxRaces = 64;
   /// Optional shared query budget. One visit is charged per ingested
-  /// event (identically for every engine/shard configuration, so a
-  /// query's Visited is deterministic); state-table and clock-arena
-  /// growth charge real byte sizes.
+  /// event (identically for both engines, so a query's Visited is
+  /// deterministic); state-table and clock-arena growth charge real byte
+  /// sizes.
   Budget *Shared = nullptr;
 };
 

@@ -96,6 +96,20 @@ std::string BudgetSpec::str() const {
   return Out;
 }
 
+BudgetSpec tracesafe::remainingBudget(const BudgetSpec &Spec,
+                                      const Budget &Used) {
+  BudgetSpec Out = Spec;
+  if (Spec.DeadlineMs > 0) {
+    int64_t Left = Spec.DeadlineMs - Used.elapsedMs();
+    Out.DeadlineMs = Left > 0 ? Left : 1;
+  }
+  if (Spec.MaxVisited > 0) {
+    uint64_t V = Used.visited();
+    Out.MaxVisited = V < Spec.MaxVisited ? Spec.MaxVisited - V : 1;
+  }
+  return Out;
+}
+
 std::string Budget::describe() const {
   std::string Out = "visited " + std::to_string(Visited) + " states, " +
                     std::to_string(Bytes_) + "B charged, " +

@@ -90,8 +90,9 @@ struct BudgetSpec {
 /// consulted every few hundred charges). A Budget is shared by address —
 /// the limit structs of the engines carry a non-owning pointer — so the
 /// caps apply to the query as a whole, not per engine. All counters are
-/// atomics so one budget can be shared by every worker of a parallel
-/// query; exhaustion is a sticky broadcast every worker observes.
+/// atomics so other threads (a canceller, the daemon's heartbeat) can
+/// poison or sample a running query; exhaustion is sticky, so every
+/// engine of the query observes it on its next charge.
 class Budget {
 public:
   explicit Budget(const BudgetSpec &Spec,
@@ -173,7 +174,7 @@ public:
 
   /// Marks the budget exhausted with \p R (first writer wins, like any
   /// other exhaustion). Used to broadcast external cancellation and to
-  /// contain engine faults: every worker of the query observes the sticky
+  /// contain engine faults: every engine of the query observes the sticky
   /// flag on its next charge and unwinds.
   void poison(TruncationReason R) { exhaust(R); }
 
@@ -194,8 +195,8 @@ public:
 
   /// Batched charging handle for the hot search loops. A Scope reserves a
   /// block of visit indices from the shared counter with one fetch_add and
-  /// hands them out locally, so at 8+ workers the shared cache line stops
-  /// being a contention point. The semantics are bit-exact with unbatched
+  /// hands them out locally, so the hot loop touches the shared atomics
+  /// once per block. The semantics are bit-exact with unbatched
   /// charge(): each charge consumes one global index, the visit-cap check
   /// is per-index (charge #n fails iff n exceeds MaxVisited), the clock /
   /// cancel token / fault plan are consulted at exactly the indices
@@ -245,8 +246,8 @@ public:
     }
 
     /// Returns the unconsumed remainder of the current block to the
-    /// shared counter. Call at task boundaries (and implicitly from the
-    /// destructor) so visited() is exact at quiescence.
+    /// shared counter. Call when the search ends (the destructor does too)
+    /// so visited() is exact.
     void settle() {
       if (B && Cap > Used)
         B->Visited.fetch_sub(Cap - Used, std::memory_order_relaxed);
@@ -311,41 +312,13 @@ private:
   uint64_t MirrorBytesBase = 0;
 };
 
-/// Block-reserving view over a plain shared atomic tally (the engines'
-/// per-query visit counters). Same contention-avoidance idea as
-/// Budget::Scope: next() hands out 1-based global indices from a locally
-/// reserved block, and settle() (or destruction) returns the unconsumed
-/// remainder, so the counter is exact once all scopes quiesce.
-class CounterScope {
-public:
-  explicit CounterScope(std::atomic<uint64_t> &C) : C(C) {}
-  ~CounterScope() { settle(); }
-  CounterScope(const CounterScope &) = delete;
-  CounterScope &operator=(const CounterScope &) = delete;
-
-  uint64_t next() {
-    if (Used == Cap) {
-      Base = C.fetch_add(Block, std::memory_order_relaxed);
-      Used = 0;
-      Cap = Block;
-    }
-    return Base + ++Used;
-  }
-
-  void settle() {
-    if (Cap > Used)
-      C.fetch_sub(Cap - Used, std::memory_order_relaxed);
-    Base = 0;
-    Used = Cap = 0;
-  }
-
-private:
-  static constexpr uint32_t Block = 64;
-  std::atomic<uint64_t> &C;
-  uint64_t Base = 0;
-  uint32_t Used = 0;
-  uint32_t Cap = 0;
-};
+/// The budget left over after \p Used ran under \p Spec: remaining wall
+/// clock and remaining visits, floored at 1 so the result stays *bounded*
+/// (0 means unlimited in BudgetSpec). The memory cap carries over
+/// unreduced — the faulted attempt's tables are freed before the fallback
+/// starts, so its charge is not actually occupied. The daemon runs its
+/// oracle fallback for a faulted query under this budget.
+BudgetSpec remainingBudget(const BudgetSpec &Spec, const Budget &Used);
 
 /// Tri-state result of a verification query.
 enum class VerdictKind : uint8_t {

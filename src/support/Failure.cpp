@@ -34,8 +34,6 @@ const char *tracesafe::faultSiteName(FaultSite S) {
     return "behaviour-cache";
   case FaultSite::BufferedIntern:
     return "buffered-intern";
-  case FaultSite::BufferedFork:
-    return "buffered-fork";
   case FaultSite::BufferedDrain:
     return "buffered-drain";
   case FaultSite::ProtoRead:
@@ -125,8 +123,7 @@ void FaultPlan::randomizeDaemon(uint64_t Seed) {
   static constexpr FaultSite DaemonSites[] = {
       FaultSite::ProtoRead,      FaultSite::ProtoWrite,
       FaultSite::Accept,         FaultSite::Admission,
-      FaultSite::BufferedIntern, FaultSite::BufferedFork,
-      FaultSite::BufferedDrain};
+      FaultSite::BufferedIntern, FaultSite::BufferedDrain};
   constexpr size_t NumDaemonSites =
       sizeof(DaemonSites) / sizeof(DaemonSites[0]);
   uint64_t Z = mix64(Seed ^ 0xDAE110ULL);
@@ -151,7 +148,6 @@ void FaultPlan::randomizeDaemon(uint64_t Seed) {
       // even a small TSO query racks up thousands of hits.
       arm(S, 1 + Next() % 2'000, Repeat);
       break;
-    case FaultSite::BufferedFork:
     case FaultSite::BufferedDrain:
       arm(S, 1 + Next() % 50, Repeat);
       break;

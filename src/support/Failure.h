@@ -37,7 +37,6 @@ enum class FaultSite : uint8_t {
   BudgetCharge,   ///< Budget::charge spuriously exhausts with EngineFault
   BehaviourCache, ///< BehaviourCache lookup/insert throws InjectedFault
   BufferedIntern, ///< BufferedEngine state interning throws std::bad_alloc
-  BufferedFork,   ///< BufferedEngine subtree handoff throws InjectedFault
   BufferedDrain,  ///< BufferedEngine drain step throws InjectedFault
   ProtoRead,      ///< daemon protocol read fails mid-frame
   ProtoWrite,     ///< daemon protocol write fails mid-frame
@@ -68,8 +67,9 @@ struct InjectedFault : std::runtime_error {
 /// consecutive hits fire starting there) and, for stall sites, a stall
 /// duration. Hit counters are atomic so the plan is safe to consult from
 /// pool workers; exact replay of *which query* faults is guaranteed only
-/// for sequential runs (parallel hit order is scheduling-dependent, which
-/// is precisely what the chaos mode wants to shake out).
+/// when queries run one at a time (with concurrent queries the hit order
+/// is scheduling-dependent, which is precisely what the chaos mode wants
+/// to shake out).
 class FaultPlan {
 public:
   struct SiteArm {

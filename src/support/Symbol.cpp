@@ -11,8 +11,9 @@ namespace {
 
 /// Names live in a deque so the references handed out by Symbol::name stay
 /// valid while other threads intern (deque growth never moves elements).
-/// The mutex makes interning safe from the parallel engines; ids are dense
-/// and stable for the process lifetime as before.
+/// The mutex makes interning safe from concurrent queries (the daemon's
+/// workers, parallel fuzz jobs); ids are dense and stable for the process
+/// lifetime as before.
 /// Transparent, so a std::string_view probes the table without building a
 /// std::string.
 struct NameHash {

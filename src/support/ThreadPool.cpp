@@ -166,9 +166,7 @@ void ThreadPool::workerMain(unsigned Index) {
     // wakeup window is between the failed pop and this wait; the short
     // timeout bounds that race to a couple of milliseconds, which is noise
     // against the subtree-sized tasks the engines spawn.
-    Idle.fetch_add(1, std::memory_order_relaxed);
     SleepCv.wait_for(Lock, std::chrono::milliseconds(2));
-    Idle.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -200,7 +198,7 @@ void ThreadPool::TaskGroup::wait() {
   while (Outstanding.load(std::memory_order_acquire) > 0) {
     // Help with this group's pending tasks instead of blocking. Restricting
     // to the own group keeps the stack bounded and means a worker that
-    // waits inside a task (nested parallel query) can never pick up an
+    // waits inside a task (a nested group) can never pick up an
     // unrelated long-running task.
     if (Pool.pop(T, Self, this)) {
       Pool.runTask(T);

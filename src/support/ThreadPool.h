@@ -1,20 +1,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Work-stealing thread pool for the parallel verification engines.
+/// Work-stealing thread pool for running independent queries in parallel:
+/// the daemon's query workers and the fuzz campaign's --jobs. Each query
+/// runs its engines sequentially on the worker that picked it up.
 ///
 /// The pool owns N worker threads, each with its own task deque. A worker
-/// pushes and pops its own deque LIFO (depth-first locality for recursive
-/// searches) and steals FIFO from other workers (oldest tasks are the
-/// largest subtrees, so a thief grabs the most work per steal). Tasks are
-/// grouped into TaskGroups for fork/join: a thread that waits on a group
-/// executes the group's pending tasks itself instead of blocking, so
-/// nested parallel queries (a fuzz worker running a parallel enumeration)
-/// keep every core busy and can never deadlock on pool starvation.
+/// pushes and pops its own deque LIFO and steals FIFO from other workers.
+/// Tasks are grouped into TaskGroups for fork/join: a thread that waits on
+/// a group executes the group's pending tasks itself instead of blocking,
+/// so a waiter never deadlocks on pool starvation.
 ///
 /// The pool is deliberately oblivious to what tasks compute: determinism
-/// of the parallel engines comes from their merge structure (sets,
-/// monotone flags, per-index slots), never from scheduling order.
+/// of the callers comes from their merge structure (per-index slots),
+/// never from scheduling order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,25 +46,19 @@ public:
 
   unsigned workerCount() const { return static_cast<unsigned>(Queues.size()); }
 
-  /// True when at least one worker is parked with nothing to do — the
-  /// parallel searches use this as the "worth forking a subtree?" hint.
-  bool hasIdleWorker() const {
-    return Idle.load(std::memory_order_relaxed) > 0;
-  }
-
-  /// Worker count used by ThreadPool() and the engines' Workers=0 default:
+  /// Worker count used by ThreadPool() and the callers' 0-width default:
   /// the TRACESAFE_WORKERS environment variable when set and positive,
   /// otherwise std::thread::hardware_concurrency().
   static unsigned defaultWorkerCount();
 
   /// Lazily constructed process-wide pool with defaultWorkerCount()
-  /// workers; shared by the engines so repeated queries do not pay thread
-  /// creation. Never destroyed before exit.
+  /// workers; shared so repeated campaigns do not pay thread creation.
+  /// Never destroyed before exit.
   static ThreadPool &shared();
 
   /// Fork/join scope. Spawned tasks may themselves spawn into the same
-  /// group (recursive splitting); wait() returns once every task spawned
-  /// so far has finished. The destructor waits.
+  /// group; wait() returns once every task spawned so far has finished.
+  /// The destructor waits.
   ///
   /// Exception containment: a task that throws does not unwind the worker
   /// thread (which would std::terminate the process). The group captures
@@ -134,7 +127,6 @@ private:
   std::vector<std::thread> Workers;
   std::mutex SleepM;
   std::condition_variable SleepCv;
-  std::atomic<unsigned> Idle{0};
   std::atomic<bool> Stopping{false};
 };
 

@@ -3,7 +3,7 @@
 /// \file
 /// Word encodings shared by the interned search engines.
 ///
-/// The parallel engines (SC traceset enumeration in trace/Enumerate.cpp,
+/// The reduced engines (SC traceset enumeration in trace/Enumerate.cpp,
 /// the TSO/PSO store-buffer machines in tso/BufferedEngine.cpp) and the
 /// cross-query behaviour cache all encode actions, events and states as
 /// short spans of uint64 words interned in an InternPool. The tag

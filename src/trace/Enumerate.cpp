@@ -1,21 +1,12 @@
 #include "trace/Enumerate.h"
 
-#include "support/ForkPolicy.h"
 #include "support/Intern.h"
-#include "support/ThreadPool.h"
 #include "trace/ActionWord.h"
 #include "trace/HappensBefore.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <bit>
-#include <cassert>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <tuple>
-#include <unordered_map>
 
 using namespace tracesafe;
 
@@ -23,7 +14,7 @@ using namespace tracesafe;
 // Seed sequential engine (EnumerationLimits::ExhaustiveOracle).
 //
 // This is the original std::set-memoised exhaustive search, kept verbatim as
-// a cross-check oracle for the parallel engine below. The equivalence tests
+// a cross-check oracle for the reduced engine below. The equivalence tests
 // assert verdict-identical results between the two on every program in the
 // suite.
 //===----------------------------------------------------------------------===//
@@ -400,8 +391,8 @@ RaceReport oracleFindAdjacentRace(const Traceset &T,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Parallel engine: hash-consed interned states, sleep-set partial-order
-// reduction, work-stealing frontier split.
+// Reduced engine: hash-consed interned states, sleep-set and source-set
+// partial-order reduction.
 //
 // Every structure the search touches is encoded as a short span of uint64
 // words and interned (InternPool): per-thread traces become trie nodes
@@ -472,18 +463,10 @@ RaceReport oracleFindAdjacentRace(const Traceset &T,
 // state, now below the explored child t(s); induct on its height.
 // Sleep sets layer on top exactly as for behaviours (the predicate is
 // state-local and evaluated before expansion). The ExhaustiveOracle
-// equivalence matrix in test_parallel_enumerate keeps this honest.
+// equivalence suite in test_parallel_enumerate keeps this honest.
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-// Forking is restricted to the shallow levels of a search — that is where
-// the large subtrees live, and it bounds the per-transition NodeState
-// copies on hosts where idle workers are always available (a pool wider
-// than the machine), where an unconditional hasIdleWorker() gate would
-// fork nearly every edge. The depth limit is adaptive (ForkPolicy): each
-// query measures its own branching factor and retunes the limit so the
-// fan-out within it is a small multiple of the pool width.
 
 // The span tag constants (TagTrace/TagEvent/TagState) and the one-word
 // action packing live in trace/ActionWord.h, shared with the TSO/PSO
@@ -517,100 +500,6 @@ struct SleepElem {
   uint32_t Id;
   Event Ev;
 };
-
-/// Mutable global search state. Copyable: handing a subtree to another
-/// worker is one copy; inline recursion uses apply/undo instead.
-struct NodeState {
-  std::vector<Trace> Traces;      ///< per dense thread index
-  std::vector<uint32_t> TraceIds; ///< interned trie node per thread
-  std::map<SymbolId, Value> Memory;
-  std::map<SymbolId, std::pair<ThreadId, int>> LockDepth;
-  std::vector<Value> Tail;        ///< behaviour so far (behaviours mode)
-  Interleaving Path;              ///< events from the root (race/visitor)
-  std::vector<SleepElem> Sleep;   ///< sorted by Id
-};
-
-bool stepEnabled(const std::vector<ThreadId> &Tids, const NodeState &N,
-                 size_t Ti, const Action &A) {
-  const Trace &Cur = N.Traces[Ti];
-  if (Cur.empty() && (!A.isStart() || A.entry() != Tids[Ti]))
-    return false;
-  if (A.isRead() && !A.isWildcard()) {
-    auto It = N.Memory.find(A.location());
-    Value Expected = It == N.Memory.end() ? DefaultValue : It->second;
-    if (A.value() != Expected)
-      return false;
-  }
-  if (A.isLock()) {
-    auto It = N.LockDepth.find(A.monitor());
-    if (It != N.LockDepth.end() && It->second.second > 0 &&
-        It->second.first != Tids[Ti])
-      return false;
-  }
-  return true;
-}
-
-struct StepUndo {
-  uint32_t OldTraceId = 0;
-  bool HadMem = false;
-  Value OldMem = 0;
-  std::pair<ThreadId, int> OldLock{0, 0};
-  bool PushedTail = false;
-  bool PushedPath = false;
-};
-
-void applyStep(NodeState &N, size_t Ti, const Event &Ev, InternPool *Structs,
-               bool TrackTail, bool TrackPath, StepUndo &U) {
-  const Action &A = Ev.Act;
-  N.Traces[Ti].push_back(A);
-  if (Structs) {
-    U.OldTraceId = N.TraceIds[Ti];
-    uint64_t W[2] = {TagTrace | N.TraceIds[Ti], actionWord(A)};
-    N.TraceIds[Ti] = Structs->intern(W, 2).Id;
-  }
-  if (A.isWrite()) {
-    auto It = N.Memory.find(A.location());
-    if (It != N.Memory.end()) {
-      U.HadMem = true;
-      U.OldMem = It->second;
-    }
-    N.Memory[A.location()] = A.value();
-  }
-  if (A.isLock() || A.isUnlock()) {
-    auto &Slot = N.LockDepth[A.monitor()];
-    U.OldLock = Slot;
-    Slot = A.isLock() ? std::make_pair(Ev.Tid, Slot.second + 1)
-                      : std::make_pair(Slot.first, Slot.second - 1);
-  }
-  if (TrackTail && A.isExternal()) {
-    N.Tail.push_back(A.value());
-    U.PushedTail = true;
-  }
-  if (TrackPath) {
-    N.Path.push_back(Ev);
-    U.PushedPath = true;
-  }
-}
-
-void undoStep(NodeState &N, size_t Ti, const Event &Ev, InternPool *Structs,
-              const StepUndo &U) {
-  const Action &A = Ev.Act;
-  if (U.PushedPath)
-    N.Path.pop_back();
-  if (U.PushedTail)
-    N.Tail.pop_back();
-  if (A.isLock() || A.isUnlock())
-    N.LockDepth[A.monitor()] = U.OldLock;
-  if (A.isWrite()) {
-    if (U.HadMem)
-      N.Memory[A.location()] = U.OldMem;
-    else
-      N.Memory.erase(A.location());
-  }
-  if (Structs)
-    N.TraceIds[Ti] = U.OldTraceId;
-  N.Traces[Ti].pop_back();
-}
 
 bool sleepContains(const std::vector<SleepElem> &Sleep, uint32_t Id) {
   auto It = std::lower_bound(
@@ -666,8 +555,8 @@ bool footprintsDependent(const Footprint &X, const Footprint &Y) {
 /// state live in dense vectors indexed by the query's symbol layout
 /// (every location/monitor the traceset can ever touch, collected from
 /// the root footprint), so the inner step loop streams over contiguous
-/// words instead of chasing std::map nodes, a worker handoff copies flat
-/// arrays, and the state encoding is a fixed-shape span.
+/// words instead of chasing std::map nodes, and the state encoding is a
+/// fixed-shape span.
 struct SoaState {
   std::vector<Trace> Traces;      ///< per dense thread index
   std::vector<uint32_t> TraceIds; ///< interned trie node per thread
@@ -678,108 +567,37 @@ struct SoaState {
   std::vector<SleepElem> Sleep;   ///< sorted by Id
 };
 
-/// Lock-free cache keyed by interned trie id: a chunked arena of atomic
-/// value pointers (chunk C holds 64<<C slots, so slots never move and 27
-/// chunk pointers cover the whole id space). find() is two acquire loads;
-/// publish() CAS-installs a heap value, and the loser of a compute race
-/// discards its duplicate — results are identical either way. Replaces
-/// the former mutex-sharded unordered_maps on the successor/footprint
-/// hot path.
+/// Cache keyed by interned trie id. Values are heap-allocated once and
+/// never move, so references handed out stay valid for the query.
 template <typename T> class IdTable {
 public:
-  IdTable() = default;
-  IdTable(const IdTable &) = delete;
-  IdTable &operator=(const IdTable &) = delete;
-  ~IdTable() {
-    for (unsigned C = 0; C < Chunks.size(); ++C) {
-      std::atomic<T *> *Chunk = Chunks[C].load(std::memory_order_relaxed);
-      if (!Chunk)
-        continue;
-      size_t Cap = size_t{64} << C;
-      for (size_t I = 0; I < Cap; ++I)
-        delete Chunk[I].load(std::memory_order_relaxed);
-      delete[] Chunk;
-    }
-  }
-
   const T *find(uint32_t Id) const {
-    unsigned C = chunkOf(Id);
-    std::atomic<T *> *Chunk = Chunks[C].load(std::memory_order_acquire);
-    if (!Chunk)
-      return nullptr;
-    return Chunk[Id - baseOf(C)].load(std::memory_order_acquire);
+    const std::unique_ptr<T> *Slot = Slots.find(Id);
+    return Slot ? Slot->get() : nullptr;
   }
 
-  /// Installs \p Val for \p Id unless another thread already did; returns
-  /// the winning value and whether this call inserted. Bytes of any chunk
-  /// this call allocated are added to \p ChunkBytes.
-  std::pair<const T *, bool> publish(uint32_t Id, std::unique_ptr<T> Val,
-                                     uint64_t &ChunkBytes) {
-    unsigned C = chunkOf(Id);
-    std::atomic<T *> *Chunk = Chunks[C].load(std::memory_order_acquire);
-    if (!Chunk) {
-      size_t Cap = size_t{64} << C;
-      auto *Fresh = new std::atomic<T *>[Cap];
-      for (size_t I = 0; I < Cap; ++I)
-        Fresh[I].store(nullptr, std::memory_order_relaxed);
-      std::atomic<T *> *Expected = nullptr;
-      if (Chunks[C].compare_exchange_strong(Expected, Fresh,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-        Chunk = Fresh;
-        ChunkBytes += Cap * sizeof(std::atomic<T *>);
-      } else {
-        delete[] Fresh;
-        Chunk = Expected;
-      }
-    }
-    std::atomic<T *> &Slot = Chunk[Id - baseOf(C)];
-    T *Expected = nullptr;
-    T *Raw = Val.release();
-    if (Slot.compare_exchange_strong(Expected, Raw,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire))
-      return {Raw, true};
-    delete Raw;
-    return {Expected, false};
+  /// Stores \p Val for \p Id (absent so far). Bytes of any chunk this
+  /// call allocated are added to \p ChunkBytes.
+  const T &insert(uint32_t Id, std::unique_ptr<T> Val, uint64_t &ChunkBytes) {
+    std::unique_ptr<T> &Slot = Slots.slot(Id, ChunkBytes);
+    Slot = std::move(Val);
+    return *Slot;
   }
 
 private:
-  static unsigned chunkOf(uint32_t Id) {
-    return std::bit_width((Id >> 6) + 1u) - 1;
-  }
-  static uint32_t baseOf(unsigned C) { return (uint32_t{64} << C) - 64; }
-  std::array<std::atomic<std::atomic<T *> *>, 27> Chunks{};
+  StableChunks<std::unique_ptr<T>> Slots;
 };
 
-/// Per-task charging and scratch context, threaded down the recursion.
-/// The two block-reserving scopes amortise the shared atomic traffic of
-/// the hot loop (Budget::Scope keeps bit-exact cap/interrupt semantics);
-/// the encode buffers are reused across every state a task visits.
-struct TaskCtx {
-  Budget::Scope Charge;
-  CounterScope Visits;
-  std::vector<uint64_t> Enc;    ///< state-encoding scratch
-  std::vector<uint64_t> SigEnc; ///< sleep-signature scratch
-  TaskCtx(Budget *Shared, std::atomic<uint64_t> &Counter)
-      : Charge(Shared), Visits(Counter) {}
-};
-
-/// The memoised behaviour/race searches on the interned + sleep-set + (when
-/// Workers != 1) work-stealing engine.
+/// The memoised behaviour/race searches on the interned + sleep-set +
+/// source-set engine.
 class ReducedQuery {
 public:
   ReducedQuery(const Traceset &T, const EnumerationLimits &Limits,
                bool RaceMode)
-      : T(T), Limits(Limits), RaceMode(RaceMode),
-        Parallel(Limits.Workers != 1),
-        Structs(Parallel ? 6 : 0, Limits.Shared),
-        Sigs(Parallel ? 6 : 0, Limits.Shared),
-        Forks(Limits.Workers ? Limits.Workers
-                             : ThreadPool::defaultWorkerCount()) {
+      : T(T), Limits(Limits), RaceMode(RaceMode), Structs(Limits.Shared),
+        Sigs(Limits.Shared), Charge(Limits.Shared) {
     if (Limits.SleepSets)
-      Memo = std::make_unique<SleepMemo>(Parallel ? 6 : 0, Sigs,
-                                         Limits.Shared);
+      Memo = std::make_unique<SleepMemo>(Sigs, Limits.Shared);
     Tids = T.entryPoints();
     std::sort(Tids.begin(), Tids.end());
   }
@@ -805,51 +623,23 @@ public:
       MonIds = RootF.Monitors;
     } catch (...) {
       engineFault();
-      std::lock_guard<std::mutex> Lock(ResM);
-      Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
       return;
     }
     Root.Mem.assign(LocIds.size(), DefaultValue);
     Root.Locks.assign(MonIds.size(), {0, 0});
     if (!RaceMode)
       Behaviours.insert(Behaviour{});
-    if (!Parallel) {
-      // Exception containment, sequential engine: an allocation failure
-      // (real or injected) inside the intern pools unwinds to here and
-      // becomes a truncated result — partial behaviour sets / "no race
-      // found so far" are exactly what Unknown(EngineFault) means, and
-      // any witness already recorded stays definitive.
-      try {
-        TaskCtx Ctx(Limits.Shared, VisitedCount);
-        search(Root, Ctx);
-      } catch (...) {
-        engineFault();
-      }
-    } else {
-      if (Limits.Workers > 1)
-        Owned = std::make_unique<ThreadPool>(Limits.Workers);
-      Pool = Owned ? Owned.get() : &ThreadPool::shared();
-      {
-        ThreadPool::TaskGroup G(*Pool);
-        Group = &G;
-        auto R = std::make_shared<SoaState>(std::move(Root));
-        G.spawn([this, R] {
-          TaskCtx Ctx(Limits.Shared, VisitedCount);
-          search(*R, Ctx);
-        });
-        G.wait();
-        // Parallel engine: every search frame runs inside a pool task,
-        // so a throwing frame is captured by the group (and the group
-        // drained) instead of unwinding a worker. Surface it here.
-        if (G.faulted()) {
-          G.takeException();
-          engineFault();
-        }
-      }
-      Group = nullptr;
+    // Exception containment: an allocation failure (real or injected)
+    // inside the intern pools unwinds to here and becomes a truncated
+    // result — partial behaviour sets / "no race found so far" are exactly
+    // what Unknown(EngineFault) means, and any witness already recorded
+    // stays definitive.
+    try {
+      search(Root);
+    } catch (...) {
+      engineFault();
     }
-    std::lock_guard<std::mutex> Lock(ResM);
-    Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
+    Charge.settle();
   }
 
   // Results (valid after run()).
@@ -859,17 +649,12 @@ public:
   EnumerationStats Stats;
 
 private:
-  void truncate(TruncationReason R) {
-    std::lock_guard<std::mutex> Lock(ResM);
-    Stats.truncate(R);
-  }
-
   /// Marks the query faulted: truncate with EngineFault and poison the
   /// shared budget so sibling engines of the same query unwind too — a
   /// result built on a faulted sub-search must never read as Proved.
   void engineFault() {
-    truncate(TruncationReason::EngineFault);
-    StopFlag.store(true, std::memory_order_relaxed);
+    Stats.truncate(TruncationReason::EngineFault);
+    Stop = true;
     if (Limits.Shared)
       Limits.Shared->poison(TruncationReason::EngineFault);
   }
@@ -982,8 +767,7 @@ private:
   /// Traceset::successors walks the underlying std::set with full trace
   /// comparisons — the dominant per-expansion cost — but many states share
   /// the same per-thread traces, so one walk per *distinct* trace serves
-  /// every arrival. The IdTable makes the warm lookup two atomic loads;
-  /// values never move once published.
+  /// every arrival.
   const std::vector<Action> &successorsFor(uint32_t Id, const Trace &Tr) {
     if (const std::vector<Action> *Hit = SuccCache.find(Id))
       return *Hit;
@@ -991,18 +775,17 @@ private:
     uint64_t ValBytes =
         Val->capacity() * sizeof(Action) + sizeof(void *) * 4;
     uint64_t ChunkBytes = 0;
-    auto [Ptr, Inserted] = SuccCache.publish(Id, std::move(Val), ChunkBytes);
-    if (Limits.Shared && (ChunkBytes || Inserted))
-      Limits.Shared->chargeBytes(ChunkBytes + (Inserted ? ValBytes : 0));
-    return *Ptr;
+    const std::vector<Action> &Out =
+        SuccCache.insert(Id, std::move(Val), ChunkBytes);
+    if (Limits.Shared)
+      Limits.Shared->chargeBytes(ChunkBytes + ValBytes);
+    return Out;
   }
 
   /// Future footprint of a thread trace, memoised by its interned trie id
   /// like successorsFor. Recursion is bounded by the (finite, prefix-
   /// closed) traceset depth, and each distinct trace node is computed
-  /// once. Two arrivals may race to compute the same node; the first
-  /// insert wins and the duplicate work is discarded — results are
-  /// identical either way.
+  /// once.
   const Footprint &footprintFor(uint32_t Id, const Trace &Tr) {
     if (const Footprint *Hit = FootCache.find(Id))
       return *Hit;
@@ -1050,11 +833,11 @@ private:
             sizeof(SymbolId) +
         sizeof(Footprint) + sizeof(void *) * 4;
     uint64_t ChunkBytes = 0;
-    auto [Ptr, Inserted] = FootCache.publish(
+    const Footprint &Out = FootCache.insert(
         Id, std::make_unique<Footprint>(std::move(F)), ChunkBytes);
-    if (Limits.Shared && (ChunkBytes || Inserted))
-      Limits.Shared->chargeBytes(ChunkBytes + (Inserted ? ValBytes : 0));
-    return *Ptr;
+    if (Limits.Shared)
+      Limits.Shared->chargeBytes(ChunkBytes + ValBytes);
+    return Out;
   }
 
   /// Persistent-set restriction, shared by both queries: groups threads
@@ -1118,7 +901,8 @@ private:
   }
 
   /// State-local adjacent-race predicate (see file comment). Returns true
-  /// (and records the witness, broadcasting stop) when a race fires at N.
+  /// (and records the witness, stopping the search) when a race fires at
+  /// N.
   bool checkRace(const SoaState &N,
                  const std::vector<const std::vector<Action> *> &Succ) {
     size_t NT = Tids.size();
@@ -1156,39 +940,33 @@ private:
 
   bool raceFound(const SoaState &N, const Event &First,
                  const Event &Second) {
-    std::lock_guard<std::mutex> Lock(ResM);
-    if (!HasRace) {
-      HasRace = true;
-      Interleaving W = N.Path;
-      W.push_back(First);
-      W.push_back(Second);
-      Witness = std::move(W);
-    }
-    StopFlag.store(true, std::memory_order_relaxed);
+    HasRace = true;
+    Witness = N.Path;
+    Witness.push_back(First);
+    Witness.push_back(Second);
+    Stop = true;
     return true;
   }
 
-  void search(SoaState &N, TaskCtx &Ctx, unsigned Depth = 0) {
-    if (StopFlag.load(std::memory_order_relaxed))
+  void search(SoaState &N) {
+    if (Stop)
       return;
-    uint64_t V = Ctx.Visits.next();
-    if (V > Limits.MaxVisited) {
-      truncate(TruncationReason::StateCap);
+    if (++Stats.Visited > Limits.MaxVisited) {
+      Stats.truncate(TruncationReason::StateCap);
       return;
     }
-    if (Limits.Shared && !Ctx.Charge.charge()) {
-      truncate(Limits.Shared->reason());
+    if (Limits.Shared && !Charge.charge()) {
+      Stats.truncate(Limits.Shared->reason());
       return;
     }
     // Intern the global state; prune revisits (subset rule under POR).
-    encodeState(N, Ctx.Enc);
-    InternPool::Result State = Structs.intern(Ctx.Enc.data(), Ctx.Enc.size());
+    encodeState(N, Enc);
+    InternPool::Result State = Structs.intern(Enc.data(), Enc.size());
     if (Memo) {
-      Ctx.SigEnc.clear();
+      SigEnc.clear();
       for (const SleepElem &S : N.Sleep)
-        Ctx.SigEnc.push_back(S.Id);
-      InternPool::Result Sig =
-          Sigs.intern(Ctx.SigEnc.data(), Ctx.SigEnc.size());
+        SigEnc.push_back(S.Id);
+      InternPool::Result Sig = Sigs.intern(SigEnc.data(), SigEnc.size());
       if (!Memo->shouldExplore(State.Id, Sig.Id))
         return;
     } else if (!State.Inserted) {
@@ -1208,7 +986,7 @@ private:
       Succ[Ti] = &successorsFor(N.TraceIds[Ti], N.Traces[Ti]);
     }
     if (DepthHit)
-      truncate(TruncationReason::DepthCap);
+      Stats.truncate(TruncationReason::DepthCap);
     if (RaceMode && checkRace(N, Succ))
       return;
     // Persistent-set restriction, both queries (a depth-capped thread
@@ -1219,12 +997,11 @@ private:
       restrictToSourceGroup(N, Succ, InGroup);
     // Expand in deterministic (thread, action) order.
     std::vector<SleepElem> Done; // earlier explored siblings
-    unsigned Degree = 0;         // explored out-degree, for ForkPolicy
     for (size_t Ti = 0; Ti < NT; ++Ti) {
       if (!InGroup[Ti])
         continue;
       for (const Action &A : *Succ[Ti]) {
-        if (StopFlag.load(std::memory_order_relaxed))
+        if (Stop)
           return;
         if (!soaEnabled(N, Ti, A))
           continue;
@@ -1243,7 +1020,6 @@ private:
         if (!RaceMode && A.isExternal()) {
           Behaviour B = N.Tail;
           B.push_back(A.value());
-          std::lock_guard<std::mutex> Lock(ResM);
           Behaviours.insert(std::move(B));
         }
         std::vector<SleepElem> ChildSleep;
@@ -1259,179 +1035,36 @@ private:
                       return X.Id < Y.Id;
                     });
         }
-        ++Degree;
-        if (Group && Forks.shouldFork(*Pool, Depth)) {
-          // Hand the subtree to an idle worker: one flat-array copy. The
-          // spawned task charges through its own scopes.
-          auto Child = std::make_shared<SoaState>(N);
-          Child->Sleep = std::move(ChildSleep);
-          SoaUndo U;
-          applySoa(*Child, Ti, Ev, U);
-          Group->spawn([this, Child, Depth] {
-            TaskCtx ChildCtx(Limits.Shared, VisitedCount);
-            search(*Child, ChildCtx, Depth + 1);
-          });
-        } else {
-          SoaUndo U;
-          applySoa(N, Ti, Ev, U);
-          std::vector<SleepElem> Saved = std::move(N.Sleep);
-          N.Sleep = std::move(ChildSleep);
-          search(N, Ctx, Depth + 1);
-          N.Sleep = std::move(Saved);
-          undoSoa(N, Ti, Ev, U);
-        }
+        SoaUndo U;
+        applySoa(N, Ti, Ev, U);
+        std::vector<SleepElem> Saved = std::move(N.Sleep);
+        N.Sleep = std::move(ChildSleep);
+        search(N);
+        N.Sleep = std::move(Saved);
+        undoSoa(N, Ti, Ev, U);
         if (Memo)
           Done.push_back({EvId, Ev});
       }
     }
-    if (Group)
-      Forks.observe(Degree, *Pool);
   }
 
   const Traceset &T;
   EnumerationLimits Limits;
   bool RaceMode;
-  bool Parallel;
   InternPool Structs; ///< trace trie nodes, events, states
   InternPool Sigs;    ///< sorted event-id sleep signatures
   IdTable<std::vector<Action>> SuccCache; ///< trie id -> successor actions
   IdTable<Footprint> FootCache;           ///< trie id -> future footprint
   std::vector<SymbolId> LocIds; ///< sorted distinct memory locations
   std::vector<SymbolId> MonIds; ///< sorted distinct monitors
-  ForkPolicy Forks;                    ///< adaptive fork-depth controller
   std::unique_ptr<SleepMemo> Memo;
   std::vector<ThreadId> Tids;
-  std::unique_ptr<ThreadPool> Owned;
-  ThreadPool *Pool = nullptr;
-  ThreadPool::TaskGroup *Group = nullptr;
-  std::atomic<uint64_t> VisitedCount{0};
-  std::atomic<bool> StopFlag{false};
-  std::mutex ResM; ///< guards Behaviours, HasRace, Witness, Stats
-};
-
-/// Parallel visitor-based enumeration (forEach*Execution, Workers != 1).
-/// No memoisation or reduction — every execution is visited, in
-/// unspecified order; the visitor is serialized and Visit=false broadcasts
-/// stop.
-class VisitorSearch {
-public:
-  VisitorSearch(const Traceset &T, const EnumerationLimits &Limits,
-                bool MaximalOnly,
-                const std::function<bool(const Interleaving &)> &Visit)
-      : T(T), Limits(Limits), MaximalOnly(MaximalOnly), Visit(Visit),
-        Forks(Limits.Workers ? Limits.Workers
-                             : ThreadPool::defaultWorkerCount()) {
-    Tids = T.entryPoints();
-    std::sort(Tids.begin(), Tids.end());
-  }
-
-  EnumerationStats run() {
-    NodeState Root;
-    Root.Traces.assign(Tids.size(), Trace());
-    if (Limits.Workers > 1)
-      Owned = std::make_unique<ThreadPool>(Limits.Workers);
-    Pool = Owned ? Owned.get() : &ThreadPool::shared();
-    {
-      ThreadPool::TaskGroup G(*Pool);
-      Group = &G;
-      auto R = std::make_shared<NodeState>(std::move(Root));
-      G.spawn([this, R] {
-        TaskCtx Ctx(Limits.Shared, VisitedCount);
-        search(*R, Ctx);
-      });
-      G.wait();
-      // A throwing search frame is captured by the group and the rest of
-      // the group drained; the visit sequence is incomplete, so the
-      // result must read as truncated, never as an exhausted search.
-      if (G.faulted()) {
-        G.takeException();
-        StopFlag.store(true, std::memory_order_relaxed);
-        truncate(TruncationReason::EngineFault);
-        if (Limits.Shared)
-          Limits.Shared->poison(TruncationReason::EngineFault);
-      }
-    }
-    Group = nullptr;
-    std::lock_guard<std::mutex> Lock(StatsM);
-    Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
-    return Stats;
-  }
-
-private:
-  void truncate(TruncationReason R) {
-    std::lock_guard<std::mutex> Lock(StatsM);
-    Stats.truncate(R);
-  }
-
-  void search(NodeState &N, TaskCtx &Ctx, unsigned Depth = 0) {
-    if (StopFlag.load(std::memory_order_relaxed))
-      return;
-    uint64_t V = Ctx.Visits.next();
-    if (V > Limits.MaxVisited) {
-      truncate(TruncationReason::StateCap);
-      return;
-    }
-    if (N.Path.size() >= Limits.MaxEvents) {
-      truncate(TruncationReason::DepthCap);
-      return;
-    }
-    if (Limits.Shared && !Ctx.Charge.charge()) {
-      truncate(Limits.Shared->reason());
-      return;
-    }
-    std::vector<std::pair<size_t, Action>> Steps;
-    for (size_t Ti = 0; Ti < Tids.size(); ++Ti)
-      for (const Action &A : T.successors(N.Traces[Ti]))
-        if (stepEnabled(Tids, N, Ti, A))
-          Steps.emplace_back(Ti, A);
-    if ((!MaximalOnly && !N.Path.empty()) ||
-        (MaximalOnly && Steps.empty())) {
-      std::lock_guard<std::mutex> Lock(VisitM);
-      if (StopFlag.load(std::memory_order_relaxed))
-        return;
-      if (!Visit(N.Path)) {
-        StopFlag.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-    if (Group)
-      Forks.observe(static_cast<unsigned>(Steps.size()), *Pool);
-    for (const auto &[Ti, A] : Steps) {
-      if (StopFlag.load(std::memory_order_relaxed))
-        return;
-      Event Ev{Tids[Ti], A};
-      // Same adaptive shallow-fork gate as ReducedQuery::search.
-      if (Group && Forks.shouldFork(*Pool, Depth)) {
-        auto Child = std::make_shared<NodeState>(N);
-        StepUndo U;
-        applyStep(*Child, Ti, Ev, nullptr, false, true, U);
-        Group->spawn([this, Child, Depth] {
-          TaskCtx ChildCtx(Limits.Shared, VisitedCount);
-          search(*Child, ChildCtx, Depth + 1);
-        });
-      } else {
-        StepUndo U;
-        applyStep(N, Ti, Ev, nullptr, false, true, U);
-        search(N, Ctx, Depth + 1);
-        undoStep(N, Ti, Ev, nullptr, U);
-      }
-    }
-  }
-
-  const Traceset &T;
-  EnumerationLimits Limits;
-  bool MaximalOnly;
-  const std::function<bool(const Interleaving &)> &Visit;
-  ForkPolicy Forks; ///< adaptive fork-depth controller
-  std::vector<ThreadId> Tids;
-  std::unique_ptr<ThreadPool> Owned;
-  ThreadPool *Pool = nullptr;
-  ThreadPool::TaskGroup *Group = nullptr;
-  std::atomic<uint64_t> VisitedCount{0};
-  std::atomic<bool> StopFlag{false};
-  std::mutex VisitM;
-  std::mutex StatsM;
-  EnumerationStats Stats;
+  /// Batched budget charging for the hot loop (bit-exact cap/interrupt
+  /// semantics; settled when the search ends).
+  Budget::Scope Charge;
+  std::vector<uint64_t> Enc;    ///< state-encoding scratch
+  std::vector<uint64_t> SigEnc; ///< sleep-signature scratch
+  bool Stop = false;
 };
 
 } // namespace
@@ -1443,25 +1076,19 @@ private:
 EnumerationStats tracesafe::forEachExecution(
     const Traceset &T, const std::function<bool(const Interleaving &)> &Visit,
     EnumerationLimits Limits) {
-  if (Limits.Workers == 1 || Limits.ExhaustiveOracle) {
-    EnumerationStats Stats;
-    Enumerator E(T, Limits);
-    E.dfs(Visit, /*MaximalOnly=*/false, Stats);
-    return Stats;
-  }
-  return VisitorSearch(T, Limits, /*MaximalOnly=*/false, Visit).run();
+  EnumerationStats Stats;
+  Enumerator E(T, Limits);
+  E.dfs(Visit, /*MaximalOnly=*/false, Stats);
+  return Stats;
 }
 
 EnumerationStats tracesafe::forEachMaximalExecution(
     const Traceset &T, const std::function<bool(const Interleaving &)> &Visit,
     EnumerationLimits Limits) {
-  if (Limits.Workers == 1 || Limits.ExhaustiveOracle) {
-    EnumerationStats Stats;
-    Enumerator E(T, Limits);
-    E.dfs(Visit, /*MaximalOnly=*/true, Stats);
-    return Stats;
-  }
-  return VisitorSearch(T, Limits, /*MaximalOnly=*/true, Visit).run();
+  EnumerationStats Stats;
+  Enumerator E(T, Limits);
+  E.dfs(Visit, /*MaximalOnly=*/true, Stats);
+  return Stats;
 }
 
 std::set<Behaviour> tracesafe::collectBehaviours(const Traceset &T,
@@ -1484,7 +1111,7 @@ RaceReport tracesafe::findAdjacentRace(const Traceset &T,
   Q.run();
   RaceReport Report;
   Report.HasRace = Q.HasRace;
-  Report.Witness = Q.Witness;
+  Report.Witness = std::move(Q.Witness);
   Report.Stats = Q.Stats;
   return Report;
 }

@@ -13,13 +13,13 @@
 /// Two memoised derived queries are provided: the set of observable
 /// behaviours, and adjacent-conflict data-race detection. Both are the
 /// workhorses of the DRF-guarantee experiments. By default they run on
-/// the parallel engine: hash-consed interned states, sleep-set
-/// partial-order reduction, and a work-stealing frontier split across
-/// EnumerationLimits::Workers threads with early-exit broadcast. The
-/// seed's sequential exhaustive enumerator is retained behind
-/// EnumerationLimits::ExhaustiveOracle as a cross-check oracle; verdicts
-/// are identical by construction (see docs/PERFORMANCE.md for the
-/// soundness argument).
+/// the reduced engine: hash-consed interned states and sleep-set /
+/// source-set partial-order reduction. The seed's exhaustive enumerator
+/// is retained behind EnumerationLimits::ExhaustiveOracle as a
+/// cross-check oracle; verdicts are identical by construction (see
+/// docs/PERFORMANCE.md for the soundness argument). Every search runs
+/// sequentially in the calling thread: parallelism is across queries
+/// (the daemon's workers, fuzz_harness --jobs), never inside one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,10 +47,9 @@ struct EnumerationLimits {
   /// Optional shared query budget (deadline / visit / memory caps across
   /// every engine of one query). Non-owning; may be null.
   Budget *Shared = nullptr;
-  /// Search workers: 1 = sequential in the calling thread; 0 = the shared
-  /// work-stealing pool at its default width (TRACESAFE_WORKERS or
-  /// hardware concurrency); N > 1 = exactly N-wide forking on the shared
-  /// pool. Verdicts and behaviour sets are identical for every width.
+  /// Inert: no engine reads it (every search is sequential). It stays
+  /// only because the perfbench replay model still assigns it; ROADMAP
+  /// item 1's benchmark PR deletes it along with Trace.cpp's replay model.
   unsigned Workers = 1;
   /// Sleep-set partial-order reduction for collectBehaviours and
   /// findAdjacentRace. Sound for both queries (see docs/PERFORMANCE.md);
@@ -68,8 +67,8 @@ struct EnumerationLimits {
   /// adjacent-enabled after the group's steps). See docs/PERFORMANCE.md
   /// and the proof comment in trace/Enumerate.cpp for the full argument.
   bool SourceSets = true;
-  /// Run the seed's sequential std::set-memoised engine instead of the
-  /// parallel interned one. Cross-check oracle: equivalence tests assert
+  /// Run the seed's std::set-memoised engine instead of the interned
+  /// reduced one. Cross-check oracle: equivalence tests assert
   /// verdict-identical results between the two.
   bool ExhaustiveOracle = false;
 };

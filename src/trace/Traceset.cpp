@@ -19,10 +19,6 @@ void Traceset::insert(const Trace &T) {
   }
 }
 
-void Traceset::merge(const Traceset &Other) {
-  Traces.insert(Other.Traces.begin(), Other.Traces.end());
-}
-
 bool Traceset::belongsTo(const Trace &Wildcard) const {
   for (const Trace &Inst : Wildcard.instances(Domain))
     if (!contains(Inst))

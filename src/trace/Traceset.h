@@ -35,11 +35,6 @@ public:
   /// (no wildcards), properly started and well locked.
   void insert(const Trace &T);
 
-  /// Set-union with \p Other (prefix closure is preserved: a union of
-  /// prefix-closed sets is prefix-closed). Used by the parallel explorer
-  /// to combine per-thread tracesets; the domain is left unchanged.
-  void merge(const Traceset &Other);
-
   /// Membership of a concrete trace.
   bool contains(const Trace &T) const { return Traces.count(T) != 0; }
 

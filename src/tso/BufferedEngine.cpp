@@ -2,17 +2,13 @@
 
 #include "lang/Explore.h"
 #include "support/Failure.h"
-#include "support/ForkPolicy.h"
 #include "support/Intern.h"
-#include "support/ThreadPool.h"
 #include "trace/ActionWord.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 using namespace tracesafe;
@@ -22,8 +18,8 @@ using namespace tracesafe;
 //
 // Mirrors trace/Enumerate.cpp's ReducedQuery, transplanted to machine
 // states. Thread configurations (continuation + registers + monitor
-// depths) are not word-encodable, so they get dense ids from a
-// mutex-guarded side map; everything else of a state — buffers, memory,
+// depths) are not word-encodable, so they get dense ids from a side map;
+// everything else of a state — buffers, memory,
 // locks, actions-done counters and the behaviour tail — is encoded as a
 // length-prefixed span of words and interned. The memo granularity is
 // exactly the sequential explorers' (State, ActionsDone, BehSoFar) tuple.
@@ -56,15 +52,13 @@ using namespace tracesafe;
 namespace {
 
 /// Dense ids for thread configurations. std::map keeps references stable
-/// and needs only ThreadState's operator<=>; the search holds the lock
-/// for one tree comparison path per lookup, which profiles far below the
-/// interning and step-generation costs.
+/// and needs only ThreadState's operator<=>; one tree comparison path per
+/// lookup profiles far below the interning and step-generation costs.
 class ConfigIds {
 public:
   explicit ConfigIds(Budget *Shared) : Shared(Shared) {}
 
   uint32_t id(const ThreadState &S) {
-    std::lock_guard<std::mutex> Lock(M);
     auto [It, Inserted] =
         Map.try_emplace(S, static_cast<uint32_t>(Map.size()));
     if (Inserted) {
@@ -76,14 +70,10 @@ public:
   }
 
   /// Canonical configuration for a dense id. Map nodes never move or get
-  /// erased, so the reference stays valid after the lock is dropped.
-  const ThreadState &state(uint32_t Id) {
-    std::lock_guard<std::mutex> Lock(M);
-    return *ById[Id];
-  }
+  /// erased, so the reference stays valid for the search.
+  const ThreadState &state(uint32_t Id) const { return *ById[Id]; }
 
 private:
-  std::mutex M;
   std::map<ThreadState, uint32_t> Map;
   std::vector<const ThreadState *> ById; ///< id -> map key
   Budget *Shared;
@@ -156,11 +146,10 @@ bool sleepContains(const std::vector<SleepElem> &Sleep, uint32_t Id) {
   return It != Sleep.end() && It->Id == Id;
 }
 
-/// Mutable global machine state, struct-of-arrays. The sequential
-/// descent mutates one node in place (apply, recurse, undo); a full copy
-/// is made only when a subtree is handed to another worker — so the
-/// layout is built to make that hand-off copy a handful of contiguous
-/// memcpys instead of NT maps and deques of pointers.
+/// Mutable global machine state, struct-of-arrays. The descent mutates
+/// one node in place (apply, recurse, undo), so the layout keeps the
+/// per-step updates to a handful of contiguous arrays instead of NT maps
+/// and deques of pointers.
 ///
 /// Store buffers live in one fixed-stride array: thread Tid's buffer is
 /// Buf[Tid*Cap .. Tid*Cap+BufLen[Tid]), each entry a packed
@@ -230,29 +219,11 @@ struct CfgSteps {
   std::vector<std::pair<Value, CachedStep>> ByValue; ///< IsLoad steps
 };
 
-/// Per-task charging and scratch context (same shape as the SC engine's):
-/// visit counting and budget charging go through block reservations so
-/// the shared atomics stop being a contention point, and the encoding
-/// buffers are reused across the task's whole subtree.
-struct TaskCtx {
-  Budget::Scope Charge;
-  CounterScope Visits;
-  std::vector<uint64_t> Enc, SigEnc;
-  /// Direct-mapped (Hi, Lo) -> interned-id cache for event words. A
-  /// subtree re-derives the same few dozen events at every node, so most
-  /// lookups hit here and skip the pool probe entirely; a collision just
-  /// falls through to the pool and takes over the slot.
-  struct EvSlot {
-    uint64_t Hi = 0, Lo = 0;
-    uint64_t IdPlus1 = 0; ///< 0 = empty
-  };
-  std::vector<EvSlot> EvCache;
-  /// Per-task config-id -> step table (see CfgSteps). Task-local, so no
-  /// synchronisation: a worker derives at most one table per
-  /// configuration it ever sees.
-  std::vector<CfgSteps> Cfg;
-  TaskCtx(Budget *Shared, std::atomic<uint64_t> &Counter)
-      : Charge(Shared), Visits(Counter), EvCache(256) {}
+/// Direct-mapped (Hi, Lo) -> interned-id cache line for event words (see
+/// BufferedSearch::internEvent).
+struct EvSlot {
+  uint64_t Hi = 0, Lo = 0;
+  uint64_t IdPlus1 = 0; ///< 0 = empty
 };
 
 class BufferedSearch {
@@ -266,15 +237,10 @@ public:
         Cap(std::max<size_t>(
             1, std::min(Limits.MaxBufferedStores,
                         Limits.MaxActionsPerThread))),
-        Parallel(Limits.Workers != 1),
-        Structs(Parallel ? 6 : 0, Limits.Shared),
-        Sigs(Parallel ? 6 : 0, Limits.Shared),
-        Configs(Limits.Shared),
-        Forks(Limits.Workers ? Limits.Workers
-                             : ThreadPool::defaultWorkerCount()) {
+        Structs(Limits.Shared), Sigs(Limits.Shared), Configs(Limits.Shared),
+        Charge(Limits.Shared), EvCache(256) {
     if (Limits.UseReduction)
-      Memo = std::make_unique<SleepMemo>(Parallel ? 6 : 0, Sigs,
-                                         Limits.Shared);
+      Memo = std::make_unique<SleepMemo>(Sigs, Limits.Shared);
   }
 
   std::set<Behaviour> run() {
@@ -289,7 +255,7 @@ public:
       Trunc |= T1;
     }
     if (Trunc)
-      truncate(TruncationReason::SilentLoop);
+      Stats.truncate(TruncationReason::SilentLoop);
     Root.Buf.assign(NT * Cap, 0);
     Root.BufLen.assign(NT, 0);
     Root.ActionsDone.assign(NT, 0);
@@ -301,63 +267,28 @@ public:
         Root.ConfigIdv.push_back(Configs.id(S));
     } catch (...) {
       engineFault();
-      finishStats();
       return std::move(Behaviours);
     }
     Behaviours.insert(Behaviour{});
-    if (!Parallel) {
-      // Sequential engine: an allocation failure (real or injected)
-      // inside the pools unwinds to here and becomes a truncated result.
-      try {
-        TaskCtx RootCtx(Limits.Shared, VisitedCount);
-        search(Root, RootCtx, 0);
-      } catch (...) {
-        engineFault();
-      }
-    } else {
-      if (Limits.Workers > 1)
-        Owned = std::make_unique<ThreadPool>(Limits.Workers);
-      Pool = Owned ? Owned.get() : &ThreadPool::shared();
-      {
-        ThreadPool::TaskGroup G(*Pool);
-        Group = &G;
-        auto R = std::make_shared<BufNode>(std::move(Root));
-        G.spawn([this, R] {
-          TaskCtx RootCtx(Limits.Shared, VisitedCount);
-          search(*R, RootCtx, 0);
-        });
-        G.wait();
-        // A throwing search frame is captured by the group and the rest
-        // drained; the result is incomplete, so it must read truncated.
-        if (G.faulted()) {
-          G.takeException();
-          engineFault();
-        }
-      }
-      Group = nullptr;
+    // An allocation failure (real or injected) inside the pools unwinds to
+    // here and becomes a truncated result.
+    try {
+      search(Root);
+    } catch (...) {
+      engineFault();
     }
-    finishStats();
+    Charge.settle();
     return std::move(Behaviours);
   }
 
   ExecStats Stats;
 
 private:
-  void finishStats() {
-    std::lock_guard<std::mutex> Lock(ResM);
-    Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
-  }
-
-  void truncate(TruncationReason R) {
-    std::lock_guard<std::mutex> Lock(ResM);
-    Stats.truncate(R);
-  }
-
   /// Marks the query faulted: truncate with EngineFault and poison the
   /// shared budget so sibling engines of the same query unwind too.
   void engineFault() {
-    truncate(TruncationReason::EngineFault);
-    StopFlag.store(true, std::memory_order_relaxed);
+    Stats.truncate(TruncationReason::EngineFault);
+    Stop = true;
     if (Limits.Shared)
       Limits.Shared->poison(TruncationReason::EngineFault);
   }
@@ -474,10 +405,10 @@ private:
   }
 
   /// The step table for configuration \p C, built on first use.
-  CfgSteps &cfgSteps(TaskCtx &TC, uint32_t C) {
-    if (C >= TC.Cfg.size())
-      TC.Cfg.resize(std::max<size_t>(C + 1, TC.Cfg.size() * 2));
-    CfgSteps &E = TC.Cfg[C];
+  CfgSteps &cfgSteps(uint32_t C) {
+    if (C >= Cfg.size())
+      Cfg.resize(std::max<size_t>(C + 1, Cfg.size() * 2));
+    CfgSteps &E = Cfg[C];
     if (E.Known)
       return E;
     const ThreadState &S = Configs.state(C);
@@ -523,7 +454,7 @@ private:
 
   /// Every transition out of \p N, in deterministic (kind, thread,
   /// location/step) order: drains first, then instruction steps.
-  std::vector<Transition> transitionsOf(const BufNode &N, TaskCtx &TC) {
+  std::vector<Transition> transitionsOf(const BufNode &N) {
     std::vector<Transition> Out;
     size_t NT = N.ConfigIdv.size();
     Out.reserve(NT * 2);
@@ -573,11 +504,11 @@ private:
       }
     }
     for (ThreadId Tid = 0; Tid < NT; ++Tid) {
-      CfgSteps &E = cfgSteps(TC, N.ConfigIdv[Tid]);
+      CfgSteps &E = cfgSteps(N.ConfigIdv[Tid]);
       if (E.Done)
         continue;
       if (N.ActionsDone[Tid] >= Limits.MaxActionsPerThread) {
-        truncate(TruncationReason::DepthCap);
+        Stats.truncate(TruncationReason::DepthCap);
         continue;
       }
       const CachedStep *One = nullptr;
@@ -617,8 +548,8 @@ private:
     U.Tid = Tid;
     if (T.Ev.IsDrain) {
       // Injected drain failure: fires before any mutation and unwinds
-      // through search() into the engine's containment (sequential catch
-      // or the task group), so the node never needs a partial undo.
+      // through search() into the engine's containment, so the node never
+      // needs a partial undo.
       faultThrowInjected(FaultSite::BufferedDrain);
       U.IsDrain = true;
       uint64_t *B = bufOf(N, Tid);
@@ -640,7 +571,7 @@ private:
     }
     const Action &A = *T.Ev.Act;
     if (T.SilentTrunc)
-      truncate(TruncationReason::SilentLoop);
+      Stats.truncate(TruncationReason::SilentLoop);
     U.OldCfg = N.ConfigIdv[Tid];
     N.ConfigIdv[Tid] = T.NextCfg;
     ++N.ActionsDone[Tid];
@@ -678,7 +609,6 @@ private:
     } else if (A.isExternal()) {
       N.Beh.push_back(A.value());
       U.PoppedBeh = true;
-      std::lock_guard<std::mutex> Lock(ResM);
       Behaviours.insert(N.Beh);
     }
   }
@@ -718,13 +648,6 @@ private:
     }
     if (U.PoppedBeh)
       N.Beh.pop_back();
-  }
-
-  /// Applies \p T to \p C (a private copy on the fork hand-off path);
-  /// the undo record is discarded.
-  void applyTo(BufNode &C, const Transition &T) {
-    UndoRec U;
-    applyInPlace(C, T, U);
   }
 
   /// Canonical length-prefixed word encoding of a node: injective by
@@ -801,7 +724,11 @@ private:
       Out.push_back(static_cast<uint32_t>(V));
   }
 
-  uint32_t internEvent(const BufEvent &Ev, TaskCtx &TC) {
+  /// The interned id of \p Ev. The search re-derives the same few dozen
+  /// events at every node, so most lookups hit the direct-mapped EvCache
+  /// and skip the pool probe entirely; a collision just falls through to
+  /// the pool and takes over the slot.
+  uint32_t internEvent(const BufEvent &Ev) {
     uint64_t Hi = TagEvent | Ev.Tid;
     uint64_t Lo;
     if (Ev.IsDrain) {
@@ -814,7 +741,7 @@ private:
     size_t Slot = ((Hi * 0x9E3779B97F4A7C15ULL) ^
                    (Lo * 0xC2B2AE3D27D4EB4FULL)) >>
                   56; // EvCache holds 256 slots
-    TaskCtx::EvSlot &E = TC.EvCache[Slot];
+    EvSlot &E = EvCache[Slot];
     if (E.IdPlus1 && E.Hi == Hi && E.Lo == Lo)
       return static_cast<uint32_t>(E.IdPlus1 - 1);
     uint64_t W[2] = {Hi, Lo};
@@ -823,50 +750,46 @@ private:
     return Id;
   }
 
-  void search(BufNode &N, TaskCtx &TC, unsigned Depth) {
-    if (StopFlag.load(std::memory_order_relaxed))
+  void search(BufNode &N) {
+    if (Stop)
       return;
-    uint64_t V = TC.Visits.next();
-    if (V > Limits.MaxVisited) {
-      truncate(TruncationReason::StateCap);
+    if (++Stats.Visited > Limits.MaxVisited) {
+      Stats.truncate(TruncationReason::StateCap);
       return;
     }
-    if (Limits.Shared && !TC.Charge.charge()) {
-      truncate(Limits.Shared->reason());
+    if (Limits.Shared && !Charge.charge()) {
+      Stats.truncate(Limits.Shared->reason());
       return;
     }
     // Intern the state; prune revisits (subset rule under POR).
-    encodeState(N, TC.Enc);
+    encodeState(N, Enc);
     faultThrowBadAlloc(FaultSite::BufferedIntern);
-    InternPool::Result State = Structs.intern(TC.Enc.data(), TC.Enc.size());
+    InternPool::Result State = Structs.intern(Enc.data(), Enc.size());
     if (Memo) {
-      TC.SigEnc.clear();
+      SigEnc.clear();
       for (const SleepElem &S : N.Sleep)
-        TC.SigEnc.push_back(S.Id);
-      InternPool::Result Sig = Sigs.intern(TC.SigEnc.data(),
-                                           TC.SigEnc.size());
+        SigEnc.push_back(S.Id);
+      InternPool::Result Sig = Sigs.intern(SigEnc.data(), SigEnc.size());
       if (!Memo->shouldExplore(State.Id, Sig.Id))
         return;
     } else if (!State.Inserted) {
       return;
     }
-    std::vector<Transition> Trans = transitionsOf(N, TC);
+    std::vector<Transition> Trans = transitionsOf(N);
     std::vector<SleepElem> Done; // earlier explored siblings
     if (Memo)
       Done.reserve(Trans.size());
-    unsigned Degree = 0;
     for (Transition &T : Trans) {
-      if (StopFlag.load(std::memory_order_relaxed))
+      if (Stop)
         return;
       uint32_t EvId = 0;
       if (Memo) {
-        EvId = internEvent(T.Ev, TC);
+        EvId = internEvent(T.Ev);
         // Asleep: the sibling branch that explored this event covers
         // every schedule that starts with it here.
         if (sleepContains(N.Sleep, EvId))
           continue;
       }
-      ++Degree;
       std::vector<SleepElem> ChildSleep;
       if (Memo) {
         ChildSleep.reserve(N.Sleep.size() + Done.size());
@@ -881,37 +804,21 @@ private:
                     return X.Id < Y.Id;
                   });
       }
-      if (Group && Forks.shouldFork(*Pool, Depth)) {
-        // Injected fork failure: fires before the subtree is handed off,
-        // so the child is neither run locally nor leaked.
-        faultThrowInjected(FaultSite::BufferedFork);
-        // Hand the subtree to an idle worker: one node copy.
-        auto Child = std::make_shared<BufNode>(N);
-        Child->Sleep = std::move(ChildSleep);
-        applyTo(*Child, T);
-        Group->spawn([this, Child, Depth] {
-          TaskCtx ChildCtx(Limits.Shared, VisitedCount);
-          search(*Child, ChildCtx, Depth + 1);
-        });
-      } else {
-        // Descend in place: apply, recurse, undo. The per-edge node copy
-        // (NT map-backed ThreadStates plus five vectors) dominated the
-        // reduced sweep's profile. A throwing frame abandons the whole
-        // query at the root containment, so a node left mid-undo by an
-        // exception never escapes.
-        UndoRec U;
-        std::vector<SleepElem> SavedSleep = std::move(N.Sleep);
-        N.Sleep = std::move(ChildSleep);
-        applyInPlace(N, T, U);
-        search(N, TC, Depth + 1);
-        undoInPlace(N, U);
-        N.Sleep = std::move(SavedSleep);
-      }
+      // Descend in place: apply, recurse, undo. The per-edge node copy
+      // (NT map-backed ThreadStates plus five vectors) dominated the
+      // reduced sweep's profile. A throwing frame abandons the whole query
+      // at the root containment, so a node left mid-undo by an exception
+      // never escapes.
+      UndoRec U;
+      std::vector<SleepElem> SavedSleep = std::move(N.Sleep);
+      N.Sleep = std::move(ChildSleep);
+      applyInPlace(N, T, U);
+      search(N);
+      undoInPlace(N, U);
+      N.Sleep = std::move(SavedSleep);
       if (Memo)
         Done.push_back({EvId, T.Ev});
     }
-    if (Group)
-      Forks.observe(Degree, *Pool);
   }
 
   const Program &P;
@@ -919,18 +826,17 @@ private:
   TsoLimits Limits;
   BufferModel Model;
   size_t Cap; ///< per-thread buffer stride (see BufNode doc)
-  bool Parallel;
   InternPool Structs; ///< states and event ids
   InternPool Sigs;    ///< sorted event-id sleep signatures
   ConfigIds Configs;
-  ForkPolicy Forks;
   std::unique_ptr<SleepMemo> Memo;
-  std::unique_ptr<ThreadPool> Owned;
-  ThreadPool *Pool = nullptr;
-  ThreadPool::TaskGroup *Group = nullptr;
-  std::atomic<uint64_t> VisitedCount{0};
-  std::atomic<bool> StopFlag{false};
-  std::mutex ResM; ///< guards Behaviours and Stats
+  /// Batched budget charging for the hot loop (bit-exact cap/interrupt
+  /// semantics; settled when the search ends).
+  Budget::Scope Charge;
+  std::vector<uint64_t> Enc, SigEnc; ///< encoding scratch
+  std::vector<EvSlot> EvCache;       ///< 256 direct-mapped event ids
+  std::vector<CfgSteps> Cfg;         ///< config id -> step table
+  bool Stop = false;
   std::set<Behaviour> Behaviours;
 };
 

@@ -1,19 +1,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interned, sleep-set-reduced, work-stealing search over the
-/// store-buffer machines (TSO and PSO).
+/// The interned, sleep-set-reduced search over the store-buffer machines
+/// (TSO and PSO).
 ///
-/// This is the relaxed-memory counterpart of the parallel SC engine in
+/// This is the relaxed-memory counterpart of the reduced SC engine in
 /// trace/Enumerate.cpp: machine states (thread configurations, FIFO
 /// buffers, memory, locks, behaviour tail) are hash-consed in an
-/// InternPool with real-byte Budget charging, the search forks subtrees
-/// to the work-stealing ThreadPool behind an adaptive fork-depth gate,
-/// and sleep-set POR prunes commuting schedules of buffer drains and
-/// non-conflicting accesses. Behaviour sets are identical to the
-/// sequential explorers (TsoMachine.cpp / PsoMachine.cpp) for every
-/// worker count — the equivalence tests assert it on the litmus corpus
-/// and on randomised programs.
+/// InternPool with real-byte Budget charging, and sleep-set POR prunes
+/// commuting schedules of buffer drains and non-conflicting accesses. The
+/// search runs sequentially in the calling thread. Behaviour sets are
+/// identical to the seed explorers (TsoMachine.cpp / PsoMachine.cpp) —
+/// the equivalence tests assert it on the litmus corpus and on
+/// randomised programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +28,8 @@ namespace tracesafe {
 enum class BufferModel { Tso, Pso };
 
 /// The set of observable behaviours of \p P on the \p Model machine,
-/// computed by the interned parallel engine. Drop-in equal to the
-/// sequential explorers; tsoBehaviours/psoBehaviours dispatch here unless
+/// computed by the interned reduced engine. Drop-in equal to the seed
+/// explorers; tsoBehaviours/psoBehaviours dispatch here unless
 /// TsoLimits::ExhaustiveOracle is set.
 std::set<Behaviour> bufferedBehaviours(const Program &P,
                                        const TsoLimits &Limits,

@@ -116,10 +116,10 @@ public:
 
   /// Cached programTraceset. The key covers the printed program, the
   /// domain, and the bounds that shape a *complete* traceset (MaxActions,
-  /// MaxSilentRun); MaxStates and Workers are excluded — a result that
-  /// completed under some state cap and width is the full set under every
-  /// other. Returns a shared pointer so chain checkers can hold several
-  /// tracesets without copying. On a hit with an exhausted-by-replay
+  /// MaxSilentRun); MaxStates is excluded — a result that completed under
+  /// some state cap is the full set under every other. Returns a shared
+  /// pointer so chain checkers can hold several tracesets without
+  /// copying. On a hit with an exhausted-by-replay
   /// budget the complete cached set is still returned, with \p Stats
   /// marked truncated by the budget's reason — content-wise a superset of
   /// what recomputation would have produced, verdict-wise identical

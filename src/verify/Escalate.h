@@ -84,7 +84,7 @@ Escalated<T> escalate(const EscalationPolicy &Policy, const QueryFn &Query) {
     // Only budget-bound Unknowns escalate. A cancelled query must stay
     // cancelled (no sneaky retry after Ctrl-C), and a faulted query is
     // not budget-bound — a larger budget replays the same fault; the
-    // degradation layer (Degrade.h) is the right recovery for it.
+    // seed-oracle fallback is the right recovery for it.
     if (Out.Final.Reason == TruncationReason::Cancelled ||
         Out.Final.Reason == TruncationReason::EngineFault)
       return Out;

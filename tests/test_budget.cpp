@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -98,7 +97,7 @@ TEST(Budget, MergeReasonPrefersSpecific) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched charging (Budget::Scope / CounterScope)
+// Batched charging (Budget::Scope)
 //===----------------------------------------------------------------------===//
 
 TEST(BudgetScope, VisitedIsExactAtQuiescence) {
@@ -168,34 +167,6 @@ TEST(BudgetScope, BytesChargeStillHonoursMemoryCap) {
     ++Ok;
   EXPECT_EQ(Ok, 10); // the 11th kilobyte breaches the cap
   EXPECT_EQ(B.reason(), TruncationReason::MemoryCap);
-}
-
-TEST(CounterScope, IndicesAreUniqueAndExactAtQuiescence) {
-  // next() hands out 1-based global indices from reserved blocks; across
-  // concurrent scopes they must never collide, and once every scope has
-  // settled the counter equals the number of indices consumed.
-  std::atomic<uint64_t> Counter{0};
-  constexpr int Threads = 4;
-  constexpr uint64_t PerThread = 500;
-  std::vector<std::vector<uint64_t>> Seen(Threads);
-  {
-    std::vector<std::thread> Ts;
-    for (int T = 0; T < Threads; ++T)
-      Ts.emplace_back([&Counter, &Seen, T] {
-        CounterScope S(Counter);
-        for (uint64_t I = 0; I < PerThread; ++I)
-          Seen[T].push_back(S.next());
-      });
-    for (auto &T : Ts)
-      T.join();
-  }
-  EXPECT_EQ(Counter.load(), Threads * PerThread);
-  std::set<uint64_t> All;
-  for (const auto &V : Seen)
-    for (uint64_t I : V) {
-      EXPECT_GE(I, 1u);
-      EXPECT_TRUE(All.insert(I).second) << "index " << I << " duplicated";
-    }
 }
 
 TEST(Verdict, Helpers) {

@@ -10,18 +10,29 @@
 ///        the fuzzer minimised must keep reproducing);
 ///   `// expect-race: yes|no`      — the program's traceset must (not)
 ///        contain an adjacent race, agreed on by the seed oracle and the
-///        reduced engine at several worker counts.
+///        reduced engine.
 ///
 /// Dropping a failure found in the wild into tests/corpus/ is the whole
 /// workflow for turning a fuzz repro into a permanent regression test.
 ///
+/// The file also pins the engines' observable costs on a seeded generated
+/// set: verdict bytes, visit counts and charged bytes, which no
+/// equivalence suite compares (see VerdictBytesAndCostsArePinned).
+///
 //===----------------------------------------------------------------------===//
 
+#include "daemon/Server.h"
 #include "lang/Explore.h"
 #include "lang/Parser.h"
+#include "lang/Printer.h"
+#include "opt/Rewrite.h"
 #include "opt/Unsafe.h"
+#include "support/Rng.h"
 #include "trace/Enumerate.h"
+#include "tso/BufferedEngine.h"
+#include "verify/BehaviourCache.h"
 #include "verify/Checks.h"
+#include "verify/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
@@ -32,8 +43,137 @@
 #include <vector>
 
 using namespace tracesafe;
+using namespace tracesafe::daemon;
 
 namespace {
+
+/// FNV-1a over a stream of fields; each field is length- or
+/// width-delimited, so distinct streams cannot collide by concatenation.
+class Digest {
+public:
+  void add(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      byte(static_cast<uint8_t>(V >> (8 * I)));
+  }
+  void add(const std::string &S) {
+    add(S.size());
+    for (char C : S)
+      byte(static_cast<uint8_t>(C));
+  }
+  uint64_t value() const { return H; }
+
+private:
+  void byte(uint8_t B) {
+    H ^= B;
+    H *= 0x100000001B3ULL;
+  }
+  uint64_t H = 0xCBF29CE484222325ULL;
+};
+
+/// The engines' observable costs, pinned. Verdict bytes, visit counts and
+/// charged bytes are all functions of the query alone, and the verdict
+/// cache replays recorded costs as if they were recomputed, so any engine
+/// change that moves them changes what a daemon answers. Over a seeded
+/// generated set this digests:
+///  - kinds 1-4 through evaluateQuery: the encoded response (verdict,
+///    detail and Visited), cold, uncapped and under a memory cap;
+///  - collectBehaviours / findAdjacentRace on [[P]] and the TSO/PSO
+///    bufferedBehaviours: Visited, chargedBytes and the truncation reason,
+///    uncapped and under the same memory cap, which truncates some of them.
+/// A deliberate change to any of these must re-record the digest and say
+/// why; an accidental one fails here.
+///
+/// This must stay the first test of the binary: symbol ids are
+/// process-global and assigned in first-seen order, and exploration order
+/// (hence every visit count) follows them, so a test that parses other
+/// names first would move the digest.
+TEST(Corpus, VerdictBytesAndCostsArePinned) {
+  static const GenDiscipline Disciplines[] = {
+      GenDiscipline::Racy, GenDiscipline::LockDiscipline,
+      GenDiscipline::VolatileLocations, GenDiscipline::Mixed};
+  static const QueryKind Kinds[] = {QueryKind::ProgramDrf,
+                                    QueryKind::Behaviours,
+                                    QueryKind::DrfGuarantee,
+                                    QueryKind::ThinAir};
+  constexpr uint64_t MemoryCap = 150'000;
+  const BudgetSpec Uncapped{/*DeadlineMs=*/0, /*MaxVisited=*/200'000,
+                            /*MaxMemoryBytes=*/0};
+  BudgetSpec Capped = Uncapped;
+  Capped.MaxMemoryBytes = MemoryCap;
+
+  Digest D;
+  unsigned Truncated = 0, Complete = 0;
+  auto Tally = [&](bool WasTruncated) {
+    (WasTruncated ? Truncated : Complete)++;
+  };
+  Rng R(20261017);
+  for (unsigned I = 0; I < 120; ++I) {
+    GenOptions G;
+    G.Discipline = Disciplines[I % 4];
+    G.Threads = static_cast<unsigned>(R.range(2, 3));
+    G.MaxStmtsPerThread = 5;
+    Program P = generateProgram(R, G);
+    std::string Src = printProgram(P);
+    std::vector<RewriteSite> Sites = findRewriteSites(P);
+    std::string Transformed =
+        Sites.empty() ? Src
+                      : printProgram(applyRewrite(
+                            P, Sites[R.below(Sites.size())]));
+
+    for (const BudgetSpec &Ceiling : {Uncapped, Capped})
+      for (QueryKind K : Kinds) {
+        QueryRequest Q;
+        Q.Kind = K;
+        Q.Program = Src;
+        if (K == QueryKind::DrfGuarantee || K == QueryKind::ThinAir)
+          Q.Transformed = Transformed;
+        BehaviourCache::global().clear();
+        D.add(encodeResponse(evaluateQuery(Q, Ceiling)));
+      }
+
+    ExploreLimits XL;
+    XL.MaxActions = 10;
+    Traceset T = programTraceset(P, defaultDomainFor(P, 2), XL);
+    for (uint64_t Cap : {uint64_t{0}, MemoryCap}) {
+      auto Record = [&](const Budget &B, uint64_t Visited,
+                        TruncationReason Reason) {
+        D.add(Visited);
+        D.add(B.chargedBytes());
+        D.add(static_cast<uint64_t>(Reason));
+        Tally(Reason != TruncationReason::None);
+      };
+      {
+        Budget B(BudgetSpec{0, 0, Cap});
+        EnumerationLimits L;
+        L.Shared = &B;
+        EnumerationStats S;
+        collectBehaviours(T, L, &S);
+        Record(B, S.Visited, S.Reason);
+      }
+      {
+        Budget B(BudgetSpec{0, 0, Cap});
+        EnumerationLimits L;
+        L.Shared = &B;
+        RaceReport Race = findAdjacentRace(T, L);
+        D.add(Race.HasRace);
+        Record(B, Race.Stats.Visited, Race.Stats.Reason);
+      }
+      for (BufferModel M : {BufferModel::Tso, BufferModel::Pso}) {
+        Budget B(BudgetSpec{0, 0, Cap});
+        TsoLimits L;
+        L.Shared = &B;
+        ExecStats S;
+        bufferedBehaviours(P, L, M, &S);
+        Record(B, S.Visited, S.Reason);
+      }
+    }
+  }
+  BehaviourCache::global().clear();
+  EXPECT_GT(Truncated, 0u) << "the memory cap truncated nothing";
+  EXPECT_GT(Complete, 0u);
+  EXPECT_EQ(D.value(), 0x7F776DBC103DFFC7ULL)
+      << "pinned verdict digest moved: 0x" << std::hex << D.value();
+}
 
 struct CorpusEntry {
   std::string Name;
@@ -104,18 +244,12 @@ TEST(Corpus, RaceVerdictsAgreeAcrossEngines) {
     EL.MaxActions = 10;
     Traceset T =
         programTraceset(*PR.Prog, defaultDomainFor(*PR.Prog, 2), EL);
-    for (unsigned Workers : {1u, 2u}) {
-      for (bool Oracle : {false, true}) {
-        if (Oracle && Workers != 1)
-          continue; // the oracle is sequential by definition
-        EnumerationLimits L;
-        L.Workers = Workers;
-        L.ExhaustiveOracle = Oracle;
-        RaceReport R = findAdjacentRace(T, L);
-        ASSERT_FALSE(R.Stats.Truncated);
-        EXPECT_EQ(R.HasRace, E.ExpectRace)
-            << "workers=" << Workers << " oracle=" << Oracle;
-      }
+    for (bool Oracle : {false, true}) {
+      EnumerationLimits L;
+      L.ExhaustiveOracle = Oracle;
+      RaceReport R = findAdjacentRace(T, L);
+      ASSERT_FALSE(R.Stats.Truncated);
+      EXPECT_EQ(R.HasRace, E.ExpectRace) << "oracle=" << Oracle;
     }
   }
 }

@@ -1,31 +1,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for graceful degradation: a faulted parallel query falls back to
-/// the sequential ExhaustiveOracle and still produces the right answer,
-/// cancellation wins over retry, and the remaining-budget arithmetic stays
-/// bounded.
+/// Tests for graceful degradation, on the path the daemon serves: a query
+/// whose primary (interned, reduced) engines fault falls back to the seed
+/// oracle engines under the remaining budget and still produces the right
+/// answer; cancellation wins over retry; a faulted fallback stays Unknown;
+/// and the remaining-budget arithmetic stays bounded.
+///
+/// The faults come from a FaultPlan arming InternAlloc on every hit: the
+/// reduced engines cannot take a single step, while the oracle engines
+/// never touch an InternPool. That the fallback still answers is the check
+/// that it shares no engine with the primary.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lang/Explore.h"
-#include "lang/Parser.h"
+#include "daemon/Server.h"
 #include "support/Failure.h"
 #include "verify/BehaviourCache.h"
-#include "verify/Degrade.h"
 
 #include <gtest/gtest.h>
 
 using namespace tracesafe;
+using namespace tracesafe::daemon;
 
 namespace {
-
-Traceset tracesetFor(const std::string &Source) {
-  Program P = parseOrDie(Source);
-  ExploreLimits L;
-  L.MaxActions = 10;
-  return programTraceset(P, defaultDomainFor(P, 2), L);
-}
 
 const char *const RacySource = "thread { r0 := x; y := r0; x := 2; }\n"
                                "thread { r1 := y; x := 1; print r1; }\n";
@@ -34,10 +32,33 @@ const char *const DrfSource =
     "thread { sync m { x := 1; x := 2; } }\n"
     "thread { sync m { r0 := x; } print r0; }\n";
 
-BudgetSpec generous() {
-  return BudgetSpec{/*DeadlineMs=*/10'000, /*MaxVisited=*/5'000'000,
-                    /*MaxMemoryBytes=*/256u << 20};
+/// DrfSource with its lock elided: a racy transformation of a DRF program.
+const char *const ElidedSource = "thread { x := 1; x := 2; }\n"
+                                 "thread { r0 := x; print r0; }\n";
+
+const BudgetSpec Generous{/*DeadlineMs=*/10'000, /*MaxVisited=*/5'000'000,
+                          /*MaxMemoryBytes=*/256u << 20};
+
+/// Evaluates \p K on \p Program (and \p Transformed for the pair kinds)
+/// cold: a verdict cached by an earlier query would answer without ever
+/// touching the faulted engines.
+QueryResponse evaluateCold(QueryKind K, const char *Program,
+                           const char *Transformed = "",
+                           const CancelToken *Cancel = nullptr) {
+  BehaviourCache::global().clear();
+  QueryRequest Q;
+  Q.Kind = K;
+  Q.Program = Program;
+  Q.Transformed = Transformed;
+  return evaluateQuery(Q, Generous, Cancel);
 }
+
+/// Every intern allocation fails while this is in scope.
+struct InternAllocAlwaysFails {
+  InternAllocAlwaysFails() { Plan.arm(FaultSite::InternAlloc, 1, ~0ull); }
+  FaultPlan Plan;
+  FaultPlan::Scope Armed{Plan};
+};
 
 TEST(RemainingBudget, SubtractsUsageAndFloorsAtOne) {
   BudgetSpec Spec{/*DeadlineMs=*/10'000, /*MaxVisited=*/1'000, 0};
@@ -63,100 +84,79 @@ TEST(RemainingBudget, SubtractsUsageAndFloorsAtOne) {
 }
 
 TEST(Degrade, HealthyPrimaryDoesNotFallBack) {
-  Traceset Racy = tracesetFor(RacySource);
-  DegradeReport Rep;
-  Verdict<Interleaving> V =
-      degradedDataRaceFreedom(Racy, generous(), &Rep, nullptr, /*Workers=*/2);
-  EXPECT_TRUE(V.isRefuted());
-  EXPECT_FALSE(Rep.PrimaryFaulted);
-  EXPECT_FALSE(Rep.FellBack);
-  EXPECT_NE(Rep.str().find("primary ok"), std::string::npos);
+  QueryResponse R = evaluateCold(QueryKind::ProgramDrf, RacySource);
+  EXPECT_EQ(R.Status, ResponseStatus::Ok);
+  EXPECT_EQ(R.Kind, VerdictKind::Refuted);
+  EXPECT_FALSE(R.Degraded);
 }
 
 TEST(Degrade, FaultedPrimaryFallsBackToOracleAnswer) {
-  // These tests exercise the cold primary path; a verdict cached by an
-  // earlier test would (correctly, but unhelpfully here) satisfy the
-  // query without ever touching the faulted engine.
-  BehaviourCache::global().clear();
-  Traceset Racy = tracesetFor(RacySource);
-  Traceset Drf = tracesetFor(DrfSource);
-  FaultPlan Plan;
-  // Every intern allocation fails: the reduced engine cannot take a step,
-  // while the std::set-based oracle never touches an InternPool.
-  Plan.arm(FaultSite::InternAlloc, 1, /*Repeat=*/~0ull);
-  FaultPlan::Scope Armed(Plan);
+  InternAllocAlwaysFails Faults;
+  QueryResponse Racy = evaluateCold(QueryKind::ProgramDrf, RacySource);
+  EXPECT_EQ(Racy.Kind, VerdictKind::Refuted);
+  EXPECT_TRUE(Racy.Degraded);
+  EXPECT_GE(Faults.Plan.fired(FaultSite::InternAlloc), 1u);
 
-  DegradeReport Rep;
-  Verdict<Interleaving> V =
-      degradedDataRaceFreedom(Racy, generous(), &Rep, nullptr, /*Workers=*/2);
-  EXPECT_TRUE(V.isRefuted());
-  EXPECT_TRUE(Rep.PrimaryFaulted);
-  EXPECT_EQ(Rep.PrimaryReason, TruncationReason::EngineFault);
-  EXPECT_TRUE(Rep.FellBack);
-  EXPECT_EQ(Rep.FallbackReason, TruncationReason::None);
-
-  DegradeReport Rep2;
-  Verdict<Interleaving> V2 =
-      degradedDataRaceFreedom(Drf, generous(), &Rep2, nullptr, /*Workers=*/2);
-  EXPECT_TRUE(V2.isProved());
-  EXPECT_TRUE(Rep2.FellBack);
+  QueryResponse Drf = evaluateCold(QueryKind::ProgramDrf, DrfSource);
+  EXPECT_EQ(Drf.Kind, VerdictKind::Proved);
+  EXPECT_TRUE(Drf.Degraded);
 }
 
 TEST(Degrade, FaultedPrimaryBehavioursComeFromTheOracle) {
-  Traceset Racy = tracesetFor(RacySource);
-  EnumerationStats Clean;
-  std::set<Behaviour> Want =
-      degradedCollectBehaviours(Racy, generous(), &Clean);
-  ASSERT_FALSE(Clean.Truncated);
-  ASSERT_FALSE(Want.empty());
+  QueryResponse Clean = evaluateCold(QueryKind::Behaviours, RacySource);
+  ASSERT_EQ(Clean.Kind, VerdictKind::Proved);
+  ASSERT_FALSE(Clean.Detail.empty());
 
-  FaultPlan Plan;
-  Plan.arm(FaultSite::InternAlloc, 1, /*Repeat=*/~0ull);
-  FaultPlan::Scope Armed(Plan);
-  EnumerationStats Stats;
-  DegradeReport Rep;
-  std::set<Behaviour> Got = degradedCollectBehaviours(
-      Racy, generous(), &Stats, &Rep, nullptr, /*Workers=*/2);
-  EXPECT_TRUE(Rep.PrimaryFaulted);
-  EXPECT_TRUE(Rep.FellBack);
-  EXPECT_FALSE(Stats.Truncated);
-  EXPECT_EQ(Got, Want); // the faulted primary's partial set was discarded
+  InternAllocAlwaysFails Faults;
+  QueryResponse Got = evaluateCold(QueryKind::Behaviours, RacySource);
+  EXPECT_TRUE(Got.Degraded);
+  EXPECT_EQ(Got.Kind, VerdictKind::Proved);
+  // The faulted primary's partial set was discarded, not merged.
+  EXPECT_EQ(Got.Detail, Clean.Detail);
+}
+
+TEST(Degrade, FaultedPairCheckFallsBackToOracleAnswer) {
+  QueryResponse Clean =
+      evaluateCold(QueryKind::DrfGuarantee, DrfSource, ElidedSource);
+  ASSERT_NE(Clean.Kind, VerdictKind::Unknown);
+
+  InternAllocAlwaysFails Faults;
+  QueryResponse Got =
+      evaluateCold(QueryKind::DrfGuarantee, DrfSource, ElidedSource);
+  EXPECT_TRUE(Got.Degraded);
+  EXPECT_EQ(Got.Kind, Clean.Kind);
+  EXPECT_EQ(Got.Detail, Clean.Detail);
 }
 
 TEST(Degrade, CancellationDoesNotTriggerFallback) {
-  Traceset Racy = tracesetFor(RacySource);
   CancelToken Cancel;
   Cancel.request(); // cancelled before the query even starts
-  DegradeReport Rep;
-  Verdict<Interleaving> V = degradedDataRaceFreedom(
-      Racy, generous(), &Rep, &Cancel, /*Workers=*/1);
+  QueryResponse R =
+      evaluateCold(QueryKind::ProgramDrf, RacySource, "", &Cancel);
   // Small query: it may finish inside one budget check interval (a real
   // answer) — but if it was cut short, the reason must be Cancelled and
   // there must be no sneaky oracle retry.
-  if (V.isUnknown())
-    EXPECT_EQ(V.Reason, TruncationReason::Cancelled);
-  EXPECT_FALSE(Rep.FellBack);
+  if (R.Kind == VerdictKind::Unknown) {
+    EXPECT_EQ(R.Reason, TruncationReason::Cancelled);
+  }
+  EXPECT_FALSE(R.Degraded);
 }
 
 TEST(Degrade, FaultedFallbackStaysUnknown) {
   // Both engines poisoned: the BudgetCharge site fires on every interrupt
   // check, so the fallback faults too — the verdict must stay
   // Unknown(EngineFault), never invent an answer.
-  BehaviourCache::global().clear();
-  Traceset Racy = tracesetFor(RacySource);
   FaultPlan Plan;
   Plan.arm(FaultSite::BudgetCharge, 1, /*Repeat=*/~0ull);
   Plan.arm(FaultSite::InternAlloc, 1, /*Repeat=*/~0ull);
   FaultPlan::Scope Armed(Plan);
-  DegradeReport Rep;
-  Verdict<Interleaving> V =
-      degradedDataRaceFreedom(Racy, generous(), &Rep, nullptr, /*Workers=*/2);
-  EXPECT_TRUE(Rep.PrimaryFaulted);
-  EXPECT_TRUE(Rep.FellBack);
-  if (V.isUnknown())
-    EXPECT_EQ(V.Reason, TruncationReason::EngineFault);
-  else
-    EXPECT_TRUE(V.isRefuted()); // witness found before the first check
+  QueryResponse R = evaluateCold(QueryKind::ProgramDrf, RacySource);
+  EXPECT_TRUE(R.Degraded);
+  if (R.Kind == VerdictKind::Unknown) {
+    EXPECT_EQ(R.Reason, TruncationReason::EngineFault);
+  } else {
+    EXPECT_EQ(R.Kind, VerdictKind::Refuted); // witness before the first check
+  }
 }
 
 } // namespace

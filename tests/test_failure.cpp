@@ -11,6 +11,7 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "support/Failure.h"
+#include "support/ThreadPool.h"
 #include "trace/Enumerate.h"
 #include "tso/BufferedEngine.h"
 
@@ -94,32 +95,33 @@ TEST(FaultInjection, InternAllocFaultIsContainedSequential) {
   EXPECT_GE(Plan.fired(FaultSite::InternAlloc), 1u);
 }
 
-TEST(FaultInjection, InternAllocFaultIsContainedParallel) {
+TEST(FaultInjection, RepeatedInternAllocFaultIsContained) {
   Traceset T = tracesetFor(RacySource);
   FaultPlan Plan;
   Plan.arm(FaultSite::InternAlloc, 1, /*Repeat=*/1'000'000);
   FaultPlan::Scope Armed(Plan);
-  EnumerationLimits L;
-  L.Workers = 4;
-  Verdict<Interleaving> V = checkDataRaceFreedom(T, L);
+  Verdict<Interleaving> V = checkDataRaceFreedom(T);
   EXPECT_TRUE(V.isUnknown());
   EXPECT_EQ(V.Reason, TruncationReason::EngineFault);
 }
 
-TEST(FaultInjection, TaskFaultIsContained) {
-  Traceset T = tracesetFor(RacySource);
+TEST(FaultInjection, TaskFaultIsCapturedByItsGroup) {
+  // The pool runs whole queries (daemon workers, fuzz --jobs); a TaskRun
+  // fault must surface through the task's group, never kill a worker.
   FaultPlan Plan;
   Plan.arm(FaultSite::TaskRun, 1, /*Repeat=*/1'000'000);
   FaultPlan::Scope Armed(Plan);
-  EnumerationLimits L;
-  L.Workers = 4;
-  Verdict<Interleaving> V = checkDataRaceFreedom(T, L);
-  // Either every parallel task was killed (Unknown) or the search finished
-  // on the calling thread before forking; it must never crash or prove.
-  if (V.isUnknown())
-    EXPECT_EQ(V.Reason, TruncationReason::EngineFault);
-  else
-    EXPECT_TRUE(V.isRefuted());
+  ThreadPool Pool(2);
+  ThreadPool::TaskGroup G(Pool);
+  bool Ran = false;
+  G.spawn([&Ran] { Ran = true; });
+  G.wait();
+  EXPECT_FALSE(Ran);
+  EXPECT_TRUE(G.faulted());
+  EXPECT_GE(Plan.fired(FaultSite::TaskRun), 1u);
+  std::exception_ptr E = G.takeException();
+  ASSERT_TRUE(E);
+  EXPECT_THROW(std::rethrow_exception(E), InjectedFault);
 }
 
 TEST(FaultInjection, BudgetChargeFaultPoisonsTheQuery) {
@@ -144,17 +146,12 @@ TEST(FaultInjection, EnginesAreReusableAfterAFault) {
   {
     FaultPlan Plan;
     Plan.arm(FaultSite::InternAlloc, 1);
-    Plan.arm(FaultSite::TaskRun, 1);
     FaultPlan::Scope Armed(Plan);
-    EnumerationLimits L;
-    L.Workers = 2;
-    (void)checkDataRaceFreedom(Racy, L);
+    (void)checkDataRaceFreedom(Racy);
   }
   // Faults disarmed: the same process answers both queries definitively.
-  EnumerationLimits L;
-  L.Workers = 2;
-  EXPECT_TRUE(checkDataRaceFreedom(Racy, L).isRefuted());
-  EXPECT_TRUE(checkDataRaceFreedom(Drf, L).isProved());
+  EXPECT_TRUE(checkDataRaceFreedom(Racy).isRefuted());
+  EXPECT_TRUE(checkDataRaceFreedom(Drf).isProved());
 }
 
 TEST(FaultInjection, FaultNeverFabricatesAVerdict) {
@@ -166,21 +163,17 @@ TEST(FaultInjection, FaultNeverFabricatesAVerdict) {
   FaultPlan Plan;
   Plan.arm(FaultSite::InternAlloc, 2, /*Repeat=*/1'000'000);
   FaultPlan::Scope Armed(Plan);
-  for (unsigned Workers : {1u, 4u}) {
-    EnumerationLimits L;
-    L.Workers = Workers;
-    EXPECT_FALSE(checkDataRaceFreedom(Drf, L).isRefuted());
-    EXPECT_FALSE(checkDataRaceFreedom(Racy, L).isProved());
-  }
+  EXPECT_FALSE(checkDataRaceFreedom(Drf).isRefuted());
+  EXPECT_FALSE(checkDataRaceFreedom(Racy).isProved());
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// BufferedEngine (TSO/PSO) fault sites: interning, subtree fork handoff,
-// and the drain step. Same contract as the SC engine — contained
-// Unknown-style truncation (EngineFault), never a crash, never a wrong
-// behaviour set — plus exact hit-counter replay in sequential mode.
+// BufferedEngine (TSO/PSO) fault sites: interning and the drain step.
+// Same contract as the SC engine — contained Unknown-style truncation
+// (EngineFault), never a crash, never a wrong behaviour set — plus exact
+// hit-counter replay.
 //===----------------------------------------------------------------------===//
 
 TEST(BufferedFaults, InternFaultIsContainedSequential) {
@@ -189,7 +182,6 @@ TEST(BufferedFaults, InternFaultIsContainedSequential) {
   Plan.arm(FaultSite::BufferedIntern, 1, /*Repeat=*/1'000'000);
   FaultPlan::Scope Armed(Plan);
   TsoLimits L;
-  L.Workers = 1;
   ExecStats Stats;
   std::set<Behaviour> S = bufferedBehaviours(P, L, BufferModel::Tso, &Stats);
   EXPECT_TRUE(Stats.Truncated);
@@ -211,7 +203,6 @@ TEST(BufferedFaults, DrainFaultIsContainedSequential) {
   Plan.arm(FaultSite::BufferedDrain, 1, /*Repeat=*/1'000'000);
   FaultPlan::Scope Armed(Plan);
   TsoLimits L;
-  L.Workers = 1;
   ExecStats Stats;
   std::set<Behaviour> Faulted =
       bufferedBehaviours(P, L, BufferModel::Tso, &Stats);
@@ -221,46 +212,20 @@ TEST(BufferedFaults, DrainFaultIsContainedSequential) {
   // Never a fabricated behaviour: the faulted (truncated) set must be a
   // subset of the true one.
   TsoLimits Clean;
-  Clean.Workers = 1;
   std::set<Behaviour> Truth = bufferedBehaviours(P, Clean, BufferModel::Tso);
   for (const Behaviour &B : Faulted)
     EXPECT_TRUE(Truth.count(B));
 }
 
-TEST(BufferedFaults, ForkFaultIsContainedParallel) {
-  Program P = parseOrDie(RacySource);
-  FaultPlan Plan;
-  Plan.arm(FaultSite::BufferedFork, 1, /*Repeat=*/1'000'000);
-  FaultPlan::Scope Armed(Plan);
-  TsoLimits L;
-  L.Workers = 4;
-  ExecStats Stats;
-  std::set<Behaviour> Faulted =
-      bufferedBehaviours(P, L, BufferModel::Pso, &Stats);
-  // The adaptive fork gate may keep a small search sequential; when a
-  // fork was attempted the fault must surface as EngineFault, and either
-  // way the set must not contain fabricated behaviours.
-  if (Plan.fired(FaultSite::BufferedFork) > 0) {
-    EXPECT_TRUE(Stats.Truncated);
-    EXPECT_EQ(Stats.Reason, TruncationReason::EngineFault);
-  }
-  TsoLimits Clean;
-  Clean.Workers = 1;
-  std::set<Behaviour> Truth = bufferedBehaviours(P, Clean, BufferModel::Pso);
-  for (const Behaviour &B : Faulted)
-    EXPECT_TRUE(Truth.count(B));
-}
-
 TEST(BufferedFaults, HitCountersReplayExactlySequential) {
-  // Sequential runs are deterministic, so the per-site hit counters are
-  // an exact replay coordinate: two identical runs hit each site the
-  // same number of times. (This is what lets a chaos failure be rerun
-  // from just (plan, seed).)
+  // The engines are sequential and deterministic, so the per-site hit
+  // counters are an exact replay coordinate: two identical runs hit each
+  // site the same number of times. (This is what lets a chaos failure be
+  // rerun from just (plan, seed).)
   Program P = parseOrDie(RacySource);
   auto RunOnce = [&](FaultPlan &Plan) {
     FaultPlan::Scope Armed(Plan);
     TsoLimits L;
-    L.Workers = 1;
     ExecStats Stats;
     (void)bufferedBehaviours(P, L, BufferModel::Tso, &Stats);
   };
@@ -278,7 +243,6 @@ TEST(BufferedFaults, HitCountersReplayExactlySequential) {
 TEST(BufferedFaults, EngineReusableAfterFault) {
   Program P = parseOrDie(RacySource);
   TsoLimits L;
-  L.Workers = 1;
   std::set<Behaviour> Before = bufferedBehaviours(P, L, BufferModel::Tso);
   {
     FaultPlan Plan;

@@ -2,18 +2,15 @@
 ///
 /// \file
 /// Unit tests for span interning and the sleep-set memo: idempotence,
-/// collision safety, real-byte budget charging, the subset-prune rule, and
-/// concurrent interning.
+/// collision safety, real-byte budget charging, dense insertion-order ids
+/// across table growth, and the subset-prune rule.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Intern.h"
 
-#include "support/ThreadPool.h"
-
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 using namespace tracesafe;
@@ -84,11 +81,29 @@ TEST(InternPool, ViewStaysValidAcrossGrowth) {
   EXPECT_EQ(After[0], 0xABCDEFu);
 }
 
+TEST(InternPool, IdsAreDenseInInsertionOrder) {
+  // The engines' visit counts and charged bytes follow from ids being the
+  // insertion index, through every table growth.
+  InternPool P;
+  for (uint64_t I = 0; I < 5'000; ++I) {
+    uint64_t W[] = {I * 0x9E3779B97F4A7C15ULL, I};
+    InternPool::Result R = P.intern(W, 2);
+    ASSERT_TRUE(R.Inserted);
+    ASSERT_EQ(R.Id, I);
+  }
+  for (uint64_t I = 0; I < 5'000; ++I) {
+    uint64_t W[] = {I * 0x9E3779B97F4A7C15ULL, I};
+    InternPool::Result R = P.intern(W, 2);
+    ASSERT_FALSE(R.Inserted);
+    ASSERT_EQ(R.Id, I);
+  }
+}
+
 TEST(InternPool, ChargesRealBytesToBudget) {
   BudgetSpec Spec;
   Spec.MaxMemoryBytes = 64 * 1024 * 1024;
   Budget B(Spec);
-  InternPool P(/*ShardBits=*/0, &B);
+  InternPool P(&B);
   for (uint64_t I = 0; I < 10'000; ++I) {
     uint64_t W[] = {I, I + 1};
     P.intern(W, 2);
@@ -103,7 +118,7 @@ TEST(InternPool, BudgetExhaustionIsFlaggedNotFatal) {
   BudgetSpec Spec;
   Spec.MaxMemoryBytes = 16 * 1024; // far less than 100k spans need
   Budget B(Spec);
-  InternPool P(/*ShardBits=*/0, &B);
+  InternPool P(&B);
   for (uint64_t I = 0; I < 100'000; ++I) {
     uint64_t W[] = {I, I ^ 0x5555, I << 7};
     P.intern(W, 3);
@@ -115,77 +130,9 @@ TEST(InternPool, BudgetExhaustionIsFlaggedNotFatal) {
   EXPECT_FALSE(P.intern(W, 3).Inserted);
 }
 
-TEST(InternPool, ConcurrentInterningIsConsistent) {
-  InternPool P(/*ShardBits=*/4);
-  ThreadPool Pool(4);
-  constexpr uint64_t Span = 2'000;
-  std::vector<std::atomic<uint32_t>> Ids(Span);
-  for (auto &A : Ids)
-    A.store(UINT32_MAX);
-  {
-    ThreadPool::TaskGroup G(Pool);
-    for (int W = 0; W < 8; ++W)
-      G.spawn([&P, &Ids, W] {
-        for (uint64_t I = 0; I < Span; ++I) {
-          uint64_t Words[] = {I, I * 31};
-          uint32_t Id = P.intern(Words, 2).Id;
-          uint32_t Expected = UINT32_MAX;
-          if (!Ids[I].compare_exchange_strong(Expected, Id)) {
-            EXPECT_EQ(Expected, Id) << "span " << I << " worker " << W;
-          }
-        }
-      });
-  }
-  EXPECT_EQ(P.size(), Span);
-}
-
-TEST(InternPool, LockFreeReadsRaceWithGrowth) {
-  // The read fast path (hash probe over an atomically published slot
-  // table, plus view()) takes no lock; this drives it concurrently with
-  // enough fresh inserts to force several table growths and arena chunk
-  // allocations mid-probe. Readers hammer spans inserted before the storm
-  // and verify both id stability and payload round-trips — under TSan
-  // this is the proof the published-table scheme has no data race.
-  InternPool P(/*ShardBits=*/2);
-  constexpr uint64_t Hot = 512;
-  std::vector<uint32_t> HotIds(Hot);
-  for (uint64_t I = 0; I < Hot; ++I) {
-    uint64_t W[] = {I, ~I, I * 0x9E3779B97F4A7C15ULL};
-    HotIds[I] = P.intern(W, 3).Id;
-  }
-  ThreadPool Pool(4);
-  {
-    ThreadPool::TaskGroup G(Pool);
-    // Writers: force growth with a stream of fresh spans.
-    for (int Writer = 0; Writer < 2; ++Writer)
-      G.spawn([&P, Writer] {
-        for (uint64_t I = 0; I < 20'000; ++I) {
-          uint64_t W[] = {(uint64_t)Writer << 32 | I, I * 131, I * 137, I};
-          P.intern(W, 4);
-        }
-      });
-    // Readers: re-intern hot spans (hit path) and view their payloads.
-    for (int Reader = 0; Reader < 4; ++Reader)
-      G.spawn([&P, &HotIds] {
-        for (int Round = 0; Round < 50; ++Round)
-          for (uint64_t I = 0; I < Hot; ++I) {
-            uint64_t W[] = {I, ~I, I * 0x9E3779B97F4A7C15ULL};
-            InternPool::Result R = P.intern(W, 3);
-            ASSERT_FALSE(R.Inserted);
-            ASSERT_EQ(R.Id, HotIds[I]);
-            auto [Ptr, Len] = P.view(R.Id);
-            ASSERT_EQ(Len, 3u);
-            ASSERT_EQ(Ptr[0], I);
-            ASSERT_EQ(Ptr[2], I * 0x9E3779B97F4A7C15ULL);
-          }
-      });
-  }
-  EXPECT_EQ(P.size(), Hot + 2 * 20'000);
-}
-
 TEST(SleepMemo, SubsetPruneRule) {
   InternPool Sigs;
-  SleepMemo Memo(/*ShardBits=*/0, Sigs);
+  SleepMemo Memo(Sigs);
   uint64_t E1[] = {10};
   uint64_t E12[] = {10, 20};
   uint64_t E2[] = {20};
@@ -216,64 +163,15 @@ TEST(SleepMemo, SubsetPruneRule) {
   EXPECT_TRUE(Memo.shouldExplore(8, S12));
 }
 
-TEST(SleepMemo, ConcurrentVisitsNeverBothPrune) {
-  // Whatever the interleaving, at least one of two concurrent first visits
-  // to the same (state, signature) must explore.
-  InternPool Sigs(/*ShardBits=*/2);
-  SleepMemo Memo(/*ShardBits=*/2, Sigs);
+TEST(SleepMemo, RecordsSurviveTableGrowth) {
+  InternPool Sigs;
+  SleepMemo Memo(Sigs);
   uint64_t W[] = {5};
   uint32_t Sig = Sigs.intern(W, 1).Id;
-  ThreadPool Pool(4);
-  constexpr uint32_t States = 500;
-  std::vector<std::atomic<int>> Explored(States);
-  {
-    ThreadPool::TaskGroup G(Pool);
-    for (int Worker = 0; Worker < 8; ++Worker)
-      G.spawn([&Memo, &Explored, Sig] {
-        for (uint32_t S = 0; S < States; ++S)
-          if (Memo.shouldExplore(S, Sig))
-            Explored[S].fetch_add(1);
-      });
-  }
-  for (uint32_t S = 0; S < States; ++S)
-    EXPECT_EQ(Explored[S].load(), 1) << "state " << S;
-}
-
-TEST(SleepMemo, LockFreePrunesRaceWithRecordingVisits) {
-  // shouldExplore answers "prune" (false) without the shard lock when a
-  // dominating record is already published. Mix recording first visits
-  // with a flood of read-mostly revisits across many states while new
-  // signatures keep landing in the signature pool (invalidating the
-  // thread-local front cache via the generation counter). The invariant
-  // from ConcurrentVisitsNeverBothPrune must survive the fast path:
-  // exactly one explorer per (state, dominant signature).
-  InternPool Sigs(/*ShardBits=*/2);
-  SleepMemo Memo(/*ShardBits=*/2, Sigs);
-  constexpr uint32_t States = 300;
-  std::vector<std::atomic<int>> Explored(States);
-  ThreadPool Pool(4);
-  {
-    ThreadPool::TaskGroup G(Pool);
-    // Churn: grow the signature pool so readers' caches go stale.
-    G.spawn([&Sigs] {
-      for (uint64_t I = 0; I < 30'000; ++I) {
-        uint64_t W[] = {I | (1ULL << 40), I * 31};
-        Sigs.intern(W, 2);
-      }
-    });
-    for (int Worker = 0; Worker < 6; ++Worker)
-      G.spawn([&Memo, &Sigs, &Explored, Worker] {
-        uint64_t W[] = {7};
-        uint32_t Sig = Sigs.intern(W, 1).Id;
-        for (int Round = 0; Round < 40; ++Round)
-          for (uint32_t S = 0; S < States; ++S)
-            if (Memo.shouldExplore(S, Sig))
-              Explored[S].fetch_add(1);
-        (void)Worker;
-      });
-  }
-  for (uint32_t S = 0; S < States; ++S)
-    EXPECT_EQ(Explored[S].load(), 1) << "state " << S;
+  for (uint32_t S = 0; S < 5'000; ++S)
+    ASSERT_TRUE(Memo.shouldExplore(S, Sig)) << "state " << S;
+  for (uint32_t S = 0; S < 5'000; ++S)
+    ASSERT_FALSE(Memo.shouldExplore(S, Sig)) << "state " << S;
 }
 
 } // namespace

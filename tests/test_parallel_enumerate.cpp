@@ -1,14 +1,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Equivalence and determinism suite for the parallel enumeration engine.
+/// Equivalence suite for the reduced enumeration engine, plus the fuzz
+/// campaign's determinism across --jobs.
 ///
-/// The reduced engine (interned states + sleep-set POR + work stealing)
-/// must be verdict-identical to the seed's exhaustive sequential
-/// enumerator on every query: same behaviour sets, same race verdicts,
-/// for every worker count. Visited counts are *not* compared — partial
-/// order reduction exists precisely to visit less, and work distribution
-/// is scheduling-dependent.
+/// The reduced engine (interned states + sleep-set and source-set POR)
+/// must be verdict-identical to the seed's exhaustive enumerator on every
+/// query: same behaviour sets, same race verdicts. Visited counts are
+/// *not* compared — partial order reduction exists precisely to visit
+/// less. Parallelism lives across queries only: the campaign test runs
+/// programs on several pool workers and must match the sequential run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,32 +63,28 @@ Traceset tracesetFor(const std::string &Source, unsigned MaxActions = 10) {
   return programTraceset(P, defaultDomainFor(P, 2), L);
 }
 
-EnumerationLimits limitsFor(unsigned Workers, bool Oracle = false) {
+EnumerationLimits limitsFor(bool Oracle = false) {
   EnumerationLimits L;
-  L.Workers = Workers;
   L.ExhaustiveOracle = Oracle;
   return L;
 }
 
-/// Asserts the reduced engine at \p Workers agrees with the seed oracle on
-/// behaviours and the race verdict, and that no search truncated.
-void expectEquivalent(const Traceset &T, unsigned Workers,
-                      const std::string &Tag) {
+/// Asserts the reduced engine agrees with the seed oracle on behaviours
+/// and the race verdict, and that no search truncated.
+void expectEquivalent(const Traceset &T, const std::string &Tag) {
   EnumerationStats OracleStats, ReducedStats;
   std::set<Behaviour> Want =
-      collectBehaviours(T, limitsFor(1, /*Oracle=*/true), &OracleStats);
-  std::set<Behaviour> Got =
-      collectBehaviours(T, limitsFor(Workers), &ReducedStats);
+      collectBehaviours(T, limitsFor(/*Oracle=*/true), &OracleStats);
+  std::set<Behaviour> Got = collectBehaviours(T, limitsFor(), &ReducedStats);
   ASSERT_FALSE(OracleStats.Truncated) << Tag;
   ASSERT_FALSE(ReducedStats.Truncated) << Tag;
-  EXPECT_EQ(Want, Got) << Tag << " workers=" << Workers;
+  EXPECT_EQ(Want, Got) << Tag;
 
-  RaceReport WantRace = findAdjacentRace(T, limitsFor(1, /*Oracle=*/true));
-  RaceReport GotRace = findAdjacentRace(T, limitsFor(Workers));
+  RaceReport WantRace = findAdjacentRace(T, limitsFor(/*Oracle=*/true));
+  RaceReport GotRace = findAdjacentRace(T, limitsFor());
   ASSERT_FALSE(WantRace.Stats.Truncated) << Tag;
   ASSERT_FALSE(GotRace.Stats.Truncated) << Tag;
-  EXPECT_EQ(WantRace.HasRace, GotRace.HasRace)
-      << Tag << " workers=" << Workers;
+  EXPECT_EQ(WantRace.HasRace, GotRace.HasRace) << Tag;
   if (GotRace.HasRace) {
     EXPECT_TRUE(GotRace.Witness.isExecutionOf(T))
         << Tag << ": race witness is not an execution: "
@@ -97,15 +94,8 @@ void expectEquivalent(const Traceset &T, unsigned Workers,
 
 TEST(ParallelEnumerate, PorMatchesOracleOnCorpus) {
   for (size_t I = 0; I < std::size(Corpus); ++I)
-    expectEquivalent(tracesetFor(Corpus[I]), /*Workers=*/1,
+    expectEquivalent(tracesetFor(Corpus[I]),
                      "corpus[" + std::to_string(I) + "]");
-}
-
-TEST(ParallelEnumerate, ParallelMatchesOracleOnCorpus) {
-  for (size_t I = 0; I < std::size(Corpus); ++I)
-    for (unsigned Workers : {2u, 8u})
-      expectEquivalent(tracesetFor(Corpus[I]), Workers,
-                       "corpus[" + std::to_string(I) + "]");
 }
 
 TEST(ParallelEnumerate, ExamplePrograms) {
@@ -123,8 +113,7 @@ TEST(ParallelEnumerate, ExamplePrograms) {
     // Shallow action bound: the examples contain loops, and the oracle
     // side of the comparison has no reduction to lean on.
     Traceset T = tracesetFor(Ss.str(), /*MaxActions=*/7);
-    for (unsigned Workers : {1u, 2u})
-      expectEquivalent(T, Workers, Entry.path().filename().string());
+    expectEquivalent(T, Entry.path().filename().string());
   }
   EXPECT_GE(Found, 4u) << "example programs missing from " << Dir;
 }
@@ -140,51 +129,18 @@ TEST(ParallelEnumerate, RandomProgramSweep) {
     ExploreLimits L;
     L.MaxActions = 9;
     Traceset T = programTraceset(P, defaultDomainFor(P, 2), L);
-    expectEquivalent(T, /*Workers=*/1, "seed " + std::to_string(Seed));
-    expectEquivalent(T, /*Workers=*/4, "seed " + std::to_string(Seed));
+    expectEquivalent(T, "seed " + std::to_string(Seed));
   }
-}
-
-TEST(ParallelEnumerate, DeterministicAcrossWorkerCounts) {
-  // Same verdicts and behaviour sets for 1, 2 and 8 workers — the merge
-  // structure (sets, monotone flags) makes scheduling invisible.
-  Traceset T = tracesetFor(Corpus[0]);
-  std::set<Behaviour> B1 = collectBehaviours(T, limitsFor(1));
-  RaceReport R1 = findAdjacentRace(T, limitsFor(1));
-  for (unsigned Workers : {2u, 8u}) {
-    EXPECT_EQ(B1, collectBehaviours(T, limitsFor(Workers)));
-    EXPECT_EQ(R1.HasRace, findAdjacentRace(T, limitsFor(Workers)).HasRace);
-  }
-}
-
-TEST(ParallelEnumerate, VisitorSearchesMatchSeedEngine) {
-  // forEachExecution / forEachMaximalExecution have no reduction; the
-  // parallel visitor must produce exactly the seed's execution set.
-  Traceset T = tracesetFor(Corpus[1]);
-  auto Collect = [&T](unsigned Workers, bool Oracle) {
-    std::set<std::string> Out;
-    forEachMaximalExecution(
-        T,
-        [&Out](const Interleaving &I) {
-          Out.insert(I.str());
-          return true;
-        },
-        limitsFor(Workers, Oracle));
-    return Out;
-  };
-  std::set<std::string> Want = Collect(1, true);
-  EXPECT_EQ(Want, Collect(1, false));
-  EXPECT_EQ(Want, Collect(4, false));
 }
 
 TEST(ParallelEnumerate, SleepSetsOffStillMatches) {
   // POR disabled exercises the interned engine without pruning.
   Traceset T = tracesetFor(Corpus[3]);
-  EnumerationLimits NoPor = limitsFor(1);
+  EnumerationLimits NoPor = limitsFor();
   NoPor.SleepSets = false;
-  EXPECT_EQ(collectBehaviours(T, limitsFor(1, /*Oracle=*/true)),
+  EXPECT_EQ(collectBehaviours(T, limitsFor(/*Oracle=*/true)),
             collectBehaviours(T, NoPor));
-  EXPECT_EQ(findAdjacentRace(T, limitsFor(1, true)).HasRace,
+  EXPECT_EQ(findAdjacentRace(T, limitsFor(/*Oracle=*/true)).HasRace,
             findAdjacentRace(T, NoPor).HasRace);
 }
 
@@ -194,17 +150,16 @@ TEST(ParallelEnumerate, SourceSetsOffStillMatches) {
   for (size_t I = 0; I < std::size(Corpus); ++I) {
     Traceset T = tracesetFor(Corpus[I]);
     std::set<Behaviour> Want =
-        collectBehaviours(T, limitsFor(1, /*Oracle=*/true));
+        collectBehaviours(T, limitsFor(/*Oracle=*/true));
     for (bool Sleep : {true, false})
-      for (bool Source : {true, false})
-        for (unsigned Workers : {1u, 4u}) {
-          EnumerationLimits L = limitsFor(Workers);
-          L.SleepSets = Sleep;
-          L.SourceSets = Source;
-          EXPECT_EQ(Want, collectBehaviours(T, L))
-              << "corpus[" << I << "] sleep=" << Sleep
-              << " source=" << Source << " workers=" << Workers;
-        }
+      for (bool Source : {true, false}) {
+        EnumerationLimits L = limitsFor();
+        L.SleepSets = Sleep;
+        L.SourceSets = Source;
+        EXPECT_EQ(Want, collectBehaviours(T, L))
+            << "corpus[" << I << "] sleep=" << Sleep
+            << " source=" << Source;
+      }
   }
 }
 
@@ -215,8 +170,8 @@ TEST(ParallelEnumerate, SourceSetsPruneDisjointThreadGroups) {
   Traceset T = tracesetFor("thread { x := 1; r0 := x; print r0; }\n"
                            "thread { y := 1; r1 := y; print r1; }\n");
   EnumerationStats With, Without;
-  EnumerationLimits On = limitsFor(1);
-  EnumerationLimits Off = limitsFor(1);
+  EnumerationLimits On = limitsFor();
+  EnumerationLimits Off = limitsFor();
   Off.SourceSets = false;
   std::set<Behaviour> A = collectBehaviours(T, On, &With);
   std::set<Behaviour> B = collectBehaviours(T, Off, &Without);
@@ -228,8 +183,8 @@ TEST(ParallelEnumerate, SourceSetsPruneDisjointThreadGroups) {
 TEST(ParallelEnumerate, RaceVerdictSourceSetMatrixMatchesOracle) {
   // The race query now runs under source-set reduction too (see the
   // soundness argument in trace/Enumerate.cpp): across the corpus and a
-  // seeded random sweep, every (sleep × source × workers) combination
-  // must return the oracle's race verdict.
+  // seeded random sweep, every (sleep × source) combination must return
+  // the oracle's race verdict.
   std::vector<std::pair<std::string, Traceset>> Suite;
   for (size_t I = 0; I < std::size(Corpus); ++I)
     Suite.emplace_back("corpus[" + std::to_string(I) + "]",
@@ -245,24 +200,23 @@ TEST(ParallelEnumerate, RaceVerdictSourceSetMatrixMatchesOracle) {
                        programTraceset(P, defaultDomainFor(P, 2), L));
   }
   for (const auto &[Tag, T] : Suite) {
-    RaceReport Want = findAdjacentRace(T, limitsFor(1, /*Oracle=*/true));
+    RaceReport Want = findAdjacentRace(T, limitsFor(/*Oracle=*/true));
     ASSERT_FALSE(Want.Stats.Truncated) << Tag;
     for (bool Sleep : {true, false})
-      for (bool Source : {true, false})
-        for (unsigned Workers : {1u, 4u}) {
-          EnumerationLimits L = limitsFor(Workers);
-          L.SleepSets = Sleep;
-          L.SourceSets = Source;
-          RaceReport Got = findAdjacentRace(T, L);
-          ASSERT_FALSE(Got.Stats.Truncated)
-              << Tag << " sleep=" << Sleep << " source=" << Source;
-          EXPECT_EQ(Want.HasRace, Got.HasRace)
-              << Tag << " sleep=" << Sleep << " source=" << Source
-              << " workers=" << Workers;
-          if (Got.HasRace)
-            EXPECT_TRUE(Got.Witness.isExecutionOf(T))
-                << Tag << ": witness is not an execution";
+      for (bool Source : {true, false}) {
+        EnumerationLimits L = limitsFor();
+        L.SleepSets = Sleep;
+        L.SourceSets = Source;
+        RaceReport Got = findAdjacentRace(T, L);
+        ASSERT_FALSE(Got.Stats.Truncated)
+            << Tag << " sleep=" << Sleep << " source=" << Source;
+        EXPECT_EQ(Want.HasRace, Got.HasRace)
+            << Tag << " sleep=" << Sleep << " source=" << Source;
+        if (Got.HasRace) {
+          EXPECT_TRUE(Got.Witness.isExecutionOf(T))
+              << Tag << ": witness is not an execution";
         }
+      }
   }
 }
 
@@ -272,8 +226,8 @@ TEST(ParallelEnumerate, RaceSourceSetsPruneDisjointThreadGroups) {
   // sleep-set-only search.
   Traceset T = tracesetFor("thread { x := 1; r0 := x; print r0; }\n"
                            "thread { y := 1; r1 := y; print r1; }\n");
-  EnumerationLimits On = limitsFor(1);
-  EnumerationLimits Off = limitsFor(1);
+  EnumerationLimits On = limitsFor();
+  EnumerationLimits Off = limitsFor();
   Off.SourceSets = false;
   RaceReport With = findAdjacentRace(T, On);
   RaceReport Without = findAdjacentRace(T, Off);
@@ -281,21 +235,6 @@ TEST(ParallelEnumerate, RaceSourceSetsPruneDisjointThreadGroups) {
   EXPECT_FALSE(Without.HasRace);
   EXPECT_LE(With.Stats.Visited, Without.Stats.Visited)
       << "race-query source sets explored more than plain sleep sets";
-}
-
-TEST(ParallelEnumerate, ExploreWorkersDeterministic) {
-  // programTraceset must return the identical traceset for every width.
-  Program P = parseOrDie(Corpus[2]);
-  ExploreLimits L1;
-  L1.MaxActions = 10;
-  ExploreLimits L2 = L1;
-  L2.Workers = 2;
-  ExploreLimits L8 = L1;
-  L8.Workers = 8;
-  std::vector<Value> Domain = defaultDomainFor(P, 2);
-  Traceset T1 = programTraceset(P, Domain, L1);
-  EXPECT_EQ(T1, programTraceset(P, Domain, L2));
-  EXPECT_EQ(T1, programTraceset(P, Domain, L8));
 }
 
 TEST(ParallelEnumerate, FuzzCampaignDeterministicAcrossJobs) {

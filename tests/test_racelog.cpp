@@ -297,17 +297,12 @@ TEST(RaceLogDetect, FirstRacePerLocationAndExactRacyCount) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine equivalence and configuration determinism
+// Engine equivalence
 //===----------------------------------------------------------------------===//
 
-RaceLogReport scanCfg(const std::string &Log, unsigned Shards,
-                      unsigned Workers, bool Epochs,
-                      size_t Window = 1 << 16) {
+RaceLogReport scanCfg(const std::string &Log, bool Epochs) {
   RaceLogOptions O;
-  O.Shards = Shards;
-  O.Workers = Workers;
   O.Epochs = Epochs;
-  O.WindowEvents = Window;
   O.MaxRaces = 1 << 20;
   return scanRaceLog(Log, O);
 }
@@ -321,8 +316,8 @@ TEST(RaceLogEngines, EpochAndOracleAgreeOnSynthWorkloads) {
     S.Seed = Seed;
     for (const std::string &Log :
          {makeRaceFreeLog(S), makeMixedLog(S), makeLockHeavyLog(S)}) {
-      RaceLogReport E = scanCfg(Log, 1, 1, /*Epochs=*/true);
-      RaceLogReport V = scanCfg(Log, 1, 1, /*Epochs=*/false);
+      RaceLogReport E = scanCfg(Log, /*Epochs=*/true);
+      RaceLogReport V = scanCfg(Log, /*Epochs=*/false);
       EXPECT_EQ(keys(E), keys(V));
       EXPECT_EQ(E.Stats.RacyLocations, V.Stats.RacyLocations);
       EXPECT_EQ(E.Stats.Events, V.Stats.Events);
@@ -344,30 +339,6 @@ TEST(RaceLogEngines, SynthMixesHaveTheAdvertisedRaceProfile) {
   EXPECT_GT(M.Stats.RacyLocations, 0u);
 }
 
-TEST(RaceLogEngines, ShardAndWorkerConfigurationsAreBitIdentical) {
-  SynthOptions S;
-  S.Events = 30000;
-  S.Threads = 16;
-  S.Locations = 256;
-  S.Seed = 11;
-  for (const std::string &Log : {makeMixedLog(S), makeLockHeavyLog(S)}) {
-    for (bool Epochs : {true, false}) {
-      RaceLogReport Base = scanCfg(Log, 1, 1, Epochs);
-      for (unsigned Shards : {2u, 4u, 8u}) {
-        for (unsigned Workers : {1u, 4u}) {
-          // Tiny window: many barriers, to stress the pipeline seams.
-          RaceLogReport R = scanCfg(Log, Shards, Workers, Epochs, 512);
-          EXPECT_EQ(Base.Races, R.Races)
-              << "shards=" << Shards << " workers=" << Workers
-              << " epochs=" << Epochs;
-          EXPECT_EQ(Base.Stats.RacyLocations, R.Stats.RacyLocations);
-          EXPECT_EQ(Base.Stats.ReadShares, R.Stats.ReadShares);
-        }
-      }
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Budget discipline
 //===----------------------------------------------------------------------===//
@@ -380,17 +351,17 @@ TEST(RaceLogBudget, VisitCapTruncatesAndVisitedIsDeterministic) {
   BudgetSpec Spec;
   Spec.MaxVisited = 5000;
   std::vector<uint64_t> Seen;
-  for (unsigned Shards : {1u, 4u}) {
+  for (bool Epochs : {true, false}) {
     Budget B(Spec);
     RaceLogOptions O;
-    O.Shards = Shards;
+    O.Epochs = Epochs;
     O.Shared = &B;
     RaceLogReport R = scanRaceLog(Log, O);
     EXPECT_TRUE(R.Stats.Truncated);
     EXPECT_EQ(R.Stats.Reason, TruncationReason::StateCap);
     // One visit per ingested event (the final, refused charge consumes
-    // one more index), so the charge stream is identical for every
-    // configuration — the daemon's idempotent-replay contract.
+    // one more index), so the charge stream is identical for both
+    // engines — the daemon's idempotent-replay contract.
     EXPECT_EQ(R.Stats.Events + 1, B.visited());
     Seen.push_back(B.visited());
   }

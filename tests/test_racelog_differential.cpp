@@ -7,10 +7,10 @@
 /// Small .tsl programs (handwritten and generator-produced, across all
 /// four generation disciplines) are explored into tracesets; every
 /// maximal execution is encoded as a TSRL event log (racelog/
-/// Differential.h) and scanned by the streaming detector in several
-/// configurations — epoch engine inline, epoch engine sharded, and the
-/// full-vector-clock oracle. For every single trace the detector must
-/// report exactly the races the quadratic HappensBefore matrix defines:
+/// Differential.h) and scanned by the streaming detector with both
+/// engines — the epoch engine and the full-vector-clock oracle. For every
+/// single trace the detector must report exactly the races the quadratic
+/// HappensBefore matrix defines:
 /// the same racy locations and the same first racing event per location,
 /// race by race. The suite requires at least 200 generated traces, with
 /// both racy and race-free ones represented.
@@ -46,35 +46,21 @@ struct DiffTally {
   uint64_t Events = 0;
 };
 
-/// Runs one interleaving through every detector configuration and asserts
+/// Runs one interleaving through both detector engines and asserts
 /// race-by-race equality with the HappensBefore ground truth.
 void checkInterleaving(const Interleaving &I, DiffTally &Tally) {
   // Tiny blocks so even short traces span several CRC frames.
   DifferentialCase C = makeDifferentialCase(I, /*EventsPerBlock=*/8);
-  struct Cfg {
-    unsigned Shards, Workers;
-    bool Epochs;
-    const char *Name;
-  };
-  static constexpr Cfg Configs[] = {
-      {1, 1, true, "epoch-inline"},
-      {4, 1, true, "epoch-4shard"},
-      {4, 4, true, "epoch-4shard-pooled"},
-      {1, 1, false, "oracle"},
-  };
-  for (const Cfg &K : Configs) {
+  for (bool Epochs : {true, false}) {
     RaceLogOptions O;
-    O.Shards = K.Shards;
-    O.Workers = K.Workers;
-    O.Epochs = K.Epochs;
-    O.WindowEvents = 16; // force many pipeline barriers on short logs
+    O.Epochs = Epochs;
     O.MaxRaces = 1 << 20;
     RaceLogReport R = scanRaceLog(C.Log, O);
     ASSERT_TRUE(R.FormatOk);
     ASSERT_FALSE(R.Stats.Truncated);
     EXPECT_EQ(R.Stats.Events, C.Events);
     EXPECT_EQ(project(R), C.Races)
-        << K.Name << " on trace: " << I.str();
+        << (Epochs ? "epoch" : "oracle") << " on trace: " << I.str();
     EXPECT_EQ(R.Stats.RacyLocations, C.Races.size());
   }
   ++Tally.Traces;

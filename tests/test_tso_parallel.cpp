@@ -1,16 +1,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Equivalence tests for the parallel interned TSO/PSO engine
-/// (tso/BufferedEngine.cpp) against the sequential exhaustive machines
-/// kept as oracles (TsoLimits::ExhaustiveOracle).
+/// Equivalence tests for the interned TSO/PSO engine
+/// (tso/BufferedEngine.cpp) against the seed exhaustive machines kept as
+/// oracles (TsoLimits::ExhaustiveOracle).
 ///
-/// The headline guarantee: behaviour sets are byte-identical across every
-/// worker width, with and without store-buffer partial-order reduction,
-/// and equal to the oracle — on the full litmus corpus and on randomised
-/// programs. Also checks that the reduction actually reduces (visit
-/// counts), and that budget exhaustion degrades to an honest truncation
-/// instead of a wrong answer.
+/// The headline guarantee: behaviour sets are byte-identical with and
+/// without store-buffer partial-order reduction, and equal to the oracle
+/// — on the full litmus corpus and on randomised programs. Also checks
+/// that the reduction actually reduces (visit counts), and that budget
+/// exhaustion degrades to an honest truncation instead of a wrong answer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +26,8 @@ using namespace tracesafe;
 
 namespace {
 
-TsoLimits limits(unsigned Workers, bool UseReduction) {
+TsoLimits limits(bool UseReduction) {
   TsoLimits L;
-  L.Workers = Workers;
   L.UseReduction = UseReduction;
   return L;
 }
@@ -40,20 +38,19 @@ TsoLimits oracle() {
   return L;
 }
 
-/// Asserts the full engine matrix agrees on \p P for one model.
+/// Asserts the engine, with and without reduction, agrees with the oracle
+/// on \p P for one model.
 void expectMatrixAgrees(
     const Program &P, const std::string &Name,
     std::set<Behaviour> (*Model)(const Program &, TsoLimits, ExecStats *)) {
   std::set<Behaviour> Want = Model(P, oracle(), nullptr);
-  for (unsigned Workers : {1u, 2u, 8u})
-    for (bool Reduce : {true, false}) {
-      std::set<Behaviour> Got = Model(P, limits(Workers, Reduce), nullptr);
-      EXPECT_EQ(Got, Want) << Name << ": workers=" << Workers
-                           << " reduction=" << Reduce;
-    }
+  for (bool Reduce : {true, false}) {
+    std::set<Behaviour> Got = Model(P, limits(Reduce), nullptr);
+    EXPECT_EQ(Got, Want) << Name << ": reduction=" << Reduce;
+  }
 }
 
-TEST(TsoParallel, LitmusCorpusMatchesOracleAtEveryWidth) {
+TEST(TsoParallel, LitmusCorpusMatchesOracle) {
   for (const LitmusTest &T : litmusTests()) {
     Program P = parseOrDie(T.Source);
     expectMatrixAgrees(P, T.Name + " (TSO)", tsoBehaviours);
@@ -62,18 +59,18 @@ TEST(TsoParallel, LitmusCorpusMatchesOracleAtEveryWidth) {
 }
 
 TEST(TsoParallel, TsoOnlyBehavioursMatchOracle) {
-  // The subtraction path (TSO minus SC) runs both engines; it must be
-  // width-independent too.
+  // The subtraction path (TSO minus SC) runs both engines; the reduced
+  // pair must match the oracle pair.
   for (const LitmusTest &T : litmusTests()) {
     Program P = parseOrDie(T.Source);
     std::set<Behaviour> Want = tsoOnlyBehaviours(P, oracle());
-    EXPECT_EQ(tsoOnlyBehaviours(P, limits(8, true)), Want) << T.Name;
+    EXPECT_EQ(tsoOnlyBehaviours(P, limits(true)), Want) << T.Name;
     std::set<Behaviour> PsoWant = psoOnlyBehaviours(P, oracle());
-    EXPECT_EQ(psoOnlyBehaviours(P, limits(8, true)), PsoWant) << T.Name;
+    EXPECT_EQ(psoOnlyBehaviours(P, limits(true)), PsoWant) << T.Name;
   }
 }
 
-TEST(TsoParallel, RandomisedProgramsMatchOracleAtEveryWidth) {
+TEST(TsoParallel, RandomisedProgramsMatchOracle) {
   // Small shapes keep the oracle fast; disciplines rotate so fenced
   // (volatile/lock) and unfenced store-buffer paths are all exercised.
   const GenDiscipline Disciplines[] = {
@@ -100,8 +97,8 @@ thread { x := 1; r1 := y; print r1; }
 thread { y := 1; r2 := x; print r2; }
 )");
   ExecStats Reduced, Full;
-  std::set<Behaviour> A = tsoBehaviours(P, limits(1, true), &Reduced);
-  std::set<Behaviour> B = tsoBehaviours(P, limits(1, false), &Full);
+  std::set<Behaviour> A = tsoBehaviours(P, limits(true), &Reduced);
+  std::set<Behaviour> B = tsoBehaviours(P, limits(false), &Full);
   EXPECT_EQ(A, B);
   EXPECT_LT(Reduced.Visited, Full.Visited)
       << "sleep-set POR did not prune any store-buffer interleavings";
@@ -112,7 +109,7 @@ TEST(TsoParallel, BufferBoundEdgesMatchOracle) {
   // min(MaxBufferedStores, MaxActionsPerThread); the tight bounds (1 =
   // every store drains before the next, 2 = one pending reorder window)
   // are where an off-by-one in the packed drain/append logic would show.
-  // The answer must track the oracle at the *same* bound, at every width.
+  // The answer must track the oracle at the *same* bound.
   Program P = parseOrDie(R"(
 thread { x := 1; x := 2; r1 := y; print r1; }
 thread { y := 1; y := 2; r2 := x; print r2; }
@@ -122,17 +119,14 @@ thread { y := 1; y := 2; r2 := x; print r2; }
     O.MaxBufferedStores = Bound;
     std::set<Behaviour> WantTso = tsoBehaviours(P, O, nullptr);
     std::set<Behaviour> WantPso = psoBehaviours(P, O, nullptr);
-    for (unsigned Workers : {1u, 8u})
-      for (bool Reduce : {true, false}) {
-        TsoLimits L = limits(Workers, Reduce);
-        L.MaxBufferedStores = Bound;
-        EXPECT_EQ(tsoBehaviours(P, L, nullptr), WantTso)
-            << "TSO bound=" << Bound << " workers=" << Workers
-            << " reduction=" << Reduce;
-        EXPECT_EQ(psoBehaviours(P, L, nullptr), WantPso)
-            << "PSO bound=" << Bound << " workers=" << Workers
-            << " reduction=" << Reduce;
-      }
+    for (bool Reduce : {true, false}) {
+      TsoLimits L = limits(Reduce);
+      L.MaxBufferedStores = Bound;
+      EXPECT_EQ(tsoBehaviours(P, L, nullptr), WantTso)
+          << "TSO bound=" << Bound << " reduction=" << Reduce;
+      EXPECT_EQ(psoBehaviours(P, L, nullptr), WantPso)
+          << "PSO bound=" << Bound << " reduction=" << Reduce;
+    }
   }
 }
 
@@ -143,7 +137,7 @@ thread { y := 1; y := 2; r2 := x; print r2; }
 )");
   Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/10,
                       /*MaxMemoryBytes=*/0});
-  TsoLimits L = limits(2, true);
+  TsoLimits L = limits(true);
   L.Shared = &B;
   ExecStats Stats;
   std::set<Behaviour> Got = tsoBehaviours(P, L, &Stats);
@@ -163,7 +157,7 @@ thread { y := 1; y := 2; r2 := x; print r2; }
   CancelToken Cancel;
   Cancel.request();
   Budget B(BudgetSpec{}, &Cancel);
-  TsoLimits L = limits(8, true);
+  TsoLimits L = limits(true);
   L.Shared = &B;
   ExecStats Stats;
   tsoBehaviours(P, L, &Stats);
