@@ -3,7 +3,7 @@
 /// \file
 /// tracesafed throughput benches: queries/sec through the full daemon
 /// stack — wire protocol, admission control, budget clamp, scheduling on
-/// the shared pool — against an in-process server listening on both a
+/// the query workers — against an in-process server listening on both a
 /// unix socket and TCP loopback.
 ///
 /// `daemon_query_warm` is the overhead floor (the verdict cache answers

@@ -96,8 +96,9 @@ void usage(const char *Argv0) {
       "  --no-thin-air       skip the Theorem 5 check\n"
       "  --semantic          also verify every safe-chain step with the\n"
       "                      Lemma 4/5 semantic checkers\n"
-      "  --jobs N            campaign workers: 1 sequential (default),\n"
-      "                      0 = shared pool width, N > 1 = exactly N\n"
+      "  --jobs N            campaign threads, one program each at a time:\n"
+      "                      1 sequential (default), 0 = hardware\n"
+      "                      concurrency, N > 1 = exactly N\n"
       "  --threads N         generated threads per program (default 2)\n"
       "  --max-stmts N       max statements per generated thread (default 6)\n"
       "  --chain-steps N     max rewrite-rule applications (default 4)\n"
@@ -148,17 +149,18 @@ void printFailures(const FuzzReport &Report, bool Verbose) {
 }
 
 /// --chaos: end-to-end robustness self-check. Arms a random fault plan
-/// (allocation failures, throwing and stalling pool tasks, spurious budget
-/// faults), runs the campaign with a watchdog that requests cancellation
-/// mid-flight (simulating a kill), then resumes from the journal — and
-/// asserts that the merged campaign (a) completed every program, (b) never
-/// fabricated an uninjected violation, and (c) every injected DRF failure
-/// it minimised re-verifies from its repro source with faults disarmed.
+/// (allocation failures, throwing and stalling job threads, spurious
+/// budget faults), runs the campaign with a watchdog that requests
+/// cancellation mid-flight (simulating a kill), then resumes from the
+/// journal — and asserts that the merged campaign (a) completed every
+/// program, (b) never fabricated an uninjected violation, and (c) every
+/// injected DRF failure it minimised re-verifies from its repro source
+/// with faults disarmed.
 int runChaos(FuzzOptions Options, uint64_t Seed,
              uint64_t *FaultsFired = nullptr) {
   Options.InjectUnsafe = true;
   if (Options.Jobs <= 1)
-    Options.Jobs = 2; // Fault the pool path, not just in-query budgets.
+    Options.Jobs = 2; // Fault the job threads, not just in-query budgets.
   std::string Journal =
       (std::filesystem::temp_directory_path() /
        ("tracesafe_chaos_" + std::to_string(Seed) + "_" +

@@ -13,8 +13,8 @@
 ///   tracesafed [--socket /tmp/ts.sock] [--listen host:port]
 ///              [--journal ts.journal] [--resume]
 ///              [--cache-file ts.cache] [--cache-cap-mb N]
-///              [--queue-cap N] [--per-client-cap N] [--dispatch-cap N]
-///              [--aging N] [--outbound-cap-kb N] [--keepalive-ticks N]
+///              [--queue-cap N] [--per-client-cap N] [--aging N]
+///              [--outbound-cap-kb N] [--keepalive-ticks N]
 ///              [--ping-timeout-ticks N] [--idle-ticks N] [--workers N]
 ///              [--quota-deadline-ms N] [--quota-visited N]
 ///              [--quota-mem-mb N] [--fault-seed N] [--verbose]
@@ -58,7 +58,6 @@ void usage(const char *Argv0) {
       "                         (0 = built-in default)\n"
       "  --queue-cap N          global in-flight cap (default 64)\n"
       "  --per-client-cap N     per-client cap (default: fair share)\n"
-      "  --dispatch-cap N       concurrent dispatch cap (default: pool)\n"
       "  --aging N              batch aging threshold (default 4)\n"
       "  --outbound-cap-kb N    per-connection outbound queue cap\n"
       "                         (default 4096 KiB; slow clients are shed)\n"
@@ -66,7 +65,8 @@ void usage(const char *Argv0) {
       "                         silence (default 100; 0 = off)\n"
       "  --ping-timeout-ticks N reap after N ticks without a pong (50)\n"
       "  --idle-ticks N         reap any conn idle N ticks (0 = off)\n"
-      "  --workers N            query workers (default: shared pool)\n"
+      "  --workers N            query worker threads, one query each\n"
+      "                         (default: hardware concurrency)\n"
       "  --quota-deadline-ms N  per-query deadline ceiling (0 = none)\n"
       "  --quota-visited N      per-query visit ceiling (0 = none)\n"
       "  --quota-mem-mb N       per-query memory ceiling (0 = none)\n"
@@ -136,10 +136,6 @@ int main(int Argc, char **Argv) {
       if (!NextValue(N))
         return 2;
       Opts.PerClientCap = static_cast<unsigned>(N);
-    } else if (Arg == "--dispatch-cap") {
-      if (!NextValue(N))
-        return 2;
-      Opts.DispatchCap = static_cast<unsigned>(N);
     } else if (Arg == "--aging") {
       if (!NextValue(N))
         return 2;

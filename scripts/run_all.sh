@@ -151,22 +151,28 @@ cmake --build build-asan --target test_racelog racelog_scan
 [ "$rc" -eq 1 ] || { echo "expected races in the mixed log (rc=$rc)"; exit 1; }
 
 # ThreadSanitizer pass: rebuild with TSan and drive what still has
-# threads. Every engine is sequential; parallelism lives across queries
-# only (see docs/PERFORMANCE.md): the pool's unit tests, the in-process
-# daemon suite, and a parallel fuzz campaign.
+# threads. One query, one thread: every engine is sequential and a
+# query's Budget has plain counters that only its own thread touches
+# (other threads reach it through the CancelToken and the progress
+# mirrors). Parallelism lives across queries only (see
+# docs/PERFORMANCE.md): the daemon's workers and fuzz --jobs. This stage
+# is the check that no other thread touches a Budget's counters.
 echo "===== thread sanitizer parallel smoke ====="
 cmake -B build-tsan -G Ninja -DTRACESAFE_TSAN=ON
-cmake --build build-tsan --target test_threadpool test_daemon fuzz_harness
-./build-tsan/tests/test_threadpool
+cmake --build build-tsan --target test_daemon fuzz_harness
 # The daemon suite: reader threads probe the verdict cache, append to the
 # journal and fill the answered-verdict table while workers complete
 # computed queries and the health tick streams heartbeats.
 ./build-tsan/tests/test_daemon
-# Programs run on four pool workers at once, each query with its own
-# intern pools and memo tables; this campaign is the check that no
-# per-query structure is shared across jobs.
+# Programs run on four job threads at once, each query with its own
+# budget, intern pools and memo tables; this campaign is the check that
+# no per-query structure is shared across jobs.
 ./build-tsan/examples/fuzz_harness --programs 100 --deadline-ms 60000 \
   --seed 3 --no-thin-air --query-deadline-ms 50 --jobs 4 --semantic
+# Chaos on job threads: seed 4 arms TaskRun/TaskStall, which the job
+# threads contain themselves, plus a mid-campaign cancel and resume.
+./build-tsan/examples/fuzz_harness --chaos --programs 40 --seed 4 \
+  --no-thin-air --query-deadline-ms 50
 
 # UBSan pass: undefined-behaviour checking over the robustness stack —
 # fault injection, degradation to the oracle engines (test_degrade, on

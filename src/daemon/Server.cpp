@@ -6,7 +6,6 @@
 #include "racelog/Detect.h"
 #include "support/Crc32.h"
 #include "support/Failure.h"
-#include "support/ThreadPool.h"
 #include "trace/Enumerate.h"
 #include "verify/BehaviourCache.h"
 #include "verify/CacheStore.h"
@@ -558,7 +557,7 @@ struct Connection {
       // Slow-client shedding: the peer has not drained a full queue of
       // frames and now a frame that must not be dropped doesn't fit.
       // Killing the connection (not blocking, not buffering unboundedly)
-      // is the only option that protects the worker pool.
+      // is the only option that protects the query workers.
       failLocked();
       return Send::Shed;
     }
@@ -839,16 +838,20 @@ private:
     Q.insert(It, Req);
   }
 
-  /// Fills free dispatch slots from the class queues. Interactive always
-  /// preempts queued batch work, except that after AgingThreshold
+  /// One query worker: takes the next request from the class queues and
+  /// runs it to completion on this thread, until shutdown. Interactive
+  /// always preempts queued batch work, except that after AgingThreshold
   /// consecutive interactive dispatches with batch work waiting, one
   /// batch query dispatches regardless — a deterministic (counter-based,
   /// never wall-clock) starvation-freedom guarantee.
-  void maybeDispatchLocked() {
-    if (ShuttingDown)
-      return;
-    while (RunningCount < DispatchCapEff &&
-           (!PendInteractive.empty() || !PendBatch.empty())) {
+  void workerMain() {
+    std::unique_lock<std::mutex> Lock(M);
+    for (;;) {
+      WorkCv.wait(Lock, [this] {
+        return ShuttingDown || !PendInteractive.empty() || !PendBatch.empty();
+      });
+      if (ShuttingDown)
+        return;
       bool PickBatch;
       if (PendInteractive.empty())
         PickBatch = true;
@@ -870,7 +873,9 @@ private:
       }
       ++RunningCount;
       Dispatched.push_back(Req);
-      Group->spawn([this, Req] { runRequest(Req); });
+      Lock.unlock();
+      runRequest(Req);
+      Lock.lock();
     }
   }
 
@@ -921,7 +926,7 @@ private:
       }
     } catch (...) {
       // evaluateQuery contains everything already; this is the last-ditch
-      // belt so a bug in the containment cannot fault the task group.
+      // belt so a bug in the containment cannot take down the worker.
       R = QueryResponse{};
       R.Status = ResponseStatus::Ok;
       R.Kind = VerdictKind::Unknown;
@@ -994,7 +999,6 @@ private:
       releasePayloadLocked(*Req);
       ReleaseLocked(Req);
       --RunningCount;
-      maybeDispatchLocked();
     }
     auto SendVerdict = [&](const ConnPtr &To, uint64_t Id) {
       if (!To || !To->Open.load(std::memory_order_relaxed))
@@ -1205,12 +1209,11 @@ private:
     if (!Out.Payload.empty())
       sendCritical(C, Out);
     if (Fresh) {
-      // Queued goes out before the dispatch attempt so a streaming
+      // Queued goes out before a worker is woken so a streaming
       // consumer normally sees Queued -> Running -> ... (Seq stays
       // monotonic either way — it is assigned under the write lock).
       streamProgress(C, *Fresh, ProgressPhase::Queued);
-      std::lock_guard<std::mutex> Lock(M);
-      maybeDispatchLocked();
+      WorkCv.notify_one();
     }
   }
 
@@ -1411,17 +1414,16 @@ private:
   std::vector<ConnPtr> Conns; ///< live connections (guarded by M)
   std::deque<ReqPtr> PendInteractive; ///< admitted, awaiting dispatch
   std::deque<ReqPtr> PendBatch;
-  std::vector<ReqPtr> Dispatched; ///< handed to the pool, not yet completed
+  std::vector<ReqPtr> Dispatched; ///< taken by a worker, not yet completed
   unsigned Inflight = 0;     ///< admitted and not yet completed
   uint64_t HeldPayloadBytes = 0; ///< payload bytes of unfinished requests
-  unsigned RunningCount = 0; ///< dispatched to the pool right now
+  unsigned RunningCount = 0; ///< running on a worker right now
   unsigned SinceBatch = 0;   ///< interactive dispatches since last batch
-  unsigned DispatchCapEff = 1;
   bool ShuttingDown = false;
+  std::condition_variable WorkCv; ///< pending work or shutdown (with M)
   std::atomic<uint64_t> Tick{0}; ///< ~100ms health ticks since startup
   /// Open iff JournalPath is set; fixed before any listener starts.
   RecordLogWriter Journal;
-  ThreadPool::TaskGroup *Group = nullptr;
 };
 
 int Server::run() {
@@ -1571,136 +1573,136 @@ int Server::run() {
       log("listening on tcp " + Host + ":" + std::to_string(Bound));
   }
 
-  std::unique_ptr<ThreadPool> Owned;
-  if (Opts.Workers > 0)
-    Owned = std::make_unique<ThreadPool>(Opts.Workers);
-  ThreadPool &Pool = Owned ? *Owned : ThreadPool::shared();
-  DispatchCapEff =
-      Opts.DispatchCap ? Opts.DispatchCap : std::max(1u, Pool.workerCount());
+  // One query, one thread: each worker runs the requests it takes from
+  // the class queues to completion, so no more queries run at once than
+  // there are workers.
+  unsigned NumWorkers = Opts.Workers
+                            ? Opts.Workers
+                            : std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::thread> Workers;
+  for (unsigned I = 0; I < NumWorkers; ++I)
+    Workers.emplace_back([this] { workerMain(); });
   std::vector<std::thread> Readers;
+
+  // Recompute orphaned admissions from the resumed journal through the
+  // regular scheduler: the crash interrupted them mid-flight; their
+  // (client, id) keys are already registered, so a retrying client
+  // attaches as waiter.
   {
-    ThreadPool::TaskGroup G(Pool);
-    Group = &G;
-
-    // Recompute orphaned admissions from the resumed journal through the
-    // regular scheduler: the crash interrupted them mid-flight; their
-    // (client, id) keys are already registered, so a retrying client
-    // attaches as waiter.
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      for (ReqPtr &Req : Orphans) {
-        ++Inflight;
-        ++ClientLoad[Req->Client];
-        ++Stats.Resumed;
-        enqueuePendingLocked(Req);
-      }
-      Orphans.clear();
-      maybeDispatchLocked();
+    std::lock_guard<std::mutex> Lock(M);
+    for (ReqPtr &Req : Orphans) {
+      ++Inflight;
+      ++ClientLoad[Req->Client];
+      ++Stats.Resumed;
+      enqueuePendingLocked(Req);
     }
-    if (!Opts.SocketPath.empty())
-      log("listening on " + Opts.SocketPath);
-
-    // Accept loop over both listeners; the poll timeout doubles as the
-    // pacing for Stop checks and the ~100ms health tick.
-    auto NextTick =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-    for (;;) {
-      if (Opts.Stop && Opts.Stop->requested())
-        break;
-      pollfd Pfds[2];
-      nfds_t NumFds = 0;
-      if (UnixFd >= 0)
-        Pfds[NumFds++] = {UnixFd, POLLIN, 0};
-      if (TcpFd >= 0)
-        Pfds[NumFds++] = {TcpFd, POLLIN, 0};
-      int Ready = ::poll(Pfds, NumFds, 100);
-      if (Ready < 0 && errno != EINTR) {
-        std::cerr << "tracesafed: poll: " << std::strerror(errno) << "\n";
-        break;
-      }
-      auto Now = std::chrono::steady_clock::now();
-      if (Now >= NextTick) {
-        healthTick();
-        NextTick = Now + std::chrono::milliseconds(100);
-      }
-      if (Ready <= 0)
-        continue;
-      bool Fatal = false;
-      for (nfds_t I = 0; I < NumFds && !Fatal; ++I) {
-        if (!(Pfds[I].revents & POLLIN))
-          continue;
-        const bool IsTcp = Pfds[I].fd == TcpFd;
-        int Fd = ::accept(Pfds[I].fd, nullptr, nullptr);
-        if (Fd < 0) {
-          if (errno == EINTR || errno == ECONNABORTED ||
-              errno == EAGAIN || errno == EWOULDBLOCK)
-            continue;
-          std::cerr << "tracesafed: accept: " << std::strerror(errno)
-                    << "\n";
-          Fatal = true;
-          break;
-        }
-        if (faultPoint(FaultSite::Accept)) {
-          // Injected accept failure: the peer sees an immediate close and
-          // retries through its backoff, like a listen backlog overflow.
-          std::lock_guard<std::mutex> Lock(M);
-          ++Stats.AcceptFaults;
-          ::close(Fd);
-          continue;
-        }
-        if (IsTcp)
-          setNoDelay(Fd);
-        if (Opts.SendBufBytes) {
-          int Val = static_cast<int>(Opts.SendBufBytes);
-          ::setsockopt(Fd, SOL_SOCKET, SO_SNDBUF, &Val, sizeof(Val));
-        }
-        auto C = std::make_shared<Connection>();
-        C->Fd = Fd;
-        C->OutboundCap = Opts.OutboundCapBytes;
-        C->LastRecvTick.store(Tick.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-        C->start();
-        {
-          std::lock_guard<std::mutex> Lock(M);
-          ++Stats.Connections;
-          Conns.push_back(C);
-        }
-        Readers.emplace_back([this, C] { serveConnection(C); });
-      }
-      if (Fatal)
-        break;
-    }
-
-    // Shutdown: stop admitting and dispatching, cancel in-flight queries
-    // (their journal records stay orphaned for the next --resume, as do
-    // the still-pending ones that never dispatched), drain the group.
-    if (UnixFd >= 0) {
-      ::close(UnixFd);
-      ::unlink(Opts.SocketPath.c_str());
-    }
-    if (TcpFd >= 0)
-      ::close(TcpFd);
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      ShuttingDown = true;
-      PendInteractive.clear();
-      PendBatch.clear();
-      for (auto &KV : Requests)
-        KV.second->Cancel.request();
-      // Break the single-flight ownership cycles now: a leader that was
-      // still *queued* never runs its completion fan-out, and mutually
-      // owning shared_ptrs would outlive the Requests map. The journal
-      // already holds every follower's admission, so a resume recomputes
-      // them independently.
-      for (auto &KV : Requests) {
-        KV.second->Leader.reset();
-        KV.second->Followers.clear();
-      }
-      InFlightByCanon.clear();
-    }
-    G.wait();
-    Group = nullptr;
+    Orphans.clear();
   }
+  WorkCv.notify_all();
+  if (!Opts.SocketPath.empty())
+    log("listening on " + Opts.SocketPath);
+
+  // Accept loop over both listeners; the poll timeout doubles as the
+  // pacing for Stop checks and the ~100ms health tick.
+  auto NextTick =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  for (;;) {
+    if (Opts.Stop && Opts.Stop->requested())
+      break;
+    pollfd Pfds[2];
+    nfds_t NumFds = 0;
+    if (UnixFd >= 0)
+      Pfds[NumFds++] = {UnixFd, POLLIN, 0};
+    if (TcpFd >= 0)
+      Pfds[NumFds++] = {TcpFd, POLLIN, 0};
+    int Ready = ::poll(Pfds, NumFds, 100);
+    if (Ready < 0 && errno != EINTR) {
+      std::cerr << "tracesafed: poll: " << std::strerror(errno) << "\n";
+      break;
+    }
+    auto Now = std::chrono::steady_clock::now();
+    if (Now >= NextTick) {
+      healthTick();
+      NextTick = Now + std::chrono::milliseconds(100);
+    }
+    if (Ready <= 0)
+      continue;
+    bool Fatal = false;
+    for (nfds_t I = 0; I < NumFds && !Fatal; ++I) {
+      if (!(Pfds[I].revents & POLLIN))
+        continue;
+      const bool IsTcp = Pfds[I].fd == TcpFd;
+      int Fd = ::accept(Pfds[I].fd, nullptr, nullptr);
+      if (Fd < 0) {
+        if (errno == EINTR || errno == ECONNABORTED ||
+            errno == EAGAIN || errno == EWOULDBLOCK)
+          continue;
+        std::cerr << "tracesafed: accept: " << std::strerror(errno)
+                  << "\n";
+        Fatal = true;
+        break;
+      }
+      if (faultPoint(FaultSite::Accept)) {
+        // Injected accept failure: the peer sees an immediate close and
+        // retries through its backoff, like a listen backlog overflow.
+        std::lock_guard<std::mutex> Lock(M);
+        ++Stats.AcceptFaults;
+        ::close(Fd);
+        continue;
+      }
+      if (IsTcp)
+        setNoDelay(Fd);
+      if (Opts.SendBufBytes) {
+        int Val = static_cast<int>(Opts.SendBufBytes);
+        ::setsockopt(Fd, SOL_SOCKET, SO_SNDBUF, &Val, sizeof(Val));
+      }
+      auto C = std::make_shared<Connection>();
+      C->Fd = Fd;
+      C->OutboundCap = Opts.OutboundCapBytes;
+      C->LastRecvTick.store(Tick.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+      C->start();
+      {
+        std::lock_guard<std::mutex> Lock(M);
+        ++Stats.Connections;
+        Conns.push_back(C);
+      }
+      Readers.emplace_back([this, C] { serveConnection(C); });
+    }
+    if (Fatal)
+      break;
+  }
+
+  // Shutdown: stop admitting and dispatching, cancel in-flight queries
+  // (their journal records stay orphaned for the next --resume, as do
+  // the still-pending ones that never dispatched), join the workers.
+  if (UnixFd >= 0) {
+    ::close(UnixFd);
+    ::unlink(Opts.SocketPath.c_str());
+  }
+  if (TcpFd >= 0)
+    ::close(TcpFd);
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    ShuttingDown = true;
+    PendInteractive.clear();
+    PendBatch.clear();
+    for (auto &KV : Requests)
+      KV.second->Cancel.request();
+    // Break the single-flight ownership cycles now: a leader that was
+    // still *queued* never runs its completion fan-out, and mutually
+    // owning shared_ptrs would outlive the Requests map. The journal
+    // already holds every follower's admission, so a resume recomputes
+    // them independently.
+    for (auto &KV : Requests) {
+      KV.second->Leader.reset();
+      KV.second->Followers.clear();
+    }
+    InFlightByCanon.clear();
+  }
+  WorkCv.notify_all();
+  for (std::thread &T : Workers)
+    T.join();
 
   // Unblock and join the readers (each reader joins its own writer).
   {

@@ -4,8 +4,9 @@
 /// tracesafed: the long-lived verification daemon.
 ///
 /// One process serves many clients over a unix-domain socket and/or a
-/// TCP listener, keeping the process-global InternPool/BehaviourCache
-/// warm across queries. The robustness contract, in order of importance:
+/// TCP listener, keeping the process-global BehaviourCache warm across
+/// queries (each engine run owns its intern pools). The robustness
+/// contract, in order of importance:
 ///
 ///  - *Bounded admission.* Queries are admitted under a global in-flight
 ///    cap and a fair per-client share of it; a request over either limit
@@ -14,12 +15,13 @@
 ///    answers is answered at admission, on its connection's reader
 ///    thread. Other admitted queries wait in per-class dispatch queues
 ///    (interactive before batch, priority-ordered, with aging so batch
-///    work cannot starve) and run on the shared work-stealing
-///    ThreadPool under a Budget clamped to the server's quota ceiling.
+///    work cannot starve). Each of the Workers threads takes the next
+///    query from those queues and runs it to completion, under a Budget
+///    clamped to the server's quota ceiling: one query, one thread.
 ///
-///  - *Containment.* Every query task catches everything; a faulted
-///    query degrades to the seed oracle engines (computeVerdict) and at
-///    worst reports Unknown(EngineFault). The pool, the listeners and the
+///  - *Containment.* Every query catches everything; a faulted query
+///    degrades to the seed oracle engines (computeVerdict) and at worst
+///    reports Unknown(EngineFault). The workers, the listeners and the
 ///    other clients never observe the fault. The same isolation holds on
 ///    the write side: every connection's outbound traffic goes through a
 ///    bounded queue drained by a dedicated writer thread, so a stalled
@@ -100,7 +102,9 @@ struct ServerOptions {
   /// orphaned admissions) and append to it. A file that is not a daemon
   /// journal is refused: runServer returns 1.
   bool Resume = false;
-  /// Query workers. 0 = the shared pool's default width.
+  /// Query worker threads, each running one query at a time; admitted
+  /// queries beyond them wait in the class queues. 0 =
+  /// std::thread::hardware_concurrency().
   unsigned Workers = 0;
   /// Global cap on admitted-but-unfinished queries; anything beyond is
   /// answered Overloaded.
@@ -108,9 +112,6 @@ struct ServerOptions {
   /// Per-client cap on in-flight queries. 0 = fair share, i.e.
   /// max(1, QueueCap / connected clients).
   unsigned PerClientCap = 0;
-  /// Cap on queries dispatched to the pool at once; admitted queries
-  /// beyond it wait in the class queues. 0 = the pool's worker count.
-  unsigned DispatchCap = 0;
   /// Aging threshold: after this many consecutive interactive dispatches
   /// while batch work is waiting, one batch query dispatches regardless —
   /// the starvation-freedom knob (deterministic, not wall-clock).
@@ -136,8 +137,8 @@ struct ServerOptions {
   /// traffic.
   unsigned SendBufBytes = 0;
   /// Field-wise ceiling clamped onto every requested budget (0 =
-  /// unbounded field). The default keeps one rogue query from starving
-  /// the pool for more than ~10 s.
+  /// unbounded field). The default keeps one rogue query from holding a
+  /// worker for more than ~10 s.
   BudgetSpec QuotaCeiling{/*DeadlineMs=*/10'000, /*MaxVisited=*/2'000'000,
                           /*MaxMemoryBytes=*/256ULL << 20};
   /// Persistent warm-start cache (verify/CacheStore.h): the query-family

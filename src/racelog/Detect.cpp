@@ -310,7 +310,6 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
   }
 
   Budget *B = O.Shared;
-  Budget::Scope Charge(B);
 
   LiveClocks TC;
   std::unordered_map<uint64_t, std::vector<uint64_t>> Locks;
@@ -365,9 +364,9 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
           Vars.prefetch(A);
         }
       }
-      if (!Charge.charge()) {
+      if (B && !B->charge()) {
         Rep.Stats.Truncated = true;
-        Rep.Stats.Reason = B ? B->reason() : TruncationReason::StateCap;
+        Rep.Stats.Reason = B->reason();
         Stop = true;
         break;
       }
@@ -417,7 +416,6 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
       }
     }
   }
-  Charge.settle();
 
   if (Cur.tornTail()) {
     Rep.Stats.TornTail = true;

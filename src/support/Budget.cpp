@@ -31,13 +31,10 @@ bool Budget::checkInterrupts() {
   // live counters here costs the mirrored observer nothing on the hot
   // loop and bounds the heartbeat staleness by one check interval.
   if (MirrorVisited)
-    MirrorVisited->store(MirrorVisitedBase +
-                             Visited.load(std::memory_order_relaxed),
+    MirrorVisited->store(MirrorVisitedBase + Visited,
                          std::memory_order_relaxed);
   if (MirrorBytes)
-    MirrorBytes->store(MirrorBytesBase +
-                           Bytes_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
+    MirrorBytes->store(MirrorBytesBase + Bytes_, std::memory_order_relaxed);
   if (Cancel && Cancel->requested()) {
     exhaust(TruncationReason::Cancelled);
     return false;

@@ -89,10 +89,13 @@ struct BudgetSpec {
 /// charge() once per state expansion; the call is cheap (the clock is only
 /// consulted every few hundred charges). A Budget is shared by address —
 /// the limit structs of the engines carry a non-owning pointer — so the
-/// caps apply to the query as a whole, not per engine. All counters are
-/// atomics so other threads (a canceller, the daemon's heartbeat) can
-/// poison or sample a running query; exhaustion is sticky, so every
-/// engine of the query observes it on its next charge.
+/// caps apply to the query as a whole, not per engine. Exhaustion is
+/// sticky, so every engine of the query observes it on its next charge.
+///
+/// A query runs on one thread, and only that thread touches its Budget:
+/// the counters are plain members. Other threads reach a running query
+/// only through the CancelToken (observed on the slow path) and read its
+/// progress only through the mirrorInto() atomics (published there).
 class Budget {
 public:
   explicit Budget(const BudgetSpec &Spec,
@@ -102,21 +105,24 @@ public:
     if (Spec.DeadlineMs > 0)
       Deadline = Start + std::chrono::milliseconds(Spec.DeadlineMs);
   }
+  /// Engines hold a Budget by address for the whole query.
+  Budget(const Budget &) = delete;
+  Budget &operator=(const Budget &) = delete;
 
   /// Charges one state visit plus \p Bytes of approximate memory. Returns
   /// true while the budget has headroom; once it returns false it keeps
   /// returning false (exhaustion is sticky) so deeply recursive searches
   /// unwind promptly.
   bool charge(uint64_t Bytes = 0) {
-    if (Exhausted.load(std::memory_order_relaxed) != TruncationReason::None)
+    if (Exhausted != TruncationReason::None)
       return false;
-    uint64_t V = Visited.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t B = Bytes_.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
+    uint64_t V = ++Visited;
+    Bytes_ += Bytes;
     if (Spec.MaxVisited && V > Spec.MaxVisited) {
       exhaust(TruncationReason::StateCap);
       return false;
     }
-    if (Spec.MaxMemoryBytes && B > Spec.MaxMemoryBytes) {
+    if (Spec.MaxMemoryBytes && Bytes_ > Spec.MaxMemoryBytes) {
       exhaust(TruncationReason::MemoryCap);
       return false;
     }
@@ -138,16 +144,15 @@ public:
   /// verdicts). Checks the clock/cancel token unconditionally: bulk
   /// charges are rare.
   bool chargeMany(uint64_t Visits, uint64_t Bytes) {
-    if (Exhausted.load(std::memory_order_relaxed) != TruncationReason::None)
+    if (Exhausted != TruncationReason::None)
       return false;
-    uint64_t V = Visited.fetch_add(Visits, std::memory_order_relaxed) +
-                 Visits;
-    uint64_t B = Bytes_.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-    if (Spec.MaxVisited && V > Spec.MaxVisited) {
+    Visited += Visits;
+    Bytes_ += Bytes;
+    if (Spec.MaxVisited && Visited > Spec.MaxVisited) {
       exhaust(TruncationReason::StateCap);
       return false;
     }
-    if (Spec.MaxMemoryBytes && B > Spec.MaxMemoryBytes) {
+    if (Spec.MaxMemoryBytes && Bytes_ > Spec.MaxMemoryBytes) {
       exhaust(TruncationReason::MemoryCap);
       return false;
     }
@@ -162,10 +167,10 @@ public:
   /// InternPool rehash storm) must not run past the wall clock just
   /// because no state visit was charged.
   bool chargeBytes(uint64_t Bytes) {
-    if (Exhausted.load(std::memory_order_relaxed) != TruncationReason::None)
+    if (Exhausted != TruncationReason::None)
       return false;
-    uint64_t B = Bytes_.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-    if (Spec.MaxMemoryBytes && B > Spec.MaxMemoryBytes) {
+    Bytes_ += Bytes;
+    if (Spec.MaxMemoryBytes && Bytes_ > Spec.MaxMemoryBytes) {
       exhaust(TruncationReason::MemoryCap);
       return false;
     }
@@ -173,9 +178,10 @@ public:
   }
 
   /// Marks the budget exhausted with \p R (first writer wins, like any
-  /// other exhaustion). Used to broadcast external cancellation and to
-  /// contain engine faults: every engine of the query observes the sticky
-  /// flag on its next charge and unwinds.
+  /// other exhaustion). Used to contain engine faults: every engine of
+  /// the query observes the sticky flag on its next charge and unwinds.
+  /// Called on the query's own thread; other threads cancel through the
+  /// CancelToken instead.
   void poison(TruncationReason R) { exhaust(R); }
 
   /// Attaches live-progress mirrors: the existing every-256-charges slow
@@ -193,86 +199,10 @@ public:
     MirrorBytesBase = BytesBase;
   }
 
-  /// Batched charging handle for the hot search loops. A Scope reserves a
-  /// block of visit indices from the shared counter with one fetch_add and
-  /// hands them out locally, so the hot loop touches the shared atomics
-  /// once per block. The semantics are bit-exact with unbatched
-  /// charge(): each charge consumes one global index, the visit-cap check
-  /// is per-index (charge #n fails iff n exceeds MaxVisited), the clock /
-  /// cancel token / fault plan are consulted at exactly the indices
-  /// divisible by 256, and the sticky exhaustion flag is observed on every
-  /// charge so cancellation still unwinds within one check interval.
-  /// Unconsumed indices are returned at settle()/destruction, so once all
-  /// scopes of a query quiesce, visited() equals the exact number of
-  /// charges — the warmth-invariance contract the BehaviourCache replay
-  /// relies on.
-  class Scope {
-  public:
-    /// \p B may be null (unbudgeted query): charge() then always succeeds.
-    explicit Scope(Budget *B) : B(B) {}
-    ~Scope() { settle(); }
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-    /// Equivalent to B->charge(Bytes), amortising the shared fetch_add
-    /// over Block charges.
-    bool charge(uint64_t Bytes = 0) {
-      if (!B)
-        return true;
-      if (B->Exhausted.load(std::memory_order_relaxed) !=
-          TruncationReason::None)
-        return false;
-      if (Used == Cap) {
-        Base = B->Visited.fetch_add(Block, std::memory_order_relaxed);
-        Used = 0;
-        Cap = Block;
-      }
-      uint64_t V = Base + ++Used;
-      if (B->Spec.MaxVisited && V > B->Spec.MaxVisited) {
-        B->exhaust(TruncationReason::StateCap);
-        return false;
-      }
-      if (Bytes) {
-        uint64_t Bv =
-            B->Bytes_.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-        if (B->Spec.MaxMemoryBytes && Bv > B->Spec.MaxMemoryBytes) {
-          B->exhaust(TruncationReason::MemoryCap);
-          return false;
-        }
-      }
-      if ((V & 0xFF) == 0 && !B->checkInterrupts())
-        return false;
-      return true;
-    }
-
-    /// Returns the unconsumed remainder of the current block to the
-    /// shared counter. Call when the search ends (the destructor does too)
-    /// so visited() is exact.
-    void settle() {
-      if (B && Cap > Used)
-        B->Visited.fetch_sub(Cap - Used, std::memory_order_relaxed);
-      Base = 0;
-      Used = Cap = 0;
-    }
-
-  private:
-    static constexpr uint32_t Block = 64;
-    Budget *B;
-    uint64_t Base = 0;
-    uint32_t Used = 0;
-    uint32_t Cap = 0;
-  };
-
-  bool exhausted() const {
-    return Exhausted.load(std::memory_order_relaxed) != TruncationReason::None;
-  }
-  TruncationReason reason() const {
-    return Exhausted.load(std::memory_order_relaxed);
-  }
-  uint64_t visited() const { return Visited.load(std::memory_order_relaxed); }
-  uint64_t chargedBytes() const {
-    return Bytes_.load(std::memory_order_relaxed);
-  }
+  bool exhausted() const { return Exhausted != TruncationReason::None; }
+  TruncationReason reason() const { return Exhausted; }
+  uint64_t visited() const { return Visited; }
+  uint64_t chargedBytes() const { return Bytes_; }
   const BudgetSpec &spec() const { return Spec; }
 
   /// Milliseconds since the budget was created.
@@ -288,9 +218,8 @@ public:
 private:
   /// First writer wins; later exhaustion reasons do not overwrite it.
   void exhaust(TruncationReason R) {
-    TruncationReason Expected = TruncationReason::None;
-    Exhausted.compare_exchange_strong(Expected, R,
-                                      std::memory_order_relaxed);
+    if (Exhausted == TruncationReason::None)
+      Exhausted = R;
   }
 
   /// Slow-path check shared by charge()/chargeBytes(): wall-clock
@@ -303,9 +232,9 @@ private:
   std::chrono::steady_clock::time_point Start;
   std::optional<std::chrono::steady_clock::time_point> Deadline;
   const CancelToken *Cancel = nullptr;
-  std::atomic<uint64_t> Visited{0};
-  std::atomic<uint64_t> Bytes_{0};
-  std::atomic<TruncationReason> Exhausted{TruncationReason::None};
+  uint64_t Visited = 0;
+  uint64_t Bytes_ = 0;
+  TruncationReason Exhausted = TruncationReason::None;
   std::atomic<uint64_t> *MirrorVisited = nullptr;
   std::atomic<uint64_t> *MirrorBytes = nullptr;
   uint64_t MirrorVisitedBase = 0;

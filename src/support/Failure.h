@@ -6,8 +6,8 @@
 /// The robustness contract — "never a silently wrong answer" — is only
 /// testable if faults can be *made to happen on demand*. A FaultPlan arms
 /// a small set of well-known failure sites (allocation in the intern
-/// pools, task execution in the thread pool, worker stalls, spurious
-/// budget exhaustion) with per-site hit counters: the fault fires on the
+/// pools, fuzz job threads that fail or stall at start, spurious budget
+/// exhaustion) with per-site hit counters: the fault fires on the
 /// Nth hit of its site and the Plan records how often it fired, so a
 /// failing run replays exactly from (plan, seed) in sequential mode.
 ///
@@ -32,8 +32,8 @@ namespace tracesafe {
 /// The instrumented failure sites.
 enum class FaultSite : uint8_t {
   InternAlloc,    ///< InternPool::intern throws std::bad_alloc
-  TaskRun,        ///< a ThreadPool task throws before running
-  TaskStall,      ///< a ThreadPool task sleeps StallMs before running
+  TaskRun,        ///< a fuzz job thread throws before claiming a program
+  TaskStall,      ///< a fuzz job thread sleeps StallMs before claiming
   BudgetCharge,   ///< Budget::charge spuriously exhausts with EngineFault
   BehaviourCache, ///< BehaviourCache lookup/insert throws InjectedFault
   BufferedIntern, ///< BufferedEngine state interning throws std::bad_alloc
@@ -66,10 +66,10 @@ struct InjectedFault : std::runtime_error {
 /// trigger count (fire on the Nth hit, 1-based), a repeat count (how many
 /// consecutive hits fire starting there) and, for stall sites, a stall
 /// duration. Hit counters are atomic so the plan is safe to consult from
-/// pool workers; exact replay of *which query* faults is guaranteed only
-/// when queries run one at a time (with concurrent queries the hit order
-/// is scheduling-dependent, which is precisely what the chaos mode wants
-/// to shake out).
+/// concurrent query threads; exact replay of *which query* faults is
+/// guaranteed only when queries run one at a time (with concurrent
+/// queries the hit order is scheduling-dependent, which is precisely what
+/// the chaos mode wants to shake out).
 class FaultPlan {
 public:
   struct SiteArm {

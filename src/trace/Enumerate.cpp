@@ -595,7 +595,7 @@ public:
   ReducedQuery(const Traceset &T, const EnumerationLimits &Limits,
                bool RaceMode)
       : T(T), Limits(Limits), RaceMode(RaceMode), Structs(Limits.Shared),
-        Sigs(Limits.Shared), Charge(Limits.Shared) {
+        Sigs(Limits.Shared) {
     if (Limits.SleepSets)
       Memo = std::make_unique<SleepMemo>(Sigs, Limits.Shared);
     Tids = T.entryPoints();
@@ -639,7 +639,6 @@ public:
     } catch (...) {
       engineFault();
     }
-    Charge.settle();
   }
 
   // Results (valid after run()).
@@ -955,7 +954,7 @@ private:
       Stats.truncate(TruncationReason::StateCap);
       return;
     }
-    if (Limits.Shared && !Charge.charge()) {
+    if (Limits.Shared && !Limits.Shared->charge()) {
       Stats.truncate(Limits.Shared->reason());
       return;
     }
@@ -1059,9 +1058,6 @@ private:
   std::vector<SymbolId> MonIds; ///< sorted distinct monitors
   std::unique_ptr<SleepMemo> Memo;
   std::vector<ThreadId> Tids;
-  /// Batched budget charging for the hot loop (bit-exact cap/interrupt
-  /// semantics; settled when the search ends).
-  Budget::Scope Charge;
   std::vector<uint64_t> Enc;    ///< state-encoding scratch
   std::vector<uint64_t> SigEnc; ///< sleep-signature scratch
   bool Stop = false;

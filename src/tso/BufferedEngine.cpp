@@ -238,7 +238,7 @@ public:
             1, std::min(Limits.MaxBufferedStores,
                         Limits.MaxActionsPerThread))),
         Structs(Limits.Shared), Sigs(Limits.Shared), Configs(Limits.Shared),
-        Charge(Limits.Shared), EvCache(256) {
+        EvCache(256) {
     if (Limits.UseReduction)
       Memo = std::make_unique<SleepMemo>(Sigs, Limits.Shared);
   }
@@ -277,7 +277,6 @@ public:
     } catch (...) {
       engineFault();
     }
-    Charge.settle();
     return std::move(Behaviours);
   }
 
@@ -757,7 +756,7 @@ private:
       Stats.truncate(TruncationReason::StateCap);
       return;
     }
-    if (Limits.Shared && !Charge.charge()) {
+    if (Limits.Shared && !Limits.Shared->charge()) {
       Stats.truncate(Limits.Shared->reason());
       return;
     }
@@ -830,9 +829,6 @@ private:
   InternPool Sigs;    ///< sorted event-id sleep signatures
   ConfigIds Configs;
   std::unique_ptr<SleepMemo> Memo;
-  /// Batched budget charging for the hot loop (bit-exact cap/interrupt
-  /// semantics; settled when the search ends).
-  Budget::Scope Charge;
   std::vector<uint64_t> Enc, SigEnc; ///< encoding scratch
   std::vector<EvSlot> EvCache;       ///< 256 direct-mapped event ids
   std::vector<CfgSteps> Cfg;         ///< config id -> step table

@@ -27,8 +27,8 @@
 ///    answer. See docs/ROBUSTNESS.md.
 ///
 /// The cache owns bounded memory that is deliberately *not* charged to
-/// any query budget: it is process infrastructure, like the thread pool,
-/// not part of a query's footprint. Overflow is handled by segmented LRU
+/// any query budget: it is process infrastructure shared by every query,
+/// not part of any one query's footprint. Overflow is handled by segmented LRU
 /// eviction (probation for entries seen once, protected for re-used
 /// ones): a long-lived daemon keeps its warm set while one-shot scans
 /// wash through probation, instead of periodically dropping everything.

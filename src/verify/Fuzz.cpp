@@ -4,7 +4,7 @@
 #include "opt/Pipeline.h"
 #include "opt/Unsafe.h"
 #include "support/FieldCodec.h"
-#include "support/ThreadPool.h"
+#include "support/Failure.h"
 #include "verify/BehaviourCache.h"
 #include "verify/Theorems.h"
 
@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -789,7 +790,7 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
 
   // Completion map: true once an index's record is merged (from the
   // journal or a finished run). Drives the post-loop sweep that re-runs
-  // indices lost to a drained task group.
+  // indices no job thread ran.
   std::unique_ptr<std::atomic<bool>[]> Completed(
       Options.Programs ? new std::atomic<bool>[Options.Programs]
                        : nullptr);
@@ -844,22 +845,15 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
     }
     Report.Cancelled = Report.Cancelled || CancelledNow();
   } else {
-    // Workers claim program indices from a shared counter, one scheduler
-    // epoch at a time: the task-group wait at each epoch boundary is the
+    // Job threads claim program indices from a shared counter, one
+    // scheduler epoch at a time: joining the epoch's threads is the
     // completion barrier the coverage-guided scheduler relies on (the
-    // weights for epoch k see all of epochs < k, for every worker
-    // count). Merging is per-index under a lock and failures are sorted
+    // weights for epoch k see all of epochs < k, for every job count).
+    // Merging is per-index under a lock and failures are sorted
     // afterwards, so the output is independent of scheduling.
-    unsigned Jobs = Options.Jobs == 0 ? ThreadPool::defaultWorkerCount()
-                                      : Options.Jobs;
-    if (Jobs > Options.Programs)
-      Jobs = static_cast<unsigned>(Options.Programs ? Options.Programs : 1);
-    std::unique_ptr<ThreadPool> Owned;
-    ThreadPool *Pool = &ThreadPool::shared();
-    if (Options.Jobs > 1) {
-      Owned = std::make_unique<ThreadPool>(Jobs);
-      Pool = Owned.get();
-    }
+    const uint64_t Jobs =
+        Options.Jobs ? Options.Jobs
+                     : std::max(1u, std::thread::hardware_concurrency());
     std::atomic<bool> DeadlineHit{false};
     for (uint64_t Begin = 0; Begin < Options.Programs;
          Begin += SchedulerEpoch) {
@@ -867,12 +861,14 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
         break;
       uint64_t End = std::min(Begin + SchedulerEpoch, Options.Programs);
       std::atomic<uint64_t> Next{Begin};
-      ThreadPool::TaskGroup G(*Pool);
-      unsigned Spawn = Jobs;
-      if (Spawn > End - Begin)
-        Spawn = static_cast<unsigned>(End - Begin);
-      for (unsigned W = 0; W < Spawn; ++W)
-        G.spawn([&] {
+      auto Job = [&] {
+        // A job thread contains its own faults: one that throws (the
+        // TaskRun probe, or anything outside RunOne's containment) stops
+        // claiming, and the epoch's other threads and the completion
+        // sweep below run what it left.
+        try {
+          faultMaybeStall(FaultSite::TaskStall);
+          faultThrowInjected(FaultSite::TaskRun);
           for (;;) {
             uint64_t I = Next.fetch_add(1, std::memory_order_relaxed);
             if (I >= End)
@@ -881,26 +877,28 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
               continue;
             if (CancelledNow())
               return;
-            if (Options.DeadlineMs > 0 &&
-                ElapsedMs() >= Options.DeadlineMs) {
+            if (Options.DeadlineMs > 0 && ElapsedMs() >= Options.DeadlineMs) {
               DeadlineHit.store(true, std::memory_order_relaxed);
               return;
             }
             RunCommit(I, Report);
           }
-        });
-      G.wait();
-      if (G.faulted())
-        G.takeException(); // Lost indices are re-run by the sweep below.
+        } catch (...) {
+        }
+      };
+      std::vector<std::thread> Threads;
+      for (uint64_t W = 0; W < std::min(Jobs, End - Begin); ++W)
+        Threads.emplace_back(Job);
+      for (std::thread &T : Threads)
+        T.join();
     }
     Report.DeadlineHit = DeadlineHit.load(std::memory_order_relaxed);
     Report.Cancelled = CancelledNow();
   }
 
-  // Completion sweep: an injected task fault (or a drained group) can
-  // leave claimed-but-unrun indices behind. Re-run them inline; an index
-  // that *still* throws is committed as a faulted placeholder so the
-  // campaign nevertheless completes. Deadline- or cancellation-ended
+  // Completion sweep: a faulted job thread can leave an epoch's indices
+  // unrun. Re-run them inline; an index that *still* throws is committed
+  // as a faulted placeholder so the campaign nevertheless completes. Deadline- or cancellation-ended
   // campaigns are genuinely partial and are left that way.
   if (!Report.DeadlineHit && !Report.Cancelled) {
     for (uint64_t I = 0; I < Options.Programs; ++I) {

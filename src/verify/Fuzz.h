@@ -62,11 +62,11 @@ struct FuzzOptions {
   /// step must be a semantic elimination (Lemma 4) or a reordering of an
   /// elimination (Lemma 5) of the previous program's traceset.
   bool CheckSemanticSteps = false;
-  /// Campaign workers: 1 = sequential; 0 = the shared work-stealing pool
-  /// at its default width; N > 1 = exactly N. Programs are claimed by
-  /// index and every per-program sub-seed depends only on (Seed, index),
-  /// so the report is identical for every width (failures are sorted by
-  /// program index).
+  /// Campaign threads: 1 = sequential; 0 =
+  /// std::thread::hardware_concurrency(); N > 1 = exactly N. Each thread
+  /// runs one program at a time. Programs are claimed by index and every
+  /// per-program sub-seed depends only on (Seed, index), so the report is
+  /// identical for every width (failures are sorted by program index).
   unsigned Jobs = 1;
   /// Route every InjectEvery-th program through an unsafe pass.
   bool InjectUnsafe = false;

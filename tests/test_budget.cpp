@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <thread>
-#include <vector>
 
 using namespace tracesafe;
 
@@ -97,73 +96,39 @@ TEST(Budget, MergeReasonPrefersSpecific) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched charging (Budget::Scope)
+// Exact charge accounting (the warmth-invariance contract)
 //===----------------------------------------------------------------------===//
 
-TEST(BudgetScope, VisitedIsExactAtQuiescence) {
-  // The block reservation (64 at a time) must be invisible once scopes
-  // settle: for any charge count — including ones that are not a
-  // multiple of the block — visited() equals the number of charges.
-  for (uint64_t N : {1u, 63u, 64u, 65u, 1000u}) {
+TEST(Budget, VisitedIsExactForAnyChargeCount) {
+  // visited() is the number of charges, for any count: the BehaviourCache
+  // replays it as the recorded cost of a computation.
+  for (uint64_t N : {1u, 63u, 64u, 65u, 255u, 256u, 257u, 1000u}) {
     Budget B(BudgetSpec{});
-    {
-      Budget::Scope S(&B);
-      for (uint64_t I = 0; I < N; ++I)
-        ASSERT_TRUE(S.charge());
-    } // destructor settles
+    for (uint64_t I = 0; I < N; ++I)
+      ASSERT_TRUE(B.charge());
     EXPECT_EQ(B.visited(), N) << "charges=" << N;
   }
 }
 
-TEST(BudgetScope, StateCapFiresAtTheExactCharge) {
-  // Reserving a block must not let charges beyond the cap through, nor
-  // cut the budget short: with MaxVisited = 100, charges 1..100 succeed
-  // and charge 101 fails — bit-identical to the unbatched Budget::charge.
+TEST(Budget, StateCapFiresAtTheExactCharge) {
+  // With MaxVisited = 100, charges 1..100 succeed and charge 101 fails.
   BudgetSpec Spec;
   Spec.MaxVisited = 100;
   Budget B(Spec);
-  Budget::Scope S(&B);
   for (int I = 0; I < 100; ++I)
-    ASSERT_TRUE(S.charge()) << "charge " << (I + 1);
-  EXPECT_FALSE(S.charge());
+    ASSERT_TRUE(B.charge()) << "charge " << (I + 1);
+  EXPECT_FALSE(B.charge());
   EXPECT_TRUE(B.exhausted());
   EXPECT_EQ(B.reason(), TruncationReason::StateCap);
+  EXPECT_EQ(B.visited(), 101u);
 }
 
-TEST(BudgetScope, NullBudgetAlwaysSucceeds) {
-  Budget::Scope S(nullptr);
-  for (int I = 0; I < 200; ++I)
-    ASSERT_TRUE(S.charge(1 << 20));
-}
-
-TEST(BudgetScope, ConcurrentScopesSettleExactly) {
-  // Parallel tasks each hold their own scope; after the pool quiesces the
-  // shared tally is the exact sum of all charges, independent of how the
-  // block reservations interleaved.
-  Budget B(BudgetSpec{});
-  constexpr int Threads = 4;
-  constexpr uint64_t PerThread = 777; // deliberately not block-aligned
-  {
-    std::vector<std::thread> Ts;
-    for (int T = 0; T < Threads; ++T)
-      Ts.emplace_back([&B] {
-        Budget::Scope S(&B);
-        for (uint64_t I = 0; I < PerThread; ++I)
-          ASSERT_TRUE(S.charge());
-      });
-    for (auto &T : Ts)
-      T.join();
-  }
-  EXPECT_EQ(B.visited(), Threads * PerThread);
-}
-
-TEST(BudgetScope, BytesChargeStillHonoursMemoryCap) {
+TEST(Budget, BytesChargeHonoursMemoryCap) {
   BudgetSpec Spec;
   Spec.MaxMemoryBytes = 10'000;
   Budget B(Spec);
-  Budget::Scope S(&B);
   int Ok = 0;
-  while (S.charge(1'000) && Ok < 1'000)
+  while (B.charge(1'000) && Ok < 1'000)
     ++Ok;
   EXPECT_EQ(Ok, 10); // the 11th kilobyte breaches the cap
   EXPECT_EQ(B.reason(), TruncationReason::MemoryCap);

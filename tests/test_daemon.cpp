@@ -127,6 +127,13 @@ uint64_t statsField(const std::string &Detail, const std::string &Key) {
   return std::strtoull(Padded.c_str() + Pos + Key.size() + 2, nullptr, 10);
 }
 
+/// One Stats snapshot over \p C.
+std::string statsDetail(DaemonClient &C) {
+  QueryRequest SQ;
+  SQ.Kind = QueryKind::Stats;
+  return C.call(SQ).Detail;
+}
+
 QueryRequest drfQuery(const std::string &Src) {
   QueryRequest Q;
   Q.Kind = QueryKind::ProgramDrf;
@@ -987,14 +994,14 @@ TEST(Daemon, StalledTcpReaderIsShedAndNeverBlocksOthers) {
 }
 
 TEST(Daemon, InteractivePreemptsQueuedBatchWork) {
-  // DispatchCap=1 serialises dispatch, so the class queues are
+  // One worker serialises dispatch, so the class queues are
   // observable: with a convoy of slow batch queries admitted first, an
   // interactive query must jump the queue and complete while batch work
   // is still pending (asserted through the Stats query, no log
   // scraping).
   ServerOptions O;
   O.SocketPath = uniqueSocket("preempt");
-  O.DispatchCap = 1;
+  O.Workers = 1;
   O.AgingThreshold = 100; // out of the way: pure preemption here
   ServerFixture Server(O);
 
@@ -1046,7 +1053,7 @@ TEST(Daemon, AgingKeepsBatchStarvationFree) {
   // freedom guarantee, visible as AgedDispatches.
   ServerOptions O;
   O.SocketPath = uniqueSocket("aging");
-  O.DispatchCap = 1;
+  O.Workers = 1;
   O.AgingThreshold = 1;
   ServerFixture Server(O);
 
@@ -1088,6 +1095,52 @@ TEST(Daemon, AgingKeepsBatchStarvationFree) {
   EXPECT_GE(S.AgedDispatches, 1u)
       << "the batch query must have been aged past waiting interactive "
          "work at least once";
+}
+
+TEST(Daemon, RunningQueriesNeverOutnumberTheWorkers) {
+  // One query, one thread: with two workers and a convoy of slow batch
+  // queries, Stats never reports more than two running, and every query
+  // of the convoy still gets its verdict.
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("workers");
+  O.Workers = 2;
+  ServerFixture Server(O);
+
+  ClientOptions BCO;
+  BCO.SocketPath = Server.Opts.SocketPath;
+  BCO.Name = "convoy-client";
+  std::vector<QueryRequest> Convoy;
+  for (unsigned I = 0; I < 6; ++I) {
+    QueryRequest Q = drfQuery(hugeProgram(30 + I));
+    Q.Class = ClientClass::Batch;
+    Convoy.push_back(Q);
+  }
+  std::vector<QueryResponse> Got;
+  std::atomic<bool> Done{false};
+  std::thread ConvoyThread([&] {
+    DaemonClient C(BCO);
+    Got = C.callBatch(Convoy);
+    Done = true;
+  });
+
+  ClientOptions SCO;
+  SCO.SocketPath = Server.Opts.SocketPath;
+  SCO.Name = "stats-client";
+  DaemonClient Watcher(SCO);
+  uint64_t MaxRunning = 0;
+  while (!Done.load()) {
+    MaxRunning =
+        std::max(MaxRunning, statsField(statsDetail(Watcher), "running"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ConvoyThread.join();
+  EXPECT_LE(MaxRunning, 2u);
+  EXPECT_EQ(MaxRunning, 2u) << "the convoy never occupied both workers";
+  ASSERT_EQ(Got.size(), Convoy.size());
+  for (const QueryResponse &R : Got)
+    EXPECT_EQ(R.Status, ResponseStatus::Ok);
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.Completed, Convoy.size());
 }
 
 TEST(Daemon, StreamingCampaignDeliversOrderedPartials) {
@@ -1297,14 +1350,14 @@ TEST(Daemon, PingDeadlineTurnsASilentServerIntoARetryableError) {
 //===----------------------------------------------------------------------===//
 
 TEST(Daemon, IdenticalInFlightQueriesCoalesceIntoOneFlight) {
-  // DispatchCap=1 makes coalescing deterministic: a long-running query
-  // occupies the only dispatch slot, so the two identical queries behind
+  // One worker makes coalescing deterministic: a long-running query
+  // occupies the only worker, so the two identical queries behind
   // it are admitted-but-queued together — the third submit must attach to
   // the second as a follower instead of queueing its own computation.
   BehaviourCache::global().clear();
   ServerOptions O;
   O.SocketPath = uniqueSocket("singleflight");
-  O.DispatchCap = 1;
+  O.Workers = 1;
   ServerFixture Server(O);
 
   ClientOptions CO;
@@ -1313,7 +1366,7 @@ TEST(Daemon, IdenticalInFlightQueriesCoalesceIntoOneFlight) {
   DaemonClient Client(CO);
 
   std::vector<QueryRequest> Qs;
-  Qs.push_back(drfQuery(hugeProgram(77))); // blocks the dispatch slot
+  Qs.push_back(drfQuery(hugeProgram(77))); // blocks the only worker
   // Alpha-variants of each other: same canonical key.
   Qs.push_back(drfQuery("thread { w := 41; r0 := w; r1 := w; }\n"));
   Qs.push_back(drfQuery("thread { q := 41; r5 := q; r6 := q; }\n"));
@@ -1367,7 +1420,7 @@ TEST(Daemon, CampaignWarmRunsReplayTheColdCostExactly) {
 
 TEST(Daemon, CachedVerdictsAreByteIdenticalAcrossWorkerWidths) {
   // The verdict cache is shared across daemon configurations: a verdict
-  // computed at pool width 1 must serve (and equal a recomputation at)
+  // computed at one worker must serve (and equal a recomputation at)
   // width 4 — same bytes, Visited included.
   BehaviourCache::global().clear();
   QueryRequest Q = drfQuery("thread { d := 61; r0 := d; r1 := d; }\n"
@@ -1486,15 +1539,8 @@ TEST(Daemon, PersistentCacheWarmStartsARestartedDaemon) {
 // thread, never queued, dispatched or parsed twice.
 //===----------------------------------------------------------------------===//
 
-/// One Stats snapshot over \p C.
-std::string statsDetail(DaemonClient &C) {
-  QueryRequest SQ;
-  SQ.Kind = QueryKind::Stats;
-  return C.call(SQ).Detail;
-}
-
 TEST(Daemon, WarmHitsAreAnsweredPastABusyWorker) {
-  // One worker, one dispatch slot, and a query that runs until cancelled:
+  // One worker and a query that runs until cancelled:
   // a computed query would wait behind it, a warm hit must not.
   const BudgetSpec Big{0, 50'000'000, 512ULL << 20};
   QueryRequest Warm = drfQuery("thread { k := 91; r0 := k; }\n"
@@ -1503,7 +1549,6 @@ TEST(Daemon, WarmHitsAreAnsweredPastABusyWorker) {
   ServerOptions O;
   O.SocketPath = uniqueSocket("admithit");
   O.Workers = 1;
-  O.DispatchCap = 1;
   O.QuotaCeiling = Big;
   ServerFixture Server(O);
 

@@ -11,9 +11,9 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "support/Failure.h"
-#include "support/ThreadPool.h"
 #include "trace/Enumerate.h"
 #include "tso/BufferedEngine.h"
+#include "verify/Fuzz.h"
 
 #include <gtest/gtest.h>
 
@@ -105,23 +105,33 @@ TEST(FaultInjection, RepeatedInternAllocFaultIsContained) {
   EXPECT_EQ(V.Reason, TruncationReason::EngineFault);
 }
 
-TEST(FaultInjection, TaskFaultIsCapturedByItsGroup) {
-  // The pool runs whole queries (daemon workers, fuzz --jobs); a TaskRun
-  // fault must surface through the task's group, never kill a worker.
+TEST(FaultInjection, FaultedJobThreadsLoseNoCampaignIndex) {
+  // fuzz --jobs runs one program at a time per job thread. With TaskRun
+  // firing on every job thread, no thread claims an index; the completion
+  // sweep must still run every index, and the report must equal the
+  // unfaulted sequential one.
+  FuzzOptions O;
+  O.Seed = 20260807;
+  O.Programs = 36; // two scheduler epochs (32 + 4)
+  O.CheckThinAir = false;
+  // Visit caps only: the comparison must not hinge on the wall clock.
+  O.Escalation.Initial.DeadlineMs = 0;
+  O.Escalation.Ceiling.DeadlineMs = 0;
+  FuzzReport Want = runFuzz(O);
+  ASSERT_EQ(Want.ProgramsRun, O.Programs);
+
   FaultPlan Plan;
   Plan.arm(FaultSite::TaskRun, 1, /*Repeat=*/1'000'000);
-  FaultPlan::Scope Armed(Plan);
-  ThreadPool Pool(2);
-  ThreadPool::TaskGroup G(Pool);
-  bool Ran = false;
-  G.spawn([&Ran] { Ran = true; });
-  G.wait();
-  EXPECT_FALSE(Ran);
-  EXPECT_TRUE(G.faulted());
-  EXPECT_GE(Plan.fired(FaultSite::TaskRun), 1u);
-  std::exception_ptr E = G.takeException();
-  ASSERT_TRUE(E);
-  EXPECT_THROW(std::rethrow_exception(E), InjectedFault);
+  FuzzReport Got;
+  {
+    FaultPlan::Scope Armed(Plan);
+    O.Jobs = 2;
+    Got = runFuzz(O);
+  }
+  EXPECT_EQ(Plan.fired(FaultSite::TaskRun), 4u) << "two threads per epoch";
+  EXPECT_EQ(Got.ProgramsRun, O.Programs);
+  EXPECT_EQ(Got.FaultedQueries, 0u);
+  EXPECT_EQ(Got.toJson(false), Want.toJson(false));
 }
 
 TEST(FaultInjection, BudgetChargeFaultPoisonsTheQuery) {
@@ -261,8 +271,8 @@ TEST(FaultPlan, RandomizeDaemonIsDeterministicAndSeparate) {
   B.randomizeDaemon(7);
   EXPECT_EQ(A.describe(), B.describe());
   EXPECT_NE(A.describe(), "none");
-  // The daemon plan never arms the pool scheduling sites — a fault-seeded
-  // daemon must keep its worker pool alive.
+  // The daemon plan never arms the fuzz job-thread sites, which daemon
+  // workers do not probe.
   EXPECT_FALSE(A.shouldFire(FaultSite::TaskRun));
   EXPECT_FALSE(A.shouldFire(FaultSite::TaskStall));
   // And the campaign plan stream is unchanged by the new sites (seeded
