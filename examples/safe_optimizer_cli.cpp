@@ -75,16 +75,16 @@ int certifyRemote(const std::string &Server, const Program &P,
   CO.Name = "safe-optimizer-" + std::to_string(::getpid());
   daemon::DaemonClient Client(CO);
 
-  daemon::QueryRequest Drf;
-  Drf.Kind = daemon::QueryKind::DrfGuarantee;
-  Drf.Program = printProgram(P);
-  Drf.Transformed = printProgram(Result);
-  daemon::QueryRequest Thin = Drf;
-  Thin.Kind = daemon::QueryKind::ThinAir;
+  daemon::QueryRequest Pair[2];
+  Pair[0].Kind = daemon::QueryKind::DrfGuarantee;
+  Pair[0].Program = printProgram(P);
+  Pair[0].Transformed = printProgram(Result);
+  Pair[1] = Pair[0];
+  Pair[1].Kind = daemon::QueryKind::ThinAir;
 
   std::vector<daemon::QueryResponse> V;
   try {
-    V = Client.callBatch({Drf, Thin});
+    V = Client.callBatch(Pair);
   } catch (const daemon::ProtocolError &E) {
     std::fprintf(stderr, "remote certification failed: %s\n", E.what());
     return signalled() ? ExitInterrupted : 1;

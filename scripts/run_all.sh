@@ -138,17 +138,27 @@ wait "$dpid" && drc=0 || drc=$?
   exit 1; }
 
 # Racelog stage under ASan: the log-format/engine suite (torn tails,
-# flipped CRCs, injected detect faults) plus an end-to-end generate+scan
+# flipped CRCs, injected detect faults), the epoch engine against the
+# oracle and the enumerator, plus end-to-end generate+scan round trips
 # through the CLI — the writer, CRC framing, and both engines touch every
-# byte they produce (see docs/TRACELOG.md).
+# byte they produce (see docs/TRACELOG.md). The race-free log has ~131k
+# distinct addresses, so its state table is sized once from the address
+# sketch at well over 100k slots.
 echo "===== sanitizer racelog smoke ====="
-cmake --build build-asan --target test_racelog racelog_scan
+cmake --build build-asan --target test_racelog test_racelog_differential \
+  racelog_scan
 ./build-asan/tests/test_racelog
+./build-asan/tests/test_racelog_differential
 ./build-asan/examples/racelog_scan --gen mixed --events 200000 \
   --out build-asan/racelog_smoke.tsrl
 ./build-asan/examples/racelog_scan build-asan/racelog_smoke.tsrl \
   && rc=0 || rc=$?
 [ "$rc" -eq 1 ] || { echo "expected races in the mixed log (rc=$rc)"; exit 1; }
+./build-asan/examples/racelog_scan --gen racefree --events 2000000 \
+  --out build-asan/racelog_racefree.tsrl
+./build-asan/examples/racelog_scan build-asan/racelog_racefree.tsrl \
+  && rc=0 || rc=$?
+[ "$rc" -eq 0 ] || { echo "expected a race-free verdict (rc=$rc)"; exit 1; }
 
 # ThreadSanitizer pass: rebuild with TSan and drive what still has
 # threads. One query, one thread: every engine is sequential and a

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
-#include <unordered_map>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -181,20 +180,17 @@ bool DaemonClient::readFrameLive(Frame &Out) {
 }
 
 QueryResponse DaemonClient::call(const QueryRequest &Q) {
-  std::vector<QueryResponse> R = callBatch({Q});
-  return R.at(0);
+  std::vector<QueryResponse> R = callBatch(std::span(&Q, 1));
+  return std::move(R.front());
 }
 
 std::vector<QueryResponse>
-DaemonClient::callBatch(const std::vector<QueryRequest> &Qs) {
-  // Ids are allocated once, up front: every retransmission below reuses
-  // them, which is what makes retries idempotent on the server.
-  std::vector<uint64_t> Ids(Qs.size());
-  for (size_t I = 0; I < Qs.size(); ++I)
-    Ids[I] = NextId++;
-  std::unordered_map<uint64_t, size_t> Slot;
-  for (size_t I = 0; I < Ids.size(); ++I)
-    Slot[Ids[I]] = I;
+DaemonClient::callBatch(std::span<const QueryRequest> Qs) {
+  // Ids are allocated once, up front and consecutively: every
+  // retransmission below reuses them, which is what makes retries
+  // idempotent on the server, and query I's id is FirstId + I.
+  const uint64_t FirstId = NextId;
+  NextId += Qs.size();
 
   std::vector<QueryResponse> Out(Qs.size());
   std::vector<bool> Done(Qs.size(), false);
@@ -208,12 +204,7 @@ DaemonClient::callBatch(const std::vector<QueryRequest> &Qs) {
       for (size_t I = 0; I < Qs.size(); ++I) {
         if (Done[I])
           continue;
-        Frame F;
-        F.Version = Negotiated;
-        F.Type = FrameType::Submit;
-        F.RequestId = Ids[I];
-        F.Payload = encodeSubmit(Qs[I], Negotiated);
-        writeFrame(Fd, F);
+        writeSubmit(Fd, Negotiated, FirstId + I, Qs[I]);
       }
       while (Remaining) {
         Frame F;
@@ -244,9 +235,10 @@ DaemonClient::callBatch(const std::vector<QueryRequest> &Qs) {
         }
         if (F.Type != FrameType::Verdict)
           continue; // future frame types: ignore.
-        auto It = Slot.find(F.RequestId);
-        if (It == Slot.end() || Done[It->second])
-          continue; // duplicate verdict after a resubmission race
+        // Unsigned wrap sends ids below FirstId out of range too.
+        const uint64_t Slot = F.RequestId - FirstId;
+        if (Slot >= Qs.size() || Done[Slot])
+          continue; // foreign id, or a duplicate after a resubmission race
         QueryResponse R;
         if (!decodeResponse(F.Payload, R))
           throw ProtocolError("malformed verdict payload");
@@ -255,16 +247,11 @@ DaemonClient::callBatch(const std::vector<QueryRequest> &Qs) {
           // Deliberate shedding: back off, then resubmit just this id.
           ++Counters.OverloadedRetries;
           backoff(Attempt < 63 ? Attempt++ : Attempt);
-          Frame Again;
-          Again.Version = Negotiated;
-          Again.Type = FrameType::Submit;
-          Again.RequestId = F.RequestId;
-          Again.Payload = encodeSubmit(Qs[It->second], Negotiated);
-          writeFrame(Fd, Again);
+          writeSubmit(Fd, Negotiated, F.RequestId, Qs[Slot]);
           continue;
         }
-        Out[It->second] = R;
-        Done[It->second] = true;
+        Out[Slot] = std::move(R);
+        Done[Slot] = true;
         --Remaining;
         Attempt = 0; // progress resets the backoff clock
       }

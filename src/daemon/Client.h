@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,7 +132,9 @@ public:
   /// verdicts (returned in submission order; the wire order may differ).
   /// On a transport error only the unanswered ids are resubmitted — the
   /// server's idempotency makes the resubmission safe and free.
-  std::vector<QueryResponse> callBatch(const std::vector<QueryRequest> &Qs);
+  /// Each query's bytes go from its strings to the socket unassembled
+  /// (writeSubmit), so \p Qs is only read.
+  std::vector<QueryResponse> callBatch(std::span<const QueryRequest> Qs);
 
   /// Requests cancellation of a previously submitted request id.
   /// Best-effort: a dead connection is simply dropped (the daemon's

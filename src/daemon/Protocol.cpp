@@ -3,6 +3,7 @@
 #include "support/Crc32.h"
 #include "support/Failure.h"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <poll.h>
@@ -51,16 +52,22 @@ void writeVec(int Fd, iovec *Iov, size_t N) {
 
 namespace {
 
-/// Appends the 24-byte header of \p F (its payload's length and CRC
-/// included) to \p Out.
-void putHeader(std::string &Out, const Frame &F) {
+/// Appends the 24-byte header of \p F to \p Out. \p Len and \p Crc
+/// describe the payload that follows, which need not be F.Payload: a
+/// gathered write passes the length and CRC of its pieces.
+void putHeader(std::string &Out, const Frame &F, size_t Len, uint32_t Crc) {
   putU32(Out, FrameMagic);
   Out.push_back(static_cast<char>(F.Version));
   Out.push_back(static_cast<char>(F.Type));
   putU16(Out, F.Flags);
   putU64(Out, F.RequestId);
-  putU32(Out, static_cast<uint32_t>(F.Payload.size()));
-  putU32(Out, crc32(F.Payload.data(), F.Payload.size()));
+  putU32(Out, static_cast<uint32_t>(Len));
+  putU32(Out, Crc);
+}
+
+void putHeader(std::string &Out, const Frame &F) {
+  putHeader(Out, F, F.Payload.size(),
+            crc32(F.Payload.data(), F.Payload.size()));
 }
 
 /// Validates the header at \p P (FrameHeaderSize bytes) and extracts the
@@ -246,18 +253,48 @@ bool daemon::decodeWelcome(const std::string &Payload,
   return true;
 }
 
-std::string daemon::encodeSubmit(const QueryRequest &Q, uint8_t Version) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Q.Kind));
-  putU64(Out, static_cast<uint64_t>(Q.Budget.DeadlineMs));
-  putU64(Out, Q.Budget.MaxVisited);
-  putU64(Out, Q.Budget.MaxMemoryBytes);
-  putStr(Out, Q.Program);
-  putStr(Out, Q.Transformed);
+namespace {
+
+/// Bytes of the fixed fields ahead of Program: kind, the three budget
+/// fields and Program's length.
+constexpr size_t SubmitPrefixSize = 1 + 3 * 8 + 4;
+/// A Submit payload as the views it is laid out in; see submitPieces.
+using SubmitPieces = std::array<std::string_view, 5>;
+
+/// The Submit payload of \p Q in wire order, as five pieces: the fixed
+/// prefix, Program, Transformed's length, Transformed, and the v2
+/// class/priority suffix (empty for v1). The fixed fields are encoded
+/// into \p Fixed; the other pieces view Q's strings, so Q and \p Fixed
+/// must outlive the result. encodeSubmit concatenates the pieces and
+/// writeSubmit gathers them, so both send the same bytes.
+SubmitPieces submitPieces(const QueryRequest &Q, uint8_t Version,
+                          std::string &Fixed) {
+  Fixed.clear();
+  putU8(Fixed, static_cast<uint8_t>(Q.Kind));
+  putU64(Fixed, static_cast<uint64_t>(Q.Budget.DeadlineMs));
+  putU64(Fixed, Q.Budget.MaxVisited);
+  putU64(Fixed, Q.Budget.MaxMemoryBytes);
+  putU32(Fixed, static_cast<uint32_t>(Q.Program.size()));
+  putU32(Fixed, static_cast<uint32_t>(Q.Transformed.size()));
   if (Version >= 2) {
-    putU8(Out, static_cast<uint8_t>(Q.Class));
-    putU8(Out, Q.Priority);
+    putU8(Fixed, static_cast<uint8_t>(Q.Class));
+    putU8(Fixed, Q.Priority);
   }
+  std::string_view F = Fixed;
+  return {F.substr(0, SubmitPrefixSize), Q.Program,
+          F.substr(SubmitPrefixSize, 4), Q.Transformed,
+          F.substr(SubmitPrefixSize + 4)};
+}
+
+} // namespace
+
+std::string daemon::encodeSubmit(const QueryRequest &Q, uint8_t Version) {
+  std::string Fixed;
+  SubmitPieces Pieces = submitPieces(Q, Version, Fixed);
+  std::string Out;
+  Out.reserve(Fixed.size() + Q.Program.size() + Q.Transformed.size());
+  for (std::string_view P : Pieces)
+    Out += P;
   return Out;
 }
 
@@ -412,6 +449,35 @@ void daemon::writeFrame(int Fd, const Frame &F) {
   iovec Iov[2] = {{Header.data(), Header.size()},
                   {const_cast<char *>(F.Payload.data()), F.Payload.size()}};
   writeVec(Fd, Iov, 2);
+}
+
+void daemon::writeSubmit(int Fd, uint8_t Version, uint64_t RequestId,
+                         const QueryRequest &Q) {
+  if (faultPoint(FaultSite::ProtoWrite))
+    throw ProtocolError("injected fault at proto-write");
+  // The payload is never assembled: the header and the five pieces go out
+  // in one gathered write, the CRC continued across the pieces.
+  std::string Fixed;
+  SubmitPieces Pieces = submitPieces(Q, Version, Fixed);
+  size_t Len = 0;
+  uint32_t Crc = 0;
+  for (std::string_view P : Pieces) {
+    Len += P.size();
+    Crc = crc32(P.data(), P.size(), Crc);
+  }
+  Frame Head;
+  Head.Version = Version;
+  Head.Type = FrameType::Submit;
+  Head.RequestId = RequestId;
+  std::string Header;
+  Header.reserve(FrameHeaderSize);
+  putHeader(Header, Head, Len, Crc);
+  iovec Iov[1 + std::tuple_size_v<SubmitPieces>];
+  Iov[0] = {Header.data(), Header.size()};
+  size_t N = 1;
+  for (std::string_view P : Pieces)
+    Iov[N++] = {const_cast<char *>(P.data()), P.size()};
+  writeVec(Fd, Iov, N);
 }
 
 namespace {

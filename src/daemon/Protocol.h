@@ -248,6 +248,15 @@ void writeBytes(int Fd, const std::string &Bytes);
 /// FaultSite::ProtoWrite. Throws ProtocolError on failure.
 void writeFrame(int Fd, const Frame &F);
 
+/// Writes one Submit frame for \p Q: the same bytes as writeFrame of an
+/// encodeSubmit(Q, Version) payload, but the payload is never assembled.
+/// The header, the fixed fields and views of Q.Program and Q.Transformed
+/// go out in one gathered write, so a MiB-sized query is not copied on
+/// its way to the socket. Probes FaultSite::ProtoWrite once per frame.
+/// Throws ProtocolError on failure.
+void writeSubmit(int Fd, uint8_t Version, uint64_t RequestId,
+                 const QueryRequest &Q);
+
 /// Reads one frame into \p Out, buffering partial reads in \p Buf (the
 /// caller keeps one buffer per connection). Once a header is in, the rest
 /// of its payload is read straight into Out.Payload, sized once for the

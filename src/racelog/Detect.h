@@ -25,11 +25,14 @@
 ///    location, by the FastTrack equivalence argument (docs/
 ///    PERFORMANCE.md).
 ///
-/// The scan is one sequential pass in log order: synchronisation events
-/// update the live thread clocks, and each access goes straight to one
-/// open-addressing table of per-variable states, stamped with its
-/// thread's current clock. Parallelism is across scans (the daemon's
-/// workers), never inside one.
+/// The scan makes two sequential passes. The first CRC-checks and
+/// validates every block of the valid prefix and sketches its distinct
+/// data addresses (HyperLogLog), so the state table is allocated once at
+/// the size the log needs. The second applies the prefix in log order:
+/// synchronisation events update the live thread clocks, and each access
+/// goes straight to that one open-addressing table of per-variable
+/// states, stamped with its thread's current clock. Parallelism is across
+/// scans (the daemon's workers), never inside one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,8 +63,10 @@ struct RaceLogOptions {
   size_t MaxRaces = 64;
   /// Optional shared query budget. One visit is charged per ingested
   /// event (identically for both engines, so a query's Visited is
-  /// deterministic); state-table and clock-arena growth charge real byte
-  /// sizes.
+  /// deterministic). The state table charges its real byte size once, when
+  /// it is allocated larger than its 4096-slot minimum (and again only if
+  /// a low size estimate makes it grow); clock-arena growth charges real
+  /// byte sizes too.
   Budget *Shared = nullptr;
 };
 

@@ -730,7 +730,7 @@ TEST(Daemon, BinaryPayloadJournalsResumeByteIdentically) {
   ServerFixture Server(O);
   CO.SocketPath = Server.Opts.SocketPath;
   DaemonClient B(CO);
-  std::vector<QueryResponse> Got = B.callBatch({Done, Orphan});
+  std::vector<QueryResponse> Got = B.callBatch(std::vector{Done, Orphan});
   ASSERT_EQ(Got.size(), 2u);
   EXPECT_EQ(Got[0].str(), First.str());
   EXPECT_EQ(Got[1].str(), evaluateQuery(Orphan, TestCeiling).str());

@@ -16,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
+#include <functional>
 #include <linux/sockios.h>
+#include <pthread.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <thread>
@@ -42,18 +46,23 @@ Frame submitFrame(uint64_t Id) {
   return F;
 }
 
-/// A Submit frame carrying a seeded binary RaceLog payload of \p Bytes.
-Frame bigSubmitFrame(uint64_t Id, size_t Bytes, uint64_t Seed) {
+/// A RaceLog query carrying \p Bytes of seeded binary payload.
+QueryRequest bigRaceLogQuery(size_t Bytes, uint64_t Seed) {
   Rng R(Seed);
   QueryRequest Q;
   Q.Kind = QueryKind::RaceLog;
   Q.Program.resize(Bytes);
   for (char &C : Q.Program)
     C = static_cast<char>(R.below(256));
+  return Q;
+}
+
+/// A Submit frame carrying a seeded binary RaceLog payload of \p Bytes.
+Frame bigSubmitFrame(uint64_t Id, size_t Bytes, uint64_t Seed) {
   Frame F;
   F.Type = FrameType::Submit;
   F.RequestId = Id;
-  F.Payload = encodeSubmit(Q);
+  F.Payload = encodeSubmit(bigRaceLogQuery(Bytes, Seed));
   return F;
 }
 
@@ -615,6 +624,114 @@ TEST(Transport, AReadStoppedMidPayloadResumesOnTheNextCall) {
   EXPECT_TRUE(Out.Payload == In.Payload);
   ::close(Fds[0]);
   ::close(Fds[1]);
+}
+
+void noopHandler(int) {}
+
+/// Everything \p Write sends into one end of a unix socketpair, as a
+/// reader thread receives it on the other end. With \p Choppy the
+/// sender's buffer is small, the reader drains it a few KiB at a time,
+/// and a third thread keeps signalling the writing thread: a signal that
+/// interrupts a blocked sendmsg after some bytes went out makes it return
+/// a short count, so the write resumes mid-piece many times over.
+std::string bytesSent(const std::function<void(int Fd)> &Write,
+                      bool Choppy = false) {
+  int Fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0)
+    return "socketpair failed";
+  struct sigaction Old {};
+  if (Choppy) {
+    int Small = 4096;
+    ::setsockopt(Fds[0], SOL_SOCKET, SO_SNDBUF, &Small, sizeof(Small));
+    struct sigaction Sa {};
+    Sa.sa_handler = noopHandler;
+    ::sigaction(SIGUSR1, &Sa, &Old); // no SA_RESTART
+  }
+  std::string Got;
+  std::thread Reader([&] {
+    char Buf[64 << 10];
+    const size_t Chunk = Choppy ? 3000 : sizeof(Buf);
+    for (;;) {
+      ssize_t N = ::read(Fds[1], Buf, Chunk);
+      if (N <= 0)
+        return;
+      Got.append(Buf, static_cast<size_t>(N));
+      if (Choppy)
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  std::atomic<bool> Done{false};
+  std::thread Signaller;
+  if (Choppy)
+    Signaller = std::thread([&, Writer = ::pthread_self()] {
+      while (!Done.load()) {
+        ::pthread_kill(Writer, SIGUSR1);
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  Write(Fds[0]);
+  Done = true;
+  if (Signaller.joinable())
+    Signaller.join();
+  ::shutdown(Fds[0], SHUT_WR);
+  Reader.join();
+  if (Choppy)
+    ::sigaction(SIGUSR1, &Old, nullptr);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+  return Got;
+}
+
+TEST(Transport, WriteSubmitSendsTheBytesOfAnEncodedSubmit) {
+  QueryRequest Empty; // empty Program and Transformed
+  QueryRequest Pair;
+  Pair.Kind = QueryKind::DrfGuarantee;
+  Pair.Program = "thread { x := 1; }\n";
+  Pair.Transformed = "thread { x := 1; x := 1; }\n";
+  Pair.Budget = BudgetSpec{250, 1000, 1 << 20};
+  Pair.Class = ClientClass::Batch;
+  Pair.Priority = 7;
+  const QueryRequest Log = bigRaceLogQuery(4u << 20, 21);
+  const QueryRequest *const Queries[] = {&Empty, &Pair, &Log};
+  uint64_t Id = 100;
+  for (uint8_t Version : {uint8_t(1), uint8_t(2)}) {
+    for (const QueryRequest *Q : Queries) {
+      Frame F;
+      F.Version = Version;
+      F.Type = FrameType::Submit;
+      F.RequestId = ++Id;
+      F.Payload = encodeSubmit(*Q, Version);
+      const std::string Want = encodeFrame(F);
+      std::string Got = bytesSent(
+          [&](int Fd) { writeSubmit(Fd, Version, F.RequestId, *Q); });
+      EXPECT_TRUE(Got == Want) << "v" << int(Version) << " "
+                               << queryKindName(Q->Kind) << ": "
+                               << Got.size() << " vs " << Want.size();
+    }
+  }
+
+  // Short sends resume across the pieces, still byte for byte.
+  Frame F;
+  F.RequestId = 7;
+  F.Type = FrameType::Submit;
+  F.Payload = encodeSubmit(Log);
+  std::string Got = bytesSent(
+      [&](int Fd) { writeSubmit(Fd, ProtocolVersion, 7, Log); },
+      /*Choppy=*/true);
+  EXPECT_TRUE(Got == encodeFrame(F)) << Got.size();
+
+  // One ProtoWrite probe per frame; an injected fault writes nothing.
+  FaultPlan Plan;
+  Plan.arm(FaultSite::ProtoWrite, 2);
+  FaultPlan::Scope Armed(Plan);
+  Got = bytesSent([&](int Fd) {
+    writeSubmit(Fd, ProtocolVersion, 1, Pair);
+    EXPECT_THROW(writeSubmit(Fd, ProtocolVersion, 2, Pair), ProtocolError);
+  });
+  F.RequestId = 1;
+  F.Payload = encodeSubmit(Pair);
+  EXPECT_EQ(Got, encodeFrame(F));
+  EXPECT_EQ(Plan.hits(FaultSite::ProtoWrite), 2u);
 }
 
 } // namespace

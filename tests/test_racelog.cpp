@@ -390,6 +390,93 @@ TEST(RaceLogBudget, MemoryGrowthIsCharged) {
   EXPECT_GT(B.chargedBytes(), 0u);
 }
 
+TEST(RaceLogBudget, TailBeyondAVisitCapStopIsNotReported) {
+  // Four blocks of 100 race-free writes. The fourth is either cut short
+  // (a torn tail the block cursor rejects) or holds an invalid record
+  // under a valid CRC (a bad-record block only validation rejects).
+  std::vector<LogEvent> In;
+  for (uint32_t I = 0; I < 400; ++I)
+    In.push_back(wr(0, I));
+  const std::string Log = makeLog(In, /*PerBlock=*/100);
+  const size_t BlockBytes = BlockHeaderSize + 100 * EventRecordSize;
+  const size_t Fourth = FileHeaderSize + 3 * BlockBytes;
+  const std::string Torn = Log.substr(0, Log.size() - 37);
+  std::string BadRecord = Log;
+  BadRecord[Fourth + BlockHeaderSize + 16 * 5] = 99; // invalid op byte
+  uint32_t Crc =
+      crc32(BadRecord.data() + Fourth + BlockHeaderSize, 100 * EventRecordSize);
+  std::memcpy(BadRecord.data() + Fourth + 12, &Crc, 4);
+
+  struct Case {
+    uint64_t MaxVisited; ///< 0 = no cap
+    bool TornReported;
+    bool BadRecordReported;
+  };
+  const Case Cases[] = {
+      // The whole valid prefix is applied: the tail is reached.
+      {0, true, true},
+      // The cap is exactly the valid prefix: no event is refused.
+      {300, true, true},
+      // A stop in the last intact block. The block-by-block scan has
+      // already read the torn block after it, but never validated the
+      // bad-record one.
+      {250, true, false},
+      // A stop two blocks before the tail: neither is reached.
+      {50, false, false},
+  };
+  for (const Case &C : Cases) {
+    for (bool IsTorn : {true, false}) {
+      BudgetSpec Spec;
+      Spec.MaxVisited = C.MaxVisited;
+      Budget B(Spec);
+      RaceLogOptions O;
+      O.Shared = &B;
+      RaceLogReport R = scanRaceLog(IsTorn ? Torn : BadRecord, O);
+      const bool Reported = IsTorn ? C.TornReported : C.BadRecordReported;
+      SCOPED_TRACE(testing::Message() << "cap " << C.MaxVisited
+                                      << (IsTorn ? " torn" : " bad-record"));
+      EXPECT_EQ(R.Stats.TornTail, Reported);
+      EXPECT_EQ(R.Stats.DroppedBytes,
+                !Reported ? 0
+                : IsTorn  ? BlockBytes - 37
+                          : BlockBytes);
+      EXPECT_EQ(R.Stats.Truncated, C.MaxVisited && C.MaxVisited < 300);
+      EXPECT_EQ(R.Stats.Events,
+                C.MaxVisited && C.MaxVisited < 300 ? C.MaxVisited : 300);
+      EXPECT_EQ(R.str().find("torn-tail") != std::string::npos, Reported);
+      EXPECT_EQ(R.verdict(), VerdictKind::Unknown);
+    }
+  }
+}
+
+TEST(RaceLogBudget, TableIsSizedOnce) {
+  // 150k distinct addresses, each written once by one thread: race-free,
+  // no read clocks, so the state table is the only memory charged.
+  constexpr uint64_t Distinct = 150000;
+  std::vector<LogEvent> In;
+  for (uint64_t A = 0; A < Distinct; ++A)
+    In.push_back(wr(0, 0x10000 + 8 * A));
+  const std::string Log = makeLog(In);
+  Budget B(BudgetSpec{});
+  RaceLogOptions O;
+  O.Shared = &B;
+  RaceLogReport R = scanRaceLog(Log, O);
+  EXPECT_EQ(R.verdict(), VerdictKind::Proved);
+  EXPECT_EQ(R.Stats.Events, Distinct);
+
+  // A table that starts at 4096 slots and doubles whenever its load
+  // would reach 0.7 charges every table on the way.
+  constexpr uint64_t SlotBytes = 32; // one per-variable slot
+  uint64_t Slots = 4096, Cascade = 0;
+  while (Distinct * 10 >= Slots * 7) {
+    Slots *= 2;
+    Cascade += Slots * SlotBytes;
+  }
+  EXPECT_LT(B.chargedBytes(), Cascade);
+  // Sized from the log, it is charged once, at its final size.
+  EXPECT_EQ(B.chargedBytes(), Slots * SlotBytes);
+}
+
 //===----------------------------------------------------------------------===//
 // Fault injection: containment and exact replay
 //===----------------------------------------------------------------------===//
