@@ -8,12 +8,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "TsoOracle.h"
 
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
 #include "trace/Enumerate.h"
-#include "tso/TsoMachine.h"
 
 using namespace tracesafe;
 using namespace tracesafe::benchutil;
@@ -42,10 +42,8 @@ void claims() {
   Program Fenced = P;
   for (SymbolId Loc : P.locations())
     Fenced.markVolatile(Loc);
-  TsoLimits Machine;
-  Machine.ExhaustiveOracle = true;
   claim("[[P]] executions agree with the all-volatile TSO machine",
-        programBehaviours(P) == tsoBehaviours(Fenced, Machine));
+        programBehaviours(P) == oracleTsoBehaviours(Fenced));
   claim("the message-passing workload is DRF (volatile flag)",
         isProgramDrf(P));
 }

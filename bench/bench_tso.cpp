@@ -7,10 +7,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "TsoOracle.h"
 
 #include "lang/Parser.h"
 #include "tso/Litmus.h"
-#include "tso/PsoMachine.h"
 #include "tso/TsoExplain.h"
 
 #include <chrono>
@@ -20,9 +20,8 @@ using namespace tracesafe::benchutil;
 
 namespace {
 
-TsoLimits tsoEngine(bool Oracle, bool Por = true) {
+TsoLimits tsoEngine(bool Por) {
   TsoLimits L;
-  L.ExhaustiveOracle = Oracle;
   L.UseReduction = Por;
   return L;
 }
@@ -85,16 +84,14 @@ void claims() {
   // Interned engine: verdict parity with the seed machine, the
   // store-buffer POR state-count reduction, and the speedup bar.
   Program Sweep = sweepProgram();
-  std::set<Behaviour> Want = tsoBehaviours(Sweep, tsoEngine(true));
   claim("interned TSO engine behaviour set == seed machine",
-        tsoBehaviours(Sweep, tsoEngine(false)) == Want);
+        tsoBehaviours(Sweep) == oracleTsoBehaviours(Sweep));
   claim("interned PSO engine behaviour set == seed machine",
-        psoBehaviours(Sweep, tsoEngine(false)) ==
-            psoBehaviours(Sweep, tsoEngine(true)));
+        psoBehaviours(Sweep) == oraclePsoBehaviours(Sweep));
 
   ExecStats Por, NoPor;
-  tsoBehaviours(Sweep, tsoEngine(false, /*Por=*/true), &Por);
-  tsoBehaviours(Sweep, tsoEngine(false, /*Por=*/false), &NoPor);
+  tsoBehaviours(Sweep, tsoEngine(/*Por=*/true), &Por);
+  tsoBehaviours(Sweep, tsoEngine(/*Por=*/false), &NoPor);
   std::printf("  store-buffer POR: %llu states vs %llu unreduced (%.1fx "
               "fewer)\n",
               static_cast<unsigned long long>(Por.Visited),
@@ -111,9 +108,8 @@ void claims() {
   // from BENCH_results.json's speedups section, which compares best-of-N
   // benchmark repetitions; this in-binary claim uses a conservative 2x
   // bar so host noise cannot flip a one-shot run.
-  double Oracle = secondsFor([&] { tsoBehaviours(Sweep, tsoEngine(true)); });
-  double Reduced =
-      secondsFor([&] { tsoBehaviours(Sweep, tsoEngine(false)); });
+  double Oracle = secondsFor([&] { oracleTsoBehaviours(Sweep); });
+  double Reduced = secondsFor([&] { tsoBehaviours(Sweep); });
   std::printf("  TSO behaviours: oracle %.1fms, interned %.1fms (%.1fx)\n",
               Oracle * 1e3, Reduced * 1e3, Oracle / Reduced);
   claim("TSO behaviours >= 2x faster than seed machine",
@@ -162,13 +158,14 @@ BENCHMARK(benchExplanationSearch)->Arg(1)->Arg(2)->Arg(3);
 
 // POR sweep on the interleaving-heavy workload. Names encode the engine
 // configuration for scripts/merge_bench_json.py: `_oracle` is the seed
-// machine, `_nopor` the interned engine without reduction, `_por` the
-// full engine; `_w1` keeps the row names of earlier recordings.
+// machine (tests/TsoOracle.h), `_nopor` the interned engine without
+// reduction, `_por` the full engine; `_w1` keeps the row names of earlier
+// recordings.
 
 void BM_tso_sweep_oracle(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(true)).size());
+    benchmark::DoNotOptimize(oracleTsoBehaviours(P).size());
 }
 BENCHMARK(BM_tso_sweep_oracle)->Unit(benchmark::kMillisecond);
 
@@ -176,28 +173,28 @@ void BM_tso_sweep_nopor_w1(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        tsoBehaviours(P, tsoEngine(false, /*Por=*/false)).size());
+        tsoBehaviours(P, tsoEngine(/*Por=*/false)).size());
 }
 BENCHMARK(BM_tso_sweep_nopor_w1)->Unit(benchmark::kMillisecond);
 
 void BM_tso_sweep_por_w1(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(tsoBehaviours(P, tsoEngine(false)).size());
+    benchmark::DoNotOptimize(tsoBehaviours(P).size());
 }
 BENCHMARK(BM_tso_sweep_por_w1)->Unit(benchmark::kMillisecond);
 
 void BM_pso_sweep_oracle(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(true)).size());
+    benchmark::DoNotOptimize(oraclePsoBehaviours(P).size());
 }
 BENCHMARK(BM_pso_sweep_oracle)->Unit(benchmark::kMillisecond);
 
 void BM_pso_sweep_por_w1(benchmark::State &State) {
   Program P = sweepProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(psoBehaviours(P, tsoEngine(false)).size());
+    benchmark::DoNotOptimize(psoBehaviours(P).size());
 }
 BENCHMARK(BM_pso_sweep_por_w1)->Unit(benchmark::kMillisecond);
 

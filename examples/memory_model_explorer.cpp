@@ -12,8 +12,8 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "tso/PsoMachine.h"
 #include "tso/TsoExplain.h"
+#include "tso/TsoMachine.h"
 #include "support/Signal.h"
 
 #include <cstdio>

@@ -48,7 +48,6 @@
 #include "trace/Trace.h"
 #include "trace/Traceset.h"
 #include "tso/Litmus.h"
-#include "tso/PsoMachine.h"
 #include "tso/TsoExplain.h"
 #include "tso/TsoMachine.h"
 #include "verify/Checks.h"

@@ -10,9 +10,9 @@
 /// InternPool with real-byte Budget charging, and sleep-set POR prunes
 /// commuting schedules of buffer drains and non-conflicting accesses. The
 /// search runs sequentially in the calling thread. Behaviour sets are
-/// identical to the seed explorers (TsoMachine.cpp / PsoMachine.cpp) —
-/// the equivalence tests assert it on the litmus corpus and on
-/// randomised programs.
+/// identical to the seed explorers kept as the test-only oracle
+/// (tests/TsoOracle.h) — the equivalence tests assert it on the litmus
+/// corpus and on randomised programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +28,8 @@ namespace tracesafe {
 enum class BufferModel { Tso, Pso };
 
 /// The set of observable behaviours of \p P on the \p Model machine,
-/// computed by the interned reduced engine. Drop-in equal to the seed
-/// explorers; tsoBehaviours/psoBehaviours dispatch here unless
-/// TsoLimits::ExhaustiveOracle is set.
+/// computed by the interned reduced engine. tsoBehaviours/psoBehaviours
+/// are this engine with the model fixed.
 std::set<Behaviour> bufferedBehaviours(const Program &P,
                                        const TsoLimits &Limits,
                                        BufferModel Model,

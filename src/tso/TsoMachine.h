@@ -1,15 +1,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An x86-/SPARC-TSO-style operational machine for the language (paper §8).
+/// The TSO and PSO store-buffer machines for the language (paper §8).
 ///
 /// The paper's conclusion reports that the Sun TSO memory model can be
 /// explained by the semantic transformations (write-read reordering plus
 /// read-after-write elimination). This module provides the other side of
 /// that statement: an exhaustive store-buffer semantics whose behaviours
-/// the explanation must cover.
+/// the explanation must cover. It also conjectures "similar results can
+/// be achieved for other processor memory models"; PSO is the natural
+/// next model, and the E13 bench checks that the PSO-only behaviours of
+/// the litmus battery are explained by the rule set too.
 ///
-/// Machine model:
+/// TSO machine model:
 ///  - each thread has a FIFO store buffer of (location, value) pairs;
 ///  - a non-volatile write enters the buffer; the oldest entry of any
 ///    buffer may non-deterministically drain to memory at any time;
@@ -19,6 +22,17 @@
 ///    thread's buffer to be empty (this is exactly the fencing a DRF-sound
 ///    compiler emits for synchronisation operations);
 ///  - external actions do not interact with memory.
+///
+/// PSO machine model: like TSO, but each thread has one FIFO buffer per
+/// location; a drain step commits the oldest entry of any (thread,
+/// location) buffer. Reads forward from the own buffer of that location;
+/// synchronisation actions require all of the thread's buffers to be
+/// empty. Stores to different locations may thus drain out of order: the
+/// extra relaxation over TSO is W->W reordering, which is exactly the
+/// R-WW rule.
+///
+/// Both machines run on the interned, sleep-set-reduced engine of
+/// tso/BufferedEngine.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +56,8 @@ struct TsoLimits {
   /// results are identical with and without; the switch exists for the
   /// cross-check tests and the POR state-count benchmarks.
   bool UseReduction = true;
-  /// Run the seed's sequential std::set-memoised explorer instead of the
-  /// interned engine. Cross-check oracle: equivalence tests assert
-  /// identical behaviour sets between the two.
-  bool ExhaustiveOracle = false;
   /// Optional shared query budget (deadline / visit / memory caps across
-  /// every engine of one query). Non-owning; may be null. Only the
-  /// interned engine charges it.
+  /// every engine of one query). Non-owning; may be null.
   Budget *Shared = nullptr;
 };
 
@@ -63,8 +72,19 @@ std::set<Behaviour> tsoOnlyBehaviours(const Program &P,
                                       TsoLimits Limits = {},
                                       ExecStats *Stats = nullptr);
 
+/// The set of observable behaviours of \p P on the PSO machine.
+/// A superset of tsoBehaviours(P) (a TSO buffer schedule is a PSO schedule
+/// that happens to respect inter-location store order).
+std::set<Behaviour> psoBehaviours(const Program &P, TsoLimits Limits = {},
+                                  ExecStats *Stats = nullptr);
+
+/// Behaviours PSO exhibits that SC does not.
+std::set<Behaviour> psoOnlyBehaviours(const Program &P,
+                                      TsoLimits Limits = {},
+                                      ExecStats *Stats = nullptr);
+
 /// The SC side of a machine-vs-SC comparison: the same bounds, input
-/// domain, budget and engine choice as \p Limits.
+/// domain and budget as \p Limits.
 ExecLimits scLimitsFor(const TsoLimits &Limits);
 
 } // namespace tracesafe

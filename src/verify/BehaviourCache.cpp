@@ -326,10 +326,8 @@ BehaviourCache::behavioursFor(const Traceset &T,
 }
 
 Verdict<Interleaving>
-BehaviourCache::drfFor(const Traceset &T, const EnumerationLimits &Limits,
-                       DrfModel Model) {
+BehaviourCache::drfFor(const Traceset &T, const EnumerationLimits &Limits) {
   std::string Key = behaviourKey(T, Limits);
-  Key.push_back(static_cast<char>(Model));
 
   try {
     faultThrowInjected(FaultSite::BehaviourCache);

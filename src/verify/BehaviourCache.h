@@ -3,14 +3,15 @@
 /// \file
 /// Cross-query behaviour cache (process-global, budget-aware).
 ///
-/// The fuzz campaign recomputes the same tracesets and behaviour sets many
-/// times over: the semantic chain checker rebuilds [[P]] for every chain
-/// prefix, the shrink predicate rebuilds it for every candidate, and the
-/// degraded oracle fallback re-enumerates behaviours the escalation ladder
-/// already enumerated. This cache memoises both results across queries,
+/// The fuzz campaign recomputes the same tracesets many times over: the
+/// semantic chain checker rebuilds [[P]] for every chain prefix and for
+/// every shrink candidate's re-check. The daemon answers the same
+/// canonical query many times over. This cache memoises tracesets,
+/// behaviour sets, DRF verdicts and whole-query verdicts across queries,
 /// keyed on exact serialisations (printed program text / action words via
-/// trace/ActionWord.h) plus the semantically relevant limit fields — no
-/// hashing shortcuts, so a hit can never be a collision.
+/// trace/ActionWord.h, canonical query text) plus the semantically
+/// relevant limit fields — no hashing shortcuts, so a hit can never be a
+/// collision.
 ///
 /// Two invariants keep the cache transparent:
 ///
@@ -80,13 +81,6 @@ public:
     }
   };
 
-  /// Memory model a cached DRF verdict was computed under. The race query
-  /// currently runs on SC tracesets only; the byte lives in the key so
-  /// the SC-to-TSO portability work (ROADMAP item 3) can put per-model
-  /// race verdicts in the same family without a verdict ever leaking
-  /// across models.
-  enum class DrfModel : uint8_t { Sc = 0, Tso = 1, Pso = 2 };
-
   /// A memoised whole-query verdict (the daemon's ProgramDrf/Behaviours/
   /// DrfGuarantee/ThinAir responses), keyed by canonicalQueryKey. Unlike
   /// the engine-level families, the key is pure canonical text — no
@@ -138,18 +132,17 @@ public:
                                     const EnumerationLimits &Limits,
                                     EnumerationStats *Stats = nullptr);
 
-  /// Cached checkDataRaceFreedom, keyed like behavioursFor plus the
-  /// model byte. Only definitive verdicts from complete searches are
-  /// cached (Unknown is an artefact of this query's budget). A hit
-  /// replays the recorded cost; if the replay exhausts the budget the
-  /// call returns Unknown with the budget's reason — byte-identical to
+  /// Cached checkDataRaceFreedom, keyed like behavioursFor (the families
+  /// live in separate maps). Only definitive verdicts from complete
+  /// searches are cached (Unknown is an artefact of this query's budget).
+  /// A hit replays the recorded cost; if the replay exhausts the budget
+  /// the call returns Unknown with the budget's reason — byte-identical to
   /// recomputation, because the recorded cost is exactly the visits the
   /// search needed to reach its verdict (a race search stops at the
   /// witness), so a budget too small for the replay is a budget under
   /// which the cold search would have been truncated first too.
   Verdict<Interleaving> drfFor(const Traceset &T,
-                               const EnumerationLimits &Limits,
-                               DrfModel Model = DrfModel::Sc);
+                               const EnumerationLimits &Limits);
 
   /// Cached whole-query verdict for \p Key (a canonicalQueryKey). On a
   /// hit the recorded cost is replayed against \p Shared (warmth
@@ -180,9 +173,9 @@ public:
   /// Drops every entry (counters are kept; Clears is incremented).
   void clear();
 
-  /// The process-global instance used by the fuzz harness and the
-  /// degraded-query fallbacks. Tests wanting isolation construct their
-  /// own.
+  /// The process-global instance used by the fuzz harness (tracesets)
+  /// and the daemon (whole-query verdicts). Tests wanting isolation
+  /// construct their own.
   static BehaviourCache &global();
 
 private:

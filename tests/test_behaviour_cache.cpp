@@ -358,25 +358,6 @@ TEST(BehaviourCache, DrfUnknownVerdictsAreNotCached) {
   EXPECT_EQ(S.DrfHits, 0u);
 }
 
-TEST(BehaviourCache, DrfModelsKeySeparately) {
-  // The same traceset queried under SC, TSO and PSO must occupy three
-  // distinct cache slots — a verdict for one model must never answer for
-  // another.
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, {0, 1}, EL);
-  ASSERT_TRUE(T);
-  EnumerationLimits L;
-  Cache.drfFor(*T, L, BehaviourCache::DrfModel::Sc);
-  Cache.drfFor(*T, L, BehaviourCache::DrfModel::Tso);
-  Cache.drfFor(*T, L, BehaviourCache::DrfModel::Pso);
-  EXPECT_EQ(Cache.stats().DrfMisses, 3u);
-  EXPECT_EQ(Cache.stats().DrfHits, 0u);
-  Cache.drfFor(*T, L, BehaviourCache::DrfModel::Tso);
-  EXPECT_EQ(Cache.stats().DrfHits, 1u);
-}
-
 TEST(BehaviourCache, DrfInjectedFaultsDegradeToMissesNotWrongAnswers) {
   BehaviourCache Cache;
   Program P = sbProgram();

@@ -16,11 +16,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TsoOracle.h"
+
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
 #include "trace/Enumerate.h"
-#include "tso/TsoMachine.h"
 #include "verify/ProgramGen.h"
 
 #include <gtest/gtest.h>
@@ -37,11 +38,9 @@ void expectEnginesAgree(const Program &P, const std::string &Label) {
   Program Fenced = P;
   for (SymbolId Loc : P.locations())
     Fenced.markVolatile(Loc);
-  TsoLimits Machine;
-  Machine.ExhaustiveOracle = true;
   ExecStats MachineStats;
   std::set<Behaviour> FromMachine =
-      tsoBehaviours(Fenced, Machine, &MachineStats);
+      oracleTsoBehaviours(Fenced, {}, &MachineStats);
   ASSERT_FALSE(MachineStats.Truncated) << Label;
   EXPECT_EQ(Sc, FromMachine) << Label << ":\n" << printProgram(P);
 

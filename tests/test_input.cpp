@@ -8,6 +8,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TsoOracle.h"
+
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
@@ -87,8 +89,8 @@ thread { r2 := x; print r2; }
     Fenced.markVolatile(Loc);
   TsoLimits Machine;
   Machine.InputDomain = {0, 7};
-  Machine.ExhaustiveOracle = true;
-  EXPECT_EQ(programBehaviours(P, Limits), tsoBehaviours(Fenced, Machine));
+  EXPECT_EQ(programBehaviours(P, Limits),
+            oracleTsoBehaviours(Fenced, Machine));
 }
 
 TEST(Input, ExternalRulesApplyWithRegisterConditions) {

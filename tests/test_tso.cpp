@@ -8,7 +8,6 @@
 
 #include "lang/Parser.h"
 #include "tso/Litmus.h"
-#include "tso/PsoMachine.h"
 #include "tso/TsoExplain.h"
 #include "tso/TsoMachine.h"
 

@@ -2,21 +2,23 @@
 ///
 /// \file
 /// Equivalence tests for the interned TSO/PSO engine
-/// (tso/BufferedEngine.cpp) against the seed exhaustive machines kept as
-/// oracles (TsoLimits::ExhaustiveOracle).
+/// (tso/BufferedEngine.cpp) against the seed exhaustive machines, kept as
+/// a test-only oracle (tests/TsoOracle.h).
 ///
 /// The headline guarantee: behaviour sets are byte-identical with and
 /// without store-buffer partial-order reduction, and equal to the oracle
-/// — on the full litmus corpus and on randomised programs. Also checks
+/// — on the full litmus corpus and on randomised programs, for the
+/// machines and for their machine-minus-SC subtractions. Also checks
 /// that the reduction actually reduces (visit counts), and that budget
 /// exhaustion degrades to an honest truncation instead of a wrong answer.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TsoOracle.h"
+
 #include "lang/Parser.h"
 #include "support/Budget.h"
 #include "tso/Litmus.h"
-#include "tso/PsoMachine.h"
 #include "tso/TsoMachine.h"
 #include "verify/ProgramGen.h"
 
@@ -32,42 +34,44 @@ TsoLimits limits(bool UseReduction) {
   return L;
 }
 
-TsoLimits oracle() {
-  TsoLimits L;
-  L.ExhaustiveOracle = true;
-  return L;
-}
+using MachineFn = std::set<Behaviour> (*)(const Program &, TsoLimits,
+                                           ExecStats *);
 
 /// Asserts the engine, with and without reduction, agrees with the oracle
 /// on \p P for one model.
-void expectMatrixAgrees(
-    const Program &P, const std::string &Name,
-    std::set<Behaviour> (*Model)(const Program &, TsoLimits, ExecStats *)) {
-  std::set<Behaviour> Want = Model(P, oracle(), nullptr);
+void expectMatrixAgrees(const Program &P, const std::string &Name,
+                        MachineFn Model, MachineFn Oracle) {
+  std::set<Behaviour> Want = Oracle(P, {}, nullptr);
   for (bool Reduce : {true, false}) {
     std::set<Behaviour> Got = Model(P, limits(Reduce), nullptr);
     EXPECT_EQ(Got, Want) << Name << ": reduction=" << Reduce;
   }
 }
 
+/// Asserts the machine-minus-SC subtractions (reduced machine and reduced
+/// SC engine) agree with the all-oracle pair on \p P for both models.
+void expectOnlyAgrees(const Program &P, const std::string &Name) {
+  EXPECT_EQ(tsoOnlyBehaviours(P, limits(true)), oracleTsoOnlyBehaviours(P))
+      << Name << " (TSO)";
+  EXPECT_EQ(psoOnlyBehaviours(P, limits(true)), oraclePsoOnlyBehaviours(P))
+      << Name << " (PSO)";
+}
+
 TEST(TsoParallel, LitmusCorpusMatchesOracle) {
   for (const LitmusTest &T : litmusTests()) {
     Program P = parseOrDie(T.Source);
-    expectMatrixAgrees(P, T.Name + " (TSO)", tsoBehaviours);
-    expectMatrixAgrees(P, T.Name + " (PSO)", psoBehaviours);
+    expectMatrixAgrees(P, T.Name + " (TSO)", tsoBehaviours,
+                       oracleTsoBehaviours);
+    expectMatrixAgrees(P, T.Name + " (PSO)", psoBehaviours,
+                       oraclePsoBehaviours);
   }
 }
 
 TEST(TsoParallel, TsoOnlyBehavioursMatchOracle) {
-  // The subtraction path (TSO minus SC) runs both engines; the reduced
-  // pair must match the oracle pair.
-  for (const LitmusTest &T : litmusTests()) {
-    Program P = parseOrDie(T.Source);
-    std::set<Behaviour> Want = tsoOnlyBehaviours(P, oracle());
-    EXPECT_EQ(tsoOnlyBehaviours(P, limits(true)), Want) << T.Name;
-    std::set<Behaviour> PsoWant = psoOnlyBehaviours(P, oracle());
-    EXPECT_EQ(psoOnlyBehaviours(P, limits(true)), PsoWant) << T.Name;
-  }
+  // The subtraction path (machine minus SC) runs both engines; the
+  // reduced pair must match the oracle pair.
+  for (const LitmusTest &T : litmusTests())
+    expectOnlyAgrees(parseOrDie(T.Source), T.Name);
 }
 
 TEST(TsoParallel, RandomisedProgramsMatchOracle) {
@@ -84,8 +88,11 @@ TEST(TsoParallel, RandomisedProgramsMatchOracle) {
     G.AllowIf = false; // keep tracesets small enough for the oracle
     Program P = generateProgram(R, G);
     std::string Name = "seed " + std::to_string(Seed);
-    expectMatrixAgrees(P, Name + " (TSO)", tsoBehaviours);
-    expectMatrixAgrees(P, Name + " (PSO)", psoBehaviours);
+    expectMatrixAgrees(P, Name + " (TSO)", tsoBehaviours,
+                       oracleTsoBehaviours);
+    expectMatrixAgrees(P, Name + " (PSO)", psoBehaviours,
+                       oraclePsoBehaviours);
+    expectOnlyAgrees(P, Name);
   }
 }
 
@@ -115,10 +122,10 @@ thread { x := 1; x := 2; r1 := y; print r1; }
 thread { y := 1; y := 2; r2 := x; print r2; }
 )");
   for (size_t Bound : {size_t(1), size_t(2), size_t(8)}) {
-    TsoLimits O = oracle();
+    TsoLimits O;
     O.MaxBufferedStores = Bound;
-    std::set<Behaviour> WantTso = tsoBehaviours(P, O, nullptr);
-    std::set<Behaviour> WantPso = psoBehaviours(P, O, nullptr);
+    std::set<Behaviour> WantTso = oracleTsoBehaviours(P, O);
+    std::set<Behaviour> WantPso = oraclePsoBehaviours(P, O);
     for (bool Reduce : {true, false}) {
       TsoLimits L = limits(Reduce);
       L.MaxBufferedStores = Bound;
