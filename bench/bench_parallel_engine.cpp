@@ -20,10 +20,8 @@
 
 #include "BenchUtil.h"
 
-#include "lang/Parser.h"
 #include "support/Symbol.h"
 #include "trace/Enumerate.h"
-#include "verify/BehaviourCache.h"
 
 #include <chrono>
 
@@ -154,24 +152,6 @@ void claims() {
   benchutil::claim("source sets preserve the behaviour set", SrcB == NoSrcB);
   benchutil::claim("source sets do not explore more than sleep sets alone",
                    WithSrc.Visited <= WithoutSrc.Visited);
-
-  // Cross-query cache: a warm hit replays only budget charges.
-  Program CacheP = parseOrDie(
-      "thread { x := 1; y := 1; r0 := y; r1 := x; print r0; print r1; }\n"
-      "thread { y := 2; x := 2; r2 := x; r3 := y; print r2; print r3; }\n");
-  BehaviourCache Cache;
-  std::vector<Value> Domain{0, 1};
-  ExploreLimits EL;
-  double Cold = secondsFor([&] {
-    Cache.clear();
-    Cache.tracesetFor(CacheP, Domain, EL);
-  });
-  Cache.clear();
-  Cache.tracesetFor(CacheP, Domain, EL);
-  double Warm = secondsFor([&] { Cache.tracesetFor(CacheP, Domain, EL); });
-  std::printf("  behaviour cache: cold %.2fms, warm hit %.3fms (%.0fx)\n",
-              Cold * 1e3, Warm * 1e3, Warm > 0 ? Cold / Warm : 0.0);
-  benchutil::claim("warm cache hit beats recomputation", Warm < Cold);
 }
 
 // --- timed benchmarks -------------------------------------------------------

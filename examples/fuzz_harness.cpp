@@ -41,6 +41,7 @@
 #include "opt/Pipeline.h"
 #include "opt/Unsafe.h"
 #include "support/Failure.h"
+#include "support/Rng.h"
 #include "support/Signal.h"
 #include "verify/Fuzz.h"
 #include "verify/ProgramGen.h"
@@ -114,19 +115,6 @@ bool parseUnsigned(const char *S, uint64_t &Out) {
     return false;
   Out = V;
   return true;
-}
-
-/// The same transform the fuzzer's injection mode uses (lock elision
-/// preferred, unsafe const-prop fallback) — re-applied by the chaos
-/// oracle check below to re-verify recorded failures from scratch.
-std::optional<Program> firstUnsafe(const Program &P) {
-  std::vector<LockPair> Pairs = findLockPairs(P);
-  if (!Pairs.empty())
-    return elideLockPair(P, Pairs.front());
-  std::vector<ConstPropSite> Sites = findUnsafeConstProp(P);
-  if (!Sites.empty())
-    return applyUnsafeConstProp(P, Sites.front());
-  return std::nullopt;
 }
 
 void printFailures(const FuzzReport &Report, bool Verbose) {
@@ -236,7 +224,7 @@ int runChaos(FuzzOptions Options, uint64_t Seed,
       Check(false, "recorded repro does not parse");
       continue;
     }
-    std::optional<Program> T = firstUnsafe(*PR.Prog);
+    std::optional<Program> T = applyFirstUnsafe(*PR.Prog);
     if (!T) {
       Check(false, "unsafe pass no longer applies to recorded repro");
       continue;
@@ -303,7 +291,7 @@ int runRemote(const FuzzOptions &Options, const std::string &Server,
     std::optional<Program> T;
     if (Options.InjectUnsafe && Options.InjectEvery &&
         I % Options.InjectEvery == 0) {
-      T = firstUnsafe(P);
+      T = applyFirstUnsafe(P);
       Injected = T.has_value();
     }
     if (!T)
@@ -394,14 +382,6 @@ int runRemote(const FuzzOptions &Options, const std::string &Server,
   return Violations == 0 ? 0 : 1;
 }
 
-/// SplitMix64 for deriving decorrelated per-round fault seeds.
-uint64_t mixSeed(uint64_t Z) {
-  Z += 0x9E3779B97F4A7C15ULL;
-  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
-  return Z ^ (Z >> 31);
-}
-
 /// --chaos-rounds N: sweep N chaos self-checks over derived fault-plan
 /// seeds (the campaign seed stays fixed, so every round shakes the same
 /// workload with a different failure schedule) and aggregate one report.
@@ -410,7 +390,7 @@ int runChaosRounds(const FuzzOptions &Base, uint64_t Seed,
                    uint64_t Rounds) {
   uint64_t Passed = 0, Failed = 0, Faults = 0;
   for (uint64_t R = 0; R < Rounds; ++R) {
-    uint64_t FaultSeed = mixSeed(Seed + R);
+    uint64_t FaultSeed = mixSeeds(Seed + R);
     std::printf("chaos: === round %llu/%llu (fault seed %llu) ===\n",
                 static_cast<unsigned long long>(R + 1),
                 static_cast<unsigned long long>(Rounds),

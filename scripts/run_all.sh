@@ -48,9 +48,10 @@ for e in build/examples/*; do
 done
 
 # Sanitizer pass: rebuild with ASan+UBSan and drive the differential
-# fuzzer for ~30 seconds (see docs/ROBUSTNESS.md). test_support runs the
-# dispatched CRC-32 kernel's unaligned 16-byte loads at every length and
-# offset against its portable oracle.
+# fuzzer for ~30 seconds, plus a Lemma 4/5 --semantic run (see
+# docs/ROBUSTNESS.md). test_support runs the dispatched CRC-32 kernel's
+# unaligned 16-byte loads at every length and offset against its
+# portable oracle.
 echo "===== sanitizer fuzz smoke ====="
 cmake -B build-asan -G Ninja -DTRACESAFE_SANITIZE=ON
 cmake --build build-asan --target fuzz_harness test_budget test_shrink \
@@ -63,6 +64,10 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink \
 ./build-asan/examples/fuzz_harness --programs 200 --deadline-ms 30000 \
   --inject --inject-every 1 --expect-failures --no-thin-air --seed 2 \
   --repro-dir build-asan/fuzz_repros
+# The --semantic chain walk (verify/Theorems' verifyChainSteps) builds a
+# traceset value per chain member and moves it along the chain.
+./build-asan/examples/fuzz_harness --programs 200 --seed 7 --semantic \
+  --no-thin-air --query-deadline-ms 50
 
 # Engine stage under ASan: the intern pools and the sleep-set memo free
 # each slot table as soon as a larger one replaces it, and the reduced SC

@@ -105,10 +105,7 @@ void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t ExtraVisited,
 /// enumerator for every kind (the degraded fallback path, sharing no code
 /// with the interned reduced engines), so a fault in the primary path
 /// cannot recur in the fallback; only the plain-DFS [[P]] build is common
-/// to both. Neither path uses the BehaviourCache's engine-level families:
-/// the query family in front of them, keyed by alpha-variant, answers
-/// every repeat first, so on this path they only ever missed and filled
-/// the cache. Every engine is sequential: the daemon parallelises across
+/// to both. Every engine is sequential: the daemon parallelises across
 /// queries.
 QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
                       Budget &B, bool Oracle) {
@@ -1053,8 +1050,8 @@ private:
     Out += KV("coalesced", Stats.Coalesced);
     Out += KV("answered-at-admission", Stats.AnsweredAtAdmission);
     BehaviourCache::CacheStats CS = BehaviourCache::global().stats();
-    Out += KV("cache-hits", CS.hits());
-    Out += KV("cache-misses", CS.misses());
+    Out += KV("cache-hits", CS.QueryHits);
+    Out += KV("cache-misses", CS.QueryMisses);
     Out += KV("cache-query-hits", CS.QueryHits);
     Out += KV("cache-query-misses", CS.QueryMisses);
     Out += KV("cache-bytes", CS.Bytes);

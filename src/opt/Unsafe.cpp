@@ -186,3 +186,13 @@ Program tracesafe::applyUnsafeConstProp(const Program &P,
       std::make_unique<AssignStmt>(Ld.reg(), Operand::imm(C));
   return Out;
 }
+
+std::optional<Program> tracesafe::applyFirstUnsafe(const Program &P) {
+  std::vector<LockPair> Pairs = findLockPairs(P);
+  if (!Pairs.empty())
+    return elideLockPair(P, Pairs.front());
+  std::vector<ConstPropSite> Sites = findUnsafeConstProp(P);
+  if (!Sites.empty())
+    return applyUnsafeConstProp(P, Sites.front());
+  return std::nullopt;
+}

@@ -73,6 +73,16 @@ std::vector<LockPair> findLockPairs(const Program &P);
 /// introduce data races into race-free programs.
 Program elideLockPair(const Program &P, const LockPair &Pair);
 
+/// The fuzzer's injected unsafe pass: elides the first lock pair, or
+/// failing that applies the first unsafe constant propagation; nullopt
+/// when \p P has neither. Lock elision comes first because on a
+/// lock-disciplined DRF program it reliably manufactures a data race (a
+/// checkable violation). Unsafe const-prop only ever *removes* behaviours
+/// in this language, so behaviour inclusion — a subset check — cannot
+/// catch it; it stays as the fallback to keep the pass total on lock-free
+/// programs.
+std::optional<Program> applyFirstUnsafe(const Program &P);
+
 } // namespace tracesafe
 
 #endif // TRACESAFE_OPT_UNSAFE_H

@@ -17,6 +17,23 @@
 
 namespace tracesafe {
 
+/// SplitMix64's increment (the golden-ratio constant).
+constexpr uint64_t SplitMixGamma = 0x9E3779B97F4A7C15ULL;
+
+/// SplitMix64's finaliser: a bijective 64-bit mix.
+inline uint64_t splitMixFinalise(uint64_t Z) {
+  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
+  return Z ^ (Z >> 31);
+}
+
+/// A decorrelated seed derived from base seed \p A and stream index \p B
+/// (per-program fuzz sub-seeds, chaos fault-plan seeds): output number
+/// B + 1 of a SplitMix64 stream started at \p A.
+inline uint64_t mixSeeds(uint64_t A, uint64_t B = 0) {
+  return splitMixFinalise(A + SplitMixGamma * (B + 1));
+}
+
 /// A small, fast, deterministic RNG (SplitMix64). Not cryptographic; plenty
 /// for fuzzing program shapes.
 class Rng {
@@ -25,11 +42,8 @@ public:
 
   /// Next raw 64-bit value.
   uint64_t next() {
-    State += 0x9E3779B97F4A7C15ULL;
-    uint64_t Z = State;
-    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
-    return Z ^ (Z >> 31);
+    State += SplitMixGamma;
+    return splitMixFinalise(State);
   }
 
   /// Uniform value in [0, Bound). \p Bound must be positive.

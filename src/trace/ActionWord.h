@@ -4,12 +4,10 @@
 /// Word encodings shared by the interned search engines.
 ///
 /// The reduced engines (SC traceset enumeration in trace/Enumerate.cpp,
-/// the TSO/PSO store-buffer machines in tso/BufferedEngine.cpp) and the
-/// cross-query behaviour cache all encode actions, events and states as
-/// short spans of uint64 words interned in an InternPool. The tag
-/// constants and the one-word action packing live here so every client
-/// agrees on the encoding — a traceset fingerprinted by the cache must
-/// hash the same action words the engines intern.
+/// the TSO/PSO store-buffer machines in tso/BufferedEngine.cpp) encode
+/// actions, events and states as short spans of uint64 words interned in
+/// an InternPool. The tag constants and the one-word action packing live
+/// here so every engine agrees on the encoding.
 ///
 //===----------------------------------------------------------------------===//
 

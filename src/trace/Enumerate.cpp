@@ -470,7 +470,7 @@ namespace {
 
 // The span tag constants (TagTrace/TagEvent/TagState) and the one-word
 // action packing live in trace/ActionWord.h, shared with the TSO/PSO
-// engine and the behaviour cache.
+// engine.
 
 /// Mazurkiewicz independence for this semantics. Dependent pairs: same
 /// thread (program order); two externals (behaviour order is observable);

@@ -1,18 +1,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistent warm-start store for the BehaviourCache query family (TSCS,
+/// Persistent warm-start store for the BehaviourCache verdicts (TSCS,
 /// "TraceSafe Cache Store").
 ///
 /// A restarted daemon starts cache-cold: every verdict it served before
 /// the restart costs a full exploration again. The store spills each
-/// fresh query-family insertion (via BehaviourCache::setPersistSink) to
-/// an append-only file and loads the file's valid prefix back on
-/// start-up, so the warm set survives restarts. Only the query family is
-/// persistable: its keys are pure canonical text (see Canonical.h),
-/// whereas the engine-level families key on action-word serialisations
-/// whose SymbolIds depend on the process's interning history and would be
-/// wrong to replay into another process.
+/// fresh insertion (via BehaviourCache::setPersistSink) to an append-only
+/// file and loads the file's valid prefix back on start-up, so the warm
+/// set survives restarts. The keys are pure canonical text (see
+/// Canonical.h), with no process-local state such as SymbolIds, so they
+/// mean the same in another process.
 ///
 /// The file is a support/RecordLog: a 16-byte header, then one
 /// CRC-framed record per entry, each written whole as it is appended.

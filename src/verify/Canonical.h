@@ -74,7 +74,7 @@ namespace tracesafe {
 /// \p Transformed is), and the three clamped budget words (DeadlineMs,
 /// MaxVisited, MaxMemoryBytes — the budget *class*, since truncation
 /// points are part of the answer). \p Transformed is empty for
-/// single-program kinds. The key is the BehaviourCache query-family key,
+/// single-program kinds. The key is the BehaviourCache key,
 /// the daemon's single-flight identity and the persistent cache store's
 /// key.
 std::string canonicalQueryKey(uint8_t KindTag, std::string_view Program,

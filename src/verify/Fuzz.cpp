@@ -5,7 +5,7 @@
 #include "opt/Unsafe.h"
 #include "support/FieldCodec.h"
 #include "support/Failure.h"
-#include "verify/BehaviourCache.h"
+#include "support/Rng.h"
 #include "verify/Theorems.h"
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -26,33 +25,10 @@ using namespace tracesafe;
 
 namespace {
 
-/// SplitMix-style mixing so per-program sub-seeds are decorrelated.
-uint64_t mixSeeds(uint64_t A, uint64_t B) {
-  uint64_t Z = A + 0x9E3779B97F4A7C15ULL * (B + 1);
-  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
-  return Z ^ (Z >> 31);
-}
-
 /// A deterministic transformation of a program: the same function is used
 /// on the generated program and on every shrink candidate, so the failure
 /// predicate stays meaningful as the program gets smaller.
 using TransformFn = std::function<std::optional<Program>(const Program &)>;
-
-std::optional<Program> applyFirstUnsafe(const Program &P) {
-  // Prefer lock elision: on a lock-disciplined DRF program it reliably
-  // manufactures a data race (a checkable Violated). Unsafe const-prop
-  // only ever *removes* behaviours in this language, so behaviour
-  // inclusion — a subset check — cannot catch it; it stays as the
-  // fallback to keep the transform total on lock-free programs.
-  std::vector<LockPair> Pairs = findLockPairs(P);
-  if (!Pairs.empty())
-    return elideLockPair(P, Pairs.front());
-  std::vector<ConstPropSite> Sites = findUnsafeConstProp(P);
-  if (!Sites.empty())
-    return applyUnsafeConstProp(P, Sites.front());
-  return std::nullopt;
-}
 
 Program applySafeChain(const Program &P, uint64_t ChainSeed,
                        size_t MaxSteps) {
@@ -76,45 +52,19 @@ std::string thinAirDetail(const ThinAirReport &R) {
          std::to_string(R.Constant);
 }
 
-/// Satellite check: re-walk a safe chain verifying Lemma 4/5 per step —
-/// each successor traceset must be a semantic elimination (E rules) or a
-/// reordering of an elimination (R rules) of its predecessor. Fails on the
-/// first failing step; Unknown when any step was truncated.
+/// Satellite check: Lemma 4/5 on every step of a safe chain
+/// (verifyChainSteps), folded into one verdict — Fails if any step fails,
+/// otherwise Unknown if any step was truncated.
 CheckVerdict semanticChainVerdict(const Program &Orig,
                                   const TransformChain &Chain, Budget &B) {
-  ExploreLimits Explore;
-  Explore.Shared = &B;
-  std::vector<Value> Domain = defaultDomainFor(Orig, 2);
-  Program Cur = Orig;
-  ExploreStats Stats;
-  // Tracesets come from the cross-query cache: chain walks revisit the
-  // same intermediate programs constantly (every chain prefix, every
-  // shrink candidate re-check), and the cache replays the recorded cost
-  // against B so a hit truncates a tight budget exactly where
-  // recomputation would.
-  std::shared_ptr<const Traceset> CurSet =
-      BehaviourCache::global().tracesetFor(Cur, Domain, Explore, &Stats);
+  TheoremCheckOptions O;
+  O.attachBudget(B);
   CheckVerdict Out = CheckVerdict::Holds;
-  for (const RewriteSite &Site : Chain.Steps) {
-    Program Next = applyRewrite(Cur, Site);
-    ExploreStats NextStats;
-    std::shared_ptr<const Traceset> NextSet =
-        BehaviourCache::global().tracesetFor(Next, Domain, Explore,
-                                             &NextStats);
-    CheckVerdict V;
-    if (Stats.Truncated || NextStats.Truncated)
-      V = CheckVerdict::Unknown;
-    else if (isEliminationRule(Site.Rule))
-      V = checkElimination(*CurSet, *NextSet).Verdict;
-    else
-      V = checkEliminationThenReordering(*CurSet, *NextSet).Verdict;
-    if (V == CheckVerdict::Fails)
+  for (const StepVerification &S : verifyChainSteps(Orig, Chain, O)) {
+    if (S.Semantic == CheckVerdict::Fails)
       return CheckVerdict::Fails;
-    if (V == CheckVerdict::Unknown)
+    if (S.Semantic == CheckVerdict::Unknown)
       Out = CheckVerdict::Unknown;
-    Cur = std::move(Next);
-    CurSet = std::move(NextSet);
-    Stats = NextStats;
   }
   return Out;
 }
@@ -336,11 +286,11 @@ private:
 // campaign's schedule); from epoch 1 on it is a seeded weighted pick,
 // with each discipline bucket weighted by how "interesting" its programs
 // of *earlier* epochs were (Unknowns, escalations, and uninjected repros
-// score; proved-everywhere programs do not). The campaign loops place a
+// score; proved-everywhere programs do not). The campaign loop places a
 // completion barrier at every epoch boundary, so the weights for epoch k
 // are a pure function of a deterministic record set — the report stays
-// identical for every worker count, and a resumed campaign recomputes
-// the same schedule from its journal.
+// identical for every worker count and fault schedule, and a resumed
+// campaign recomputes the same schedule from its journal.
 //===--------------------------------------------------------------------===//
 
 constexpr uint64_t SchedulerEpoch = 32;
@@ -440,6 +390,43 @@ void mergeIndex(FuzzReport &Into, const IndexRecord &R) {
     Into.Failures.push_back(F);
 }
 
+/// Degraded retry for a query whose escalation ended in
+/// Unknown(EngineFault): one re-run of \p Check on the seed enumerator
+/// (ExhaustiveOracle: no intern pools, so the armed fault sites of the
+/// reduced engine cannot fire again) under the escalation ceiling, which
+/// usually produces a real answer. Only EngineFault retries —
+/// cancellation must win, and budget exhaustion would exhaust the
+/// smaller budget faster. Counts the query Faulted, and Degraded when the
+/// retry answered (Proved/Refuted, or an honest budget-bound Unknown).
+template <typename ReportT, typename CheckFn>
+void retryFaulted(Verdict<ReportT> &Final, IndexRecord &Rec,
+                  const FuzzOptions &Options, CheckFn Check) {
+  if (!Final.isUnknown() || Final.Reason != TruncationReason::EngineFault)
+    return;
+  ++Rec.Faulted;
+  Budget B(Options.Escalation.Ceiling, Options.Cancel);
+  ExecLimits E;
+  E.Shared = &B;
+  E.ExhaustiveOracle = true;
+  ExploreLimits X;
+  X.Shared = &B;
+  ReportT R = Check(E, X);
+  switch (R.outcome()) {
+  case GuaranteeOutcome::Holds:
+    Final = Verdict<ReportT>::proved();
+    ++Rec.Degraded;
+    break;
+  case GuaranteeOutcome::Violated:
+    Final = Verdict<ReportT>::refuted(std::move(R));
+    ++Rec.Degraded;
+    break;
+  case GuaranteeOutcome::Unknown:
+    if (R.Reason != TruncationReason::EngineFault)
+      ++Rec.Degraded; // Honest budget-bound Unknown, not a re-fault.
+    break;
+  }
+}
+
 } // namespace
 
 uint64_t FuzzReport::uninjectedFailures() const {
@@ -465,9 +452,6 @@ std::string FuzzReport::summary() const {
            std::to_string(DegradedQueries) + " degraded";
   if (SkippedFromCheckpoint)
     Out += ", " + std::to_string(SkippedFromCheckpoint) + " resumed";
-  if (CacheHits || CacheMisses)
-    Out += ", " + std::to_string(CacheHits) + "/" +
-           std::to_string(CacheHits + CacheMisses) + " cache hits";
   if (DeadlineHit)
     Out += " [deadline hit]";
   if (Cancelled)
@@ -494,8 +478,6 @@ std::string FuzzReport::toJson(bool IncludeVolatile) const {
     Field("cancelled", Cancelled ? "true" : "false", true);
     Field("skipped_from_checkpoint", std::to_string(SkippedFromCheckpoint),
           true);
-    Field("behaviour_cache_hits", std::to_string(CacheHits), true);
-    Field("behaviour_cache_misses", std::to_string(CacheMisses), true);
     Field("elapsed_ms", std::to_string(ElapsedMs), true);
   }
   Out += "  \"failures\": [";
@@ -538,7 +520,6 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
   Esc.Cancel = Options.Cancel;
 
   SeedScheduler Sched(Options.Seed);
-  BehaviourCache::CacheStats Cache0 = BehaviourCache::global().stats();
 
   // Budget for shrink-predicate re-checks: one mid-ladder rung.
   BudgetSpec ShrinkCheckSpec =
@@ -687,39 +668,11 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
 
     Program T = *Transform(P);
 
-    // Degraded retry for a faulted query: one re-run on the seed
-    // enumerator (ExhaustiveOracle: no intern pools, so the armed fault
-    // sites of the reduced engine cannot fire again) under the escalation
-    // ceiling usually produces a real answer. Only EngineFault retries —
-    // cancellation must win, and budget exhaustion would exhaust the
-    // smaller budget faster.
-    auto FaultedReason = [](TruncationReason R2) {
-      return R2 == TruncationReason::EngineFault;
-    };
-
     Escalated<DrfGuaranteeReport> Drf = escalateDrfGuarantee(P, T, Esc);
-    if (Drf.Final.isUnknown() && FaultedReason(Drf.Final.Reason)) {
-      ++Rec.Faulted;
-      Budget B(Options.Escalation.Ceiling, Options.Cancel);
-      ExecLimits E;
-      E.Shared = &B;
-      E.ExhaustiveOracle = true;
-      DrfGuaranteeReport R2 = checkDrfGuarantee(P, T, E);
-      switch (R2.outcome()) {
-      case GuaranteeOutcome::Holds:
-        Drf.Final = Verdict<DrfGuaranteeReport>::proved();
-        ++Rec.Degraded;
-        break;
-      case GuaranteeOutcome::Violated:
-        Drf.Final = Verdict<DrfGuaranteeReport>::refuted(std::move(R2));
-        ++Rec.Degraded;
-        break;
-      case GuaranteeOutcome::Unknown:
-        if (!FaultedReason(R2.Reason))
-          ++Rec.Degraded; // Honest budget-bound Unknown, not a re-fault.
-        break;
-      }
-    }
+    retryFaulted(Drf.Final, Rec, Options,
+                 [&](const ExecLimits &E, const ExploreLimits &) {
+                   return checkDrfGuarantee(P, T, E);
+                 });
     Track(Rec, Drf.Final.Kind, Drf.Attempts.size());
     if (Drf.Final.isRefuted())
       RecordFailure(Rec, I, "drf-guarantee", Injected,
@@ -728,30 +681,10 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
     if (Options.CheckThinAir) {
       Value C = freshConstantFor(P);
       Escalated<ThinAirReport> Ta = escalateThinAir(P, T, C, Esc);
-      if (Ta.Final.isUnknown() && FaultedReason(Ta.Final.Reason)) {
-        ++Rec.Faulted;
-        Budget B(Options.Escalation.Ceiling, Options.Cancel);
-        ExecLimits E;
-        E.Shared = &B;
-        E.ExhaustiveOracle = true;
-        ExploreLimits X;
-        X.Shared = &B;
-        ThinAirReport R2 = checkThinAir(P, T, C, E, X);
-        switch (R2.outcome()) {
-        case GuaranteeOutcome::Holds:
-          Ta.Final = Verdict<ThinAirReport>::proved();
-          ++Rec.Degraded;
-          break;
-        case GuaranteeOutcome::Violated:
-          Ta.Final = Verdict<ThinAirReport>::refuted(std::move(R2));
-          ++Rec.Degraded;
-          break;
-        case GuaranteeOutcome::Unknown:
-          if (!FaultedReason(R2.Reason))
-            ++Rec.Degraded;
-          break;
-        }
-      }
+      retryFaulted(Ta.Final, Rec, Options,
+                   [&](const ExecLimits &E, const ExploreLimits &X) {
+                     return checkThinAir(P, T, C, E, X);
+                   });
       Track(Rec, Ta.Final.Kind, Ta.Attempts.size());
       if (Ta.Final.isRefuted())
         RecordFailure(Rec, I, "thin-air", Injected,
@@ -788,29 +721,24 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
     J.open(Options.CheckpointPath, Options.Resume, Options.Seed,
            Options.Programs, Resumed);
 
-  // Completion map: true once an index's record is merged (from the
-  // journal or a finished run). Drives the post-loop sweep that re-runs
-  // indices no job thread ran.
-  std::unique_ptr<std::atomic<bool>[]> Completed(
-      Options.Programs ? new std::atomic<bool>[Options.Programs]
-                       : nullptr);
-  for (uint64_t I = 0; I < Options.Programs; ++I)
-    Completed[I].store(false, std::memory_order_relaxed);
+  // Completion map: set once an index's record is merged (from the
+  // journal or a finished run). Only the thread that runs an index
+  // writes its element.
+  std::vector<char> Completed(Options.Programs, 0);
 
   std::mutex ReportM; // guards Report during parallel merges
   for (auto &[Idx, R] : Resumed) {
     mergeIndex(Report, R);
     Sched.observe(Idx, R);
     ++Report.SkippedFromCheckpoint;
-    Completed[Idx].store(true, std::memory_order_relaxed);
+    Completed[Idx] = 1;
   }
 
   // Runs index I and commits it (merge + journal). An index interrupted
   // by cancellation is discarded instead — its results are cut-short
   // noise, and discarding is what lets a resumed campaign reproduce it
-  // bit-for-bit. Returns false when RunOne threw (left uncommitted for
-  // the sweep).
-  auto RunCommit = [&](uint64_t I, FuzzReport &Into) {
+  // bit-for-bit. Returns false when RunOne threw (left uncommitted).
+  auto RunCommit = [&](uint64_t I) {
     IndexRecord Rec;
     try {
       RunOne(I, Rec);
@@ -818,114 +746,94 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
       return false;
     }
     if (CancelledNow())
-      return true; // Discarded; the cancellation check below ends the run.
+      return true; // Discarded; the campaign loop ends the run.
     {
       std::lock_guard<std::mutex> Lock(ReportM);
-      mergeIndex(Into, Rec);
+      mergeIndex(Report, Rec);
     }
     Sched.observe(I, Rec);
     J.record(I, Rec);
-    Completed[I].store(true, std::memory_order_relaxed);
+    Completed[I] = 1;
     return true;
   };
 
-  if (Options.Jobs == 1) {
-    for (uint64_t I = 0; I < Options.Programs; ++I) {
-      if (Completed[I].load(std::memory_order_relaxed))
-        continue;
-      if (CancelledNow()) {
-        Report.Cancelled = true;
-        break;
-      }
-      if (Options.DeadlineMs > 0 && ElapsedMs() >= Options.DeadlineMs) {
-        Report.DeadlineHit = true;
-        break;
-      }
-      RunCommit(I, Report);
-    }
-    Report.Cancelled = Report.Cancelled || CancelledNow();
-  } else {
-    // Job threads claim program indices from a shared counter, one
-    // scheduler epoch at a time: joining the epoch's threads is the
-    // completion barrier the coverage-guided scheduler relies on (the
-    // weights for epoch k see all of epochs < k, for every job count).
-    // Merging is per-index under a lock and failures are sorted
-    // afterwards, so the output is independent of scheduling.
-    const uint64_t Jobs =
-        Options.Jobs ? Options.Jobs
-                     : std::max(1u, std::thread::hardware_concurrency());
-    std::atomic<bool> DeadlineHit{false};
-    for (uint64_t Begin = 0; Begin < Options.Programs;
-         Begin += SchedulerEpoch) {
-      if (CancelledNow() || DeadlineHit.load(std::memory_order_relaxed))
-        break;
-      uint64_t End = std::min(Begin + SchedulerEpoch, Options.Programs);
-      std::atomic<uint64_t> Next{Begin};
-      auto Job = [&] {
-        // A job thread contains its own faults: one that throws (the
-        // TaskRun probe, or anything outside RunOne's containment) stops
-        // claiming, and the epoch's other threads and the completion
-        // sweep below run what it left.
-        try {
-          faultMaybeStall(FaultSite::TaskStall);
-          faultThrowInjected(FaultSite::TaskRun);
-          for (;;) {
-            uint64_t I = Next.fetch_add(1, std::memory_order_relaxed);
-            if (I >= End)
-              return;
-            if (Completed[I].load(std::memory_order_relaxed))
-              continue;
-            if (CancelledNow())
-              return;
-            if (Options.DeadlineMs > 0 && ElapsedMs() >= Options.DeadlineMs) {
-              DeadlineHit.store(true, std::memory_order_relaxed);
-              return;
-            }
-            RunCommit(I, Report);
-          }
-        } catch (...) {
-        }
-      };
-      std::vector<std::thread> Threads;
-      for (uint64_t W = 0; W < std::min(Jobs, End - Begin); ++W)
-        Threads.emplace_back(Job);
-      for (std::thread &T : Threads)
-        T.join();
-    }
-    Report.DeadlineHit = DeadlineHit.load(std::memory_order_relaxed);
-    Report.Cancelled = CancelledNow();
-  }
+  // Cancellation and the whole-run deadline end a campaign early; such a
+  // campaign is genuinely partial and is left that way.
+  std::atomic<bool> DeadlineHit{false};
+  auto Stopping = [&] {
+    if (Options.DeadlineMs > 0 && ElapsedMs() >= Options.DeadlineMs)
+      DeadlineHit.store(true, std::memory_order_relaxed);
+    return CancelledNow() || DeadlineHit.load(std::memory_order_relaxed);
+  };
 
-  // Completion sweep: a faulted job thread can leave an epoch's indices
-  // unrun. Re-run them inline; an index that *still* throws is committed
-  // as a faulted placeholder so the campaign nevertheless completes. Deadline- or cancellation-ended
-  // campaigns are genuinely partial and are left that way.
-  if (!Report.DeadlineHit && !Report.Cancelled) {
-    for (uint64_t I = 0; I < Options.Programs; ++I) {
-      if (Completed[I].load(std::memory_order_relaxed))
-        continue;
-      if (CancelledNow()) {
-        Report.Cancelled = true;
-        break;
+  // Job threads claim program indices from a shared counter, one
+  // scheduler epoch at a time (--jobs 1 is one job thread). The end of an
+  // epoch is the completion barrier the coverage-guided scheduler relies
+  // on: the weights for epoch k see all of epochs < k, for every job
+  // count and every fault schedule. Merging is per-index under a lock and
+  // failures are sorted afterwards, so the output is independent of
+  // scheduling.
+  const uint64_t Jobs =
+      Options.Jobs ? Options.Jobs
+                   : std::max(1u, std::thread::hardware_concurrency());
+  for (uint64_t Begin = 0; Begin < Options.Programs; Begin += SchedulerEpoch) {
+    if (CancelledNow() || DeadlineHit.load(std::memory_order_relaxed))
+      break;
+    const uint64_t End = std::min(Begin + SchedulerEpoch, Options.Programs);
+    std::atomic<uint64_t> Next{Begin};
+    auto Job = [&] {
+      // A job thread contains its own faults: one that throws (the
+      // TaskRun probe, or anything outside RunOne's containment) stops
+      // claiming, and the epoch's other threads and the barrier below
+      // run what it left.
+      try {
+        faultMaybeStall(FaultSite::TaskStall);
+        faultThrowInjected(FaultSite::TaskRun);
+        for (;;) {
+          uint64_t I = Next.fetch_add(1, std::memory_order_relaxed);
+          if (I >= End)
+            return;
+          if (Completed[I])
+            continue;
+          if (Stopping())
+            return;
+          RunCommit(I);
+        }
+      } catch (...) {
       }
-      if (!RunCommit(I, Report)) {
+    };
+    std::vector<std::thread> Threads;
+    for (uint64_t W = 0; W < std::min(Jobs, End - Begin); ++W)
+      Threads.emplace_back(Job);
+    for (std::thread &T : Threads)
+      T.join();
+
+    // Barrier: a faulted job thread can leave indices of this epoch
+    // unrun. Run them inline before the next epoch's weights are built;
+    // an index that *still* throws is committed as a faulted placeholder
+    // so the campaign nevertheless completes.
+    for (uint64_t I = Begin; I < End; ++I) {
+      if (Completed[I])
+        continue;
+      if (Stopping())
+        break;
+      if (!RunCommit(I)) {
         IndexRecord Placeholder;
         Placeholder.Faulted = 1;
         mergeIndex(Report, Placeholder);
         J.record(I, Placeholder);
-        Completed[I].store(true, std::memory_order_relaxed);
+        Completed[I] = 1;
       }
     }
   }
+  Report.DeadlineHit = DeadlineHit.load(std::memory_order_relaxed);
+  Report.Cancelled = CancelledNow();
 
   std::sort(Report.Failures.begin(), Report.Failures.end(),
             [](const FuzzFailure &A, const FuzzFailure &B) {
               return std::tie(A.ProgramIndex, A.Property) <
                      std::tie(B.ProgramIndex, B.Property);
             });
-  BehaviourCache::CacheStats Cache1 = BehaviourCache::global().stats();
-  Report.CacheHits = Cache1.hits() - Cache0.hits();
-  Report.CacheMisses = Cache1.misses() - Cache0.misses();
   Report.ElapsedMs = ElapsedMs();
   return Report;
 }

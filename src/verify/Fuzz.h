@@ -62,7 +62,7 @@ struct FuzzOptions {
   /// step must be a semantic elimination (Lemma 4) or a reordering of an
   /// elimination (Lemma 5) of the previous program's traceset.
   bool CheckSemanticSteps = false;
-  /// Campaign threads: 1 = sequential; 0 =
+  /// Campaign threads: 1 = one job thread (sequential); 0 =
   /// std::thread::hardware_concurrency(); N > 1 = exactly N. Each thread
   /// runs one program at a time. Programs are claimed by index and every
   /// per-program sub-seed depends only on (Seed, index), so the report is
@@ -137,13 +137,6 @@ struct FuzzReport {
   bool Cancelled = false;
   /// Indices loaded from a resume journal instead of being re-run.
   uint64_t SkippedFromCheckpoint = 0;
-  /// Cross-query BehaviourCache traffic attributable to this run (deltas
-  /// of the process-global counters). Volatile like ElapsedMs: a resumed
-  /// campaign skips recomputation and a warm process changes the split,
-  /// without affecting any verdict (the cache replays costs against the
-  /// query budgets — see verify/BehaviourCache.h).
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
   int64_t ElapsedMs = 0;
   std::vector<FuzzFailure> Failures;
 

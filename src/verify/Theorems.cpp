@@ -53,25 +53,10 @@ std::string TheoremCaseReport::summary() const {
   return Out;
 }
 
-TheoremCaseReport
-tracesafe::checkTheoremsOnChain(const Program &Orig,
-                                const TransformChain &Chain,
-                                const TheoremCheckOptions &Options) {
-  TheoremCaseReport Report;
-  Report.Drf = checkDrfGuarantee(Orig, Chain.Result, Options.Exec);
-  if (Options.CheckThinAir) {
-    Value C = freshConstantFor(Orig);
-    Report.ThinAir =
-        checkThinAir(Orig, Chain.Result, C, Options.Exec, Options.Explore);
-  } else {
-    Report.ThinAir.OrigContainsConstant = true; // Vacuous.
-  }
-  if (!Options.VerifySemanticSteps)
-    return Report;
-
-  // Re-walk the chain, verifying each step at the traceset level. One
-  // shared domain (from the original program) keeps the tracesets of all
-  // chain members comparable.
+std::vector<StepVerification>
+tracesafe::verifyChainSteps(const Program &Orig, const TransformChain &Chain,
+                            const TheoremCheckOptions &Options) {
+  std::vector<StepVerification> Steps;
   std::vector<Value> Domain = defaultDomainFor(Orig, 2);
   Program Cur = Orig;
   ExploreStats Stats;
@@ -93,10 +78,28 @@ tracesafe::checkTheoremsOnChain(const Program &Orig,
                                                      Options.Reorder)
                           .Verdict;
     }
-    Report.Steps.push_back(std::move(Step));
+    Steps.push_back(std::move(Step));
     Cur = std::move(Next);
     CurSet = std::move(NextSet);
     Stats = NextStats;
   }
+  return Steps;
+}
+
+TheoremCaseReport
+tracesafe::checkTheoremsOnChain(const Program &Orig,
+                                const TransformChain &Chain,
+                                const TheoremCheckOptions &Options) {
+  TheoremCaseReport Report;
+  Report.Drf = checkDrfGuarantee(Orig, Chain.Result, Options.Exec);
+  if (Options.CheckThinAir) {
+    Value C = freshConstantFor(Orig);
+    Report.ThinAir =
+        checkThinAir(Orig, Chain.Result, C, Options.Exec, Options.Explore);
+  } else {
+    Report.ThinAir.OrigContainsConstant = true; // Vacuous.
+  }
+  if (Options.VerifySemanticSteps)
+    Report.Steps = verifyChainSteps(Orig, Chain, Options);
   return Report;
 }

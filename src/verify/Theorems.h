@@ -64,6 +64,15 @@ struct TheoremCaseReport {
   std::string summary() const;
 };
 
+/// Lemma 4/5 for every step of \p Chain (which must start at \p Orig):
+/// each successor traceset must be a semantic elimination (E rules) or a
+/// reordering of an elimination (R rules) of its predecessor. One shared
+/// domain (from \p Orig) keeps the tracesets of all chain members
+/// comparable; a step with a truncated traceset is Unknown.
+std::vector<StepVerification>
+verifyChainSteps(const Program &Orig, const TransformChain &Chain,
+                 const TheoremCheckOptions &Options = {});
+
 /// Runs the full battery on \p Orig and \p Chain (which must start at
 /// \p Orig).
 TheoremCaseReport checkTheoremsOnChain(const Program &Orig,

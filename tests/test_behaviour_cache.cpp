@@ -1,18 +1,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the cross-query BehaviourCache: correctness of hits, warmth
-/// invariance (a hit replays the original cost against the current
-/// budget, so caps fire exactly where recomputation would have), fault
-/// transparency (injected cache faults degrade to recomputation, never to
-/// a changed answer), and the completeness rule (truncated results are
-/// not cached).
+/// Tests for the cross-query verdict cache (BehaviourCache): hits replay
+/// the stored verdict verbatim, warmth invariance (a hit replays the
+/// original cost against the current budget, so caps fire exactly where
+/// recomputation would have), fault transparency (injected cache faults
+/// degrade to misses and skipped inserts, never to a changed answer), the
+/// completeness rule (Unknown verdicts are not stored), the persist sink,
+/// and the segmented LRU under the byte cap.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "verify/BehaviourCache.h"
 
-#include "lang/Parser.h"
 #include "support/Failure.h"
 
 #include <gtest/gtest.h>
@@ -20,377 +20,6 @@
 using namespace tracesafe;
 
 namespace {
-
-Program sbProgram() {
-  return parseOrDie(R"(
-thread { x := 1; r1 := y; print r1; }
-thread { y := 1; r2 := x; print r2; }
-)");
-}
-
-TEST(BehaviourCache, SecondLookupHitsAndReturnsTheSameTraceset) {
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-  ExploreLimits L;
-  auto A = Cache.tracesetFor(P, Domain, L);
-  auto B = Cache.tracesetFor(P, Domain, L);
-  ASSERT_TRUE(A && B);
-  EXPECT_EQ(A->traces(), B->traces());
-  BehaviourCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.TracesetMisses, 1u);
-  EXPECT_EQ(S.TracesetHits, 1u);
-}
-
-TEST(BehaviourCache, HitMatchesRecomputation) {
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, Domain, EL);
-  ASSERT_TRUE(T);
-  EnumerationLimits L;
-  std::set<Behaviour> Cold = Cache.behavioursFor(*T, L);
-  std::set<Behaviour> Warm = Cache.behavioursFor(*T, L);
-  EXPECT_EQ(Cold, collectBehaviours(*T, L));
-  EXPECT_EQ(Warm, Cold);
-  EXPECT_EQ(Cache.stats().BehaviourHits, 1u);
-}
-
-TEST(BehaviourCache, WarmHitChargesTheBudgetLikeRecomputation) {
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-
-  // Cold run under a budget: record what a real computation charges.
-  Budget Cold(BudgetSpec{});
-  ExploreLimits L1;
-  L1.Shared = &Cold;
-  ASSERT_TRUE(Cache.tracesetFor(P, Domain, L1));
-  uint64_t ColdVisits = Cold.visited();
-  EXPECT_GT(ColdVisits, 0u);
-
-  // Warm run under a fresh budget: the replay must charge the same visits.
-  Budget Warm(BudgetSpec{});
-  ExploreLimits L2;
-  L2.Shared = &Warm;
-  ASSERT_TRUE(Cache.tracesetFor(P, Domain, L2));
-  EXPECT_EQ(Warm.visited(), ColdVisits);
-  EXPECT_EQ(Cache.stats().TracesetHits, 1u);
-}
-
-TEST(BehaviourCache, WarmHitUnderTightBudgetReportsTruncation) {
-  // Warmth invariance for verdicts: if recomputation would have exhausted
-  // the budget, a hit must report the same exhaustion instead of handing
-  // out a free complete answer.
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-  ExploreLimits L;
-  ExploreStats Stats;
-  ASSERT_TRUE(Cache.tracesetFor(P, Domain, L, &Stats));
-  ASSERT_FALSE(Stats.Truncated);
-
-  Budget Tight(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/1,
-                          /*MaxMemoryBytes=*/0});
-  ExploreLimits LT;
-  LT.Shared = &Tight;
-  ExploreStats WarmStats;
-  auto T = Cache.tracesetFor(P, Domain, LT, &WarmStats);
-  ASSERT_TRUE(T);
-  EXPECT_TRUE(WarmStats.Truncated);
-  EXPECT_EQ(WarmStats.Reason, TruncationReason::StateCap);
-  EXPECT_TRUE(Tight.exhausted());
-}
-
-TEST(BehaviourCache, TruncatedResultsAreNotCached) {
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-  Budget Tiny(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/2,
-                         /*MaxMemoryBytes=*/0});
-  ExploreLimits L;
-  L.Shared = &Tiny;
-  ExploreStats Stats;
-  Cache.tracesetFor(P, Domain, L, &Stats);
-  EXPECT_TRUE(Stats.Truncated);
-  BehaviourCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.TracesetMisses, 1u);
-  EXPECT_EQ(S.Bytes, 0u) << "a partial traceset must not be cached";
-
-  // A later unconstrained query recomputes from scratch (another miss),
-  // and only then does the complete result enter the cache.
-  ExploreLimits Free;
-  ASSERT_TRUE(Cache.tracesetFor(P, Domain, Free));
-  S = Cache.stats();
-  EXPECT_EQ(S.TracesetMisses, 2u);
-  EXPECT_GT(S.Bytes, 0u);
-}
-
-TEST(BehaviourCache, InjectedFaultsDegradeToMissesNotWrongAnswers) {
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-  ExploreLimits L;
-
-  BehaviourCache Clean;
-  auto Want = Clean.tracesetFor(P, Domain, L);
-  ASSERT_TRUE(Want);
-
-  BehaviourCache Faulty;
-  FaultPlan Plan;
-  // Fire on every probe: both the lookup and the insert of both calls.
-  Plan.arm(FaultSite::BehaviourCache, /*FireAt=*/1, /*Repeat=*/100);
-  {
-    FaultPlan::Scope Armed(Plan);
-    auto A = Faulty.tracesetFor(P, Domain, L);
-    auto B = Faulty.tracesetFor(P, Domain, L);
-    ASSERT_TRUE(A && B);
-    EXPECT_EQ(A->traces(), Want->traces());
-    EXPECT_EQ(B->traces(), Want->traces());
-  }
-  BehaviourCache::CacheStats S = Faulty.stats();
-  EXPECT_GT(S.Faults, 0u);
-  EXPECT_EQ(S.TracesetHits, 0u) << "faulted lookups must degrade to misses";
-  EXPECT_GT(Plan.totalFired(), 0u);
-}
-
-TEST(BehaviourCache, OverflowClearsAndKeepsAnswering) {
-  // A cache too small for any entry evicts on every insert but must stay
-  // correct.
-  BehaviourCache Tiny(/*MaxBytes=*/1);
-  Program P = sbProgram();
-  std::vector<Value> Domain{0, 1};
-  ExploreLimits L;
-  auto A = Tiny.tracesetFor(P, Domain, L);
-  auto B = Tiny.tracesetFor(P, Domain, L);
-  ASSERT_TRUE(A && B);
-  EXPECT_EQ(A->traces(), B->traces());
-  EXPECT_EQ(Tiny.stats().TracesetHits, 0u);
-}
-
-TEST(BehaviourCache, SegmentedLruEvictsColdProbationBeforeWarmEntries) {
-  Program P = sbProgram();
-  ExploreLimits L;
-
-  // Measure per-entry footprints with an unbounded probe cache: entries
-  // keyed on three distinct domains, near-identical sizes.
-  uint64_t BytesA, BytesB;
-  {
-    BehaviourCache Probe;
-    ASSERT_TRUE(Probe.tracesetFor(P, {0, 1}, L));
-    BytesA = Probe.stats().Bytes;
-    ASSERT_TRUE(Probe.tracesetFor(P, {0, 2}, L));
-    BytesB = Probe.stats().Bytes - BytesA;
-    ASSERT_GT(BytesA, 0u);
-    ASSERT_GT(BytesB, 0u);
-  }
-
-  // A cache that holds exactly A and B. Insert both, then *touch* A so it
-  // is promoted to the protected segment; inserting C must evict the
-  // probation tail (B), never the re-used A.
-  BehaviourCache Cache(BytesA + BytesB);
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L)); // A: miss, probation
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 2}, L)); // B: miss, probation
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L)); // A: hit -> protected
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 3}, L)); // C: miss, evicts B
-
-  BehaviourCache::CacheStats S = Cache.stats();
-  EXPECT_GE(S.Evictions, 1u);
-  EXPECT_EQ(S.Clears, 0u) << "overflow must evict entries, not clear";
-
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L)); // A must still be warm
-  EXPECT_EQ(Cache.stats().TracesetHits, 2u);
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 2}, L)); // B was the victim
-  EXPECT_EQ(Cache.stats().TracesetMisses, 4u);
-}
-
-TEST(BehaviourCache, ScanTrafficDoesNotFlushTheWarmSet) {
-  Program P = sbProgram();
-  ExploreLimits L;
-  uint64_t OneEntry;
-  {
-    BehaviourCache Probe;
-    ASSERT_TRUE(Probe.tracesetFor(P, {0, 1}, L));
-    OneEntry = Probe.stats().Bytes;
-  }
-
-  // Room for roughly three entries. A is inserted and re-used (protected);
-  // a stream of one-shot lookups then washes through probation.
-  BehaviourCache Cache(3 * OneEntry + OneEntry / 2);
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L));
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L)); // promote A
-  for (Value V = 2; V <= 9; ++V)
-    ASSERT_TRUE(Cache.tracesetFor(P, {0, V}, L)); // scan: seen once each
-
-  BehaviourCache::CacheStats Before = Cache.stats();
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L));
-  BehaviourCache::CacheStats After = Cache.stats();
-  EXPECT_EQ(After.TracesetHits, Before.TracesetHits + 1)
-      << "the scan must not have evicted the re-used entry";
-  EXPECT_GE(After.Evictions, 1u);
-}
-
-TEST(BehaviourCache, WarmthInvarianceSurvivesEviction) {
-  // The cost-replay property must hold whether an answer comes from the
-  // cache or is recomputed after its entry was evicted: the budget sees
-  // the same visit charge either way.
-  Program P = sbProgram();
-  ExploreLimits Plain;
-  uint64_t OneEntry;
-  {
-    BehaviourCache Probe;
-    ASSERT_TRUE(Probe.tracesetFor(P, {0, 1}, Plain));
-    OneEntry = Probe.stats().Bytes;
-  }
-
-  BehaviourCache Cache(OneEntry + OneEntry / 2); // holds one entry
-  Budget Cold(BudgetSpec{});
-  ExploreLimits L1;
-  L1.Shared = &Cold;
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L1));
-  uint64_t ColdVisits = Cold.visited();
-
-  // Evict it by inserting an unrelated entry, then re-query under a fresh
-  // budget: recomputation must charge exactly the cold cost again.
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 2}, Plain));
-  Budget Again(BudgetSpec{});
-  ExploreLimits L2;
-  L2.Shared = &Again;
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L2));
-  EXPECT_EQ(Again.visited(), ColdVisits);
-}
-
-//===----------------------------------------------------------------------===//
-// DRF verdict caching (drfFor)
-//===----------------------------------------------------------------------===//
-
-Program drfProgram() {
-  return parseOrDie(R"(
-thread { sync m { x := 1; x := 2; } }
-thread { sync m { r0 := x; } print r0; }
-)");
-}
-
-TEST(BehaviourCache, DrfWarmHitIsByteIdenticalAndReplaysCost) {
-  // A cached race verdict must be indistinguishable from recomputation:
-  // same kind, same witness, and the same visit charge against the
-  // caller's budget (warmth invariance).
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, {0, 1}, EL);
-  ASSERT_TRUE(T);
-
-  Budget Cold(BudgetSpec{});
-  EnumerationLimits L1;
-  L1.Shared = &Cold;
-  Verdict<Interleaving> A = Cache.drfFor(*T, L1);
-  ASSERT_TRUE(A.isRefuted());
-  uint64_t ColdVisits = Cold.visited();
-  EXPECT_GT(ColdVisits, 0u);
-
-  Budget Warm(BudgetSpec{});
-  EnumerationLimits L2;
-  L2.Shared = &Warm;
-  Verdict<Interleaving> B = Cache.drfFor(*T, L2);
-  ASSERT_TRUE(B.isRefuted());
-  EXPECT_EQ(B.Witness->str(), A.Witness->str());
-  EXPECT_EQ(Warm.visited(), ColdVisits);
-  BehaviourCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.DrfMisses, 1u);
-  EXPECT_EQ(S.DrfHits, 1u);
-}
-
-TEST(BehaviourCache, DrfProvedVerdictsCacheToo) {
-  BehaviourCache Cache;
-  Program P = drfProgram();
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, {0, 1, 2}, EL);
-  ASSERT_TRUE(T);
-  EnumerationLimits L;
-  EXPECT_TRUE(Cache.drfFor(*T, L).isProved());
-  EXPECT_TRUE(Cache.drfFor(*T, L).isProved());
-  EXPECT_EQ(Cache.stats().DrfHits, 1u);
-}
-
-TEST(BehaviourCache, DrfWarmHitUnderTightBudgetStaysUnknown) {
-  // If recomputation would have exhausted this query's budget before
-  // reaching the verdict, the hit must report the same exhaustion — no
-  // free answers for warm callers.
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, {0, 1}, EL);
-  ASSERT_TRUE(T);
-  EnumerationLimits L;
-  ASSERT_TRUE(Cache.drfFor(*T, L).isRefuted()); // cold, cached
-
-  Budget Tight(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/1,
-                          /*MaxMemoryBytes=*/0});
-  EnumerationLimits LT;
-  LT.Shared = &Tight;
-  Verdict<Interleaving> V = Cache.drfFor(*T, LT);
-  EXPECT_TRUE(V.isUnknown());
-  EXPECT_EQ(V.Reason, TruncationReason::StateCap);
-  EXPECT_TRUE(Tight.exhausted());
-  EXPECT_EQ(Cache.stats().DrfHits, 1u) << "the truncated reply was a hit";
-}
-
-TEST(BehaviourCache, DrfUnknownVerdictsAreNotCached) {
-  // An Unknown is an artefact of one query's budget; the next query with
-  // headroom must recompute and only then populate the cache.
-  BehaviourCache Cache;
-  Program P = drfProgram();
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, {0, 1, 2}, EL);
-  ASSERT_TRUE(T);
-
-  Budget Tiny(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/2,
-                         /*MaxMemoryBytes=*/0});
-  EnumerationLimits LT;
-  LT.Shared = &Tiny;
-  EXPECT_TRUE(Cache.drfFor(*T, LT).isUnknown());
-
-  EnumerationLimits Free;
-  EXPECT_TRUE(Cache.drfFor(*T, Free).isProved());
-  BehaviourCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.DrfMisses, 2u);
-  EXPECT_EQ(S.DrfHits, 0u);
-}
-
-TEST(BehaviourCache, DrfInjectedFaultsDegradeToMissesNotWrongAnswers) {
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  ExploreLimits EL;
-  auto T = Cache.tracesetFor(P, {0, 1}, EL);
-  ASSERT_TRUE(T);
-  EnumerationLimits L;
-  Verdict<Interleaving> Want = Cache.drfFor(*T, L);
-  ASSERT_TRUE(Want.isRefuted());
-
-  BehaviourCache Faulty;
-  auto T2 = Faulty.tracesetFor(P, {0, 1}, EL);
-  ASSERT_TRUE(T2);
-  FaultPlan Plan;
-  Plan.arm(FaultSite::BehaviourCache, /*FireAt=*/1, /*Repeat=*/100);
-  {
-    FaultPlan::Scope Armed(Plan);
-    Verdict<Interleaving> A = Faulty.drfFor(*T2, L);
-    Verdict<Interleaving> B = Faulty.drfFor(*T2, L);
-    ASSERT_TRUE(A.isRefuted());
-    ASSERT_TRUE(B.isRefuted());
-    EXPECT_EQ(A.Witness->str(), Want.Witness->str());
-    EXPECT_EQ(B.Witness->str(), Want.Witness->str());
-  }
-  BehaviourCache::CacheStats S = Faulty.stats();
-  EXPECT_GT(S.Faults, 0u);
-  EXPECT_EQ(S.DrfHits, 0u) << "faulted lookups must degrade to misses";
-}
-
-//===----------------------------------------------------------------------===//
-// Whole-query verdict caching (queryFor / insertQuery) — the persistable
-// family behind the daemon's memoisation plane.
-//===----------------------------------------------------------------------===//
 
 BehaviourCache::CachedQuery sampleVerdict() {
   BehaviourCache::CachedQuery E;
@@ -522,19 +151,78 @@ TEST(BehaviourCache, QueryEntriesEvictUnderTheSharedByteCap) {
   EXPECT_EQ(Cache.stats().Bytes, 0u);
 }
 
-TEST(BehaviourCache, KeysSeparateDomainsAndLimits) {
-  BehaviourCache Cache;
-  Program P = sbProgram();
-  ExploreLimits L;
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, L));
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1, 2}, L));
-  ExploreLimits Shorter;
-  Shorter.MaxActions = 3;
-  ASSERT_TRUE(Cache.tracesetFor(P, {0, 1}, Shorter));
+//===----------------------------------------------------------------------===//
+// Segmented LRU under the byte cap.
+//===----------------------------------------------------------------------===//
+
+/// Probes \p Key without a budget.
+bool hit(BehaviourCache &Cache, const std::string &Key) {
+  return Cache.queryFor(Key, nullptr).has_value();
+}
+
+/// Footprint of one sampleVerdict() entry under a five-byte key.
+uint64_t oneEntryBytes() {
+  BehaviourCache Probe;
+  Probe.insertQuery("key-p", sampleVerdict());
+  return Probe.stats().Bytes;
+}
+
+TEST(BehaviourCache, OverflowClearsAndKeepsAnswering) {
+  // A cache too small for any entry stores nothing but must stay
+  // correct: every probe is a clean miss.
+  BehaviourCache Tiny(/*MaxBytes=*/1);
+  Tiny.insertQuery("key-a", sampleVerdict());
+  Tiny.insertQuery("key-a", sampleVerdict());
+  EXPECT_FALSE(hit(Tiny, "key-a"));
+  EXPECT_FALSE(hit(Tiny, "key-a"));
+  BehaviourCache::CacheStats S = Tiny.stats();
+  EXPECT_EQ(S.QueryHits, 0u);
+  EXPECT_EQ(S.QueryMisses, 2u);
+  EXPECT_EQ(S.Bytes, 0u);
+}
+
+TEST(BehaviourCache, SegmentedLruEvictsColdProbationBeforeWarmEntries) {
+  // Equal-length keys, so every entry has the same footprint.
+  const uint64_t OneEntry = oneEntryBytes();
+  ASSERT_GT(OneEntry, 0u);
+
+  // A cache that holds exactly A and B. Insert both, then *touch* A so it
+  // is promoted to the protected segment; inserting C must evict the
+  // probation tail (B), never the re-used A.
+  BehaviourCache Cache(2 * OneEntry);
+  Cache.insertQuery("key-a", sampleVerdict()); // A: probation
+  Cache.insertQuery("key-b", sampleVerdict()); // B: probation
+  ASSERT_TRUE(hit(Cache, "key-a"));            // A: hit -> protected
+  Cache.insertQuery("key-c", sampleVerdict()); // C: evicts B
+
   BehaviourCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.TracesetMisses, 3u)
-      << "different domains/limits must not collide";
-  EXPECT_EQ(S.TracesetHits, 0u);
+  EXPECT_GE(S.Evictions, 1u);
+  EXPECT_EQ(S.Clears, 0u) << "overflow must evict entries, not clear";
+
+  EXPECT_TRUE(hit(Cache, "key-a")) << "A must still be warm";
+  EXPECT_EQ(Cache.stats().QueryHits, 2u);
+  EXPECT_FALSE(hit(Cache, "key-b")) << "B was the victim";
+  EXPECT_TRUE(hit(Cache, "key-c"));
+  EXPECT_EQ(Cache.stats().QueryMisses, 1u);
+}
+
+TEST(BehaviourCache, ScanTrafficDoesNotFlushTheWarmSet) {
+  const uint64_t OneEntry = oneEntryBytes();
+
+  // Room for roughly three entries. A is inserted and re-used (protected);
+  // a stream of one-shot inserts then washes through probation.
+  BehaviourCache Cache(3 * OneEntry + OneEntry / 2);
+  Cache.insertQuery("key-a", sampleVerdict());
+  ASSERT_TRUE(hit(Cache, "key-a")); // promote A
+  for (int V = 2; V <= 9; ++V)
+    Cache.insertQuery("key-" + std::to_string(V), sampleVerdict()); // scan
+
+  BehaviourCache::CacheStats Before = Cache.stats();
+  EXPECT_TRUE(hit(Cache, "key-a"));
+  BehaviourCache::CacheStats After = Cache.stats();
+  EXPECT_EQ(After.QueryHits, Before.QueryHits + 1)
+      << "the scan must not have evicted the re-used entry";
+  EXPECT_GE(After.Evictions, 1u);
 }
 
 } // namespace

@@ -101,7 +101,7 @@ TEST(Budget, MergeReasonPrefersSpecific) {
 
 TEST(Budget, VisitedIsExactForAnyChargeCount) {
   // visited() is the number of charges, for any count: the BehaviourCache
-  // replays it as the recorded cost of a computation.
+  // replays it as the recorded cost of a verdict.
   for (uint64_t N : {1u, 63u, 64u, 65u, 255u, 256u, 257u, 1000u}) {
     Budget B(BudgetSpec{});
     for (uint64_t I = 0; I < N; ++I)

@@ -106,32 +106,47 @@ TEST(FaultInjection, RepeatedInternAllocFaultIsContained) {
 }
 
 TEST(FaultInjection, FaultedJobThreadsLoseNoCampaignIndex) {
-  // fuzz --jobs runs one program at a time per job thread. With TaskRun
-  // firing on every job thread, no thread claims an index; the completion
-  // sweep must still run every index, and the report must equal the
-  // unfaulted sequential one.
+  // fuzz --jobs runs one program at a time per job thread, one scheduler
+  // epoch at a time. A job thread whose TaskRun probe fires claims no
+  // index; the epoch barrier must still run every index of the epoch
+  // before the next epoch's scheduler weights are built, so the report
+  // equals the unfaulted sequential one.
   FuzzOptions O;
   O.Seed = 20260807;
-  O.Programs = 36; // two scheduler epochs (32 + 4)
   O.CheckThinAir = false;
   // Visit caps only: the comparison must not hinge on the wall clock.
   O.Escalation.Initial.DeadlineMs = 0;
   O.Escalation.Ceiling.DeadlineMs = 0;
-  FuzzReport Want = runFuzz(O);
-  ASSERT_EQ(Want.ProgramsRun, O.Programs);
+  auto Check = [&](uint64_t Repeat, uint64_t WantFired) {
+    O.Jobs = 1;
+    FuzzReport Want = runFuzz(O);
+    ASSERT_EQ(Want.ProgramsRun, O.Programs);
 
-  FaultPlan Plan;
-  Plan.arm(FaultSite::TaskRun, 1, /*Repeat=*/1'000'000);
-  FuzzReport Got;
-  {
-    FaultPlan::Scope Armed(Plan);
-    O.Jobs = 2;
-    Got = runFuzz(O);
-  }
-  EXPECT_EQ(Plan.fired(FaultSite::TaskRun), 4u) << "two threads per epoch";
-  EXPECT_EQ(Got.ProgramsRun, O.Programs);
-  EXPECT_EQ(Got.FaultedQueries, 0u);
-  EXPECT_EQ(Got.toJson(false), Want.toJson(false));
+    FaultPlan Plan;
+    Plan.arm(FaultSite::TaskRun, 1, Repeat);
+    FuzzReport Got;
+    {
+      FaultPlan::Scope Armed(Plan);
+      O.Jobs = 2;
+      Got = runFuzz(O);
+    }
+    EXPECT_EQ(Plan.fired(FaultSite::TaskRun), WantFired);
+    EXPECT_EQ(Got.ProgramsRun, O.Programs);
+    EXPECT_EQ(Got.FaultedQueries, 0u);
+    EXPECT_EQ(Got.toJson(false), Want.toJson(false));
+  };
+
+  // TaskRun fires on every job thread: two threads per epoch, two
+  // epochs (32 + 4), and no thread claims an index.
+  O.Programs = 36;
+  Check(/*Repeat=*/1'000'000, /*WantFired=*/4);
+
+  // Only epoch 0's two threads fault, so epoch 0 runs entirely at the
+  // barrier, and epoch 1's weights must see all of it. A low first rung
+  // makes escalations, which score in those weights.
+  O.Programs = 64;
+  O.Escalation.Initial.MaxVisited = 300;
+  Check(/*Repeat=*/2, /*WantFired=*/2);
 }
 
 TEST(FaultInjection, BudgetChargeFaultPoisonsTheQuery) {

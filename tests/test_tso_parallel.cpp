@@ -18,6 +18,7 @@
 
 #include "lang/Parser.h"
 #include "support/Budget.h"
+#include "support/Rng.h"
 #include "tso/Litmus.h"
 #include "tso/TsoMachine.h"
 #include "verify/ProgramGen.h"
@@ -50,11 +51,48 @@ void expectMatrixAgrees(const Program &P, const std::string &Name,
 
 /// Asserts the machine-minus-SC subtractions (reduced machine and reduced
 /// SC engine) agree with the all-oracle pair on \p P for both models.
-void expectOnlyAgrees(const Program &P, const std::string &Name) {
-  EXPECT_EQ(tsoOnlyBehaviours(P, limits(true)), oracleTsoOnlyBehaviours(P))
-      << Name << " (TSO)";
-  EXPECT_EQ(psoOnlyBehaviours(P, limits(true)), oraclePsoOnlyBehaviours(P))
-      << Name << " (PSO)";
+/// Returns the reduced TSO-only and PSO-only sets.
+std::pair<std::set<Behaviour>, std::set<Behaviour>>
+expectOnlyAgrees(const Program &P, const std::string &Name) {
+  std::set<Behaviour> TsoOnly = tsoOnlyBehaviours(P, limits(true));
+  std::set<Behaviour> PsoOnly = psoOnlyBehaviours(P, limits(true));
+  EXPECT_EQ(TsoOnly, oracleTsoOnlyBehaviours(P)) << Name << " (TSO)";
+  EXPECT_EQ(PsoOnly, oraclePsoOnlyBehaviours(P)) << Name << " (PSO)";
+  return {TsoOnly, PsoOnly};
+}
+
+/// A seeded store-buffering shape over locations x, y and z: every
+/// thread starts with a write and ends with a printed read of another
+/// location, with up to two random writes or printed reads in between.
+/// A write followed by a read of another location is the SB pattern TSO
+/// reorders; two writes to different locations are the MP pattern only
+/// PSO reorders.
+Program storeBufferShape(Rng &R) {
+  const char *const Locs[] = {"x", "y", "z"};
+  std::string Src;
+  unsigned Reg = 0;
+  auto Read = [&](uint64_t Loc) {
+    std::string Rn = "r" + std::to_string(Reg++);
+    Src += Rn + " := " + Locs[Loc] + "; print " + Rn + "; ";
+  };
+  auto Write = [&](uint64_t Loc) {
+    Src += std::string(Locs[Loc]) + " := " + std::to_string(R.range(1, 2)) +
+           "; ";
+  };
+  for (int T = 0; T < 2; ++T) {
+    const uint64_t First = R.below(3);
+    Src += "thread { ";
+    Write(First);
+    for (uint64_t K = R.below(3); K > 0; --K) {
+      if (R.chance(1, 2))
+        Write(R.below(3));
+      else
+        Read(R.below(3));
+    }
+    Read((First + 1 + R.below(2)) % 3);
+    Src += "}\n";
+  }
+  return parseOrDie(Src);
 }
 
 TEST(TsoParallel, LitmusCorpusMatchesOracle) {
@@ -94,6 +132,24 @@ TEST(TsoParallel, RandomisedProgramsMatchOracle) {
                        oraclePsoBehaviours);
     expectOnlyAgrees(P, Name);
   }
+
+  // ProgramGen's programs above have empty TSO-only and PSO-only sets;
+  // seeded store-buffer shapes check the subtractions on non-empty sets.
+  unsigned TsoBites = 0, PsoBites = 0;
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+    Rng R(mixSeeds(0x5B, Seed));
+    Program P = storeBufferShape(R);
+    std::string Name = "shape " + std::to_string(Seed);
+    expectMatrixAgrees(P, Name + " (TSO)", tsoBehaviours,
+                       oracleTsoBehaviours);
+    expectMatrixAgrees(P, Name + " (PSO)", psoBehaviours,
+                       oraclePsoBehaviours);
+    auto [TsoOnly, PsoOnly] = expectOnlyAgrees(P, Name);
+    TsoBites += !TsoOnly.empty();
+    PsoBites += PsoOnly.size() > TsoOnly.size();
+  }
+  EXPECT_GT(TsoBites, 0u) << "no shape had a TSO-only behaviour";
+  EXPECT_GT(PsoBites, 0u) << "no shape had a PSO-only, non-TSO behaviour";
 }
 
 TEST(TsoParallel, ReductionPrunesStatesWithoutChangingTheAnswer) {
