@@ -1,229 +1,90 @@
 #!/usr/bin/env python3
-"""Diff two merged BENCH_results.json files per family, with a tolerance.
+"""Compare two BENCH_results.json files row by row, on their medians.
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json
-           [--tolerance PCT] [--throughput-tolerance PCT]
-           [--families REGEX] [--cache-floor X]
-       check_bench_regression.py --cache-only CURRENT.json [--cache-floor X]
 
-Rows are grouped by (family, engine, por, workers) — the configuration
-key merge_bench_json.py parses out of the benchmark names — and each
-group is reduced to its best (minimum) ns/op, the same best-of-N rule
-the merge script uses for its speedup section. A configuration present
-in both files whose current best is more than PCT percent slower than
-the baseline best is a regression; the script lists every comparison,
-flags regressions, and exits 1 if any were found (2 on usage errors).
+Rows are matched by benchmark name. Each file records, per row, the
+median ns/op over its repetitions and the coefficient of variation (CV)
+of those repetitions. A row regresses when its current median is slower
+than the baseline median by more than SPREAD_FACTOR times the larger of
+the two CVs. The script lists every comparison, flags regressions, and
+exits 1 if any were found (2 on usage errors or a file without CVs).
 
-Configurations whose rows carry bytes_per_second (the racelog streaming
-benches) are compared on throughput instead: best = maximum MB/s, and a
-drop of more than --throughput-tolerance percent (default 15) fails.
-Throughput rows scan fixed inputs, so MB/s is the quantity the family
-advertises and ns/op would double-count input-size changes.
-
-Configurations present on only one side are listed as added/removed but
-are never failures: benches come and go with the code under test.
-
-The memoisation plane's warm-over-cold speedups (the `cache` section the
-merge script emits) are ratios within ONE run, so they need no baseline
-and are stable across hosts. --cache-floor X fails the check when any
-cache family's speedup is below X; --cache-only skips the two-file diff
-entirely and applies just that floor to a single results document (the
-default floor is 2, the PR's acceptance bar).
-
-Comparing numbers recorded on different hosts, build types or revisions
-is usually meaningless; mismatches in the host records are printed as
-warnings so a surprising verdict can be traced to its cause.
+Rows present on only one side are listed as added/removed but are never
+failures: benches come and go with the code under test. Comparing
+numbers recorded on different hosts or build types is usually
+meaningless; mismatches in the host records are printed as warnings.
 """
 
-import argparse
 import json
-import re
 import sys
 
-
-def config_key(row):
-    return (row["family"], row["engine"],
-            bool(row.get("por")), int(row.get("workers", 1)))
-
-
-def best_by_config(doc, pattern):
-    """Per configuration: best (minimum) ns/op and, for rows that carry
-    it, best (maximum) bytes/sec."""
-    best = {}
-    for row in doc.get("benchmarks", []):
-        if pattern and not pattern.search(row["family"]):
-            continue
-        key = config_key(row)
-        ns = float(row["ns_per_op"])
-        bps = float(row["bytes_per_second"]) \
-            if "bytes_per_second" in row else None
-        if key not in best:
-            best[key] = {"ns": ns, "bps": bps}
-        else:
-            best[key]["ns"] = min(best[key]["ns"], ns)
-            if bps is not None:
-                prev = best[key]["bps"]
-                best[key]["bps"] = bps if prev is None else max(prev, bps)
-    return best
+# A row's bound is 3 CVs. With 5 repetitions the standard error of a
+# median is about 1.25 * sigma / sqrt(5) = 0.56 sigma, so the difference
+# of two medians has a standard error of about 0.79 sigma: 3 sigma is
+# ~3.8 standard errors, a false alarm on pure noise in well under 1% of
+# rows even with the heavier-than-normal tails of a shared host, while a
+# slowdown larger than the run-to-run spread of both files still fails.
+SPREAD_FACTOR = 3.0
 
 
-def fmt_key(key):
-    family, engine, por, workers = key
-    tag = engine + ("+por" if por else "")
-    return f"{family} [{tag} w{workers}]"
+def load(path):
+    with open(path) as f:
+        doc = json.load(f)
+    rows = {r["name"]: r for r in doc.get("benchmarks", [])}
+    if any("cv" not in r for r in rows.values()):
+        raise ValueError(f"{path}: rows without a cv; re-record it with "
+                         "scripts/merge_bench_json.py")
+    return doc, rows
 
 
 def fmt_ns(ns):
-    if ns >= 1e9:
-        return f"{ns / 1e9:.3f}s"
-    if ns >= 1e6:
-        return f"{ns / 1e6:.3f}ms"
-    if ns >= 1e3:
-        return f"{ns / 1e3:.3f}us"
+    for scale, unit in ((1e9, "s"), (1e6, "ms"), (1e3, "us")):
+        if ns >= scale:
+            return f"{ns / scale:.3f}{unit}"
     return f"{ns:.0f}ns"
 
 
-def check_cache_floor(doc, floor):
-    """Apply the warm-over-cold floor to a merged document's `cache`
-    section. Returns the list of failing family names (empty: all held);
-    None when the document has no cache section at all."""
-    cache = doc.get("cache")
-    if not cache:
-        return None
-    failures = []
-    for family, e in sorted(cache.items()):
-        speedup = float(e.get("speedup", 0.0))
-        line = (f"cache {family}: {speedup:.1f}x warm-over-cold "
-                f"(cold {fmt_ns(e['cold_ns_per_query'])}/query -> "
-                f"warm {fmt_ns(e['warm_ns_per_query'])}/query")
-        if "cache_hit_rate" in e:
-            line += f", hit rate {e['cache_hit_rate']:.3f}"
-        line += ")"
-        if speedup < floor:
-            failures.append(family)
-            print(f"! {line}  [below {floor:.1f}x floor]")
-        else:
-            print(f"  {line}")
-    return failures
-
-
 def main(argv):
-    ap = argparse.ArgumentParser(
-        description="per-family bench regression check")
-    ap.add_argument("baseline")
-    ap.add_argument("current", nargs="?", default=None)
-    ap.add_argument("--tolerance", type=float, default=10.0,
-                    help="allowed slowdown in percent (default 10)")
-    ap.add_argument("--throughput-tolerance", type=float, default=15.0,
-                    help="allowed throughput drop in percent for rows "
-                         "reporting bytes/sec (default 15)")
-    ap.add_argument("--families", default=None,
-                    help="only check families matching this regex")
-    ap.add_argument("--cache-floor", type=float, default=2.0,
-                    help="minimum warm-over-cold speedup for every cache "
-                         "family (default 2)")
-    ap.add_argument("--cache-only", action="store_true",
-                    help="check only the cache section of one results "
-                         "file; no baseline needed")
-    args = ap.parse_args(argv[1:])
-
-    if args.cache_only:
-        # Single-document mode: the one positional is the current results
-        # file, and only the memoisation floor is applied.
-        if args.current is not None:
-            sys.stderr.write("error: --cache-only takes one results file\n")
-            return 2
-        try:
-            with open(args.baseline) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            sys.stderr.write(f"error: {e}\n")
-            return 2
-        failures = check_cache_floor(doc, args.cache_floor)
-        if failures is None:
-            sys.stderr.write(
-                f"error: {args.baseline} has no cache section — rerun the "
-                "daemon bench and re-merge before gating\n")
-            return 2
-        count = len(doc.get("cache", {}))
-        print(f"\n{count} cache families checked against the "
-              f"{args.cache_floor:.1f}x floor, {len(failures)} below it")
-        return 1 if failures else 0
-
-    if args.current is None:
-        sys.stderr.write("error: CURRENT.json is required unless "
-                         "--cache-only is given\n")
+    if len(argv) != 3:
+        sys.stderr.write(__doc__)
         return 2
     try:
-        with open(args.baseline) as f:
-            base_doc = json.load(f)
-        with open(args.current) as f:
-            cur_doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        base_doc, base = load(argv[1])
+        cur_doc, cur = load(argv[2])
+    except (OSError, ValueError, KeyError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 
-    pattern = re.compile(args.families) if args.families else None
-    base = best_by_config(base_doc, pattern)
-    cur = best_by_config(cur_doc, pattern)
-
-    for field in ("build_type", "num_cpus", "revision"):
+    for field in ("host_name", "build_type", "num_cpus"):
         b = base_doc.get("host", {}).get(field)
         c = cur_doc.get("host", {}).get(field)
-        if b is not None and c is not None and b != c:
-            sys.stderr.write(
-                f"warning: host {field} differs: "
-                f"baseline={b} current={c}\n")
+        if b != c:
+            sys.stderr.write(f"warning: host {field} differs: "
+                             f"baseline={b} current={c}\n")
 
     regressions = []
-    improved = 0
-    for key in sorted(base.keys() & cur.keys()):
-        bb, cc = base[key], cur[key]
-        if bb["bps"] is not None and cc["bps"] is not None:
-            # Throughput configuration: compare MB/s, higher is better.
-            b, c = bb["bps"], cc["bps"]
-            delta = (b - c) / b * 100.0 if b else 0.0
-            tol = args.throughput_tolerance
-            shown = (f"{fmt_key(key)}: {b / 1e6:.1f}MB/s -> "
-                     f"{c / 1e6:.1f}MB/s ({-delta:+.1f}%)")
-        else:
-            b, c = bb["ns"], cc["ns"]
-            delta = (c - b) / b * 100.0 if b else 0.0
-            tol = args.tolerance
-            shown = (f"{fmt_key(key)}: {fmt_ns(b)} -> {fmt_ns(c)} "
-                     f"({delta:+.1f}%)")
-        mark = " "
-        if delta > tol:
-            mark = "!"
-            regressions.append((key, shown))
-        elif delta < 0:
-            mark = "+"
-            improved += 1
+    for name in sorted(base.keys() & cur.keys()):
+        b, c = base[name], cur[name]
+        delta = (c["ns_per_op"] - b["ns_per_op"]) / b["ns_per_op"]
+        bound = SPREAD_FACTOR * max(b["cv"], c["cv"])
+        shown = (f"{name}: {fmt_ns(b['ns_per_op'])} -> "
+                 f"{fmt_ns(c['ns_per_op'])} ({delta * 100:+.1f}%, "
+                 f"bound {bound * 100:.1f}%)")
+        mark = "!" if delta > bound else "+" if delta < -bound else " "
+        if mark == "!":
+            regressions.append(shown)
         print(f"{mark} {shown}")
-    for key in sorted(base.keys() - cur.keys()):
-        print(f"- {fmt_key(key)}: removed "
-              f"(baseline {fmt_ns(base[key]['ns'])})")
-    for key in sorted(cur.keys() - base.keys()):
-        print(f"* {fmt_key(key)}: added ({fmt_ns(cur[key]['ns'])})")
+    for name in sorted(base.keys() - cur.keys()):
+        print(f"- {name}: removed")
+    for name in sorted(cur.keys() - base.keys()):
+        print(f"* {name}: added")
 
-    # The memoisation floor also applies in two-file mode: a current file
-    # whose warm rows lost their speedup is a regression even if every
-    # individual timing stayed inside tolerance.
-    cache_failures = check_cache_floor(cur_doc, args.cache_floor)
-    for family in cache_failures or []:
-        regressions.append(((family, "cache", False, 1),
-                            f"cache {family}: warm-over-cold speedup below "
-                            f"{args.cache_floor:.1f}x"))
-
-    shared = len(base.keys() & cur.keys())
-    print(f"\n{shared} configurations compared, {improved} improved, "
-          f"{len(regressions)} regressed (tolerance {args.tolerance:.1f}%)")
-    if regressions:
-        print("regressions:")
-        for _key, shown in regressions:
-            print(f"  {shown}")
-        return 1
-    return 0
+    print(f"\n{len(base.keys() & cur.keys())} rows compared, "
+          f"{len(regressions)} regressed")
+    for shown in regressions:
+        print(f"  {shown}")
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

@@ -302,21 +302,22 @@ std::optional<QueryResponse> cachedVerdict(const std::string &Key,
   return R;
 }
 
-/// Computes a parsed, memoisable query whose cache probe missed: the
-/// primary engines, the oracle fallback, and the insertion of a complete
-/// verdict under \p Key. It does not probe again. \p T2 is the
-/// transformed program of a pair kind, null otherwise.
-QueryResponse computeVerdict(QueryKind K, const Program &O, const Program *T2,
-                             const std::string &Key, const BudgetSpec &Spec,
-                             const CancelToken *Cancel,
-                             const EvalHooks *Hooks) {
-  // Primary attempt: reduced engines, warm cache. Containment: anything
-  // thrown here is this query's problem only.
-  Budget B(Spec, Cancel);
-  wireMirrors(B, Hooks, 0, 0);
+/// Runs \p Attempt's primary engines (its `Oracle` argument false) under
+/// \p B, a fresh budget of class \p Spec. Containment: anything thrown
+/// is this query's problem only, an Unknown(EngineFault). That verdict,
+/// and only that one (cancellation must win, and an exhausted budget
+/// would exhaust the leftovers faster), degrades to the oracle engines
+/// under whatever budget the primary left behind: Degraded, with the
+/// visits of both attempts. A fallback that throws leaves the primary's
+/// Unknown standing.
+template <class AttemptFn>
+QueryResponse runWithFallback(AttemptFn &&Attempt, Budget &B,
+                              const BudgetSpec &Spec,
+                              const CancelToken *Cancel,
+                              const EvalHooks *Hooks) {
   QueryResponse R;
   try {
-    R = runKind(K, O, T2, B, /*Oracle=*/false);
+    R = Attempt(B, /*Oracle=*/false);
   } catch (...) {
     B.poison(TruncationReason::EngineFault);
     R = QueryResponse{};
@@ -325,23 +326,35 @@ QueryResponse computeVerdict(QueryKind K, const Program &O, const Program *T2,
     R.Reason = TruncationReason::EngineFault;
   }
   R.Visited = B.visited();
-
-  // EngineFault (and only EngineFault — cancellation must win, and an
-  // exhausted budget would exhaust the leftovers faster) degrades to the
-  // sequential oracle under whatever budget the primary left behind.
-  if (R.Status == ResponseStatus::Ok && R.Kind == VerdictKind::Unknown &&
-      R.Reason == TruncationReason::EngineFault) {
-    Budget B2(remainingBudget(Spec, B), Cancel);
-    wireMirrors(B2, Hooks, B.visited(), B.chargedBytes());
-    try {
-      QueryResponse R2 = runKind(K, O, T2, B2, /*Oracle=*/true);
-      R2.Degraded = true;
-      R2.Visited = B.visited() + B2.visited();
-      return R2;
-    } catch (...) {
-      R.Detail = "oracle fallback faulted";
-    }
+  if (R.Status != ResponseStatus::Ok || R.Kind != VerdictKind::Unknown ||
+      R.Reason != TruncationReason::EngineFault)
+    return R;
+  Budget B2(remainingBudget(Spec, B), Cancel);
+  wireMirrors(B2, Hooks, B.visited(), B.chargedBytes());
+  try {
+    QueryResponse R2 = Attempt(B2, /*Oracle=*/true);
+    R2.Degraded = true;
+    R2.Visited = B.visited() + B2.visited();
+    return R2;
+  } catch (...) {
+    R.Detail = "oracle fallback faulted";
+    return R;
   }
+}
+
+/// Computes a parsed, memoisable query whose cache probe missed: the
+/// primary engines, the oracle fallback, and the insertion of a complete
+/// verdict under \p Key. It does not probe again. \p T2 is the
+/// transformed program of a pair kind, null otherwise.
+QueryResponse computeVerdict(QueryKind K, const Program &O, const Program *T2,
+                             const std::string &Key, const BudgetSpec &Spec,
+                             const CancelToken *Cancel,
+                             const EvalHooks *Hooks) {
+  Budget B(Spec, Cancel);
+  wireMirrors(B, Hooks, 0, 0);
+  QueryResponse R = runWithFallback(
+      [&](Budget &Use, bool Oracle) { return runKind(K, O, T2, Use, Oracle); },
+      B, Spec, Cancel, Hooks);
   // Complete primary-path verdicts only: truncated or degraded results
   // are artefacts of this run's budget/faults, not facts about the query.
   if (R.Status == ResponseStatus::Ok && R.Kind != VerdictKind::Unknown &&
@@ -403,18 +416,11 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
     BudgetSpec Spec = clampBudget(Q.Budget, Ceiling);
     Budget B(Spec, Cancel);
     wireMirrors(B, Hooks, 0, 0);
-    R = runRaceLog(Q.Program, B, /*Oracle=*/false);
-    R.Visited = B.visited();
-    if (R.Status == ResponseStatus::Ok && R.Kind == VerdictKind::Unknown &&
-        R.Reason == TruncationReason::EngineFault) {
-      Budget B2(remainingBudget(Spec, B), Cancel);
-      wireMirrors(B2, Hooks, B.visited(), B.chargedBytes());
-      QueryResponse R2 = runRaceLog(Q.Program, B2, /*Oracle=*/true);
-      R2.Degraded = true;
-      R2.Visited = B.visited() + B2.visited();
-      return R2;
-    }
-    return R;
+    return runWithFallback(
+        [&](Budget &Use, bool Oracle) {
+          return runRaceLog(Q.Program, Use, Oracle);
+        },
+        B, Spec, Cancel, Hooks);
   }
   // Key, probe, and only on a miss parse: a query the cache answers is
   // never parsed. A program that does not parse never shares a key with
@@ -504,6 +510,8 @@ struct Connection {
   bool Streaming = false; ///< peer asked for Progress frames
   uint64_t OutboundCap = 4ULL << 20;
   std::atomic<bool> Open{true};
+  /// Set by the reader as its last step: its thread can be joined.
+  std::atomic<bool> ReaderDone{false};
   /// Health bookkeeping, in listener ticks. LastRecv is refreshed on
   /// every inbound frame; PingSent is nonzero while a keepalive ping
   /// awaits its reply.
@@ -1390,6 +1398,7 @@ private:
                   Conns.end());
     }
     ::close(C->Fd);
+    C->ReaderDone.store(true, std::memory_order_release);
   }
 
   const ServerOptions &Opts;
@@ -1579,7 +1588,18 @@ int Server::run() {
   std::vector<std::thread> Workers;
   for (unsigned I = 0; I < NumWorkers; ++I)
     Workers.emplace_back([this] { workerMain(); });
-  std::vector<std::thread> Readers;
+  // One reader thread per connection. Finished readers are joined at
+  // the next health tick, so a daemon life keeps no stack mapped for a
+  // connection that has gone.
+  std::vector<std::pair<ConnPtr, std::thread>> Readers;
+  auto JoinFinishedReaders = [&Readers] {
+    std::erase_if(Readers, [](auto &R) {
+      if (!R.first->ReaderDone.load(std::memory_order_acquire))
+        return false;
+      R.second.join();
+      return true;
+    });
+  };
 
   // Recompute orphaned admissions from the resumed journal through the
   // regular scheduler: the crash interrupted them mid-flight; their
@@ -1620,6 +1640,7 @@ int Server::run() {
     auto Now = std::chrono::steady_clock::now();
     if (Now >= NextTick) {
       healthTick();
+      JoinFinishedReaders();
       NextTick = Now + std::chrono::milliseconds(100);
     }
     if (Ready <= 0)
@@ -1664,7 +1685,7 @@ int Server::run() {
         ++Stats.Connections;
         Conns.push_back(C);
       }
-      Readers.emplace_back([this, C] { serveConnection(C); });
+      Readers.emplace_back(C, std::thread([this, C] { serveConnection(C); }));
     }
     if (Fatal)
       break;
@@ -1709,8 +1730,8 @@ int Server::run() {
       ::shutdown(C->Fd, SHUT_RDWR);
     }
   }
-  for (std::thread &T : Readers)
-    T.join();
+  for (auto &R : Readers)
+    R.second.join();
   log("clean shutdown: " + std::to_string(Stats.Completed) +
       " completed, " + std::to_string(Stats.Overloaded) + " shed");
   return 0;

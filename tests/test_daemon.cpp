@@ -1351,9 +1351,9 @@ TEST(Daemon, PingDeadlineTurnsASilentServerIntoARetryableError) {
 
 TEST(Daemon, IdenticalInFlightQueriesCoalesceIntoOneFlight) {
   // One worker makes coalescing deterministic: a long-running query
-  // occupies the only worker, so the two identical queries behind
-  // it are admitted-but-queued together — the third submit must attach to
-  // the second as a follower instead of queueing its own computation.
+  // occupies the only worker, so the 32 identical queries behind it are
+  // admitted-but-queued together — every submit after the second must
+  // attach to it as a follower instead of queueing its own computation.
   BehaviourCache::global().clear();
   ServerOptions O;
   O.SocketPath = uniqueSocket("singleflight");
@@ -1368,20 +1368,23 @@ TEST(Daemon, IdenticalInFlightQueriesCoalesceIntoOneFlight) {
   std::vector<QueryRequest> Qs;
   Qs.push_back(drfQuery(hugeProgram(77))); // blocks the only worker
   // Alpha-variants of each other: same canonical key.
-  Qs.push_back(drfQuery("thread { w := 41; r0 := w; r1 := w; }\n"));
-  Qs.push_back(drfQuery("thread { q := 41; r5 := q; r6 := q; }\n"));
+  for (int I = 0; I < 16; ++I) {
+    Qs.push_back(drfQuery("thread { w := 41; r0 := w; r1 := w; }\n"));
+    Qs.push_back(drfQuery("thread { q := 41; r5 := q; r6 := q; }\n"));
+  }
   std::vector<QueryResponse> Got = Client.callBatch(Qs);
-  ASSERT_EQ(Got.size(), 3u);
+  ASSERT_EQ(Got.size(), 33u);
   for (const QueryResponse &R : Got)
     EXPECT_EQ(R.Status, ResponseStatus::Ok);
-  EXPECT_EQ(Got[1].str(), Got[2].str())
-      << "a fanned-out verdict must be byte-identical to the leader's";
+  for (size_t I = 2; I < Got.size(); ++I)
+    EXPECT_EQ(Got[1].str(), Got[I].str())
+        << "a fanned-out verdict must be byte-identical to the leader's";
   EXPECT_EQ(Got[2].Kind, VerdictKind::Proved);
 
   ServerStats S = Server.shutdown();
-  EXPECT_EQ(S.Admitted, 3u) << "followers are charged admission";
-  EXPECT_EQ(S.Completed, 3u) << "followers complete with the leader";
-  EXPECT_EQ(S.Coalesced, 1u);
+  EXPECT_EQ(S.Admitted, 33u) << "followers are charged admission";
+  EXPECT_EQ(S.Completed, 33u) << "followers complete with the leader";
+  EXPECT_EQ(S.Coalesced, 31u);
 }
 
 TEST(Daemon, CampaignWarmRunsReplayTheColdCostExactly) {
@@ -1805,6 +1808,48 @@ TEST(Daemon, AdmissionHitsNeverParse) {
   EXPECT_EQ(Warm.str(), Cold.str());
   ServerStats S = Server.shutdown();
   EXPECT_EQ(S.AnsweredAtAdmission, 1u);
+}
+
+/// This process's virtual size in KiB (VmSize of /proc/self/status).
+uint64_t virtualKiB() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::strtoull(Line.c_str() + 7, nullptr, 10);
+  return 0;
+}
+
+TEST(Daemon, FinishedReaderThreadsAreJoined) {
+  // Every connection gets a reader thread with its own stack (8 MiB by
+  // default). A reader that has exited is joined while the daemon lives,
+  // so 64 connections opened and closed in turn leave no stack per
+  // connection mapped. Virtual size, not the mapping count: sanitizer
+  // runtimes add mappings per thread that stay after the join.
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("readers");
+  ServerFixture Server(O);
+  auto OneConnection = [&] {
+    ClientOptions CO;
+    CO.SocketPath = Server.Opts.SocketPath;
+    CO.Name = "reader-test";
+    DaemonClient C(CO);
+    statsDetail(C);
+  };
+  OneConnection();
+  uint64_t Before = virtualKiB();
+  for (int I = 0; I < 64; ++I)
+    OneConnection();
+  // A finished reader is joined at the next health tick (~100ms); without
+  // the join the 64 stacks would stay mapped (512 MiB at 8 MiB each).
+  const uint64_t Bound = 16 * 8192; // 16 default stacks, in KiB
+  uint64_t After = virtualKiB();
+  for (int I = 0; I < 100 && After >= Before + Bound; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    After = virtualKiB();
+  }
+  EXPECT_LT(After, Before + Bound)
+      << "virtual size went from " << Before << " to " << After << " KiB";
 }
 
 } // namespace

@@ -10,11 +10,15 @@
 /// The faults come from a FaultPlan arming InternAlloc on every hit: the
 /// reduced engines cannot take a single step, while the oracle engines
 /// never touch an InternPool. That the fallback still answers is the check
-/// that it shares no engine with the primary.
+/// that it shares no engine with the primary. Race-log queries (kind 5)
+/// share one scan loop between the epoch engine and its full-vector-clock
+/// oracle, so their fault is RaceDetect armed for the primary's hits.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Server.h"
+#include "racelog/Detect.h"
+#include "racelog/Synth.h"
 #include "support/Failure.h"
 #include "verify/BehaviourCache.h"
 
@@ -157,6 +161,49 @@ TEST(Degrade, FaultedFallbackStaysUnknown) {
   } else {
     EXPECT_EQ(R.Kind, VerdictKind::Refuted); // witness before the first check
   }
+}
+
+QueryResponse evaluateRaceLog(const std::string &Log) {
+  QueryRequest Q;
+  Q.Kind = QueryKind::RaceLog;
+  Q.Program = Log;
+  return evaluateQuery(Q, Generous);
+}
+
+/// A mixed-pool race log of a few blocks: both engines find its races.
+std::string smallMixedLog() {
+  racelog::SynthOptions SO;
+  SO.Events = 20'000;
+  return racelog::makeMixedLog(SO);
+}
+
+TEST(Degrade, FaultedRaceScanFallsBackToTheOracleEngine) {
+  std::string Log = smallMixedLog();
+  racelog::RaceLogOptions Oracle;
+  Oracle.Epochs = false;
+  racelog::RaceLogReport Want = racelog::scanRaceLog(Log, Oracle);
+  ASSERT_EQ(Want.verdict(), VerdictKind::Refuted);
+
+  FaultPlan Plan;
+  Plan.arm(FaultSite::RaceDetect, 1); // the primary's first block only
+  FaultPlan::Scope Armed(Plan);
+  QueryResponse Got = evaluateRaceLog(Log);
+  EXPECT_EQ(Plan.fired(FaultSite::RaceDetect), 1u);
+  EXPECT_EQ(Got.Status, ResponseStatus::Ok);
+  EXPECT_TRUE(Got.Degraded);
+  EXPECT_EQ(Got.Kind, Want.verdict());
+  EXPECT_EQ(Got.Detail, Want.str());
+}
+
+TEST(Degrade, FaultedRaceScanFallbackStaysUnknown) {
+  FaultPlan Plan;
+  Plan.arm(FaultSite::RaceDetect, 1, /*Repeat=*/~0ull);
+  FaultPlan::Scope Armed(Plan);
+  QueryResponse R = evaluateRaceLog(smallMixedLog());
+  EXPECT_EQ(Plan.fired(FaultSite::RaceDetect), 2u);
+  EXPECT_TRUE(R.Degraded);
+  EXPECT_EQ(R.Kind, VerdictKind::Unknown);
+  EXPECT_EQ(R.Reason, TruncationReason::EngineFault);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 ///
 /// Small .tsl programs (handwritten and generator-produced, across all
 /// four generation disciplines) are explored into tracesets; every
-/// maximal execution is encoded as a TSRL event log (racelog/
+/// maximal execution is encoded as a TSRL event log (tests/
 /// Differential.h) and scanned by the streaming detector with both
 /// engines — the epoch engine and the full-vector-clock oracle. For every
 /// single trace the detector must report exactly the races the quadratic
@@ -20,7 +20,7 @@
 #include "lang/Explore.h"
 #include "lang/Parser.h"
 #include "racelog/Detect.h"
-#include "racelog/Differential.h"
+#include "Differential.h"
 #include "support/Rng.h"
 #include "trace/Enumerate.h"
 #include "verify/ProgramGen.h"
