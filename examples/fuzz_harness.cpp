@@ -41,6 +41,7 @@
 #include "opt/Pipeline.h"
 #include "opt/Unsafe.h"
 #include "support/Failure.h"
+#include "support/Format.h"
 #include "support/Rng.h"
 #include "support/Signal.h"
 #include "verify/Fuzz.h"
@@ -48,9 +49,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -77,9 +78,6 @@ void usage(const char *Argv0) {
       "  --server SPEC       run the campaign as a thin client of a\n"
       "                      tracesafed daemon; SPEC is a unix socket\n"
       "                      path or HOST:PORT\n"
-      "  --campaign          with --server: ship the whole batch as one\n"
-      "                      v2 Campaign query and collect per-program\n"
-      "                      verdicts from streamed partials\n"
       "  --checkpoint PATH   journal finished indices to PATH\n"
       "  --resume PATH       continue a campaign from its journal (implies\n"
       "                      --checkpoint PATH)\n"
@@ -106,15 +104,6 @@ void usage(const char *Argv0) {
       "  --query-deadline-ms N  initial per-query budget deadline\n"
       "  --verbose           print every failure as it is found\n",
       Argv0);
-}
-
-bool parseUnsigned(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 void printFailures(const FuzzReport &Report, bool Verbose) {
@@ -250,33 +239,14 @@ int runChaos(FuzzOptions Options, uint64_t Seed,
 /// fuzzer); every guarantee query ships over the connection and retries
 /// through the client library's backoff, so a daemon restart mid-campaign
 /// only delays the batch. Queries are batch-class: a human waiting on an
-/// interactive CLI preempts us at the daemon's admission queue. With
-/// --campaign the whole batch travels as one v2 Campaign query and
-/// per-program verdicts arrive as streamed partials.
+/// interactive CLI preempts us at the daemon's admission queue. The batch
+/// goes out pipelined on one connection (callBatch); after a transport
+/// error only the unanswered queries are resubmitted.
 int runRemote(const FuzzOptions &Options, const std::string &Server,
-              bool AsCampaign, bool Verbose) {
+              bool Verbose) {
   daemon::ClientOptions CO;
   daemon::setServerSpec(CO, Server);
   CO.Name = "fuzz-harness-" + std::to_string(::getpid());
-
-  // Per-program partial verdicts, filled by the OnProgress hook in
-  // campaign mode (index = position in Batch).
-  std::vector<daemon::QueryResponse> Partials;
-  uint64_t Heartbeats = 0;
-  if (AsCampaign) {
-    CO.Streaming = true;
-    CO.OnProgress = [&](uint64_t, const daemon::ProgressUpdate &U) {
-      if (U.Phase != daemon::ProgressPhase::Partial)
-        ++Heartbeats;
-      daemon::QueryResponse Sub;
-      if (U.Phase == daemon::ProgressPhase::Partial &&
-          daemon::decodeResponse(U.Partial, Sub)) {
-        if (U.SubIndex >= Partials.size())
-          Partials.resize(U.SubIndex + 1);
-        Partials[U.SubIndex] = Sub;
-      }
-    };
-  }
   daemon::DaemonClient Client(CO);
 
   Rng R(Options.Seed);
@@ -315,24 +285,7 @@ int runRemote(const FuzzOptions &Options, const std::string &Server,
 
   std::vector<daemon::QueryResponse> Verdicts;
   try {
-    if (AsCampaign) {
-      daemon::QueryRequest Camp = daemon::makeCampaign(Batch);
-      Camp.Class = daemon::ClientClass::Batch;
-      daemon::QueryResponse Agg = Client.call(Camp);
-      if (Agg.Status != daemon::ResponseStatus::Ok) {
-        std::fprintf(stderr, "remote campaign failed: %s\n",
-                     Agg.str().c_str());
-        return GCancel.requested() ? ExitInterrupted : 1;
-      }
-      Partials.resize(Batch.size());
-      Verdicts = std::move(Partials);
-      if (Verbose)
-        std::printf("remote: campaign aggregate: %s (%llu heartbeats)\n",
-                    Agg.str().c_str(),
-                    static_cast<unsigned long long>(Heartbeats));
-    } else {
-      Verdicts = Client.callBatch(Batch);
-    }
+    Verdicts = Client.callBatch(Batch);
   } catch (const daemon::ProtocolError &E) {
     std::fprintf(stderr, "remote campaign failed: %s\n", E.what());
     return GCancel.requested() ? ExitInterrupted : 1;
@@ -417,7 +370,6 @@ int main(int Argc, char **Argv) {
   FuzzOptions Options;
   std::string JsonPath;
   std::string ServerSocket;
-  bool AsCampaign = false;
   bool ExpectFailures = false;
   bool Verbose = false;
   bool Chaos = false;
@@ -425,10 +377,15 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto NextValue = [&](uint64_t &Out) {
-      if (I + 1 >= Argc || !parseUnsigned(Argv[++I], Out)) {
-        std::fprintf(stderr, "%s: %s needs a numeric argument\n", Argv[0],
-                     Arg.c_str());
+    // Each flag's maximum is the range of its destination.
+    constexpr uint64_t U32 = std::numeric_limits<unsigned>::max();
+    constexpr uint64_t U64 = std::numeric_limits<uint64_t>::max();
+    constexpr uint64_t I64 = std::numeric_limits<int64_t>::max();
+    auto NextValue = [&](uint64_t &Out, uint64_t Max) {
+      if (I + 1 >= Argc || !parseCount(Argv[++I], Max, Out)) {
+        std::fprintf(stderr, "%s: %s needs a number no larger than %llu\n",
+                     Argv[0], Arg.c_str(),
+                     static_cast<unsigned long long>(Max));
         return false;
       }
       return true;
@@ -446,13 +403,13 @@ int main(int Argc, char **Argv) {
       usage(Argv[0]);
       return 0;
     } else if (Arg == "--seed") {
-      if (!NextValue(Options.Seed))
+      if (!NextValue(Options.Seed, U64))
         return 2;
     } else if (Arg == "--programs") {
-      if (!NextValue(Options.Programs))
+      if (!NextValue(Options.Programs, U64))
         return 2;
     } else if (Arg == "--deadline-ms") {
-      if (!NextValue(N))
+      if (!NextValue(N, I64))
         return 2;
       Options.DeadlineMs = static_cast<int64_t>(N);
     } else if (Arg == "--json") {
@@ -464,8 +421,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--server") {
       if (!NextPath(ServerSocket))
         return 2;
-    } else if (Arg == "--campaign") {
-      AsCampaign = true;
     } else if (Arg == "--checkpoint") {
       if (!NextPath(Options.CheckpointPath))
         return 2;
@@ -476,13 +431,13 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--chaos") {
       Chaos = true;
     } else if (Arg == "--chaos-rounds") {
-      if (!NextValue(ChaosRounds) || ChaosRounds == 0)
+      if (!NextValue(ChaosRounds, U64) || ChaosRounds == 0)
         return 2;
       Chaos = true;
     } else if (Arg == "--inject") {
       Options.InjectUnsafe = true;
     } else if (Arg == "--inject-every") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Options.InjectUnsafe = true;
       Options.InjectEvery = static_cast<unsigned>(N);
@@ -493,23 +448,23 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--semantic") {
       Options.CheckSemanticSteps = true;
     } else if (Arg == "--jobs") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Options.Jobs = static_cast<unsigned>(N);
     } else if (Arg == "--threads") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Options.Gen.Threads = static_cast<unsigned>(N);
     } else if (Arg == "--max-stmts") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Options.Gen.MaxStmtsPerThread = static_cast<unsigned>(N);
     } else if (Arg == "--chain-steps") {
-      if (!NextValue(N))
+      if (!NextValue(N, std::numeric_limits<size_t>::max()))
         return 2;
       Options.MaxChainSteps = N;
     } else if (Arg == "--query-deadline-ms") {
-      if (!NextValue(N))
+      if (!NextValue(N, I64))
         return 2;
       Options.Escalation.Initial.DeadlineMs = static_cast<int64_t>(N);
     } else if (Arg == "--verbose") {
@@ -524,11 +479,7 @@ int main(int Argc, char **Argv) {
   installCancelOnSignal(GCancel);
 
   if (!ServerSocket.empty())
-    return runRemote(Options, ServerSocket, AsCampaign, Verbose);
-  if (AsCampaign) {
-    std::fprintf(stderr, "%s: --campaign needs --server\n", Argv[0]);
-    return 2;
-  }
+    return runRemote(Options, ServerSocket, Verbose);
 
   if (Chaos)
     return ChaosRounds > 1

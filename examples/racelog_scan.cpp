@@ -32,12 +32,13 @@
 #include "racelog/Detect.h"
 #include "racelog/Synth.h"
 #include "support/Failure.h"
+#include "support/Format.h"
 #include "support/Signal.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -73,15 +74,6 @@ void usage(const char *Argv0) {
       "  --locations N       distinct data addresses (default 16384)\n"
       "  --seed N            generator seed (default 1)\n",
       Argv0);
-}
-
-bool parseUnsigned(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 std::optional<std::string> readFile(const std::string &Path) {
@@ -156,11 +148,18 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
-    auto needUnsigned = [&](uint64_t &Out) {
+    // Each flag's maximum is the range of its destination, after the
+    // shift of an -mb flag.
+    constexpr uint64_t U32 = std::numeric_limits<uint32_t>::max();
+    constexpr uint64_t U64 = std::numeric_limits<uint64_t>::max();
+    auto needUnsigned = [&](uint64_t &Out, uint64_t Max) {
       const char *V = needValue();
-      if (!V || !parseUnsigned(V, Out)) {
+      if (!V || !parseCount(V, Max, Out)) {
         if (V)
-          std::fprintf(stderr, "error: bad value for %s: %s\n", A.c_str(), V);
+          std::fprintf(stderr,
+                       "error: bad value for %s: %s (a number no larger "
+                       "than %llu)\n",
+                       A.c_str(), V, static_cast<unsigned long long>(Max));
         return false;
       }
       return true;
@@ -180,38 +179,38 @@ int main(int argc, char **argv) {
         return 2;
       OutPath = V;
     } else if (A == "--events") {
-      if (!needUnsigned(SO.Events))
+      if (!needUnsigned(SO.Events, U64))
         return 2;
     } else if (A == "--threads") {
-      if (!needUnsigned(U))
+      if (!needUnsigned(U, U32))
         return 2;
       SO.Threads = static_cast<uint32_t>(U);
     } else if (A == "--locations") {
-      if (!needUnsigned(U))
+      if (!needUnsigned(U, U32))
         return 2;
       SO.Locations = static_cast<uint32_t>(U);
     } else if (A == "--seed") {
-      if (!needUnsigned(SO.Seed))
+      if (!needUnsigned(SO.Seed, U64))
         return 2;
     } else if (A == "--oracle") {
       RO.Epochs = false;
     } else if (A == "--max-races") {
-      if (!needUnsigned(U))
+      if (!needUnsigned(U, std::numeric_limits<size_t>::max()))
         return 2;
       RO.MaxRaces = static_cast<size_t>(U);
     } else if (A == "--deadline-ms") {
-      if (!needUnsigned(U))
+      if (!needUnsigned(U, std::numeric_limits<int64_t>::max()))
         return 2;
       Spec.DeadlineMs = static_cast<int64_t>(U);
     } else if (A == "--max-visited") {
-      if (!needUnsigned(Spec.MaxVisited))
+      if (!needUnsigned(Spec.MaxVisited, U64))
         return 2;
     } else if (A == "--max-memory-mb") {
-      if (!needUnsigned(U))
+      if (!needUnsigned(U, U64 >> 20))
         return 2;
       Spec.MaxMemoryBytes = U << 20;
     } else if (A == "--fault-seed") {
-      if (!needUnsigned(FaultSeed))
+      if (!needUnsigned(FaultSeed, U64))
         return 2;
       HaveFaultSeed = true;
     } else if (!A.empty() && A[0] == '-') {

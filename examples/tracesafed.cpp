@@ -5,7 +5,7 @@
 ///
 /// Serves DRF / behaviour / guarantee queries over a unix-domain socket
 /// and/or a TCP listener, keeping the process-global caches warm across
-/// clients. See docs/PROTOCOL.md for the wire format (v2: streaming
+/// clients. See docs/PROTOCOL.md for the wire format (streaming
 /// progress, scheduling classes) and docs/ROBUSTNESS.md for the
 /// admission/containment/durability/backpressure contract.
 ///
@@ -15,7 +15,7 @@
 ///              [--cache-file ts.cache] [--cache-cap-mb N]
 ///              [--queue-cap N] [--per-client-cap N] [--aging N]
 ///              [--outbound-cap-kb N] [--keepalive-ticks N]
-///              [--ping-timeout-ticks N] [--idle-ticks N] [--workers N]
+///              [--ping-timeout-ticks N] [--workers N]
 ///              [--quota-deadline-ms N] [--quota-visited N]
 ///              [--quota-mem-mb N] [--fault-seed N] [--verbose]
 ///
@@ -30,10 +30,11 @@
 
 #include "daemon/Server.h"
 #include "support/Failure.h"
+#include "support/Format.h"
 #include "support/Signal.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -61,10 +62,9 @@ void usage(const char *Argv0) {
       "  --aging N              batch aging threshold (default 4)\n"
       "  --outbound-cap-kb N    per-connection outbound queue cap\n"
       "                         (default 4096 KiB; slow clients are shed)\n"
-      "  --keepalive-ticks N    v2 keepalive ping after N 100ms ticks of\n"
+      "  --keepalive-ticks N    keepalive ping after N 100ms ticks of\n"
       "                         silence (default 100; 0 = off)\n"
       "  --ping-timeout-ticks N reap after N ticks without a pong (50)\n"
-      "  --idle-ticks N         reap any conn idle N ticks (0 = off)\n"
       "  --workers N            query worker threads, one query each\n"
       "                         (default: hardware concurrency)\n"
       "  --quota-deadline-ms N  per-query deadline ceiling (0 = none)\n"
@@ -73,12 +73,6 @@ void usage(const char *Argv0) {
       "  --fault-seed N         arm a random daemon fault plan (tests)\n"
       "  --verbose              log lifecycle events to stderr\n",
       Argv0);
-}
-
-bool parseU64Arg(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(S, &End, 10);
-  return End != S && *End == '\0';
 }
 
 } // namespace
@@ -90,10 +84,15 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto NextValue = [&](uint64_t &Out) {
-      if (I + 1 >= Argc || !parseU64Arg(Argv[++I], Out)) {
-        std::fprintf(stderr, "%s: %s needs a numeric argument\n", Argv[0],
-                     Arg.c_str());
+    // Each flag's maximum is the range of its destination, after the
+    // shift of an -mb or -kb flag.
+    constexpr uint64_t U32 = std::numeric_limits<unsigned>::max();
+    constexpr uint64_t U64 = std::numeric_limits<uint64_t>::max();
+    auto NextValue = [&](uint64_t &Out, uint64_t Max) {
+      if (I + 1 >= Argc || !parseCount(Argv[++I], Max, Out)) {
+        std::fprintf(stderr, "%s: %s needs a number no larger than %llu\n",
+                     Argv[0], Arg.c_str(),
+                     static_cast<unsigned long long>(Max));
         return false;
       }
       return true;
@@ -125,54 +124,50 @@ int main(int Argc, char **Argv) {
       if (!NextPath(Opts.CacheFile))
         return 2;
     } else if (Arg == "--cache-cap-mb") {
-      if (!NextValue(N))
+      if (!NextValue(N, U64 >> 20))
         return 2;
       Opts.CacheCapBytes = N << 20;
     } else if (Arg == "--queue-cap") {
-      if (!NextValue(N) || N == 0)
+      if (!NextValue(N, U32) || N == 0)
         return 2;
       Opts.QueueCap = static_cast<unsigned>(N);
     } else if (Arg == "--per-client-cap") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Opts.PerClientCap = static_cast<unsigned>(N);
     } else if (Arg == "--aging") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Opts.AgingThreshold = static_cast<unsigned>(N);
     } else if (Arg == "--outbound-cap-kb") {
-      if (!NextValue(N) || N == 0)
+      if (!NextValue(N, U64 >> 10) || N == 0)
         return 2;
       Opts.OutboundCapBytes = N << 10;
     } else if (Arg == "--keepalive-ticks") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Opts.KeepaliveTicks = static_cast<unsigned>(N);
     } else if (Arg == "--ping-timeout-ticks") {
-      if (!NextValue(N) || N == 0)
+      if (!NextValue(N, U32) || N == 0)
         return 2;
       Opts.PingTimeoutTicks = static_cast<unsigned>(N);
-    } else if (Arg == "--idle-ticks") {
-      if (!NextValue(N))
-        return 2;
-      Opts.IdleTimeoutTicks = static_cast<unsigned>(N);
     } else if (Arg == "--workers") {
-      if (!NextValue(N))
+      if (!NextValue(N, U32))
         return 2;
       Opts.Workers = static_cast<unsigned>(N);
     } else if (Arg == "--quota-deadline-ms") {
-      if (!NextValue(N))
+      if (!NextValue(N, std::numeric_limits<int64_t>::max()))
         return 2;
       Opts.QuotaCeiling.DeadlineMs = static_cast<int64_t>(N);
     } else if (Arg == "--quota-visited") {
-      if (!NextValue(Opts.QuotaCeiling.MaxVisited))
+      if (!NextValue(Opts.QuotaCeiling.MaxVisited, U64))
         return 2;
     } else if (Arg == "--quota-mem-mb") {
-      if (!NextValue(N))
+      if (!NextValue(N, U64 >> 20))
         return 2;
       Opts.QuotaCeiling.MaxMemoryBytes = N << 20;
     } else if (Arg == "--fault-seed") {
-      if (!NextValue(FaultSeed))
+      if (!NextValue(FaultSeed, U64))
         return 2;
       HaveFaultSeed = true;
     } else if (Arg == "--verbose") {
@@ -210,7 +205,7 @@ int main(int Argc, char **Argv) {
                  "overloaded=%llu replayed=%llu resumed=%llu degraded=%llu "
                  "proto-errors=%llu accept-faults=%llu streamed=%llu "
                  "shed-slow=%llu reaped=%llu pings=%llu aged=%llu "
-                 "campaigns=%llu stats-queries=%llu coalesced=%llu "
+                 "stats-queries=%llu coalesced=%llu "
                  "persist-loaded=%llu persist-spilled=%llu\n",
                  static_cast<unsigned long long>(Stats.Connections),
                  static_cast<unsigned long long>(Stats.Admitted),
@@ -226,7 +221,6 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Stats.Reaped),
                  static_cast<unsigned long long>(Stats.PingsSent),
                  static_cast<unsigned long long>(Stats.AgedDispatches),
-                 static_cast<unsigned long long>(Stats.Campaigns),
                  static_cast<unsigned long long>(Stats.StatsQueries),
                  static_cast<unsigned long long>(Stats.Coalesced),
                  static_cast<unsigned long long>(Stats.PersistLoaded),

@@ -4,11 +4,12 @@
 Usage: check_bench_regression.py BASELINE.json CURRENT.json
 
 Rows are matched by benchmark name. Each file records, per row, the
-median ns/op over its repetitions and the coefficient of variation (CV)
-of those repetitions. A row regresses when its current median is slower
-than the baseline median by more than SPREAD_FACTOR times the larger of
-the two CVs. The script lists every comparison, flags regressions, and
-exits 1 if any were found (2 on usage errors or a file without CVs).
+median ns/op over its repetitions and the median absolute deviation of
+those repetitions over the median (MAD, a fraction of the median). A
+row regresses when its current median is slower than the baseline
+median by more than SPREAD_FACTOR times the larger of the two MADs. The
+script lists every comparison, flags regressions, and exits 1 if any
+were found (2 on usage errors or a file without MADs).
 
 Rows present on only one side are listed as added/removed but are never
 failures: benches come and go with the code under test. Comparing
@@ -19,12 +20,15 @@ meaningless; mismatches in the host records are printed as warnings.
 import json
 import sys
 
-# A row's bound is 3 CVs. With 5 repetitions the standard error of a
-# median is about 1.25 * sigma / sqrt(5) = 0.56 sigma, so the difference
-# of two medians has a standard error of about 0.79 sigma: 3 sigma is
-# ~3.8 standard errors, a false alarm on pure noise in well under 1% of
-# rows even with the heavier-than-normal tails of a shared host, while a
-# slowdown larger than the run-to-run spread of both files still fails.
+# A row's bound is 3 MADs. For normal noise the MAD estimates 0.674
+# sigma, so the bound is about 2.0 sigma. With 5 repetitions the
+# standard error of a median is about 1.25 * sigma / sqrt(5) = 0.56
+# sigma, and the difference of two medians has a standard error of about
+# 0.79 sigma: the bound is ~2.6 standard errors, a one-sided false alarm
+# on pure normal noise in about 0.5% of rows. Taking the larger of the
+# two files' MADs covers the noisier side. Unlike sigma (and so the CV),
+# the MAD ignores the slowest repetitions, so one outlier on a shared
+# host neither widens the bound nor moves the medians compared.
 SPREAD_FACTOR = 3.0
 
 
@@ -32,8 +36,8 @@ def load(path):
     with open(path) as f:
         doc = json.load(f)
     rows = {r["name"]: r for r in doc.get("benchmarks", [])}
-    if any("cv" not in r for r in rows.values()):
-        raise ValueError(f"{path}: rows without a cv; re-record it with "
+    if any("mad" not in r for r in rows.values()):
+        raise ValueError(f"{path}: rows without a mad; re-record it with "
                          "scripts/merge_bench_json.py")
     return doc, rows
 
@@ -67,7 +71,7 @@ def main(argv):
     for name in sorted(base.keys() & cur.keys()):
         b, c = base[name], cur[name]
         delta = (c["ns_per_op"] - b["ns_per_op"]) / b["ns_per_op"]
-        bound = SPREAD_FACTOR * max(b["cv"], c["cv"])
+        bound = SPREAD_FACTOR * max(b["mad"], c["mad"])
         shown = (f"{name}: {fmt_ns(b['ns_per_op'])} -> "
                  f"{fmt_ns(c['ns_per_op'])} ({delta * 100:+.1f}%, "
                  f"bound {bound * 100:.1f}%)")

@@ -4,12 +4,15 @@
 Usage: merge_bench_json.py OUT.json IN1.json [IN2.json ...]
 
 Each input is one bench binary's --benchmark_out file, run with
---benchmark_repetitions=N (N >= 2), so that google-benchmark reports the
-`median` and `cv` aggregates of every benchmark. The merged record keeps
-one row per benchmark: its median ns/op (and median bytes/s where the
-bench reports bytes), the coefficient of variation of its ns/op over the
-repetitions, and the repetition count. The engine configuration is
-parsed from the benchmark name:
+--benchmark_repetitions=N (N >= 2), so that it holds one raw row per
+repetition of every benchmark. The merged record keeps one row per
+benchmark, computed from those raw rows: its median ns/op (and median
+bytes/s where the bench reports bytes), the median absolute deviation
+of its ns/op over the median (`mad`, a fraction of the median), and the
+repetition count. The MAD is the spread check_bench_regression.py
+gates on: unlike the coefficient of variation, one outlier repetition
+cannot widen it. The engine configuration is parsed from the benchmark
+name:
 
   *_oracle        the seed sequential exhaustive engine (no POR)
   *_nopor         the interned engine with sleep sets disabled
@@ -85,22 +88,29 @@ def to_ns(t, unit):
     return t * {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit, 1)
 
 
+def median(xs):
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+
 def rows_of(doc, source):
-    """One row per benchmark of one input, from its median and cv
-    aggregates. Raises ValueError for a benchmark without them."""
-    aggs = {}
+    """One row per benchmark of one input, from its raw repetition rows.
+    Raises ValueError for a benchmark with fewer than two."""
+    reps = {}
     for b in doc.get("benchmarks", []):
         run = b.get("run_name", b["name"])
-        entry = aggs.setdefault(run, {})
-        if b.get("run_type") == "aggregate":
-            entry[b.get("aggregate_name")] = b
+        reps.setdefault(run, [])
+        if b.get("run_type", "iteration") == "iteration":
+            reps[run].append(b)
     rows = []
-    for run, entry in aggs.items():
-        med, cv = entry.get("median"), entry.get("cv")
-        if med is None or cv is None:
+    for run, runs in reps.items():
+        if len(runs) < 2:
             raise ValueError(
-                f"{source}: {run} has no median/cv aggregate; run the "
+                f"{source}: {run} has {len(runs)} repetition rows; run the "
                 "bench with --benchmark_repetitions=N, N >= 2")
+        ns = [to_ns(b["real_time"], b.get("time_unit", "ns")) for b in runs]
+        mid = median(ns)
         family, engine, por = parse_name(run)
         row = {
             "bench": source,
@@ -108,12 +118,13 @@ def rows_of(doc, source):
             "family": family,
             "engine": engine,
             "por": por,
-            "ns_per_op": to_ns(med["real_time"], med.get("time_unit", "ns")),
-            "cv": cv["real_time"],
-            "repetitions": med["repetitions"],
+            "ns_per_op": mid,
+            "mad": median(abs(x - mid) for x in ns) / mid,
+            "repetitions": len(runs),
         }
-        if "bytes_per_second" in med:
-            row["bytes_per_second"] = med["bytes_per_second"]
+        if all("bytes_per_second" in b for b in runs):
+            row["bytes_per_second"] = median(b["bytes_per_second"]
+                                             for b in runs)
         rows.append(row)
     return rows
 
@@ -162,11 +173,11 @@ def render(merged, what):
         pattern = re.compile(what.split(" ", 1)[1])
         rows = [r for r in merged["benchmarks"] if pattern.search(r["name"])]
         mbs = any("bytes_per_second" in r for r in rows)
-        lines += ["| row | median | CV |" + (" throughput |" if mbs else ""),
+        lines += ["| row | median | MAD |" + (" throughput |" if mbs else ""),
                   "|---|---|---|" + ("---|" if mbs else "")]
         for r in rows:
             line = (f"| `{r['name']}` | {fmt_ns(r['ns_per_op'])} | "
-                    f"{r['cv'] * 100:.1f}% |")
+                    f"{r['mad'] * 100:.1f}% |")
             if mbs:
                 line += f" {r.get('bytes_per_second', 0) / 1e6:.0f} MB/s |"
             lines.append(line)
@@ -222,7 +233,7 @@ def main(argv):
         return 2
 
     merged = {
-        "schema": "tracesafe-bench-results-v2",
+        "schema": "tracesafe-bench-results-v3",
         "host": {
             "host_name": context.get("host_name"),
             "num_cpus": context.get("num_cpus"),

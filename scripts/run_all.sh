@@ -110,12 +110,12 @@ cmake --build build-asan --target test_protocol test_daemon \
 ./build-asan/tests/test_daemon
 ./build-asan/tests/test_daemon_chaos
 
-# End-to-end TCP campaign smoke: a real tracesafed bound to an ephemeral
+# End-to-end TCP batch smoke: a real tracesafed bound to an ephemeral
 # loopback port (port 0; the kernel picks, the daemon announces it on
-# stderr), driven by the fuzz harness in --campaign mode so one v2
-# Campaign query streams its per-program partial verdicts back over TCP.
-# SIGTERM at the end must produce the unified exit code 130.
-echo "===== tcp campaign smoke ====="
+# stderr), driven by the fuzz harness, whose batch goes out as pipelined
+# Submits on one connection (callBatch). SIGTERM at the end must produce
+# the unified exit code 130.
+echo "===== tcp batch smoke ====="
 ./build-asan/examples/tracesafed --listen 127.0.0.1:0 \
   2>build-asan/tracesafed.stderr &
 dpid=$!
@@ -129,7 +129,7 @@ done
 [ -n "$port" ] || { echo "tracesafed never announced its TCP port"; \
   kill "$dpid" 2>/dev/null; exit 1; }
 ./build-asan/examples/fuzz_harness --programs 24 --seed 5 --no-thin-air \
-  --server "127.0.0.1:$port" --campaign
+  --server "127.0.0.1:$port"
 kill -TERM "$dpid"
 wait "$dpid" && drc=0 || drc=$?
 [ "$drc" -eq 130 ] || { echo "tracesafed SIGTERM exit was $drc, want 130"; \

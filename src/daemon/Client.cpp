@@ -68,7 +68,6 @@ void DaemonClient::disconnect() {
     Fd = -1;
   }
   ReadBuf.clear();
-  Negotiated = 0;
 }
 
 void DaemonClient::backoff(unsigned Attempt) {
@@ -114,21 +113,17 @@ void DaemonClient::ensureConnected() {
     Fd = S;
     try {
       Frame Hello;
-      Hello.Version = speakVersion();
       Hello.Type = FrameType::Hello;
-      if (Hello.Version >= 2 && Opts.Streaming)
+      if (Opts.Streaming)
         Hello.Flags = FrameFlagStreaming;
       Hello.Payload = encodeHello(Opts.Name);
       writeFrame(Fd, Hello);
       Frame Welcome;
       std::string ServerName;
-      uint64_t ServerVersion = 1;
       if (!readFrame(Fd, ReadBuf, Welcome) ||
           Welcome.Type != FrameType::Welcome ||
-          !decodeWelcome(Welcome.Payload, ServerName, &ServerVersion))
+          !decodeWelcome(Welcome.Payload, ServerName))
         throw ProtocolError("bad welcome");
-      Negotiated = static_cast<uint8_t>(
-          std::min<uint64_t>(ServerVersion, speakVersion()));
       ++Counters.Connects;
       return;
     } catch (const ProtocolError &E) {
@@ -141,8 +136,7 @@ void DaemonClient::ensureConnected() {
 }
 
 bool DaemonClient::readFrameLive(Frame &Out) {
-  if (Opts.PingIntervalMs == 0 || Opts.PingTimeoutMs == 0 ||
-      speakVersion() < 2 || Negotiated < 2)
+  if (Opts.PingIntervalMs == 0 || Opts.PingTimeoutMs == 0)
     return readFrame(Fd, ReadBuf, Out);
   // Liveness loop: poll in short slices; after PingIntervalMs of silence
   // send a Ping, and give the server PingTimeoutMs to produce *any*
@@ -170,7 +164,6 @@ bool DaemonClient::readFrameLive(Frame &Out) {
     }
     if (Now - LastActivity >= Opts.PingIntervalMs) {
       Frame P;
-      P.Version = Negotiated;
       P.Type = FrameType::Ping;
       writeFrame(Fd, P);
       ++Counters.PingsSent;
@@ -204,7 +197,7 @@ DaemonClient::callBatch(std::span<const QueryRequest> Qs) {
       for (size_t I = 0; I < Qs.size(); ++I) {
         if (Done[I])
           continue;
-        writeSubmit(Fd, Negotiated, FirstId + I, Qs[I]);
+        writeSubmit(Fd, FirstId + I, Qs[I]);
       }
       while (Remaining) {
         Frame F;
@@ -214,7 +207,6 @@ DaemonClient::callBatch(std::span<const QueryRequest> Qs) {
           // Server keepalive: answer promptly so a long blocked wait is
           // never reaped as a dead peer.
           Frame P;
-          P.Version = Negotiated;
           P.Type = FrameType::Pong;
           P.RequestId = F.RequestId;
           writeFrame(Fd, P);
@@ -247,7 +239,7 @@ DaemonClient::callBatch(std::span<const QueryRequest> Qs) {
           // Deliberate shedding: back off, then resubmit just this id.
           ++Counters.OverloadedRetries;
           backoff(Attempt < 63 ? Attempt++ : Attempt);
-          writeSubmit(Fd, Negotiated, F.RequestId, Qs[Slot]);
+          writeSubmit(Fd, F.RequestId, Qs[Slot]);
           continue;
         }
         Out[Slot] = std::move(R);
@@ -271,7 +263,6 @@ void DaemonClient::cancel(uint64_t RequestId) {
     return;
   try {
     Frame F;
-    F.Version = Negotiated ? Negotiated : speakVersion();
     F.Type = FrameType::Cancel;
     F.RequestId = RequestId;
     writeFrame(Fd, F);

@@ -22,16 +22,15 @@
 ///    RetryOverloaded (the default) they are retried through the same
 ///    backoff, otherwise surfaced to the caller.
 ///
-///  - Liveness cuts both ways: the v2 client pings an idle server and
+///  - Liveness cuts both ways: the client pings an idle server and
 ///    treats a missed pong deadline as a transport error (reconnect and
 ///    retry), so a silently dead peer — a TCP black hole, a SIGSTOPped
 ///    daemon — surfaces as a retryable failure instead of a hang. It also
 ///    answers the server's keepalive pings, so a healthy blocked wait is
 ///    never reaped.
 ///
-/// Speaks protocol v2 by default (negotiated down to v1 servers
-/// automatically) and, when Streaming is on, consumes Progress frames —
-/// heartbeats and campaign partial verdicts — via the OnProgress hook.
+/// Speaks ProtocolVersion only and, when Streaming is on, consumes the
+/// advisory Progress frames (heartbeats) via the OnProgress hook.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,12 +76,10 @@ struct ClientOptions {
   /// resumes an interrupted batch must reuse the original ids to hit the
   /// server's replay path.
   uint64_t FirstRequestId = 1;
-  /// Speak protocol v1 even to a v2 server (compatibility/testing).
-  bool ForceV1 = false;
-  /// Ask the server for Progress frames (v2 only; needs OnProgress to be
-  /// observable, but the negotiation itself is independent of the hook).
+  /// Ask the server for Progress frames (needs OnProgress to be
+  /// observable, but the request itself is independent of the hook).
   bool Streaming = false;
-  /// Client-side liveness (v2, 0 disables both): after PingIntervalMs of
+  /// Client-side liveness (0 disables both): after PingIntervalMs of
   /// wire silence while waiting for verdicts, send a Ping; if the server
   /// stays silent for PingTimeoutMs after that, the connection is treated
   /// as dead — a retryable transport error, never a hang.
@@ -145,10 +142,6 @@ public:
   /// correlate cancel() targets.
   uint64_t nextRequestId() const { return NextId; }
 
-  /// Protocol version negotiated on the current connection (0 before the
-  /// first handshake).
-  uint8_t negotiatedVersion() const { return Negotiated; }
-
   const Stats &stats() const { return Counters; }
 
 private:
@@ -157,8 +150,6 @@ private:
   /// ProtocolError when attempts are exhausted.
   void ensureConnected();
   void backoff(unsigned Attempt);
-  /// The protocol version this client stamps on its frames.
-  uint8_t speakVersion() const { return Opts.ForceV1 ? 1 : ProtocolVersion; }
   /// Blocking read with the ping-deadline liveness loop layered on top.
   /// Throws ProtocolError when the server misses the pong deadline.
   bool readFrameLive(Frame &Out);
@@ -168,7 +159,6 @@ private:
   std::string ReadBuf;
   uint64_t NextId;
   uint64_t Rng;
-  uint8_t Negotiated = 0;
   Stats Counters;
 };
 

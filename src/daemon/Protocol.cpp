@@ -57,7 +57,7 @@ namespace {
 /// gathered write passes the length and CRC of its pieces.
 void putHeader(std::string &Out, const Frame &F, size_t Len, uint32_t Crc) {
   putU32(Out, FrameMagic);
-  Out.push_back(static_cast<char>(F.Version));
+  Out.push_back(static_cast<char>(ProtocolVersion));
   Out.push_back(static_cast<char>(F.Type));
   putU16(Out, F.Flags);
   putU64(Out, F.RequestId);
@@ -75,13 +75,9 @@ void putHeader(std::string &Out, const Frame &F) {
 DecodeStatus checkHeader(const unsigned char *P, uint32_t &Len) {
   if (getU32(P) != FrameMagic)
     return DecodeStatus::BadMagic;
-  if (P[4] < MinProtocolVersion || P[4] > ProtocolVersion)
+  if (P[4] != ProtocolVersion)
     return DecodeStatus::BadVersion;
-  uint16_t Flags = getU16(P + 6);
-  // "flags must be 0" is load-bearing for v1 frames: it is what lets v2
-  // repurpose the reserved word without an old peer silently misreading
-  // it. v2 frames may only set bits this build knows.
-  if (P[4] == 1 ? Flags != 0 : (Flags & ~KnownFrameFlags) != 0)
+  if ((getU16(P + 6) & ~KnownFrameFlags) != 0)
     return DecodeStatus::BadFlags;
   Len = getU32(P + 16);
   if (Len > MaxFramePayload)
@@ -91,7 +87,6 @@ DecodeStatus checkHeader(const unsigned char *P, uint32_t &Len) {
 
 /// Copies the header fields at \p P into \p Out (the payload aside).
 void takeHeader(const unsigned char *P, Frame &Out) {
-  Out.Version = P[4];
   Out.Type = static_cast<FrameType>(P[5]);
   Out.Flags = getU16(P + 6);
   Out.RequestId = getU64(P + 8);
@@ -162,8 +157,6 @@ const char *daemon::queryKindName(QueryKind K) {
     return "thin-air";
   case QueryKind::RaceLog:
     return "racelog";
-  case QueryKind::Campaign:
-    return "campaign";
   case QueryKind::Stats:
     return "stats";
   }
@@ -200,8 +193,6 @@ const char *daemon::progressPhaseName(ProgressPhase P) {
     return "queued";
   case ProgressPhase::Running:
     return "running";
-  case ProgressPhase::Partial:
-    return "partial";
   }
   return "invalid";
 }
@@ -232,25 +223,19 @@ bool daemon::decodeHello(const std::string &Payload,
   return R.str(ClientName) && R.done();
 }
 
-std::string daemon::encodeWelcome(const std::string &ServerName,
-                                  uint64_t NegotiatedVersion) {
+std::string daemon::encodeWelcome(const std::string &ServerName) {
   std::string Out;
-  putU64(Out, NegotiatedVersion);
+  putU64(Out, ProtocolVersion);
   putStr(Out, ServerName);
   return Out;
 }
 
 bool daemon::decodeWelcome(const std::string &Payload,
-                           std::string &ServerName,
-                           uint64_t *NegotiatedVersion) {
+                           std::string &ServerName) {
   PayloadReader R(Payload);
   uint64_t Version = 0;
-  if (!R.u64(Version) || Version < MinProtocolVersion ||
-      Version > ProtocolVersion || !R.str(ServerName) || !R.done())
-    return false;
-  if (NegotiatedVersion)
-    *NegotiatedVersion = Version;
-  return true;
+  return R.u64(Version) && Version == ProtocolVersion && R.str(ServerName) &&
+         R.done();
 }
 
 namespace {
@@ -262,13 +247,12 @@ constexpr size_t SubmitPrefixSize = 1 + 3 * 8 + 4;
 using SubmitPieces = std::array<std::string_view, 5>;
 
 /// The Submit payload of \p Q in wire order, as five pieces: the fixed
-/// prefix, Program, Transformed's length, Transformed, and the v2
-/// class/priority suffix (empty for v1). The fixed fields are encoded
+/// prefix, Program, Transformed's length, Transformed, and the
+/// class/priority suffix. The fixed fields are encoded
 /// into \p Fixed; the other pieces view Q's strings, so Q and \p Fixed
 /// must outlive the result. encodeSubmit concatenates the pieces and
 /// writeSubmit gathers them, so both send the same bytes.
-SubmitPieces submitPieces(const QueryRequest &Q, uint8_t Version,
-                          std::string &Fixed) {
+SubmitPieces submitPieces(const QueryRequest &Q, std::string &Fixed) {
   Fixed.clear();
   putU8(Fixed, static_cast<uint8_t>(Q.Kind));
   putU64(Fixed, static_cast<uint64_t>(Q.Budget.DeadlineMs));
@@ -276,10 +260,8 @@ SubmitPieces submitPieces(const QueryRequest &Q, uint8_t Version,
   putU64(Fixed, Q.Budget.MaxMemoryBytes);
   putU32(Fixed, static_cast<uint32_t>(Q.Program.size()));
   putU32(Fixed, static_cast<uint32_t>(Q.Transformed.size()));
-  if (Version >= 2) {
-    putU8(Fixed, static_cast<uint8_t>(Q.Class));
-    putU8(Fixed, Q.Priority);
-  }
+  putU8(Fixed, static_cast<uint8_t>(Q.Class));
+  putU8(Fixed, Q.Priority);
   std::string_view F = Fixed;
   return {F.substr(0, SubmitPrefixSize), Q.Program,
           F.substr(SubmitPrefixSize, 4), Q.Transformed,
@@ -288,9 +270,9 @@ SubmitPieces submitPieces(const QueryRequest &Q, uint8_t Version,
 
 } // namespace
 
-std::string daemon::encodeSubmit(const QueryRequest &Q, uint8_t Version) {
+std::string daemon::encodeSubmit(const QueryRequest &Q) {
   std::string Fixed;
-  SubmitPieces Pieces = submitPieces(Q, Version, Fixed);
+  SubmitPieces Pieces = submitPieces(Q, Fixed);
   std::string Out;
   Out.reserve(Fixed.size() + Q.Program.size() + Q.Transformed.size());
   for (std::string_view P : Pieces)
@@ -298,22 +280,17 @@ std::string daemon::encodeSubmit(const QueryRequest &Q, uint8_t Version) {
   return Out;
 }
 
-bool daemon::decodeSubmit(std::string_view Payload, QueryRequest &Q,
-                          uint8_t Version) {
+bool daemon::decodeSubmit(std::string_view Payload, QueryRequest &Q) {
   PayloadReader R(Payload);
-  uint8_t Kind = 0;
+  uint8_t Kind = 0, Class = 0, Priority = 0;
   uint64_t DeadlineMs = 0;
   if (!R.u8(Kind) || !R.u64(DeadlineMs) || !R.u64(Q.Budget.MaxVisited) ||
       !R.u64(Q.Budget.MaxMemoryBytes) || !R.str(Q.Program) ||
-      !R.str(Q.Transformed))
-    return false;
-  uint8_t Class = 0, Priority = 0;
-  if (Version >= 2 && (!R.u8(Class) || !R.u8(Priority)))
-    return false;
-  if (!R.done())
+      !R.str(Q.Transformed) || !R.u8(Class) || !R.u8(Priority) || !R.done())
     return false;
   if (Kind < static_cast<uint8_t>(QueryKind::ProgramDrf) ||
-      Kind > static_cast<uint8_t>(QueryKind::Stats))
+      (Kind > static_cast<uint8_t>(QueryKind::RaceLog) &&
+       Kind != static_cast<uint8_t>(QueryKind::Stats)))
     return false;
   if (Class > static_cast<uint8_t>(ClientClass::Batch))
     return false;
@@ -365,8 +342,6 @@ std::string daemon::encodeProgress(const ProgressUpdate &U) {
   putU8(Out, static_cast<uint8_t>(U.Phase));
   putU64(Out, U.Visited);
   putU64(Out, U.SpentBytes);
-  putU64(Out, U.SubIndex);
-  putStr(Out, U.Partial);
   return Out;
 }
 
@@ -374,59 +349,13 @@ bool daemon::decodeProgress(const std::string &Payload, ProgressUpdate &U) {
   PayloadReader R(Payload);
   uint8_t Phase = 0;
   if (!R.u64(U.Seq) || !R.u8(Phase) || !R.u64(U.Visited) ||
-      !R.u64(U.SpentBytes) || !R.u64(U.SubIndex) || !R.str(U.Partial) ||
-      !R.done())
+      !R.u64(U.SpentBytes) || !R.done())
     return false;
   if (Phase < static_cast<uint8_t>(ProgressPhase::Queued) ||
-      Phase > static_cast<uint8_t>(ProgressPhase::Partial))
+      Phase > static_cast<uint8_t>(ProgressPhase::Running))
     return false;
   U.Phase = static_cast<ProgressPhase>(Phase);
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Campaigns
-//===----------------------------------------------------------------------===//
-
-std::string daemon::encodeCampaign(const std::vector<QueryRequest> &Subs) {
-  std::string Out;
-  putU64(Out, Subs.size());
-  for (const QueryRequest &Sub : Subs)
-    putStr(Out, encodeSubmit(Sub, ProtocolVersion));
-  return Out;
-}
-
-bool daemon::decodeCampaign(const std::string &Payload,
-                            std::vector<QueryRequest> &Subs) {
-  PayloadReader R(Payload);
-  uint64_t Count = 0;
-  if (!R.u64(Count) || Count == 0 || Count > MaxFramePayload)
-    return false;
-  Subs.clear();
-  for (uint64_t I = 0; I < Count; ++I) {
-    std::string Enc;
-    QueryRequest Sub;
-    if (!R.str(Enc) || !decodeSubmit(Enc, Sub, ProtocolVersion))
-      return false;
-    // Single-query kinds only: no nested campaigns, no stats probes —
-    // the budget/determinism story only composes one level deep.
-    if (Sub.Kind == QueryKind::Campaign || Sub.Kind == QueryKind::Stats)
-      return false;
-    Subs.push_back(std::move(Sub));
-  }
-  return R.done();
-}
-
-QueryRequest daemon::makeCampaign(const std::vector<QueryRequest> &Subs,
-                                  const BudgetSpec &Budget,
-                                  uint8_t Priority) {
-  QueryRequest Q;
-  Q.Kind = QueryKind::Campaign;
-  Q.Program = encodeCampaign(Subs);
-  Q.Budget = Budget;
-  Q.Class = ClientClass::Batch;
-  Q.Priority = Priority;
-  return Q;
 }
 
 //===----------------------------------------------------------------------===//
@@ -451,14 +380,14 @@ void daemon::writeFrame(int Fd, const Frame &F) {
   writeVec(Fd, Iov, 2);
 }
 
-void daemon::writeSubmit(int Fd, uint8_t Version, uint64_t RequestId,
+void daemon::writeSubmit(int Fd, uint64_t RequestId,
                          const QueryRequest &Q) {
   if (faultPoint(FaultSite::ProtoWrite))
     throw ProtocolError("injected fault at proto-write");
   // The payload is never assembled: the header and the five pieces go out
   // in one gathered write, the CRC continued across the pieces.
   std::string Fixed;
-  SubmitPieces Pieces = submitPieces(Q, Version, Fixed);
+  SubmitPieces Pieces = submitPieces(Q, Fixed);
   size_t Len = 0;
   uint32_t Crc = 0;
   for (std::string_view P : Pieces) {
@@ -466,7 +395,6 @@ void daemon::writeSubmit(int Fd, uint8_t Version, uint64_t RequestId,
     Crc = crc32(P.data(), P.size(), Crc);
   }
   Frame Head;
-  Head.Version = Version;
   Head.Type = FrameType::Submit;
   Head.RequestId = RequestId;
   std::string Header;

@@ -15,13 +15,11 @@
 /// journal's robustness contract (see docs/PROTOCOL.md for the byte
 /// layout and docs/ROBUSTNESS.md for the recovery semantics).
 ///
-/// Version 2 adds negotiated streaming: a client whose Hello carries the
-/// streaming flag receives Progress frames (per-request heartbeats and
-/// per-sub-query partial verdicts for Campaign queries) ahead of the
-/// final Verdict. Version 1 peers keep the exact v1 byte layout — their
-/// frames must carry zero flags (enforced at the decoder, so v2 flag
-/// bits can never be silently misread by an old peer) and they are served
-/// whole-frame verdicts only.
+/// One protocol revision, ProtocolVersion: a frame of any other version
+/// is refused at the decoder, so a peer from an older build fails its
+/// handshake instead of misreading a frame. A client whose Hello carries
+/// the streaming flag receives advisory Progress frames (per-request
+/// heartbeats) ahead of each final Verdict.
 ///
 /// The codec is pure (strings in, strings out) so torn/truncated/garbage
 /// frames are unit-testable without a socket; the fd helpers layer
@@ -40,43 +38,40 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tracesafe {
 namespace daemon {
 
 /// "TSFD" on the wire (little-endian u32).
 constexpr uint32_t FrameMagic = 0x44465354;
-/// Highest protocol revision this build speaks.
-constexpr uint8_t ProtocolVersion = 2;
-/// Lowest revision still served (v1 peers get whole-frame verdicts).
-constexpr uint8_t MinProtocolVersion = 1;
+/// The protocol revision every frame carries; a frame of any other
+/// version is BadVersion.
+constexpr uint8_t ProtocolVersion = 3;
 /// Fixed header size in bytes; see docs/PROTOCOL.md.
 constexpr size_t FrameHeaderSize = 24;
 /// Upper bound on a single payload: a decoder must be able to reject a
 /// corrupt length field without attempting a huge allocation.
 constexpr uint32_t MaxFramePayload = 16u << 20;
 
-/// v2 header flag bits. v1 frames must carry 0 (decoder-enforced); v2
-/// frames may only set bits in KnownFrameFlags.
+/// Header flag bits; a frame may only set bits in KnownFrameFlags.
 constexpr uint16_t FrameFlagStreaming = 0x1; ///< Hello: request Progress
 constexpr uint16_t KnownFrameFlags = FrameFlagStreaming;
 
 enum class FrameType : uint8_t {
   Hello = 1,    ///< client -> server: client name
-  Welcome = 2,  ///< server -> client: negotiated version + server name
+  Welcome = 2,  ///< server -> client: protocol version + server name
   Submit = 3,   ///< client -> server: one query (request id in header)
   Verdict = 4,  ///< server -> client: response for one request id
   Cancel = 5,   ///< client -> server: cancel the request id in the header
   Ping = 6,     ///< either direction: liveness probe
   Pong = 7,     ///< either direction: liveness reply
-  Progress = 8, ///< server -> client (v2): heartbeat / partial verdict
+  Progress = 8, ///< server -> client: advisory heartbeat
 };
 
+/// One frame; encoders stamp ProtocolVersion into its header.
 struct Frame {
-  uint8_t Version = ProtocolVersion;
   FrameType Type = FrameType::Ping;
-  uint16_t Flags = 0; ///< must be 0 for v1; subset of KnownFrameFlags for v2
+  uint16_t Flags = 0; ///< a subset of KnownFrameFlags
   uint64_t RequestId = 0;
   std::string Payload;
   /// crc32(Payload) as verified by decodeFrame/readFrame (encoders ignore
@@ -92,8 +87,8 @@ enum class DecodeStatus : uint8_t {
   Ok,        ///< one frame decoded and consumed from the buffer
   NeedMore,  ///< the buffer holds a frame prefix; keep reading
   BadMagic,  ///< stream out of sync or not a tracesafed peer
-  BadVersion,///< peer speaks a protocol revision outside [min, current]
-  BadFlags,  ///< reserved/unknown flag bits set for the frame's version
+  BadVersion,///< peer speaks a protocol revision other than ProtocolVersion
+  BadFlags,  ///< reserved/unknown flag bits set
   BadLength, ///< declared payload length exceeds MaxFramePayload
   BadCrc,    ///< payload bytes do not match their checksum
 };
@@ -116,7 +111,7 @@ enum class QueryKind : uint8_t {
   DrfGuarantee = 3, ///< DRF guarantee for (Program, Transformed)
   ThinAir = 4,      ///< out-of-thin-air guarantee for the pair
   RaceLog = 5,      ///< streaming HB race scan of a TSRL event log
-  Campaign = 6,     ///< a batch of sub-queries scheduled as one unit
+  // 6 is unassigned: a Submit carrying it is malformed.
   Stats = 7,        ///< live ServerStats snapshot (daemon-only)
 };
 
@@ -134,17 +129,14 @@ const char *clientClassName(ClientClass C);
 struct QueryRequest {
   QueryKind Kind = QueryKind::ProgramDrf;
   /// .tsl source of the original program — except for RaceLog queries,
-  /// where this carries the raw TSRL log image, and Campaign queries,
-  /// where it carries the encoded sub-query list (encodeCampaign). The
-  /// payload strings are length-prefixed and binary-safe end to end.
+  /// where this carries the raw TSRL log image. The payload strings are
+  /// length-prefixed and binary-safe end to end.
   std::string Program;
   std::string Transformed; ///< .tsl source of the pair queries' second leg
   /// Requested per-query budget; field-wise 0 = "whatever the server's
   /// quota ceiling allows". The server clamps every field to its ceiling.
-  /// For Campaign queries the clamped result is the ceiling each
-  /// sub-query's own request is clamped against.
   BudgetSpec Budget;
-  /// v2 scheduling fields; v1 submits decode as (Interactive, 0).
+  /// Scheduling fields.
   ClientClass Class = ClientClass::Interactive;
   uint8_t Priority = 0; ///< higher dispatches first within its class
 };
@@ -172,28 +164,24 @@ struct QueryResponse {
 };
 
 //===----------------------------------------------------------------------===//
-// Progress streaming (v2)
+// Progress streaming
 //===----------------------------------------------------------------------===//
 
 enum class ProgressPhase : uint8_t {
   Queued = 1,  ///< admitted, waiting in a class queue
   Running = 2, ///< dispatched; Visited/SpentBytes are live heartbeats
-  Partial = 3, ///< one campaign sub-query finished; Partial holds its
-               ///< encoded QueryResponse and SubIndex its position
 };
 
 const char *progressPhaseName(ProgressPhase P);
 
 /// One Progress frame's payload. Seq is per-request monotonic (gaps are
-/// legal: advisory heartbeats may be shed under backpressure, partial
-/// verdicts are never reordered).
+/// legal: Progress frames are advisory and may be shed under
+/// backpressure).
 struct ProgressUpdate {
   uint64_t Seq = 0;
   ProgressPhase Phase = ProgressPhase::Running;
   uint64_t Visited = 0;    ///< budget visits charged so far
   uint64_t SpentBytes = 0; ///< approximate memory charged so far
-  uint64_t SubIndex = 0;   ///< Partial only: finished sub-query index
-  std::string Partial;     ///< Partial only: encodeResponse() of the sub
 };
 
 std::string encodeProgress(const ProgressUpdate &U);
@@ -201,30 +189,15 @@ bool decodeProgress(const std::string &Payload, ProgressUpdate &U);
 
 std::string encodeHello(const std::string &ClientName);
 bool decodeHello(const std::string &Payload, std::string &ClientName);
-/// Welcome carries the *negotiated* version: min(server, client hello).
-std::string encodeWelcome(const std::string &ServerName,
-                          uint64_t NegotiatedVersion = ProtocolVersion);
-bool decodeWelcome(const std::string &Payload, std::string &ServerName,
-                   uint64_t *NegotiatedVersion = nullptr);
-/// \p Version selects the layout: v1 is the original six fields, v2
-/// appends the class and priority bytes.
-std::string encodeSubmit(const QueryRequest &Q,
-                         uint8_t Version = ProtocolVersion);
-bool decodeSubmit(std::string_view Payload, QueryRequest &Q,
-                  uint8_t Version = ProtocolVersion);
+/// Welcome carries ProtocolVersion; decodeWelcome refuses any other.
+std::string encodeWelcome(const std::string &ServerName);
+bool decodeWelcome(const std::string &Payload, std::string &ServerName);
+std::string encodeSubmit(const QueryRequest &Q);
+/// False for a truncated payload, trailing bytes, an unassigned kind
+/// (6 among them) or a class byte outside its enum.
+bool decodeSubmit(std::string_view Payload, QueryRequest &Q);
 std::string encodeResponse(const QueryResponse &R);
 bool decodeResponse(std::string_view Payload, QueryResponse &R);
-
-/// Campaign sub-query list, carried in QueryRequest::Program. Sub-queries
-/// may be any single-query kind (no nested campaigns, no Stats).
-std::string encodeCampaign(const std::vector<QueryRequest> &Subs);
-bool decodeCampaign(const std::string &Payload,
-                    std::vector<QueryRequest> &Subs);
-
-/// Convenience: wraps \p Subs into one batch-class Campaign request.
-QueryRequest makeCampaign(const std::vector<QueryRequest> &Subs,
-                          const BudgetSpec &Budget = {},
-                          uint8_t Priority = 0);
 
 //===----------------------------------------------------------------------===//
 // Blocking fd transport
@@ -249,13 +222,12 @@ void writeBytes(int Fd, const std::string &Bytes);
 void writeFrame(int Fd, const Frame &F);
 
 /// Writes one Submit frame for \p Q: the same bytes as writeFrame of an
-/// encodeSubmit(Q, Version) payload, but the payload is never assembled.
+/// encodeSubmit(Q) payload, but the payload is never assembled.
 /// The header, the fixed fields and views of Q.Program and Q.Transformed
 /// go out in one gathered write, so a MiB-sized query is not copied on
 /// its way to the socket. Probes FaultSite::ProtoWrite once per frame.
 /// Throws ProtocolError on failure.
-void writeSubmit(int Fd, uint8_t Version, uint64_t RequestId,
-                 const QueryRequest &Q);
+void writeSubmit(int Fd, uint64_t RequestId, const QueryRequest &Q);
 
 /// Reads one frame into \p Out, buffering partial reads in \p Buf (the
 /// caller keeps one buffer per connection). Once a header is in, the rest

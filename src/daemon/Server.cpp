@@ -92,13 +92,13 @@ std::string renderBehaviours(const std::set<Behaviour> &S) {
 }
 
 /// Attaches the live-progress mirrors (if the caller installed any) to a
-/// freshly created budget. Extra bases accumulate on top of the hook's
-/// own, for the oracle-fallback budget that continues a primary one.
-void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t ExtraVisited,
-                 uint64_t ExtraBytes) {
+/// freshly created budget. The bases are added to every publication, for
+/// the oracle-fallback budget that continues a primary one.
+void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t VisitedBase,
+                 uint64_t BytesBase) {
   if (Hooks && (Hooks->LiveVisited || Hooks->LiveBytes))
-    B.mirrorInto(Hooks->LiveVisited, Hooks->VisitedBase + ExtraVisited,
-                 Hooks->LiveBytes, Hooks->BytesBase + ExtraBytes);
+    B.mirrorInto(Hooks->LiveVisited, VisitedBase, Hooks->LiveBytes,
+                 BytesBase);
 }
 
 /// One attempt at a query. \p Oracle selects the seed std::set-memoised
@@ -204,70 +204,6 @@ QueryResponse runRaceLog(const std::string &Log, Budget &B, bool Oracle) {
   if (Rep.Stats.Truncated)
     R.Reason = Rep.Stats.Reason;
   R.Detail = Rep.str();
-  return R;
-}
-
-/// Campaign: sequential evaluation of the encoded sub-queries under a
-/// shared ceiling (the campaign's own clamped budget), with a per-sub
-/// OnPartial callback and a deterministic aggregate. Sequential on
-/// purpose — the verdict transcript must be run-independent, and the
-/// daemon already parallelises across top-level queries.
-QueryResponse runCampaign(const QueryRequest &Q, const BudgetSpec &Ceiling,
-                          const CancelToken *Cancel,
-                          const EvalHooks *Hooks) {
-  QueryResponse R;
-  std::vector<QueryRequest> Subs;
-  if (!decodeCampaign(Q.Program, Subs)) {
-    R.Status = ResponseStatus::BadRequest;
-    R.Detail = "malformed campaign";
-    return R;
-  }
-  BudgetSpec CampCeiling = clampBudget(Q.Budget, Ceiling);
-  uint64_t VisitedTotal = 0;
-  size_t NumOk = 0, NumRefuted = 0, NumUnknown = 0, NumBad = 0;
-  TruncationReason Reason = TruncationReason::None;
-  bool Degraded = false;
-  std::string Per;
-  for (size_t I = 0; I < Subs.size(); ++I) {
-    EvalHooks SubHooks;
-    if (Hooks) {
-      SubHooks = *Hooks;
-      SubHooks.OnPartial = nullptr;
-      SubHooks.VisitedBase += VisitedTotal;
-    }
-    QueryResponse SR =
-        evaluateQuery(Subs[I], CampCeiling, Cancel,
-                      Hooks ? &SubHooks : nullptr);
-    VisitedTotal += SR.Visited;
-    Degraded |= SR.Degraded;
-    Reason = mergeReason(Reason, SR.Reason);
-    if (SR.Status != ResponseStatus::Ok)
-      ++NumBad;
-    else if (SR.Kind == VerdictKind::Refuted)
-      ++NumRefuted;
-    else if (SR.Kind == VerdictKind::Unknown)
-      ++NumUnknown;
-    else
-      ++NumOk;
-    if (I < 32)
-      Per += " ; #" + std::to_string(I) + " " + SR.str();
-    else if (I == 32)
-      Per += " ; ...";
-    if (Hooks && Hooks->OnPartial)
-      Hooks->OnPartial(I, SR);
-  }
-  R.Status = ResponseStatus::Ok;
-  R.Kind = NumRefuted                 ? VerdictKind::Refuted
-           : (NumUnknown || NumBad)   ? VerdictKind::Unknown
-                                      : VerdictKind::Proved;
-  R.Reason = Reason;
-  R.Degraded = Degraded;
-  R.Visited = VisitedTotal;
-  R.Detail = "campaign n=" + std::to_string(Subs.size()) +
-             " ok=" + std::to_string(NumOk) +
-             " refuted=" + std::to_string(NumRefuted) +
-             " unknown=" + std::to_string(NumUnknown) +
-             " bad=" + std::to_string(NumBad) + Per;
   return R;
 }
 
@@ -410,8 +346,6 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
     R.Detail = "stats: daemon-only query";
     return R;
   }
-  if (Q.Kind == QueryKind::Campaign)
-    return runCampaign(Q, Ceiling, Cancel, Hooks);
   if (Q.Kind == QueryKind::RaceLog) {
     BudgetSpec Spec = clampBudget(Q.Budget, Ceiling);
     Budget B(Spec, Cancel);
@@ -445,21 +379,20 @@ namespace {
 constexpr uint8_t AdmissionRecord = 'A';
 constexpr uint8_t VerdictRecord = 'V';
 /// Trailer bytes after the client name: u32 name length, u64 request id,
-/// u8 protocol version, u8 record type.
-constexpr size_t TrailerFixedSize = 14;
+/// u8 record type.
+constexpr size_t TrailerFixedSize = 13;
 
 std::string requestKey(const std::string &Client, uint64_t Id) {
   return Client + '\0' + std::to_string(Id);
 }
 
 std::string journalTrailer(const std::string &Client, uint64_t Id,
-                           uint8_t Version, uint8_t Type) {
+                           uint8_t Type) {
   std::string Out;
   Out.reserve(Client.size() + TrailerFixedSize);
   Out += Client;
   putU32(Out, static_cast<uint32_t>(Client.size()));
   putU64(Out, Id);
-  putU8(Out, Version);
   putU8(Out, Type);
   return Out;
 }
@@ -470,7 +403,6 @@ struct JournalRecord {
   std::string_view Body;
   std::string Client;
   uint64_t Id = 0;
-  uint8_t Version = 0;
   uint8_t Type = 0;
 };
 
@@ -486,8 +418,7 @@ bool decodeJournalRecord(std::string_view Payload, JournalRecord &R) {
   R.Body = Payload.substr(0, BodyLen);
   R.Client.assign(Payload.substr(BodyLen, ClientLen));
   R.Id = getU64(T + 4);
-  R.Version = T[12];
-  R.Type = T[13];
+  R.Type = T[12];
   return true;
 }
 
@@ -506,7 +437,6 @@ bool decodeJournalRecord(std::string_view Payload, JournalRecord &R) {
 struct Connection {
   int Fd = -1;
   std::string Client; ///< set by Hello; guarded by the server mutex
-  uint8_t Version = 1;    ///< negotiated protocol revision (from Hello)
   bool Streaming = false; ///< peer asked for Progress frames
   uint64_t OutboundCap = 4ULL << 20;
   std::atomic<bool> Open{true};
@@ -679,7 +609,7 @@ private:
     QueryRequest Q; ///< payload strings released at completion
     CancelToken Cancel;
     std::weak_ptr<Connection> Waiter;
-    /// The waiter negotiated streaming when the request was (re)attached.
+    /// The waiter asked for streaming when the request was (re)attached.
     bool Streaming = false;
     /// Progress sequence numbers: assigned under the waiter's WriteM so
     /// wire order is monotonic per connection; atomic so a re-attached
@@ -728,8 +658,7 @@ private:
     std::string Key = requestKey(Client, Id);
     Requests.erase(Key);
     if (Journal.isOpen()) {
-      std::string Trailer =
-          journalTrailer(Client, Id, ProtocolVersion, VerdictRecord);
+      std::string Trailer = journalTrailer(Client, Id, VerdictRecord);
       RecordPieces Verdict{Bytes, Trailer,
                            crc32(Trailer.data(), Trailer.size(),
                                  crc32(Bytes.data(), Bytes.size()))};
@@ -770,7 +699,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Progress streaming (v2)
+  // Progress streaming
   //===--------------------------------------------------------------------===//
 
   /// Critical send + slow-client-shed accounting (the enqueue reports
@@ -782,31 +711,23 @@ private:
     }
   }
 
-  /// Emits one Progress frame to \p W for \p Req, if the connection
-  /// negotiated streaming. Partial verdicts are critical (a streaming
-  /// consumer that got partials 0..k-1 must either get k or lose the
-  /// connection); heartbeats are advisory and shed first under
-  /// backpressure. Seq is assigned under the connection's write lock so
-  /// sequence numbers are monotonic in wire order.
+  /// Emits one advisory Progress frame to \p W for \p Req, if the
+  /// connection asked for streaming; under backpressure it is shed first.
+  /// Seq is assigned under the connection's write lock so sequence
+  /// numbers are monotonic in wire order.
   /// \p Counters, when non-null, is the request whose live mirrors feed
   /// the frame — a coalesced follower streams its *leader's* counters
   /// (the only computation happening on its behalf) under its own Seq.
   void streamProgress(const ConnPtr &W, Request &Req, ProgressPhase Phase,
-                      uint64_t SubIndex = 0, std::string Partial = {},
                       const Request *Counters = nullptr) {
-    if (!W || W->Version < 2 || !Req.Streaming ||
-        !W->Open.load(std::memory_order_relaxed))
+    if (!W || !Req.Streaming || !W->Open.load(std::memory_order_relaxed))
       return;
     const Request &Src = Counters ? *Counters : Req;
     ProgressUpdate U;
     U.Phase = Phase;
     U.Visited = Src.LiveVisited.load(std::memory_order_relaxed);
     U.SpentBytes = Src.LiveBytes.load(std::memory_order_relaxed);
-    U.SubIndex = SubIndex;
-    U.Partial = std::move(Partial);
-    const bool Critical = Phase == ProgressPhase::Partial;
     Frame F;
-    F.Version = W->Version;
     F.Type = FrameType::Progress;
     F.RequestId = Req.Id;
     Connection::Send Sent;
@@ -814,13 +735,12 @@ private:
       std::lock_guard<std::mutex> Lock(W->WriteM);
       U.Seq = Req.NextSeq.fetch_add(1, std::memory_order_relaxed) + 1;
       F.Payload = encodeProgress(U);
-      Sent = W->enqueueLocked(encodeFrame(F), Critical);
+      Sent = W->enqueueLocked(encodeFrame(F), /*Critical=*/false);
     }
-    std::lock_guard<std::mutex> Lock(M);
-    if (Sent == Connection::Send::Ok)
+    if (Sent == Connection::Send::Ok) {
+      std::lock_guard<std::mutex> Lock(M);
       ++Stats.Streamed;
-    else if (Sent == Connection::Send::Shed)
-      ++Stats.SlowClientsShed;
+    }
   }
 
   //===--------------------------------------------------------------------===//
@@ -900,23 +820,11 @@ private:
       // Followers that coalesced while this leader was queued see the
       // same phase transition, with the leader's counters.
       for (auto &P : FollowerWs)
-        streamProgress(P.first, *P.second, ProgressPhase::Running, 0, {},
-                       Req.get());
+        streamProgress(P.first, *P.second, ProgressPhase::Running, Req.get());
     }
     EvalHooks Hooks;
     Hooks.LiveVisited = &Req->LiveVisited;
     Hooks.LiveBytes = &Req->LiveBytes;
-    Request *RawReq = Req.get();
-    Hooks.OnPartial = [this, RawReq](uint64_t SubIndex,
-                                     const QueryResponse &Sub) {
-      ConnPtr W;
-      {
-        std::lock_guard<std::mutex> Lock(M);
-        W = RawReq->Waiter.lock();
-      }
-      streamProgress(W, *RawReq, ProgressPhase::Partial, SubIndex,
-                     encodeResponse(Sub));
-    };
     QueryResponse R;
     try {
       // A submitted memoisable query was keyed and probed at admission;
@@ -1009,7 +917,6 @@ private:
       if (!To || !To->Open.load(std::memory_order_relaxed))
         return;
       Frame Out;
-      Out.Version = To->Version;
       Out.Type = FrameType::Verdict;
       Out.RequestId = Id;
       Out.Payload = Bytes;
@@ -1047,7 +954,6 @@ private:
     Out += KV("reaped", Stats.Reaped);
     Out += KV("pings-sent", Stats.PingsSent);
     Out += KV("aged-dispatches", Stats.AgedDispatches);
-    Out += KV("campaigns", Stats.Campaigns);
     Out += KV("stats-queries", Stats.StatsQueries + 1); // incl. this one
     // Memoisation plane. "coalesced" admissions attached to an in-flight
     // identical query (computed once, charged per admission); "replayed"
@@ -1074,11 +980,10 @@ private:
     if (C->Client.empty())
       throw ProtocolError("submit before hello");
     Frame Out;
-    Out.Version = C->Version;
     Out.Type = FrameType::Verdict;
     Out.RequestId = F.RequestId;
     QueryRequest Q;
-    if (!decodeSubmit(F.Payload, Q, F.Version)) {
+    if (!decodeSubmit(F.Payload, Q)) {
       QueryResponse R;
       R.Status = ResponseStatus::BadRequest;
       R.Detail = "malformed submit payload";
@@ -1124,8 +1029,7 @@ private:
     std::string AdmitTrailer;
     RecordPieces Admit;
     if (Journal.isOpen()) {
-      AdmitTrailer =
-          journalTrailer(C->Client, F.RequestId, F.Version, AdmissionRecord);
+      AdmitTrailer = journalTrailer(C->Client, F.RequestId, AdmissionRecord);
       Admit = {F.Payload, AdmitTrailer,
                crc32(AdmitTrailer.data(), AdmitTrailer.size(),
                      F.PayloadCrc)};
@@ -1194,8 +1098,6 @@ private:
           ++Inflight;
           ++ClientLoad[C->Client];
           HeldPayloadBytes += payloadBytes(*Req);
-          if (Req->Q.Kind == QueryKind::Campaign)
-            ++Stats.Campaigns;
           if (Journal.isOpen())
             Journal.appendRecords({Admit});
           if (Leader) {
@@ -1253,19 +1155,10 @@ private:
     std::vector<std::tuple<ConnPtr, ReqPtr, ReqPtr>> Beats;
     {
       std::lock_guard<std::mutex> Lock(M);
+      // Keepalive: every peer answers pings, so one that stays silent past
+      // the reply deadline is dead and is reaped.
       for (const ConnPtr &C : Conns) {
-        if (!C->Open.load(std::memory_order_relaxed))
-          continue;
-        uint64_t Last = C->LastRecvTick.load(std::memory_order_relaxed);
-        uint64_t Silent = Now > Last ? Now - Last : 0;
-        if (Opts.IdleTimeoutTicks && Silent >= Opts.IdleTimeoutTicks) {
-          reapLocked(C, "idle timeout");
-          continue;
-        }
-        // Keepalive is v2-only: a v1 peer does not answer server pings
-        // (the v1 protocol has no server-initiated traffic outside
-        // verdicts), so pinging it would reap every healthy v1 client.
-        if (C->Version < 2 || !Opts.KeepaliveTicks)
+        if (!Opts.KeepaliveTicks || !C->Open.load(std::memory_order_relaxed))
           continue;
         uint64_t PingAt = C->PingSentTick.load(std::memory_order_relaxed);
         if (PingAt) {
@@ -1273,9 +1166,9 @@ private:
             reapLocked(C, "ping deadline");
           continue;
         }
-        if (Silent >= Opts.KeepaliveTicks) {
+        uint64_t Last = C->LastRecvTick.load(std::memory_order_relaxed);
+        if (Now > Last && Now - Last >= Opts.KeepaliveTicks) {
           Frame P;
-          P.Version = C->Version;
           P.Type = FrameType::Ping;
           if (C->send(P, /*Critical=*/false) == Connection::Send::Ok) {
             C->PingSentTick.store(Now, std::memory_order_relaxed);
@@ -1307,8 +1200,8 @@ private:
       }
     }
     for (auto &B : Beats)
-      streamProgress(std::get<0>(B), *std::get<1>(B),
-                     ProgressPhase::Running, 0, {}, std::get<2>(B).get());
+      streamProgress(std::get<0>(B), *std::get<1>(B), ProgressPhase::Running,
+                     std::get<2>(B).get());
   }
 
   //===--------------------------------------------------------------------===//
@@ -1328,25 +1221,18 @@ private:
           std::string Name;
           if (!decodeHello(F.Payload, Name) || Name.empty())
             throw ProtocolError("malformed hello");
-          // Negotiation: the connection speaks min(client, server) for
-          // the rest of its life; decodeFrame already rejected versions
-          // outside [MinProtocolVersion, ProtocolVersion].
-          uint8_t Negotiated =
-              std::min<uint8_t>(F.Version, ProtocolVersion);
-          bool WantStream =
-              Negotiated >= 2 && (F.Flags & FrameFlagStreaming) != 0;
+          // decodeFrame already refused every version but ProtocolVersion.
+          bool WantStream = (F.Flags & FrameFlagStreaming) != 0;
           {
             std::lock_guard<std::mutex> Lock(M);
             C->Client = Name;
-            C->Version = Negotiated;
             C->Streaming = WantStream;
             ++Connected[Name];
           }
           Frame W;
-          W.Version = Negotiated;
           W.Type = FrameType::Welcome;
           W.Flags = WantStream ? FrameFlagStreaming : 0;
-          W.Payload = encodeWelcome("tracesafed", Negotiated);
+          W.Payload = encodeWelcome("tracesafed");
           C->send(W, /*Critical=*/true);
           break;
         }
@@ -1358,7 +1244,6 @@ private:
           break;
         case FrameType::Ping: {
           Frame P;
-          P.Version = C->Version;
           P.Type = FrameType::Pong;
           P.RequestId = F.RequestId;
           C->send(P, /*Critical=*/true);
@@ -1492,7 +1377,7 @@ int Server::run() {
       const bool Known = Live != Requests.end() || Answered.count(Key);
       if (Rec.Type == AdmissionRecord && !Known) {
         auto Req = std::make_shared<Request>();
-        if (!decodeSubmit(Rec.Body, Req->Q, Rec.Version))
+        if (!decodeSubmit(Rec.Body, Req->Q))
           return;
         Req->Client = std::move(Rec.Client);
         Req->Id = Rec.Id;

@@ -45,9 +45,9 @@
 ///    A completed request keeps only its encoded verdict bytes in memory;
 ///    its payload and request state are released as the verdict lands.
 ///
-///  - *Liveness.* v2 connections get server-initiated keepalive pings
-///    with a reply deadline; silent peers and (optionally) idle ones are
-///    reaped so dead TCP peers cannot pin connection state forever.
+///  - *Liveness.* Every connection gets server-initiated keepalive pings
+///    with a reply deadline; a peer that misses it is reaped, so dead TCP
+///    peers cannot pin connection state forever.
 ///
 /// Determinism note: the daemon parallelises *across* queries and every
 /// engine runs sequentially, so any query under a wall-clock-free budget
@@ -65,7 +65,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace tracesafe {
@@ -77,12 +76,13 @@ namespace daemon {
 ///   body:    admission: the Submit frame's payload bytes as received
 ///            verdict:   encodeResponse() of the verdict
 ///   trailer: client name bytes | u32 name length | u64 request id
-///            | u8 protocol version (decodes an admission's body)
 ///            | u8 type ('A' admission, 'V' verdict)
 ///
 /// The loader keeps the first admission per (client, request id) and
-/// applies verdicts to it.
-constexpr RecordLogFormat JournalFormat{"daemon journal", 0x4A445354, 1,
+/// applies verdicts to it. Version 1 of the format carried a protocol
+/// version byte before the type; RecordLog refuses such a file by its
+/// header.
+constexpr RecordLogFormat JournalFormat{"daemon journal", 0x4A445354, 2,
                                         0x52445354, 64u << 20};
 
 struct ServerOptions {
@@ -121,16 +121,12 @@ struct ServerOptions {
   /// dropped outright once a Verdict no longer fits — the slow-client
   /// shedding contract (docs/ROBUSTNESS.md).
   uint64_t OutboundCapBytes = 4ULL << 20;
-  /// Keepalive, in 100ms listener ticks, for v2 connections: a ping is
-  /// sent after this many silent ticks. 0 disables keepalive.
+  /// Keepalive, in 100ms listener ticks: a ping is sent after this many
+  /// silent ticks. 0 disables keepalive.
   unsigned KeepaliveTicks = 100;
   /// Reply deadline after a keepalive ping, in ticks; a silent peer is
   /// reaped when it passes.
   unsigned PingTimeoutTicks = 50;
-  /// Reap any connection (v1 included) silent for this many ticks.
-  /// 0 disables idle reaping (the default: v1 clients are legitimately
-  /// silent while blocked on long verdicts).
-  unsigned IdleTimeoutTicks = 0;
   /// Test knob: SO_SNDBUF applied to accepted sockets (0 = OS default).
   /// Shrinking it makes the kernel's send buffer fill quickly, so the
   /// slow-client-shedding path is exercisable without megabytes of
@@ -171,12 +167,11 @@ struct ServerStats {
   uint64_t Degraded = 0;      ///< queries answered by the oracle fallback
   uint64_t ProtoErrors = 0;   ///< connections dropped on transport errors
   uint64_t AcceptFaults = 0;  ///< injected accept-site faults
-  uint64_t Streamed = 0;      ///< Progress frames enqueued (v2 streaming)
+  uint64_t Streamed = 0;      ///< Progress frames enqueued
   uint64_t SlowClientsShed = 0; ///< connections dropped on outbound overflow
-  uint64_t Reaped = 0;        ///< connections reaped (ping deadline / idle)
+  uint64_t Reaped = 0;        ///< connections reaped at the ping deadline
   uint64_t PingsSent = 0;     ///< server-initiated keepalive pings
   uint64_t AgedDispatches = 0;///< batch dispatches forced by aging
-  uint64_t Campaigns = 0;     ///< campaign queries admitted
   uint64_t StatsQueries = 0;  ///< stats snapshots served
   uint64_t Coalesced = 0;     ///< admissions attached to an identical in-flight query
   uint64_t AnsweredAtAdmission = 0; ///< verdict-cache hits answered by the reader, never queued
@@ -193,25 +188,17 @@ int runServer(const ServerOptions &Options, ServerStats *Stats = nullptr);
 /// Observation hooks threaded through evaluateQuery by the daemon's
 /// streaming layer. All members optional.
 struct EvalHooks {
-  /// Campaign queries: called after each sub-query completes, with its
-  /// index and response (already reflected in the aggregate).
-  std::function<void(uint64_t SubIndex, const QueryResponse &Sub)>
-      OnPartial;
   /// Live-progress mirrors handed to every Budget the query creates
   /// (published on the budget's slow path; see Budget::mirrorInto).
   std::atomic<uint64_t> *LiveVisited = nullptr;
   std::atomic<uint64_t> *LiveBytes = nullptr;
-  /// Added to every mirror publication, so a multi-budget caller (a
-  /// campaign iterating sub-queries) reports cumulative totals.
-  uint64_t VisitedBase = 0;
-  uint64_t BytesBase = 0;
 };
 
 /// Evaluates one query exactly as the daemon does — budget clamp, the
 /// canonical key and the verdict-cache probe (the daemon's happen at
 /// admission), one parse on a miss, sequential engines, exception
-/// containment, oracle degradation, campaign aggregation — shared by the standalone CLI modes and the
-/// chaos test's single-process reference run. \p Ceiling is applied
+/// containment and oracle degradation — shared by the standalone CLI
+/// modes and the chaos test's single-process reference run. \p Ceiling is applied
 /// field-wise; \p Cancel and \p Hooks may be null. Stats queries are
 /// daemon-only and answered BadRequest here.
 QueryResponse evaluateQuery(const QueryRequest &Q, const BudgetSpec &Ceiling,

@@ -44,9 +44,8 @@ struct ExploreLimits {
   /// every engine of one query). Non-owning; may be null.
   Budget *Shared = nullptr;
   /// Inert: programTraceset explores the threads one after another in the
-  /// calling thread. It stays only because the perfbench replay model
-  /// still assigns it; ROADMAP item 1's benchmark PR deletes it along with
-  /// Trace.cpp's replay model.
+  /// calling thread. It stays because the frozen perfbench replay model
+  /// still assigns it (the ROADMAP's "Frozen API" ground rule).
   unsigned Workers = 1;
 };
 

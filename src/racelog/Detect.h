@@ -51,9 +51,8 @@ namespace racelog {
 
 struct RaceLogOptions {
   /// Inert, like Workers: the scan is one table in the calling thread.
-  /// Both stay only because the perfbench replay model still assigns
-  /// them; ROADMAP item 1's benchmark PR deletes them along with
-  /// Trace.cpp's replay model.
+  /// Both stay because the frozen perfbench replay model still assigns
+  /// them (the ROADMAP's "Frozen API" ground rule).
   unsigned Shards = 1;
   unsigned Workers = 1;
   /// False selects the full-vector-clock oracle engine.

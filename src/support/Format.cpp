@@ -25,3 +25,19 @@ std::string tracesafe::indent(const std::string &Text, unsigned Spaces) {
   }
   return Out;
 }
+
+bool tracesafe::parseCount(const char *S, uint64_t Max, uint64_t &Out) {
+  if (!S || !*S)
+    return false;
+  uint64_t V = 0;
+  for (; *S; ++S) {
+    if (*S < '0' || *S > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(*S - '0');
+    if (D > Max || V > (Max - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}

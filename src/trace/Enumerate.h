@@ -48,8 +48,8 @@ struct EnumerationLimits {
   /// every engine of one query). Non-owning; may be null.
   Budget *Shared = nullptr;
   /// Inert: no engine reads it (every search is sequential). It stays
-  /// only because the perfbench replay model still assigns it; ROADMAP
-  /// item 1's benchmark PR deletes it along with Trace.cpp's replay model.
+  /// because the frozen perfbench replay model still assigns it (the
+  /// ROADMAP's "Frozen API" ground rule).
   unsigned Workers = 1;
   /// Sleep-set partial-order reduction for collectBehaviours and
   /// findAdjacentRace. Sound for both queries (see docs/PERFORMANCE.md);

@@ -58,9 +58,9 @@ public:
   /// counts explicit clear() calls.
   struct CacheStats {
     /// Inert: the engine-level families these counted are gone, so they
-    /// stay 0. They remain only because perfbench's replay model
-    /// (perfbench/tsbench/Trace.cpp) still reads them; ROADMAP item 1
-    /// deletes them along with that model.
+    /// stay 0. They remain because the frozen perfbench replay model
+    /// (perfbench/tsbench/Trace.cpp) still reads them (the ROADMAP's
+    /// "Frozen API" ground rule).
     uint64_t TracesetHits = 0;
     uint64_t TracesetMisses = 0;
     uint64_t BehaviourHits = 0;
@@ -101,9 +101,8 @@ public:
   BehaviourCache &operator=(const BehaviourCache &) = delete;
 
   /// Inert: uncached forwarders to programTraceset, collectBehaviours and
-  /// checkDataRaceFreedom. They stay only because perfbench's replay
-  /// model still calls them; ROADMAP item 1 deletes them along with that
-  /// model.
+  /// checkDataRaceFreedom. They stay because the frozen perfbench replay
+  /// model still calls them (the ROADMAP's "Frozen API" ground rule).
   std::shared_ptr<const Traceset>
   tracesetFor(const Program &P, const std::vector<Value> &Domain,
               const ExploreLimits &Limits, ExploreStats *Stats = nullptr) {

@@ -162,7 +162,7 @@ struct IndexRecord {
   std::vector<FuzzFailure> Failures;
 };
 
-std::string encodeCampaign(uint64_t Seed, uint64_t Programs) {
+std::string campaignHeaderRecord(uint64_t Seed, uint64_t Programs) {
   std::string Out;
   putU8(Out, CampaignRecord);
   putU64(Out, Seed);
@@ -246,7 +246,7 @@ public:
             uint64_t Programs, std::map<uint64_t, IndexRecord> &Resumed) {
     std::string Err;
     if (Resume) {
-      const std::string Campaign = encodeCampaign(Seed, Programs);
+      const std::string Campaign = campaignHeaderRecord(Seed, Programs);
       bool First = true, Ours = false;
       auto Visit = [&](std::string_view Payload) {
         if (std::exchange(First, false)) {
@@ -266,7 +266,7 @@ public:
     }
     return Log.open(Path, CheckpointFormat, RecordLogWriter::Mode::Fresh,
                     Err) &&
-           Log.append(encodeCampaign(Seed, Programs));
+           Log.append(campaignHeaderRecord(Seed, Programs));
   }
 
   void record(uint64_t Idx, const IndexRecord &R) {

@@ -5,7 +5,7 @@
 /// `daemon_chaos_smoke` and parameterised over both transports (unix
 /// socket and TCP loopback). A real daemon process is spawned (fork +
 /// exec of the installed binary — never fork-and-run, the test process
-/// has threads), a v2 streaming client pumps a seeded 16-query batch at
+/// has threads), a streaming client pumps a seeded 16-query batch at
 /// it, and the daemon is SIGKILLed once the journal shows partial
 /// progress. A second daemon started with --resume on the same listener
 /// and journal must serve the rest, and the merged transcript must be
@@ -161,7 +161,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
   ASSERT_GT(First, 0);
 
   // The client rides through the crash: generous attempts and a short
-  // backoff cap bridge the kill/restart window. It negotiates v2
+  // backoff cap bridge the kill/restart window. It asks for
   // streaming, so replay suppression is observable: requests whose
   // verdicts are served from the journal after the restart must arrive
   // final-frame-only.
@@ -226,7 +226,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
     // "some progress" and "not every id streamed after a mid-batch
     // kill with >=1 journal-replayed verdict".)
     std::lock_guard<std::mutex> Lock(ProgressM);
-    EXPECT_GE(ProgressFrames, 1u) << "v2 streaming never delivered";
+    EXPECT_GE(ProgressFrames, 1u) << "streaming never delivered";
     EXPECT_LE(ProgressIds.size(), Qs.size());
   }
 

@@ -156,48 +156,48 @@ TEST(Protocol, GarbageIsRejectedNotParsed) {
   }
 }
 
-TEST(Protocol, FlagBitsAreVersionChecked) {
-  // Corruption matrix for the flags word (header offset 6..7):
-  //  - v1 frames must carry zero flags — a v1 peer cannot understand any
-  //    flag semantics, so a set bit means a confused or hostile stream;
-  //  - v2 frames may set only KnownFrameFlags;
-  //  - the v2 streaming bit itself is legal.
+TEST(Protocol, OnlyTheProtocolVersionDecodes) {
+  // The version byte (header offset 4) admits exactly ProtocolVersion:
+  // an older peer's frames and a newer one's are both BadVersion, so a
+  // peer of another revision fails at its Hello instead of being misread.
+  static_assert(ProtocolVersion == 3);
+  Frame Out;
+  for (uint8_t Version : {1, 2, 4}) {
+    std::string Buf = encodeFrame(submitFrame(Version));
+    Buf[4] = static_cast<char>(Version);
+    EXPECT_EQ(decodeFrame(Buf, Out), DecodeStatus::BadVersion)
+        << "version " << int(Version);
+  }
+  std::string Buf = encodeFrame(submitFrame(3));
+  EXPECT_EQ(static_cast<uint8_t>(Buf[4]), ProtocolVersion);
+  EXPECT_EQ(decodeFrame(Buf, Out), DecodeStatus::Ok);
+}
+
+TEST(Protocol, UnknownFlagBitsAreRejected) {
+  // Flags word (header offset 6..7): only KnownFrameFlags may be set.
   Frame Out;
   {
-    Frame F = submitFrame(1);
-    F.Version = 1;
-    std::string Buf = encodeFrame(F);
-    Buf[6] = 0x01; // v1 + any flag bit -> BadFlags
+    std::string Buf = encodeFrame(submitFrame(2));
+    Buf[6] = 0x02; // unknown low-byte bit -> BadFlags
     EXPECT_EQ(decodeFrame(Buf, Out), DecodeStatus::BadFlags);
   }
   {
-    Frame F = submitFrame(2);
-    F.Version = 2;
-    std::string Buf = encodeFrame(F);
-    Buf[6] = 0x02; // v2 + unknown bit -> BadFlags
-    EXPECT_EQ(decodeFrame(Buf, Out), DecodeStatus::BadFlags);
-  }
-  {
-    Frame F = submitFrame(3);
-    F.Version = 2;
-    std::string Buf = encodeFrame(F);
-    Buf[7] = 0x40; // v2 + unknown high-byte bit -> BadFlags
+    std::string Buf = encodeFrame(submitFrame(3));
+    Buf[7] = 0x40; // unknown high-byte bit -> BadFlags
     EXPECT_EQ(decodeFrame(Buf, Out), DecodeStatus::BadFlags);
   }
   {
     Frame F;
-    F.Version = 2;
     F.Type = FrameType::Hello;
     F.Flags = FrameFlagStreaming;
     F.Payload = encodeHello("flags-test");
     std::string Buf = encodeFrame(F);
     ASSERT_EQ(decodeFrame(Buf, Out), DecodeStatus::Ok);
-    EXPECT_EQ(Out.Version, 2u);
     EXPECT_EQ(Out.Flags, FrameFlagStreaming);
   }
 }
 
-TEST(Protocol, SubmitLayoutsAreVersioned) {
+TEST(Protocol, SubmitHasOneLayout) {
   QueryRequest Q;
   Q.Kind = QueryKind::DrfGuarantee;
   Q.Program = "thread { x := 1; }\n";
@@ -205,100 +205,73 @@ TEST(Protocol, SubmitLayoutsAreVersioned) {
   Q.Class = ClientClass::Batch;
   Q.Priority = 7;
 
-  // v2 round-trips the scheduling fields.
-  QueryRequest V2;
-  ASSERT_TRUE(decodeSubmit(encodeSubmit(Q, 2), V2, 2));
-  EXPECT_EQ(V2.Class, ClientClass::Batch);
-  EXPECT_EQ(V2.Priority, 7u);
+  // The scheduling fields round-trip.
+  const std::string Good = encodeSubmit(Q);
+  QueryRequest Out;
+  ASSERT_TRUE(decodeSubmit(Good, Out));
+  EXPECT_EQ(Out.Class, ClientClass::Batch);
+  EXPECT_EQ(Out.Priority, 7u);
 
-  // The v1 layout has no scheduling bytes: a v1 decode defaults them,
-  // and the two layouts are not interchangeable (the length-checked
-  // decoder rejects the mismatch rather than misparsing).
-  QueryRequest V1;
-  ASSERT_TRUE(decodeSubmit(encodeSubmit(Q, 1), V1, 1));
-  EXPECT_EQ(V1.Class, ClientClass::Interactive);
-  EXPECT_EQ(V1.Priority, 0u);
-  EXPECT_FALSE(decodeSubmit(encodeSubmit(Q, 2), V1, 1));
-  EXPECT_FALSE(decodeSubmit(encodeSubmit(Q, 1), V2, 2));
+  // The length-checked decoder refuses a trailing byte, and a payload
+  // that stops before the class and priority bytes.
+  EXPECT_FALSE(decodeSubmit(Good + "x", Out));
+  EXPECT_FALSE(decodeSubmit(Good.substr(0, Good.size() - 2), Out));
 
   // Bad scheduling bytes are rejected, not clamped.
-  std::string Bad = encodeSubmit(Q, 2);
+  std::string Bad = Good;
   Bad[Bad.size() - 2] = 9; // class byte
-  EXPECT_FALSE(decodeSubmit(Bad, V2, 2));
+  EXPECT_FALSE(decodeSubmit(Bad, Out));
+
+  // Kind 6 is unassigned; the kinds around it still decode.
+  for (uint8_t Kind = 0; Kind <= 8; ++Kind) {
+    std::string K = Good;
+    K[0] = static_cast<char>(Kind);
+    const bool Assigned = (Kind >= 1 && Kind <= 5) || Kind == 7;
+    EXPECT_EQ(decodeSubmit(K, Out), Assigned) << "kind " << int(Kind);
+  }
 }
 
-TEST(Protocol, WelcomeCarriesTheNegotiatedVersion) {
+TEST(Protocol, WelcomeCarriesTheProtocolVersion) {
   std::string Name;
-  uint64_t V = 0;
-  ASSERT_TRUE(decodeWelcome(encodeWelcome("tracesafed", 1), Name, &V));
+  const std::string Payload = encodeWelcome("tracesafed");
+  ASSERT_TRUE(decodeWelcome(Payload, Name));
   EXPECT_EQ(Name, "tracesafed");
-  EXPECT_EQ(V, 1u);
-  ASSERT_TRUE(decodeWelcome(encodeWelcome("tracesafed", 2), Name, &V));
-  EXPECT_EQ(V, 2u);
-  // The version argument is optional for old callers.
-  ASSERT_TRUE(decodeWelcome(encodeWelcome("tracesafed", 2), Name));
+  EXPECT_EQ(static_cast<uint8_t>(Payload[0]), ProtocolVersion);
+  // A Welcome naming any other version is refused.
+  for (uint8_t Version : {0, 1, 2, 4}) {
+    std::string Other = Payload;
+    Other[0] = static_cast<char>(Version);
+    EXPECT_FALSE(decodeWelcome(Other, Name)) << "version " << int(Version);
+  }
 }
 
 TEST(Protocol, ProgressRoundTripsAndRejectsMalformed) {
   ProgressUpdate U;
   U.Seq = 42;
-  U.Phase = ProgressPhase::Partial;
+  U.Phase = ProgressPhase::Running;
   U.Visited = 1000;
   U.SpentBytes = 4096;
-  U.SubIndex = 3;
-  QueryResponse Sub;
-  Sub.Status = ResponseStatus::Ok;
-  Sub.Kind = VerdictKind::Proved;
-  U.Partial = encodeResponse(Sub);
 
   std::string Payload = encodeProgress(U);
   ProgressUpdate Out;
   ASSERT_TRUE(decodeProgress(Payload, Out));
   EXPECT_EQ(Out.Seq, 42u);
-  EXPECT_EQ(Out.Phase, ProgressPhase::Partial);
+  EXPECT_EQ(Out.Phase, ProgressPhase::Running);
   EXPECT_EQ(Out.Visited, 1000u);
   EXPECT_EQ(Out.SpentBytes, 4096u);
-  EXPECT_EQ(Out.SubIndex, 3u);
-  QueryResponse SubOut;
-  ASSERT_TRUE(decodeResponse(Out.Partial, SubOut));
-  EXPECT_EQ(SubOut.str(), Sub.str());
 
   EXPECT_FALSE(decodeProgress("", Out));
   EXPECT_FALSE(decodeProgress(Payload.substr(0, Payload.size() - 1), Out));
   EXPECT_FALSE(decodeProgress(Payload + "x", Out));
-  std::string BadPhase = Payload;
-  BadPhase[8] = 99; // phase byte follows the u64 Seq
-  EXPECT_FALSE(decodeProgress(BadPhase, Out));
-}
-
-TEST(Protocol, CampaignRoundTripsAndRejectsMalformed) {
-  std::vector<QueryRequest> Subs(3);
-  Subs[0].Kind = QueryKind::ProgramDrf;
-  Subs[0].Program = "thread { x := 1; }\n";
-  Subs[1].Kind = QueryKind::DrfGuarantee;
-  Subs[1].Program = "thread { x := 1; }\n";
-  Subs[1].Transformed = "thread { skip; }\n";
-  Subs[2].Kind = QueryKind::ThinAir;
-  Subs[2].Program = "thread { x := 1; }\n";
-  Subs[2].Transformed = "thread { x := 1; }\n";
-
-  QueryRequest Camp = makeCampaign(Subs, BudgetSpec{100, 1000, 1 << 20},
-                                   /*Priority=*/3);
-  EXPECT_EQ(Camp.Kind, QueryKind::Campaign);
-  EXPECT_EQ(Camp.Class, ClientClass::Batch);
-  EXPECT_EQ(Camp.Priority, 3u);
-
-  std::vector<QueryRequest> Out;
-  ASSERT_TRUE(decodeCampaign(Camp.Program, Out));
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_EQ(Out[0].Kind, QueryKind::ProgramDrf);
-  EXPECT_EQ(Out[1].Transformed, "thread { skip; }\n");
-  EXPECT_EQ(Out[2].Kind, QueryKind::ThinAir);
-
-  EXPECT_FALSE(decodeCampaign("", Out));
-  EXPECT_FALSE(decodeCampaign(Camp.Program + "x", Out));
-  EXPECT_FALSE(
-      decodeCampaign(Camp.Program.substr(0, Camp.Program.size() - 1), Out));
+  // The phase byte follows the u64 Seq: Queued and Running only.
+  for (uint8_t Phase : {0, 3, 99}) {
+    std::string BadPhase = Payload;
+    BadPhase[8] = static_cast<char>(Phase);
+    EXPECT_FALSE(decodeProgress(BadPhase, Out)) << "phase " << int(Phase);
+  }
+  Payload[8] = static_cast<char>(ProgressPhase::Queued);
+  ASSERT_TRUE(decodeProgress(Payload, Out));
+  EXPECT_EQ(Out.Phase, ProgressPhase::Queued);
 }
 
 TEST(Protocol, BitFlipsAreCaughtByTheCrc) {
@@ -694,20 +667,16 @@ TEST(Transport, WriteSubmitSendsTheBytesOfAnEncodedSubmit) {
   const QueryRequest Log = bigRaceLogQuery(4u << 20, 21);
   const QueryRequest *const Queries[] = {&Empty, &Pair, &Log};
   uint64_t Id = 100;
-  for (uint8_t Version : {uint8_t(1), uint8_t(2)}) {
-    for (const QueryRequest *Q : Queries) {
-      Frame F;
-      F.Version = Version;
-      F.Type = FrameType::Submit;
-      F.RequestId = ++Id;
-      F.Payload = encodeSubmit(*Q, Version);
-      const std::string Want = encodeFrame(F);
-      std::string Got = bytesSent(
-          [&](int Fd) { writeSubmit(Fd, Version, F.RequestId, *Q); });
-      EXPECT_TRUE(Got == Want) << "v" << int(Version) << " "
-                               << queryKindName(Q->Kind) << ": "
-                               << Got.size() << " vs " << Want.size();
-    }
+  for (const QueryRequest *Q : Queries) {
+    Frame F;
+    F.Type = FrameType::Submit;
+    F.RequestId = ++Id;
+    F.Payload = encodeSubmit(*Q);
+    const std::string Want = encodeFrame(F);
+    std::string Got =
+        bytesSent([&](int Fd) { writeSubmit(Fd, F.RequestId, *Q); });
+    EXPECT_TRUE(Got == Want) << queryKindName(Q->Kind) << ": " << Got.size()
+                             << " vs " << Want.size();
   }
 
   // Short sends resume across the pieces, still byte for byte.
@@ -716,7 +685,7 @@ TEST(Transport, WriteSubmitSendsTheBytesOfAnEncodedSubmit) {
   F.Type = FrameType::Submit;
   F.Payload = encodeSubmit(Log);
   std::string Got = bytesSent(
-      [&](int Fd) { writeSubmit(Fd, ProtocolVersion, 7, Log); },
+      [&](int Fd) { writeSubmit(Fd, 7, Log); },
       /*Choppy=*/true);
   EXPECT_TRUE(Got == encodeFrame(F)) << Got.size();
 
@@ -725,8 +694,8 @@ TEST(Transport, WriteSubmitSendsTheBytesOfAnEncodedSubmit) {
   Plan.arm(FaultSite::ProtoWrite, 2);
   FaultPlan::Scope Armed(Plan);
   Got = bytesSent([&](int Fd) {
-    writeSubmit(Fd, ProtocolVersion, 1, Pair);
-    EXPECT_THROW(writeSubmit(Fd, ProtocolVersion, 2, Pair), ProtocolError);
+    writeSubmit(Fd, 1, Pair);
+    EXPECT_THROW(writeSubmit(Fd, 2, Pair), ProtocolError);
   });
   F.RequestId = 1;
   F.Payload = encodeSubmit(Pair);

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Unit tests for the support library: symbols, RNG, permutations,
-/// formatting, the CRC-32.
+/// formatting, CLI count parsing, the CRC-32.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,6 +130,35 @@ TEST(Format, Join) {
 TEST(Format, Indent) {
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
   EXPECT_EQ(indent("", 2), "");
+}
+
+TEST(Format, ParseCountIsRangeChecked) {
+  constexpr uint64_t U64 = ~0ULL;
+  constexpr uint64_t U32 = 0xFFFFFFFFu;
+  uint64_t V = 7;
+  EXPECT_TRUE(parseCount("0", U64, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseCount("18446744073709551615", U64, V));
+  EXPECT_EQ(V, U64);
+  EXPECT_TRUE(parseCount("4294967295", U32, V));
+  EXPECT_EQ(V, U32);
+  // A refused value leaves Out alone.
+  V = 7;
+  EXPECT_FALSE(parseCount("18446744073709551616", U64, V));
+  EXPECT_FALSE(parseCount("99999999999999999999999", U64, V));
+  // strtoull reads these as 2^64 - 1 and 2^32: each would wrap a 32-bit
+  // destination (--workers -1, --queue-cap 4294967296).
+  EXPECT_FALSE(parseCount("-1", U64, V));
+  EXPECT_FALSE(parseCount("4294967296", U32, V));
+  // A shifted flag's maximum keeps the shift from overflowing.
+  EXPECT_TRUE(parseCount("17592186044415", U64 >> 20, V));
+  EXPECT_FALSE(parseCount("17592186044416", U64 >> 20, V));
+  EXPECT_FALSE(parseCount("5", 3, V));
+  EXPECT_TRUE(parseCount("3", 3, V));
+  for (const char *Bad : {"", "+1", " 1", "1 ", "0x10", "1e3", "12a"})
+    EXPECT_FALSE(parseCount(Bad, U64, V)) << "'" << Bad << "'";
+  EXPECT_FALSE(parseCount(nullptr, U64, V));
+  EXPECT_EQ(V, 3u);
 }
 
 /// Byte-at-a-time bitwise CRC-32, straight from the definition: the
