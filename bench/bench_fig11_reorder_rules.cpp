@@ -60,7 +60,7 @@ void claims() {
         programTraceset(P, D), programTraceset(T, D));
     claim(ruleName(Ex.Rule) + ": elimination+reordering (Lemma 5)",
           R.Verdict == CheckVerdict::Holds);
-    DrfGuaranteeReport G = checkDrfGuarantee(P, T);
+    DrfGuaranteeReport G = exploreDrfGuarantee(P, T);
     claim(ruleName(Ex.Rule) + ": DRF guarantee (Theorem 4)",
           G.OriginalDrf && G.holds());
   }

@@ -65,7 +65,7 @@ void claims() {
     Program T = applyUnsafeConstProp(Volatile, Sites.front());
     claim("the optimised DRF program CAN print 1 (new behaviour)",
           programCanOutput(T, 1));
-    DrfGuaranteeReport G = checkDrfGuarantee(Volatile, T);
+    DrfGuaranteeReport G = exploreDrfGuarantee(Volatile, T);
     claim("the DRF guarantee flags the violation", !G.holds());
   }
 }
@@ -98,7 +98,7 @@ void benchGuaranteeEndToEnd(benchmark::State &State) {
   Program P = parseOrDie(IntroVolatile);
   Program T = applyUnsafeConstProp(P, findUnsafeConstProp(P).front());
   for (auto _ : State) {
-    DrfGuaranteeReport G = checkDrfGuarantee(P, T);
+    DrfGuaranteeReport G = exploreDrfGuarantee(P, T);
     benchmark::DoNotOptimize(G.holds());
   }
 }

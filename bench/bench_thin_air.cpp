@@ -27,7 +27,7 @@ void claims() {
   header("E11 / §5", "out-of-thin-air guarantee");
   Program P = parseOrDie(CopyExchange);
   claim("the §5 program does not contain 42", !P.containsConstant(42));
-  ThinAirReport R = checkThinAir(P, P, 42);
+  ThinAirReport R = exploreThinAir(P, P, 42);
   claim("no execution reads/writes/outputs 42 (Lemma 3)", R.holds());
   claim("[[P]] has no origin for 42 (Lemma 6)", !R.OrigHasOrigin);
   // Theorem 5 over exhaustive 1- and 2-step rule chains.
@@ -36,12 +36,12 @@ void claims() {
        findRewriteSites(P, RuleSet::withExtensions())) {
     Program P1 = applyRewrite(P, S1);
     ++Chains;
-    Ok += checkThinAir(P, P1, 42).holds();
+    Ok += exploreThinAir(P, P1, 42).holds();
     for (const RewriteSite &S2 :
          findRewriteSites(P1, RuleSet::withExtensions())) {
       Program P2 = applyRewrite(P1, S2);
       ++Chains;
-      Ok += checkThinAir(P, P2, 42).holds();
+      Ok += exploreThinAir(P, P2, 42).holds();
     }
   }
   claim("Theorem 5 on all " + std::to_string(Chains) +
@@ -63,7 +63,7 @@ BENCHMARK(benchOriginScan);
 void benchThinAirAudit(benchmark::State &State) {
   Program P = parseOrDie(CopyExchange);
   for (auto _ : State) {
-    ThinAirReport R = checkThinAir(P, P, 42);
+    ThinAirReport R = exploreThinAir(P, P, 42);
     benchmark::DoNotOptimize(R.holds());
   }
 }
@@ -75,7 +75,7 @@ void benchAuditUnderChains(benchmark::State &State) {
   TransformChain Chain = randomChain(P, RuleSet::withExtensions(),
                                      static_cast<size_t>(State.range(0)), R);
   for (auto _ : State) {
-    ThinAirReport Rep = checkThinAir(P, Chain.Result, 42);
+    ThinAirReport Rep = exploreThinAir(P, Chain.Result, 42);
     benchmark::DoNotOptimize(Rep.holds());
   }
   State.counters["chain_len"] = static_cast<double>(Chain.Steps.size());

@@ -221,7 +221,7 @@ int runChaos(FuzzOptions Options, uint64_t Seed,
     Budget B(Generous);
     ExecLimits Limits;
     Limits.Shared = &B;
-    Check(checkDrfGuarantee(*PR.Prog, *T, Limits).outcome() ==
+    Check(exploreDrfGuarantee(*PR.Prog, *T, Limits).outcome() ==
               GuaranteeOutcome::Violated,
           "minimised injected failure does not re-verify");
   }

@@ -66,13 +66,14 @@ void usage(const char *Argv0) {
       "                         silence (default 100; 0 = off)\n"
       "  --ping-timeout-ticks N reap after N ticks without a pong (50)\n"
       "  --workers N            query worker threads, one query each\n"
-      "                         (default: hardware concurrency)\n"
+      "                         (default: hardware concurrency; at most\n"
+      "                         %u)\n"
       "  --quota-deadline-ms N  per-query deadline ceiling (0 = none)\n"
       "  --quota-visited N      per-query visit ceiling (0 = none)\n"
       "  --quota-mem-mb N       per-query memory ceiling (0 = none)\n"
       "  --fault-seed N         arm a random daemon fault plan (tests)\n"
       "  --verbose              log lifecycle events to stderr\n",
-      Argv0);
+      Argv0, MaxWorkers);
 }
 
 } // namespace
@@ -152,7 +153,7 @@ int main(int Argc, char **Argv) {
         return 2;
       Opts.PingTimeoutTicks = static_cast<unsigned>(N);
     } else if (Arg == "--workers") {
-      if (!NextValue(N, U32))
+      if (!NextValue(N, MaxWorkers))
         return 2;
       Opts.Workers = static_cast<unsigned>(N);
     } else if (Arg == "--quota-deadline-ms") {

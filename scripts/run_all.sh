@@ -63,15 +63,17 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink \
 # and TSO/PSO engines drive them through every growth; their
 # oracle-equivalence suites run here (see docs/PERFORMANCE.md). The
 # cross-engine and input suites drive the seed TSO machines of
-# tests/TsoOracle on seeded random programs.
+# tests/TsoOracle on seeded random programs. The pair-certificate suite
+# runs the rewrite certificate's diff and site walk against exploration.
 echo "===== sanitizer engine smoke ====="
 cmake --build build-asan --target test_intern test_parallel_enumerate \
-  test_tso_parallel test_cross_engine test_input
+  test_tso_parallel test_cross_engine test_input test_pair_certificates
 ./build-asan/tests/test_intern
 ./build-asan/tests/test_parallel_enumerate
 ./build-asan/tests/test_tso_parallel
 ./build-asan/tests/test_cross_engine
 ./build-asan/tests/test_input
+./build-asan/tests/test_pair_certificates
 
 # On-disk input stage under ASan: every suite that parses durable files —
 # the record log itself (torn tails at every offset, a flipped bit in

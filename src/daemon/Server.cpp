@@ -25,7 +25,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <poll.h>
@@ -105,10 +104,12 @@ void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t VisitedBase,
 /// enumerator for every kind (the degraded fallback path, sharing no code
 /// with the interned reduced engines), so a fault in the primary path
 /// cannot recur in the fallback; only the plain-DFS [[P]] build is common
-/// to both. Every engine is sequential: the daemon parallelises across
-/// queries.
+/// to both; so is the certify-else-explore split of the pair checks
+/// (verify/Checks.h), whose certificates only the primary path tries.
+/// \p Route receives a pair check's route. Every engine is sequential:
+/// the daemon parallelises across queries.
 QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
-                      Budget &B, bool Oracle) {
+                      Budget &B, bool Oracle, CheckRoute &Route) {
   QueryResponse R;
   R.Status = ResponseStatus::Ok;
   switch (K) {
@@ -152,6 +153,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     E.Shared = &B;
     E.ExhaustiveOracle = Oracle;
     DrfGuaranteeReport Rep = checkDrfGuarantee(O, *T2, E);
+    Route = Rep.Route;
     R.Kind = outcomeVerdict(Rep.outcome());
     if (R.Kind == VerdictKind::Unknown)
       R.Reason = Rep.Reason;
@@ -168,6 +170,7 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     ExploreLimits XL;
     XL.Shared = &B;
     ThinAirReport Rep = checkThinAir(O, *T2, C, E, XL);
+    Route = Rep.Route;
     R.Kind = outcomeVerdict(Rep.outcome());
     if (R.Kind == VerdictKind::Unknown)
       R.Reason = Rep.Reason;
@@ -288,9 +291,14 @@ QueryResponse computeVerdict(QueryKind K, const Program &O, const Program *T2,
                              const EvalHooks *Hooks) {
   Budget B(Spec, Cancel);
   wireMirrors(B, Hooks, 0, 0);
+  CheckRoute Route = CheckRoute::Search;
   QueryResponse R = runWithFallback(
-      [&](Budget &Use, bool Oracle) { return runKind(K, O, T2, Use, Oracle); },
+      [&](Budget &Use, bool Oracle) {
+        return runKind(K, O, T2, Use, Oracle, Route);
+      },
       B, Spec, Cancel, Hooks);
+  if (Hooks && Hooks->PairRoute && needsPair(K))
+    *Hooks->PairRoute = Route;
   // Complete primary-path verdicts only: truncated or degraded results
   // are artefacts of this run's budget/faults, not facts about the query.
   if (R.Status == ResponseStatus::Ok && R.Kind != VerdictKind::Unknown &&
@@ -589,6 +597,15 @@ struct BytesHash {
   }
 };
 
+/// Would recomputing \p R reproduce its bytes? Not when a fault, a
+/// cancellation or the wall clock shaped them; every other verdict is a
+/// function of the query and its budget class.
+bool reproducible(const QueryResponse &R) {
+  return !R.Degraded && R.Reason != TruncationReason::Deadline &&
+         R.Reason != TruncationReason::Cancelled &&
+         R.Reason != TruncationReason::EngineFault;
+}
+
 //===----------------------------------------------------------------------===//
 // Server
 //===----------------------------------------------------------------------===//
@@ -648,12 +665,13 @@ private:
   }
 
   /// Completes (client, id) with the verdict \p Bytes (its
-  /// encodeResponse): the live entry, if any, leaves Requests, the journal
-  /// gets the verdict record and Answered keeps the bytes for replay.
-  /// \p Admit, when given, is written in the same append, so an admission
-  /// answered on the spot costs one write.
+  /// encodeResponse, \p Reproducible as reproducible() says): the live
+  /// entry, if any, leaves Requests, the journal gets the verdict record
+  /// and Answered keeps the bytes for replay. \p Admit, when given, is
+  /// written in the same append, so an admission answered on the spot
+  /// costs one write.
   void completeLocked(const std::string &Client, uint64_t Id,
-                      const std::string &Bytes,
+                      const std::string &Bytes, bool Reproducible,
                       const RecordPieces *Admit = nullptr) {
     std::string Key = requestKey(Client, Id);
     Requests.erase(Key);
@@ -667,20 +685,45 @@ private:
       else
         Journal.appendRecords({Verdict});
     }
-    answerLocked(std::move(Key), Bytes);
+    answerLocked(Client, std::move(Key), Bytes, Reproducible);
     ++Stats.Completed;
   }
 
-  /// Records \p Bytes as the answer of request key \p Key. Alpha-variants
-  /// of one query complete with equal bytes, so each distinct verdict is
-  /// kept once and the table holds a pointer to it: a daemon life that
-  /// serves hundreds of thousands of hits keeps a few dozen bytes for
-  /// each, not a copy of its verdict.
-  void answerLocked(std::string Key, std::string_view Bytes) {
-    auto It = VerdictBytes.find(Bytes);
-    if (It == VerdictBytes.end())
-      It = VerdictBytes.emplace(Bytes).first;
-    Answered.insert_or_assign(std::move(Key), &*It);
+  /// Records \p Bytes as the answer of \p Client's request key \p Key.
+  /// Alpha-variants of one query complete with equal bytes, so each
+  /// distinct verdict is kept once, counted, and the table points at it.
+  /// A reproducible answer stays only while it is among its client's last
+  /// AnsweredHorizon: a retransmit of an older id is admitted again and
+  /// gets the same bytes recomputed (or from the verdict cache). Other
+  /// answers stay for the life of the process.
+  void answerLocked(const std::string &Client, std::string Key,
+                    std::string_view Bytes, bool Reproducible) {
+    auto Verdict = VerdictBytes.find(Bytes);
+    if (Verdict == VerdictBytes.end())
+      Verdict = VerdictBytes.emplace(Bytes, 0).first;
+    ++Verdict->second;
+    auto [It, Fresh] = Answered.try_emplace(std::move(Key), &Verdict->first);
+    if (!Fresh) {
+      releaseVerdictLocked(*It->second);
+      It->second = &Verdict->first;
+      return;
+    }
+    if (!Reproducible)
+      return;
+    std::deque<const std::string *> &Order = AnsweredOrder[Client];
+    Order.push_back(&It->first);
+    if (Order.size() > AnsweredHorizon) {
+      auto Oldest = Answered.find(*Order.front());
+      Order.pop_front();
+      releaseVerdictLocked(*Oldest->second);
+      Answered.erase(Oldest);
+    }
+  }
+
+  void releaseVerdictLocked(const std::string &Bytes) {
+    auto Verdict = VerdictBytes.find(std::string_view(Bytes));
+    if (--Verdict->second == 0)
+      VerdictBytes.erase(Verdict);
   }
 
   static uint64_t payloadBytes(const Request &R) {
@@ -822,9 +865,11 @@ private:
       for (auto &P : FollowerWs)
         streamProgress(P.first, *P.second, ProgressPhase::Running, Req.get());
     }
+    std::optional<CheckRoute> PairRoute;
     EvalHooks Hooks;
     Hooks.LiveVisited = &Req->LiveVisited;
     Hooks.LiveBytes = &Req->LiveBytes;
+    Hooks.PairRoute = &PairRoute;
     QueryResponse R;
     try {
       // A submitted memoisable query was keyed and probed at admission;
@@ -887,7 +932,9 @@ private:
       } else {
         if (R.Degraded)
           ++Stats.Degraded;
-        completeLocked(Req->Client, Req->Id, Bytes);
+        if (PairRoute)
+          ++pairRouteCounterLocked(*PairRoute);
+        completeLocked(Req->Client, Req->Id, Bytes, reproducible(R));
         // Fan-out: every coalesced follower completes with the leader's
         // verdict bytes — journaled under its own (client, id) so a
         // retry or resume replays it like any other verdict. A
@@ -902,7 +949,7 @@ private:
             enqueuePendingLocked(F);
             continue;
           }
-          completeLocked(F->Client, F->Id, Bytes);
+          completeLocked(F->Client, F->Id, Bytes, reproducible(R));
           releasePayloadLocked(*F);
           ReleaseLocked(F);
           if (ConnPtr FW = F->Waiter.lock())
@@ -925,6 +972,18 @@ private:
     SendVerdict(W, Req->Id);
     for (auto &F : FanOut)
       SendVerdict(F.first, F.second->Id);
+  }
+
+  uint64_t &pairRouteCounterLocked(CheckRoute Route) {
+    switch (Route) {
+    case CheckRoute::Rule:
+      return Stats.PairCertifiedRule;
+    case CheckRoute::Syntactic:
+      return Stats.PairCertifiedSyntactic;
+    case CheckRoute::Search:
+      break;
+    }
+    return Stats.PairExplored;
   }
 
   /// Renders a live counters snapshot for the Stats query kind. One
@@ -972,6 +1031,10 @@ private:
     Out += KV("cache-evictions", CS.Evictions);
     Out += KV("persist-loaded", Stats.PersistLoaded);
     Out += KV("persist-spilled", Stats.PersistSpilled);
+    // Routes of computed pair verdicts (verify/Checks.h CheckRoute).
+    Out += KV("pair-certified-rule", Stats.PairCertifiedRule);
+    Out += KV("pair-certified-syntactic", Stats.PairCertifiedSyntactic);
+    Out += KV("pair-explored", Stats.PairExplored);
     Out.pop_back();
     return Out;
   }
@@ -1085,7 +1148,8 @@ private:
         if (Hit) {
           ++Stats.AnsweredAtAdmission;
           Out.Payload = encodeResponse(*Hit);
-          completeLocked(C->Client, F.RequestId, Out.Payload, &Admit);
+          completeLocked(C->Client, F.RequestId, Out.Payload,
+                         reproducible(*Hit), &Admit);
         } else {
           auto Req = std::make_shared<Request>();
           Req->Client = C->Client;
@@ -1179,9 +1243,8 @@ private:
       // Heartbeats: one Running update per streaming request whose visit
       // counter moved since the last tick. Only dispatched requests and
       // the followers coalesced onto them can beat, so the walk covers
-      // those and never the idempotency tables, whose Answered half grows
-      // for the life of the process. A follower beats on its *leader's* counters — the
-      // computation running on its behalf.
+      // those and never the idempotency tables. A follower beats on its
+      // *leader's* counters — the computation running on its behalf.
       auto Beat = [&](const ReqPtr &Req, const ReqPtr &Src) {
         if (!Src->RunningNow.load(std::memory_order_relaxed) ||
             !Req->Streaming)
@@ -1292,10 +1355,16 @@ private:
   /// The idempotency table, keyed by requestKey: live requests, and the
   /// encodeResponse bytes of completed ones (a key is in one or neither).
   /// Answered points into VerdictBytes, which holds each distinct verdict
-  /// once; node-based, so the pointers stay valid as it grows.
+  /// once with the number of answers pointing at it; both are node-based,
+  /// so the pointers stay valid as they grow. AnsweredOrder points at the
+  /// keys of each client's reproducible answers, oldest first, so Answered
+  /// holds at most AnsweredHorizon of them per client.
   std::unordered_map<std::string, ReqPtr> Requests;
   std::unordered_map<std::string, const std::string *> Answered;
-  std::unordered_set<std::string, BytesHash, std::equal_to<>> VerdictBytes;
+  std::unordered_map<std::string, size_t, BytesHash, std::equal_to<>>
+      VerdictBytes;
+  std::unordered_map<std::string, std::deque<const std::string *>>
+      AnsweredOrder;
   /// Canonical key -> the request currently computing it (the leader).
   /// Entries are erased as their verdicts land; never persisted.
   std::unordered_map<std::string, ReqPtr> InFlightByCanon;
@@ -1391,7 +1460,8 @@ int Server::run() {
           return;
         if (Live != Requests.end())
           Requests.erase(Live);
-        answerLocked(std::move(Key), Rec.Body);
+        answerLocked(Rec.Client, std::move(Key), Rec.Body,
+                     reproducible(Resp));
       }
     };
     std::string Err;
@@ -1467,9 +1537,10 @@ int Server::run() {
   // One query, one thread: each worker runs the requests it takes from
   // the class queues to completion, so no more queries run at once than
   // there are workers.
-  unsigned NumWorkers = Opts.Workers
-                            ? Opts.Workers
-                            : std::max(1u, std::thread::hardware_concurrency());
+  unsigned NumWorkers = std::min(
+      MaxWorkers, Opts.Workers
+                      ? Opts.Workers
+                      : std::max(1u, std::thread::hardware_concurrency()));
   std::vector<std::thread> Workers;
   for (unsigned I = 0; I < NumWorkers; ++I)
     Workers.emplace_back([this] { workerMain(); });

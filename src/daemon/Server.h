@@ -62,9 +62,11 @@
 #include "daemon/Protocol.h"
 #include "support/Budget.h"
 #include "support/RecordLog.h"
+#include "verify/Checks.h"
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace tracesafe {
@@ -85,6 +87,18 @@ namespace daemon {
 constexpr RecordLogFormat JournalFormat{"daemon journal", 0x4A445354, 2,
                                         0x52445354, 64u << 20};
 
+/// The idempotency horizon: per client, the daemon replays the verdicts
+/// of its last AnsweredHorizon completed request ids from memory. A
+/// retransmit of an older id is admitted again; its verdict is recomputed
+/// (or served by the verdict cache) with the same bytes. Verdicts that a
+/// fault, a cancellation or a deadline shaped are kept for the life of
+/// the process, since recomputing them could give other bytes.
+constexpr size_t AnsweredHorizon = 4096;
+
+/// The most query worker threads one daemon runs: `tracesafed --workers`
+/// refuses more, and runServer clamps ServerOptions::Workers to it.
+constexpr unsigned MaxWorkers = 256;
+
 struct ServerOptions {
   /// Unix-domain listener path; empty = no unix listener.
   std::string SocketPath;
@@ -104,7 +118,7 @@ struct ServerOptions {
   bool Resume = false;
   /// Query worker threads, each running one query at a time; admitted
   /// queries beyond them wait in the class queues. 0 =
-  /// std::thread::hardware_concurrency().
+  /// std::thread::hardware_concurrency(); at most MaxWorkers.
   unsigned Workers = 0;
   /// Global cap on admitted-but-unfinished queries; anything beyond is
   /// answered Overloaded.
@@ -177,6 +191,11 @@ struct ServerStats {
   uint64_t AnsweredAtAdmission = 0; ///< verdict-cache hits answered by the reader, never queued
   uint64_t PersistLoaded = 0; ///< verdicts warm-started from the cache file
   uint64_t PersistSpilled = 0;///< fresh verdicts appended to the cache file
+  /// Computed pair verdicts (kinds 3/4) by CheckRoute: a Fig 10/11 rewrite
+  /// certificate, the thin-air constant/input bound, or exploration.
+  uint64_t PairCertifiedRule = 0;
+  uint64_t PairCertifiedSyntactic = 0;
+  uint64_t PairExplored = 0;
 };
 
 /// Runs the daemon until Stop is requested (or the listeners fail
@@ -192,6 +211,9 @@ struct EvalHooks {
   /// (published on the budget's slow path; see Budget::mirrorInto).
   std::atomic<uint64_t> *LiveVisited = nullptr;
   std::atomic<uint64_t> *LiveBytes = nullptr;
+  /// Receives the route of a pair query (kinds 3/4) that is computed,
+  /// not answered from the verdict cache.
+  std::optional<CheckRoute> *PairRoute = nullptr;
 };
 
 /// Evaluates one query exactly as the daemon does — budget clamp, the

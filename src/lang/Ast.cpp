@@ -321,12 +321,39 @@ bool stmtContainsConstant(const Stmt &S, Value V) {
   return false;
 }
 
+bool stmtContainsInput(const Stmt &S) {
+  switch (S.kind()) {
+  case StmtKind::Input:
+    return true;
+  case StmtKind::Block:
+    for (const StmtPtr &Sub : cast<BlockStmt>(S).body())
+      if (stmtContainsInput(*Sub))
+        return true;
+    return false;
+  case StmtKind::If:
+    return stmtContainsInput(cast<IfStmt>(S).thenStmt()) ||
+           stmtContainsInput(cast<IfStmt>(S).elseStmt());
+  case StmtKind::While:
+    return stmtContainsInput(cast<WhileStmt>(S).body());
+  default:
+    return false;
+  }
+}
+
 } // namespace
 
 bool Program::containsConstant(Value V) const {
   for (const StmtList &L : Threads)
     for (const StmtPtr &S : L)
       if (stmtContainsConstant(*S, V))
+        return true;
+  return false;
+}
+
+bool Program::containsInput() const {
+  for (const StmtList &L : Threads)
+    for (const StmtPtr &S : L)
+      if (stmtContainsInput(*S))
         return true;
   return false;
 }

@@ -404,6 +404,10 @@ public:
   /// language can mention a constant that flows into memory or output).
   bool containsConstant(Value V) const;
 
+  /// True iff the program has an `input r` statement anywhere: with
+  /// containsConstant, the only ways a value can enter the program text.
+  bool containsInput() const;
+
 private:
   std::vector<StmtList> Threads;
   std::set<SymbolId> Volatiles;

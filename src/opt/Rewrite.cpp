@@ -372,25 +372,43 @@ constexpr RuleKind AllRules[] = {
 
 } // namespace
 
+namespace {
+
+void appendListSites(const Program &P, const ListPath &Path,
+                     const StmtList &L, const RuleSet &Rules,
+                     std::vector<RewriteSite> &Sites) {
+  for (RuleKind K : AllRules) {
+    if (!Rules.enabled(K))
+      continue;
+    if (isGapRule(K)) {
+      for (size_t I = 0; I < L.size(); ++I)
+        for (size_t J = I + 1; J < L.size(); ++J)
+          if (matchesSite(P, L, K, I, J))
+            Sites.push_back(RewriteSite{K, Path, I, J});
+    } else {
+      for (size_t I = 0; I + 1 < L.size(); ++I)
+        if (matchesSite(P, L, K, I, I + 1))
+          Sites.push_back(RewriteSite{K, Path, I, I + 1});
+    }
+  }
+}
+
+} // namespace
+
 std::vector<RewriteSite> tracesafe::findRewriteSites(const Program &P,
                                                      const RuleSet &Rules) {
   std::vector<RewriteSite> Sites;
   forEachList(P, [&](const ListPath &Path, const StmtList &L) {
-    for (RuleKind K : AllRules) {
-      if (!Rules.enabled(K))
-        continue;
-      if (isGapRule(K)) {
-        for (size_t I = 0; I < L.size(); ++I)
-          for (size_t J = I + 1; J < L.size(); ++J)
-            if (matchesSite(P, L, K, I, J))
-              Sites.push_back(RewriteSite{K, Path, I, J});
-      } else {
-        for (size_t I = 0; I + 1 < L.size(); ++I)
-          if (matchesSite(P, L, K, I, I + 1))
-            Sites.push_back(RewriteSite{K, Path, I, I + 1});
-      }
-    }
+    appendListSites(P, Path, L, Rules, Sites);
   });
+  return Sites;
+}
+
+std::vector<RewriteSite> tracesafe::findRewriteSitesIn(const Program &P,
+                                                       const ListPath &Path,
+                                                       const RuleSet &Rules) {
+  std::vector<RewriteSite> Sites;
+  appendListSites(P, Path, resolveList(P, Path), Rules, Sites);
   return Sites;
 }
 

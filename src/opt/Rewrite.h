@@ -121,6 +121,12 @@ struct RewriteSite {
 std::vector<RewriteSite> findRewriteSites(const Program &P,
                                           const RuleSet &Rules = {});
 
+/// The sites of findRewriteSites(P, Rules) on the one list at \p Path, in
+/// the same order. \p Path must resolve in \p P.
+std::vector<RewriteSite> findRewriteSitesIn(const Program &P,
+                                            const ListPath &Path,
+                                            const RuleSet &Rules = {});
+
 /// Applies one site, returning the transformed program (the input is not
 /// modified). Asserts that the site actually matches.
 Program applyRewrite(const Program &P, const RewriteSite &Site);

@@ -2,6 +2,12 @@
 
 #include "support/Failure.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <string_view>
+#include <vector>
+
 using namespace tracesafe;
 
 namespace {
@@ -20,7 +26,103 @@ TruncationReason replayCost(Budget *Shared, uint64_t Visits,
   return R == TruncationReason::None ? TruncationReason::StateCap : R;
 }
 
+/// Canonical key texts (verify/Canonical.h) are spelt from a small
+/// vocabulary, and their length and budget fields are mostly zero bytes.
+/// The cache stores each key packed: a vocabulary string becomes the one
+/// byte CodeBase + its index, and a key byte that could be read as a code
+/// is written after Escape. A packed key decodes back to its key, so two
+/// keys pack alike only if they are equal. On the daemon's generated
+/// pairs a packed key is under a third of the text. Only an insertion
+/// packs; a probe compares its key against the stored keys' decoding.
+constexpr std::string_view Vocabulary[] = {
+    "thread{",    "}\n",         "unlock m0;", "unlock m1;", "unlock m2;",
+    "lock m0;",   "lock m1;",    "lock m2;",   "sync m0{",   "sync m1{",
+    "skip;",      "print ",      "input ",     "volatile ",  "if(",
+    "}else{",     "while(",      ":=",         "==",         "!=",
+    "){",         "r0;",         "r1;",        "r2;",        "r3;",
+    "r4;",        "r5;",         "g0;",        "g1;",        "g2;",
+    "g3;",        "r0",          "r1",         "r2",         "r3",
+    "r4",         "r5",          "g0",         "g1",         "g2",
+    "g3",         "0;",          "1;",         "2;",
+    std::string_view("\0\0\0\0\0\0\0", 7), std::string_view("\0\0\0", 3)};
+constexpr unsigned char CodeBase = 0x80;
+constexpr unsigned char Escape = 0xFF;
+static_assert(CodeBase + std::size(Vocabulary) <= Escape);
+
+/// For each first byte, the vocabulary indices that start with it,
+/// longest first.
+const std::array<std::vector<unsigned char>, 256> &vocabularyByFirstByte() {
+  static const std::array<std::vector<unsigned char>, 256> Table = [] {
+    std::array<std::vector<unsigned char>, 256> T;
+    for (unsigned char I = 0; I < std::size(Vocabulary); ++I)
+      T[static_cast<unsigned char>(Vocabulary[I][0])].push_back(I);
+    for (std::vector<unsigned char> &Bucket : T)
+      std::stable_sort(Bucket.begin(), Bucket.end(),
+                       [](unsigned char A, unsigned char B) {
+                         return Vocabulary[A].size() > Vocabulary[B].size();
+                       });
+    return T;
+  }();
+  return Table;
+}
+
+std::string packKey(std::string_view Key) {
+  const auto &ByFirst = vocabularyByFirstByte();
+  std::string Out;
+  Out.reserve(Key.size() / 2 + 8);
+  for (size_t I = 0; I < Key.size();) {
+    const auto C = static_cast<unsigned char>(Key[I]);
+    bool Coded = false;
+    for (unsigned char V : ByFirst[C]) {
+      if (Key.compare(I, Vocabulary[V].size(), Vocabulary[V]) != 0)
+        continue;
+      Out += static_cast<char>(CodeBase + V);
+      I += Vocabulary[V].size();
+      Coded = true;
+      break;
+    }
+    if (Coded)
+      continue;
+    if (C >= CodeBase)
+      Out += static_cast<char>(Escape);
+    Out += Key[I++];
+  }
+  return Out;
+}
+
+/// Does \p Packed decode to \p Key? A probe's hit path: one pass, no
+/// decoded copy.
+bool packsTo(std::string_view Packed, std::string_view Key) {
+  const char *At = Key.data();
+  const char *End = At + Key.size();
+  for (size_t I = 0; I < Packed.size(); ++I) {
+    const auto C = static_cast<unsigned char>(Packed[I]);
+    if (C < CodeBase || C == Escape) {
+      const char Byte = C == Escape ? Packed[++I] : Packed[I];
+      if (At == End || *At != Byte)
+        return false;
+      ++At;
+      continue;
+    }
+    std::string_view Piece = Vocabulary[C - CodeBase];
+    if (static_cast<size_t>(End - At) < Piece.size() ||
+        std::memcmp(At, Piece.data(), Piece.size()) != 0)
+      return false;
+    At += Piece.size();
+  }
+  return At == End;
+}
+
 } // namespace
+
+size_t BehaviourCache::KeyHash::operator()(std::string_view Key) const {
+  return std::hash<std::string_view>{}(Key);
+}
+
+bool BehaviourCache::KeyEqual::operator()(std::string_view Key,
+                                          const StoredKey &S) const {
+  return packsTo(S.Packed, Key);
+}
 
 void BehaviourCache::touchLocked(Entry &E) {
   if (E.Protected_) {
@@ -68,7 +170,7 @@ BehaviourCache::queryFor(const std::string &Key, Budget *Shared) {
   try {
     faultThrowInjected(FaultSite::BehaviourCache);
     std::lock_guard<std::mutex> Lock(M);
-    auto It = Entries.find(Key);
+    auto It = Entries.find(std::string_view(Key));
     if (It != Entries.end()) {
       ++Counters.QueryHits;
       touchLocked(It->second);
@@ -99,14 +201,16 @@ void BehaviourCache::insertQuery(const std::string &Key, CachedQuery E,
   PersistSink Spill;
   try {
     faultThrowInjected(FaultSite::BehaviourCache);
+    StoredKey Stored{packKey(Key), KeyHash{}(Key)};
     std::lock_guard<std::mutex> Lock(M);
     Entry Fresh;
     Fresh.Value = std::move(E);
-    Fresh.Footprint = Key.size() + Fresh.Value.Detail.size() + 96;
+    Fresh.Footprint = Stored.Packed.size() + Fresh.Value.Detail.size() + 96;
     reserveLocked(Fresh.Footprint);
     if (Fresh.Footprint <= MaxBytes) {
       uint64_t F = Fresh.Footprint;
-      auto [Slot, Inserted] = Entries.emplace(Key, std::move(Fresh));
+      auto [Slot, Inserted] =
+          Entries.emplace(std::move(Stored), std::move(Fresh));
       if (Inserted) {
         Counters.Bytes += F;
         Probation.push_front(&Slot->first);

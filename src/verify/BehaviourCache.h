@@ -46,6 +46,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace tracesafe {
@@ -153,10 +154,33 @@ public:
   static BehaviourCache &global();
 
 private:
+  /// A stored key: the canonical key packed (BehaviourCache.cpp), with
+  /// the hash of the key as callers spell it. A probe is hashed and
+  /// compared as it is, without packing it.
+  struct StoredKey {
+    std::string Packed;
+    size_t Hash = 0;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const StoredKey &K) const { return K.Hash; }
+    size_t operator()(std::string_view Key) const;
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const StoredKey &A, const StoredKey &B) const {
+      return A.Packed == B.Packed;
+    }
+    bool operator()(std::string_view Key, const StoredKey &S) const;
+    bool operator()(const StoredKey &S, std::string_view Key) const {
+      return (*this)(Key, S);
+    }
+  };
+
   /// The segmented LRU lists hold the entries' map keys. Map key storage
   /// is stable under rehash, so a pointer stays valid for the entry's
   /// lifetime.
-  using LruList = std::list<const std::string *>;
+  using LruList = std::list<const StoredKey *>;
 
   struct Entry {
     CachedQuery Value;
@@ -176,7 +200,7 @@ private:
 
   uint64_t MaxBytes; ///< mutable via setCapacity; never 0
   mutable std::mutex M;
-  std::unordered_map<std::string, Entry> Entries;
+  std::unordered_map<StoredKey, Entry, KeyHash, KeyEqual> Entries;
   PersistSink Sink; ///< guarded by M; invoked outside it (copied first)
   /// Segmented LRU: entries enter Probation (front = most recent) and are
   /// promoted to Protected on their first hit. Eviction drains probation

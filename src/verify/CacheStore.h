@@ -60,7 +60,10 @@ namespace tracesafe {
 ///    `trans-drf=0 preserved=0`.
 ///  - 2: keys are built from the token stream (verify/Canonical.h), not
 ///    printed from the AST; the canonical text bytes changed.
-constexpr uint64_t VerdictSemanticsEpoch = 2;
+///  - 3: DrfGuarantee and ThinAir certify before they explore
+///    (verify/Checks.h): a certified pair's Visited counts the rewrite
+///    sites tried instead of the searches it skips.
+constexpr uint64_t VerdictSemanticsEpoch = 3;
 
 /// What a load found. HeaderOk=false means the file exists but is not a
 /// TSCS store (wrong magic/version) — the caller should refuse to append

@@ -10,9 +10,23 @@
 /// transformed program must stay data race free; and no transformation may
 /// output a constant the original program cannot build.
 ///
-/// Every SC question here is answered on [[P]] by the execution enumerator
-/// (lang/Explore.h), each program's traceset built once per check;
-/// ExecLimits::ExhaustiveOracle swaps in the seed enumerator.
+/// Each pair check comes in two forms:
+///  - explore*: every SC question is answered on [[P]] by the execution
+///    enumerator (lang/Explore.h), each program's traceset built once per
+///    check. These test the theorems, so the theorem checkers, the fuzzer
+///    and the differential suite call them.
+///  - check*: the paper's theorems first, exploration as the fallback.
+///    - DRF guarantee: once O's race search proves O data race free, a T
+///      that is one Fig 10/11 rewrite of O (the paper's rules, no
+///      extensions) is DRF and adds no behaviour (Theorems 3/4 with
+///      Lemmas 4-6), so T is not searched.
+///    - Thin air: a program whose text has neither the constant nor an
+///      `input` statement has no origin for it and cannot output it
+///      (Lemmas 2-3; the language has no arithmetic), so that program is
+///      not searched.
+///    With ExecLimits::ExhaustiveOracle set, check* is exactly explore*:
+///    the daemon's degraded path shares no certificate code.
+/// A report's Route says which way it went.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +51,14 @@ enum class GuaranteeOutcome : uint8_t {
 
 const char *guaranteeOutcomeName(GuaranteeOutcome O);
 
+/// How a pair check reached its report. Observability only: a route never
+/// changes a report's Detail fields.
+enum class CheckRoute : uint8_t {
+  Search,    ///< explored (every explore* report, and check* uncertified)
+  Rule,      ///< DRF guarantee: T is one Fig 10/11 rewrite of a DRF O
+  Syntactic, ///< thin air: neither program's text can produce the constant
+};
+
 /// Comparison of the SC behaviour sets of two programs.
 struct BehaviourComparison {
   bool Subset = false; ///< behaviours(Transformed) within behaviours(Orig).
@@ -57,6 +79,9 @@ BehaviourComparison compareBehaviours(const Program &Orig,
 /// The statement of the DRF guarantee for one original/transformed pair.
 /// When the original has a race the transformed program is not searched:
 /// TransformedDrf, BehavioursPreserved and Comparison keep their defaults.
+/// On the Rule route T is not searched either: TransformedDrf and
+/// BehavioursPreserved are true by Theorems 3/4, and Comparison and
+/// NewBehaviour keep their defaults (not computed).
 struct DrfGuaranteeReport {
   bool OriginalDrf = false;
   bool TransformedDrf = false;
@@ -71,6 +96,7 @@ struct DrfGuaranteeReport {
   bool TransformedRaceTruncated = false;
   BehaviourComparison Comparison;
   TruncationReason Reason = TruncationReason::None;
+  CheckRoute Route = CheckRoute::Search;
 
   /// Vacuously Holds for provably racy originals (Theorems 1-4 say nothing
   /// about them); Violated only on a definitive counterexample; Unknown
@@ -94,9 +120,16 @@ struct DrfGuaranteeReport {
   bool holds() const { return outcome() == GuaranteeOutcome::Holds; }
 };
 
+/// Certify, else explore: see the file comment. A certificate charges
+/// Limits.Shared one visit per rewrite site it tries.
 DrfGuaranteeReport checkDrfGuarantee(const Program &Orig,
                                      const Program &Transformed,
                                      ExecLimits Limits = {});
+
+/// O's race search, then T's race search and both behaviour sets.
+DrfGuaranteeReport exploreDrfGuarantee(const Program &Orig,
+                                       const Program &Transformed,
+                                       ExecLimits Limits = {});
 
 /// Can \p P output \p V in some SC execution? "Yes" is witness-based and
 /// definitive; "no" is only exhaustive when \p Stats (if supplied) reports
@@ -123,6 +156,9 @@ struct ThinAirReport {
   bool OrigExploreTruncated = false;
   bool TransformedExploreTruncated = false;
   TruncationReason Reason = TruncationReason::None;
+  /// Syntactic when the Lemma 2-3 bound settled both programs and nothing
+  /// was explored; a program it settles keeps its fields false.
+  CheckRoute Route = CheckRoute::Search;
 
   GuaranteeOutcome outcome() const {
     if (OrigContainsConstant)
@@ -145,9 +181,15 @@ struct ThinAirReport {
   bool holds() const { return outcome() == GuaranteeOutcome::Holds; }
 };
 
+/// Bound, else explore, per program: see the file comment.
 ThinAirReport checkThinAir(const Program &Orig, const Program &Transformed,
                            Value C, ExecLimits Limits = {},
                            ExploreLimits TracesetLimits = {});
+
+/// T's output search, then both programs' origin searches.
+ThinAirReport exploreThinAir(const Program &Orig, const Program &Transformed,
+                             Value C, ExecLimits Limits = {},
+                             ExploreLimits TracesetLimits = {});
 
 /// A fresh constant guaranteed not to occur in \p P (and nonzero).
 Value freshConstantFor(const Program &P);

@@ -25,8 +25,8 @@ tracesafe::escalateDrfGuarantee(const Program &Orig,
                                 const Program &Transformed,
                                 const EscalationPolicy &Policy) {
   return escalate<DrfGuaranteeReport>(Policy, [&](Budget &B) {
-    DrfGuaranteeReport R = checkDrfGuarantee(Orig, Transformed,
-                                             execLimitsFor(B));
+    DrfGuaranteeReport R = exploreDrfGuarantee(Orig, Transformed,
+                                               execLimitsFor(B));
     switch (R.outcome()) {
     case GuaranteeOutcome::Holds:
       return Verdict<DrfGuaranteeReport>::proved();
@@ -45,8 +45,8 @@ Escalated<ThinAirReport>
 tracesafe::escalateThinAir(const Program &Orig, const Program &Transformed,
                            Value C, const EscalationPolicy &Policy) {
   return escalate<ThinAirReport>(Policy, [&](Budget &B) {
-    ThinAirReport R = checkThinAir(Orig, Transformed, C, execLimitsFor(B),
-                                   exploreLimitsFor(B));
+    ThinAirReport R = exploreThinAir(Orig, Transformed, C,
+                                     execLimitsFor(B), exploreLimitsFor(B));
     switch (R.outcome()) {
     case GuaranteeOutcome::Holds:
       return Verdict<ThinAirReport>::proved();

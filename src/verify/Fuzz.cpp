@@ -87,12 +87,12 @@ bool propertyViolated(const Program &Orig, const Program &Transformed,
   ExecLimits Exec;
   Exec.Shared = &B;
   if (Property == "drf-guarantee")
-    return checkDrfGuarantee(Orig, Transformed, Exec).outcome() ==
+    return exploreDrfGuarantee(Orig, Transformed, Exec).outcome() ==
            GuaranteeOutcome::Violated;
   ExploreLimits Explore;
   Explore.Shared = &B;
-  return checkThinAir(Orig, Transformed, freshConstantFor(Orig), Exec,
-                      Explore)
+  return exploreThinAir(Orig, Transformed, freshConstantFor(Orig), Exec,
+                        Explore)
              .outcome() == GuaranteeOutcome::Violated;
 }
 
@@ -671,7 +671,7 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
     Escalated<DrfGuaranteeReport> Drf = escalateDrfGuarantee(P, T, Esc);
     retryFaulted(Drf.Final, Rec, Options,
                  [&](const ExecLimits &E, const ExploreLimits &) {
-                   return checkDrfGuarantee(P, T, E);
+                   return exploreDrfGuarantee(P, T, E);
                  });
     Track(Rec, Drf.Final.Kind, Drf.Attempts.size());
     if (Drf.Final.isRefuted())
@@ -683,7 +683,7 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
       Escalated<ThinAirReport> Ta = escalateThinAir(P, T, C, Esc);
       retryFaulted(Ta.Final, Rec, Options,
                    [&](const ExecLimits &E, const ExploreLimits &X) {
-                     return checkThinAir(P, T, C, E, X);
+                     return exploreThinAir(P, T, C, E, X);
                    });
       Track(Rec, Ta.Final.Kind, Ta.Attempts.size());
       if (Ta.Final.isRefuted())

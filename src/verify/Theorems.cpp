@@ -91,11 +91,11 @@ tracesafe::checkTheoremsOnChain(const Program &Orig,
                                 const TransformChain &Chain,
                                 const TheoremCheckOptions &Options) {
   TheoremCaseReport Report;
-  Report.Drf = checkDrfGuarantee(Orig, Chain.Result, Options.Exec);
+  Report.Drf = exploreDrfGuarantee(Orig, Chain.Result, Options.Exec);
   if (Options.CheckThinAir) {
     Value C = freshConstantFor(Orig);
     Report.ThinAir =
-        checkThinAir(Orig, Chain.Result, C, Options.Exec, Options.Explore);
+        exploreThinAir(Orig, Chain.Result, C, Options.Exec, Options.Explore);
   } else {
     Report.ThinAir.OrigContainsConstant = true; // Vacuous.
   }

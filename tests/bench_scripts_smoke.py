@@ -15,11 +15,15 @@ each, with their aggregates) and on inputs it writes itself, and checks:
   * one outlier repetition leaves a row's MAD, and so its bound, as it
     was;
   * debug inputs, inputs without repetition rows and inputs from two
-    hosts are refused.
+    hosts are refused;
+  * scripts/ab_perfbench.py, replaying the recorded pairs of
+    tests/bench_fixtures/ab_runs.json, gives each metric the sign-test
+    interval and verdict its pairs call for, and fails on a failed run.
 
 Usage: bench_scripts_smoke.py  (exit 0 = all checks passed)
 """
 
+import importlib.util
 import json
 import os
 import statistics
@@ -109,6 +113,45 @@ def check_mad_gate(tmp):
         assert "bound 3.0%" in bad.stdout, bad.stdout
 
 
+def check_ab_driver(tmp):
+    """ab_perfbench.py's statistics, on recorded pairs and directly."""
+    spec = importlib.util.spec_from_file_location(
+        "ab_perfbench", os.path.join(SCRIPTS, "ab_perfbench.py"))
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    ratios = [1.0 + i / 100 for i in range(10)]
+    # n = 10 at 95%: the 2nd and 9th order statistics (97.9% coverage).
+    assert ab.sign_test_interval(ratios) == (1.01, 1.08)
+    assert ab.sign_test_interval(ratios[:6]) == (1.0, 1.05)
+    assert ab.sign_test_interval(ratios[:5]) is None
+    assert ab.verdict((1.2, 1.4), "higher") == "gain"
+    assert ab.verdict((1.2, 1.4), "lower") == "regression"
+    assert ab.verdict((0.8, 1.1), "lower") == "unresolved"
+    assert ab.verdict(None, "lower") == "unresolved"
+
+    r = run("ab_perfbench.py", "--replay", fixture("ab_runs.json"))
+    assert r.returncode == 0, r.stdout + r.stderr
+    verdicts = {}
+    for line in r.stdout.splitlines()[1:]:
+        cols = line.split()
+        verdicts[(cols[0], cols[1])] = (cols[3], cols[-2], cols[-1])
+    assert verdicts == {
+        ("cold-mix", "throughput_qps"): ("10", "gain", "yes"),
+        ("cold-mix", "latency_p99_us"): ("5", "unresolved", "no"),
+        ("cold-mix", "daemon_peak_rss_mb"): ("0", "regression", "no"),
+        ("few-pairs", "throughput_qps"): ("4", "unresolved", "no"),
+    }, r.stdout
+
+    with open(fixture("ab_runs.json")) as f:
+        record = json.load(f)
+    record["runs"][3]["failed"] = 1
+    failed = os.path.join(tmp, "ab_failed.json")
+    with open(failed, "w") as f:
+        json.dump(record, f)
+    r = run("ab_perfbench.py", "--replay", failed)
+    assert r.returncode == 1, r.stdout + r.stderr
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.mkdir(os.path.join(tmp, "docs"))
@@ -160,6 +203,7 @@ def main():
         assert "1 regressed" in bad.stdout, bad.stdout
         assert "! BM_demo_por_w1" in bad.stdout, bad.stdout
         check_mad_gate(tmp)
+        check_ab_driver(tmp)
 
         # A record in the CV-based v2 layout cannot be gated on.
         old = os.path.join(tmp, "v2.json")

@@ -151,6 +151,32 @@ TEST(BehaviourCache, QueryEntriesEvictUnderTheSharedByteCap) {
   EXPECT_EQ(Cache.stats().Bytes, 0u);
 }
 
+TEST(BehaviourCache, KeysThatPackAlikeInPartsStayDistinct) {
+  // The cache stores keys packed: a vocabulary string becomes one byte at
+  // or above 0x80, and such a byte in a key is escaped. Keys built from
+  // those pieces, and a key that is a prefix of another, must each find
+  // their own entry and nothing else.
+  const std::vector<std::string> Keys = {
+      "thread{",          std::string("\x80", 1), std::string("\xFF\x80", 2),
+      "thread{r0:=g0;}\n", "thread{r0:=g0;}",       "r0",
+      "r0;",              std::string("\0\0\0\0\0\0\0", 7),
+      std::string("\0\0\0", 3), std::string("\0\0\0\0", 4)};
+  BehaviourCache Cache;
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    BehaviourCache::CachedQuery E = sampleVerdict();
+    E.Detail = "entry " + std::to_string(I);
+    Cache.insertQuery(Keys[I], std::move(E));
+  }
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    std::optional<BehaviourCache::CachedQuery> Hit =
+        Cache.queryFor(Keys[I], nullptr);
+    ASSERT_TRUE(Hit.has_value()) << I;
+    EXPECT_EQ(Hit->Detail, "entry " + std::to_string(I));
+  }
+  EXPECT_FALSE(Cache.queryFor("thread", nullptr).has_value());
+  EXPECT_FALSE(Cache.queryFor(std::string("\0\0", 2), nullptr).has_value());
+}
+
 //===----------------------------------------------------------------------===//
 // Segmented LRU under the byte cap.
 //===----------------------------------------------------------------------===//

@@ -334,6 +334,40 @@ TEST(Daemon, RetransmittedRequestIdsAreIdempotent) {
   EXPECT_EQ(S.Replayed, 1u);
 }
 
+TEST(Daemon, AnsweredVerdictsReplayInsideTheHorizonAndRecomputeBeyondIt) {
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("horizon");
+  ServerFixture Server(O);
+  QueryRequest Q = drfQuery("thread { x := 4093; }\nthread { r0 := x; }\n");
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "horizon-test";
+  CO.FirstRequestId = 1;
+  QueryResponse First;
+  {
+    // Ids 1 .. AnsweredHorizon + 1: the first computes, the rest are
+    // verdict-cache hits, and id 1 falls out of the horizon.
+    DaemonClient A(CO);
+    First = A.call(Q);
+    std::vector<QueryRequest> Rest(AnsweredHorizon, Q);
+    for (const QueryResponse &R : A.callBatch(Rest))
+      ASSERT_EQ(R.str(), First.str());
+  }
+  auto Retransmit = [&](uint64_t Id) {
+    ClientOptions Again = CO;
+    Again.FirstRequestId = Id;
+    DaemonClient B(Again);
+    return B.call(Q);
+  };
+  // The newest id replays; the oldest is admitted again, with the same
+  // bytes.
+  EXPECT_EQ(Retransmit(AnsweredHorizon + 1).str(), First.str());
+  EXPECT_EQ(Retransmit(1).str(), First.str());
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.Replayed, 1u);
+  EXPECT_EQ(S.Admitted, AnsweredHorizon + 2);
+}
+
 TEST(Daemon, CancelAbortsAnInflightQuery) {
   ServerOptions O;
   O.SocketPath = uniqueSocket("cancel");
@@ -411,8 +445,10 @@ TEST(Daemon, PairChecksDegradeToTheSeedEnumerator) {
                   "thread { sync m { r0 := x; print r0; } }\n";
   Qs[0].Transformed = "thread { sync m { x := 4; } }\n"
                       "thread { sync m { r0 := x; print r0; } }\n";
+  // An `input` keeps the thin-air check searching: a program with neither
+  // input nor the constant is settled by the Lemma 2-3 bound instead.
   Qs[1].Kind = QueryKind::ThinAir;
-  Qs[1].Program = "thread { r2 := y; x := r2; print r2; }\n"
+  Qs[1].Program = "thread { input r2; x := r2; print r2; }\n"
                   "thread { r1 := x; y := r1; print r1; }\n";
   Qs[1].Transformed = Qs[1].Program;
   for (const QueryRequest &Q : Qs) {
@@ -1586,6 +1622,56 @@ TEST(Daemon, StatsExposeTheMemoisationCounters) {
         "persist-loaded=", "persist-spilled="})
     EXPECT_NE(R.Detail.find(Key), std::string::npos)
         << "missing " << Key << " in: " << R.Detail;
+  Server.shutdown();
+}
+
+TEST(Daemon, StatsCountThePairRoutesOfComputedVerdicts) {
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("pairroutes");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "pairroutes-test";
+  DaemonClient Client(CO);
+
+  auto Pair = [](QueryKind K, const char *T) {
+    QueryRequest Q;
+    Q.Kind = K;
+    Q.Program = "thread { lock m; r1 := x; r2 := x; print r2; unlock m; }\n"
+                "thread { lock m; x := 7331; unlock m; }\n";
+    Q.Transformed = T;
+    return Q;
+  };
+  // Fig 10's E-RAR on a lock-disciplined program, and the unsafe elision
+  // of the second thread's lock pair (opt/Unsafe.h).
+  const char *Fig10 =
+      "thread { lock m; r1 := x; r2 := r1; print r2; unlock m; }\n"
+      "thread { lock m; x := 7331; unlock m; }\n";
+  const char *Elided =
+      "thread { lock m; r1 := x; r2 := x; print r2; unlock m; }\n"
+      "thread { x := 7331; }\n";
+  std::string Before = statsDetail(Client);
+  auto Delta = [&](const char *Key) {
+    return statsField(statsDetail(Client), Key) - statsField(Before, Key);
+  };
+  QueryResponse Certified = Client.call(Pair(QueryKind::DrfGuarantee, Fig10));
+  EXPECT_EQ(Certified.Kind, VerdictKind::Proved) << Certified.str();
+  EXPECT_EQ(Certified.Detail, "orig-drf=1 trans-drf=1 preserved=1");
+  EXPECT_EQ(Delta("pair-certified-rule"), 1u);
+  EXPECT_EQ(Delta("pair-explored"), 0u);
+  QueryResponse Unsafe = Client.call(Pair(QueryKind::DrfGuarantee, Elided));
+  EXPECT_EQ(Unsafe.Kind, VerdictKind::Refuted) << Unsafe.str();
+  EXPECT_EQ(Delta("pair-certified-rule"), 1u);
+  EXPECT_EQ(Delta("pair-explored"), 1u);
+  QueryResponse Bound = Client.call(Pair(QueryKind::ThinAir, Fig10));
+  EXPECT_EQ(Bound.Detail, "c=42 outputs=0 origin=0");
+  EXPECT_EQ(Delta("pair-certified-syntactic"), 1u);
+  // A verdict-cache hit computes nothing, so it moves no route.
+  EXPECT_EQ(Client.call(Pair(QueryKind::DrfGuarantee, Fig10)).str(),
+            Certified.str());
+  EXPECT_EQ(Delta("pair-certified-rule"), 1u);
+  EXPECT_EQ(Delta("pair-explored"), 1u);
+  EXPECT_EQ(Delta("pair-certified-syntactic"), 1u);
   Server.shutdown();
 }
 

@@ -151,7 +151,7 @@ TEST_P(DataflowCertification, EveryRewriteStepIsASemanticElimination) {
           << "counterexample: " << Check.Counterexample.str();
       Prev = std::move(Next);
     }
-    DrfGuaranteeReport G = checkDrfGuarantee(P, Out);
+    DrfGuaranteeReport G = exploreDrfGuarantee(P, Out);
     EXPECT_TRUE(G.holds()) << printProgram(P);
   }
 }
@@ -175,7 +175,7 @@ TEST(DataflowOpt, CompositionCounterexampleNeedsTheChain) {
       << "if this starts holding, the composition remark in DataflowOpt.h "
          "is stale";
   // The guarantee nevertheless holds end to end (Theorem 1 composes).
-  EXPECT_TRUE(checkDrfGuarantee(P, Out).holds());
+  EXPECT_TRUE(exploreDrfGuarantee(P, Out).holds());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowCertification,

@@ -125,7 +125,7 @@ TEST(Input, ReorderedInputIsAnEliminationThenReordering) {
       programTraceset(O, D), programTraceset(T, D));
   EXPECT_EQ(R.Verdict, CheckVerdict::Holds)
       << "counterexample: " << R.Counterexample.str();
-  EXPECT_TRUE(checkDrfGuarantee(O, T).holds());
+  EXPECT_TRUE(exploreDrfGuarantee(O, T).holds());
 }
 
 TEST(Input, TheoremHarnessOnInputPrograms) {
@@ -182,7 +182,7 @@ TEST(Input, PairwiseChecksPinTheEnvironmentToTheOriginal) {
   BehaviourComparison C = compareBehaviours(O, T);
   EXPECT_TRUE(C.Subset);
   EXPECT_TRUE(C.Equal) << "input echo of 5 must exist on both sides";
-  DrfGuaranteeReport G = checkDrfGuarantee(O, T);
+  DrfGuaranteeReport G = exploreDrfGuarantee(O, T);
   EXPECT_TRUE(G.holds());
 }
 

@@ -67,7 +67,7 @@ TEST(WriteSpeculation, OriginalIsDrf) {
 TEST(WriteSpeculation, ViolatesTheDrfGuarantee) {
   Program O = parseOrDie(SpeculationOriginal);
   Program T = parseOrDie(SpeculationTransformed);
-  DrfGuaranteeReport R = checkDrfGuarantee(O, T);
+  DrfGuaranteeReport R = exploreDrfGuarantee(O, T);
   EXPECT_TRUE(R.OriginalDrf);
   EXPECT_FALSE(R.holds());
   // Both failure modes occur: a race is introduced and a new behaviour
@@ -121,7 +121,7 @@ TEST(LockElision, IntroducesARaceIntoADrfProgram) {
   std::vector<LockPair> Pairs = findLockPairs(O);
   Program T = elideLockPair(O, Pairs[1]); // Elide the reader's section.
   EXPECT_FALSE(isProgramDrf(T));
-  DrfGuaranteeReport R = checkDrfGuarantee(O, T);
+  DrfGuaranteeReport R = exploreDrfGuarantee(O, T);
   EXPECT_FALSE(R.holds());
 }
 

@@ -337,7 +337,7 @@ TEST(IntroExample, UnsafeConstantPropagationPrints1) {
   std::set<Behaviour> Bs = programBehaviours(T);
   EXPECT_TRUE(hasBehaviour(Bs, {1}));
   // The original is DRF; the pass violates the DRF guarantee.
-  DrfGuaranteeReport R = checkDrfGuarantee(P, T);
+  DrfGuaranteeReport R = exploreDrfGuarantee(P, T);
   EXPECT_TRUE(R.OriginalDrf);
   EXPECT_FALSE(R.holds());
 }
@@ -360,7 +360,7 @@ TEST(ThinAir, ProgramCannotOutput42) {
   Program P = parseOrDie(ThinAirProgram);
   EXPECT_FALSE(P.containsConstant(42));
   EXPECT_FALSE(programCanOutput(P, 42));
-  ThinAirReport R = checkThinAir(P, P, 42);
+  ThinAirReport R = exploreThinAir(P, P, 42);
   EXPECT_TRUE(R.holds());
   EXPECT_FALSE(R.OrigHasOrigin);
 }
