@@ -49,14 +49,14 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink \
 ./build-asan/tests/test_shrink
 ./build-asan/tests/test_support
 ./build-asan/examples/fuzz_harness --programs 2000 --deadline-ms 30000 \
-  --seed 1 --query-deadline-ms 50
+  --seed 1 --query-deadline-ms 3200
 ./build-asan/examples/fuzz_harness --programs 200 --deadline-ms 30000 \
   --inject --inject-every 1 --expect-failures --no-thin-air --seed 2 \
   --repro-dir build-asan/fuzz_repros
 # The --semantic chain walk (verify/Theorems' verifyChainSteps) builds a
 # traceset value per chain member and moves it along the chain.
 ./build-asan/examples/fuzz_harness --programs 200 --seed 7 --semantic \
-  --no-thin-air --query-deadline-ms 50
+  --no-thin-air --query-deadline-ms 3200
 
 # Engine stage under ASan: the intern pools and the sleep-set memo free
 # each slot table as soon as a larger one replaces it, and the reduced SC
@@ -178,11 +178,11 @@ cmake --build build-tsan --target test_daemon fuzz_harness
 # budget, intern pools and memo tables; this campaign is the check that
 # no per-query structure is shared across jobs.
 ./build-tsan/examples/fuzz_harness --programs 100 --deadline-ms 60000 \
-  --seed 3 --no-thin-air --query-deadline-ms 50 --jobs 4 --semantic
+  --seed 3 --no-thin-air --query-deadline-ms 3200 --jobs 4 --semantic
 # Chaos on job threads: seed 4 arms TaskRun/TaskStall, which the job
 # threads contain themselves, plus a mid-campaign cancel and resume.
 ./build-tsan/examples/fuzz_harness --chaos --programs 40 --seed 4 \
-  --no-thin-air --query-deadline-ms 50
+  --no-thin-air --query-deadline-ms 3200
 
 # UBSan pass: undefined-behaviour checking over the robustness stack —
 # fault injection, degradation to the oracle engines (test_degrade, on
@@ -202,4 +202,4 @@ cmake --build build-ubsan --target \
 ./build-ubsan/tests/test_input
 ./build-ubsan/tests/test_cross_engine
 ./build-ubsan/examples/fuzz_harness --chaos --chaos-rounds 2 \
-  --programs 40 --seed 4 --no-thin-air --query-deadline-ms 50
+  --programs 40 --seed 4 --no-thin-air --query-deadline-ms 3200

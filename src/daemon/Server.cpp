@@ -1023,8 +1023,6 @@ private:
     Out += KV("coalesced", Stats.Coalesced);
     Out += KV("answered-at-admission", Stats.AnsweredAtAdmission);
     BehaviourCache::CacheStats CS = BehaviourCache::global().stats();
-    Out += KV("cache-hits", CS.QueryHits);
-    Out += KV("cache-misses", CS.QueryMisses);
     Out += KV("cache-query-hits", CS.QueryHits);
     Out += KV("cache-query-misses", CS.QueryMisses);
     Out += KV("cache-bytes", CS.Bytes);

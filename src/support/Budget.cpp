@@ -62,24 +62,6 @@ const char *tracesafe::verdictKindName(VerdictKind K) {
   return "invalid";
 }
 
-BudgetSpec BudgetSpec::scaled(unsigned Factor,
-                              const BudgetSpec &Ceiling) const {
-  auto Clamp = [](uint64_t V, uint64_t Cap) {
-    return Cap && (V == 0 || V > Cap) ? Cap : V;
-  };
-  BudgetSpec Out;
-  Out.DeadlineMs = static_cast<int64_t>(
-      Clamp(DeadlineMs <= 0 ? 0 : static_cast<uint64_t>(DeadlineMs) * Factor,
-            Ceiling.DeadlineMs <= 0
-                ? 0
-                : static_cast<uint64_t>(Ceiling.DeadlineMs)));
-  Out.MaxVisited = Clamp(MaxVisited ? MaxVisited * Factor : 0,
-                         Ceiling.MaxVisited);
-  Out.MaxMemoryBytes = Clamp(MaxMemoryBytes ? MaxMemoryBytes * Factor : 0,
-                             Ceiling.MaxMemoryBytes);
-  return Out;
-}
-
 std::string BudgetSpec::str() const {
   std::string Out = "{";
   Out += "deadline=" +

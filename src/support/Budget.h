@@ -78,10 +78,6 @@ struct BudgetSpec {
   /// Cap on approximate bytes charged (memoisation tables dominate).
   uint64_t MaxMemoryBytes = 0;
 
-  /// Returns this spec scaled by \p Factor and clamped to \p Ceiling
-  /// (field-wise; 0 in the ceiling means unbounded). Used by escalation.
-  BudgetSpec scaled(unsigned Factor, const BudgetSpec &Ceiling) const;
-
   std::string str() const;
 };
 

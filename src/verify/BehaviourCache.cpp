@@ -194,6 +194,26 @@ BehaviourCache::queryFor(const std::string &Key, Budget *Shared) {
   return std::nullopt;
 }
 
+/// What one entry allocates: its map node (key, entry, the chain link
+/// and the cached hash), its LRU node (a key pointer and two links), one
+/// bucket slot (the table keeps about one per entry), and the heap buffers
+/// of the packed key and the detail once they outgrow the strings' inline
+/// buffers. Each allocation is counted as a malloc chunk: an 8-byte header,
+/// rounded up to 16 bytes.
+uint64_t BehaviourCache::footprint(const std::string &Packed,
+                                   const std::string &Detail) {
+  const auto Chunk = [](uint64_t N) -> uint64_t {
+    return (N + 8 + 15) / 16 * 16;
+  };
+  const auto Heap = [&](const std::string &S) -> uint64_t {
+    return S.capacity() > std::string().capacity() ? Chunk(S.capacity() + 1)
+                                                   : 0;
+  };
+  return Chunk(sizeof(decltype(Entries)::value_type) + 2 * sizeof(void *)) +
+         Chunk(sizeof(LruList::value_type) + 2 * sizeof(void *)) +
+         sizeof(void *) + Heap(Packed) + Heap(Detail);
+}
+
 void BehaviourCache::insertQuery(const std::string &Key, CachedQuery E,
                                  bool Notify) {
   if (E.Kind == VerdictKind::Unknown)
@@ -205,7 +225,7 @@ void BehaviourCache::insertQuery(const std::string &Key, CachedQuery E,
     std::lock_guard<std::mutex> Lock(M);
     Entry Fresh;
     Fresh.Value = std::move(E);
-    Fresh.Footprint = Stored.Packed.size() + Fresh.Value.Detail.size() + 96;
+    Fresh.Footprint = footprint(Stored.Packed, Fresh.Value.Detail);
     reserveLocked(Fresh.Footprint);
     if (Fresh.Footprint <= MaxBytes) {
       uint64_t F = Fresh.Footprint;

@@ -73,7 +73,7 @@ public:
     uint64_t Faults = 0;
     uint64_t Evictions = 0;
     uint64_t Clears = 0;
-    uint64_t Bytes = 0; ///< approximate current footprint
+    uint64_t Bytes = 0; ///< current footprint of the entries
   };
 
   /// A memoised whole-query verdict (the daemon's ProgramDrf/Behaviours/
@@ -184,7 +184,7 @@ private:
 
   struct Entry {
     CachedQuery Value;
-    uint64_t Footprint = 0;  ///< approximate bytes this entry occupies
+    uint64_t Footprint = 0;  ///< bytes this entry allocates (footprint())
     LruList::iterator It;    ///< this entry's node in its segment
     bool Protected_ = false; ///< which segment It points into
   };
@@ -193,6 +193,10 @@ private:
   /// demoting protected tails back to probation if the segment outgrows
   /// its share of the byte cap. Call with the lock held.
   void touchLocked(Entry &E);
+
+  /// The bytes an entry with this packed key and detail allocates.
+  static uint64_t footprint(const std::string &Packed,
+                            const std::string &Detail);
 
   /// Evicts probation (then protected) tails until \p Need more bytes fit
   /// under the cap or the cache is empty. Call with the lock held.

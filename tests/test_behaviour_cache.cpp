@@ -7,7 +7,8 @@
 /// recomputation would have), fault transparency (injected cache faults
 /// degrade to misses and skipped inserts, never to a changed answer), the
 /// completeness rule (Unknown verdicts are not stored), the persist sink,
-/// and the segmented LRU under the byte cap.
+/// the segmented LRU under the byte cap, and the byte accounting against
+/// what the heap really holds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include "support/Failure.h"
 
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 using namespace tracesafe;
 
@@ -149,6 +152,33 @@ TEST(BehaviourCache, QueryEntriesEvictUnderTheSharedByteCap) {
   // Shrinking the cap evicts immediately.
   Cache.setCapacity(1);
   EXPECT_EQ(Cache.stats().Bytes, 0u);
+}
+
+TEST(BehaviourCache, AccountedBytesTrackTheHeap) {
+  // --cache-cap-mb bounds what the cache accounts, so the accounting must
+  // be what the entries allocate: within 15% of the heap growth glibc
+  // reports for ~20 000 entries with daemon-sized keys and details.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators pad every allocation";
+#endif
+  auto HeapInUse = [] { return mallinfo2().uordblks; };
+  const size_t Before = HeapInUse();
+  {
+    BehaviourCache Cache(/*MaxBytes=*/1ULL << 30);
+    for (int I = 0; I < 20'000; ++I) {
+      std::string Key = "thread{r0:=g0;lock m0;g1:=r0;unlock m0;}\n"
+                        "thread{r1:=g1;print r1;}\n#" +
+                        std::to_string(I) + std::string(I % 64, 'k');
+      BehaviourCache::CachedQuery E = sampleVerdict();
+      E.Detail = I % 3 == 0 ? "" : "race on g" + std::to_string(I % 97) +
+                                       std::string(I % 40, 'd');
+      Cache.insertQuery(Key, std::move(E));
+    }
+    const double Heap = static_cast<double>(HeapInUse() - Before);
+    const double Accounted = static_cast<double>(Cache.stats().Bytes);
+    EXPECT_NEAR(Accounted / Heap, 1.0, 0.15)
+        << "accounted " << Accounted << " bytes, heap grew " << Heap;
+  }
 }
 
 TEST(BehaviourCache, KeysThatPackAlikeInPartsStayDistinct) {

@@ -1,9 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the unified budget/verdict layer: Budget accounting, spec
-/// scaling, graceful truncation of the engines (no asserts, structured
-/// Unknown verdicts), and escalation convergence.
+/// Tests for the unified budget/verdict layer: Budget accounting, graceful
+/// truncation of the engines (no asserts, structured Unknown verdicts),
+/// cancellation and poisoning.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +11,6 @@
 #include "lang/Parser.h"
 #include "support/Budget.h"
 #include "trace/Enumerate.h"
-#include "verify/Escalate.h"
 
 #include <gtest/gtest.h>
 
@@ -64,25 +63,6 @@ TEST(Budget, DeadlineFires) {
     Exhausted = !B.charge();
   EXPECT_TRUE(Exhausted);
   EXPECT_EQ(B.reason(), TruncationReason::Deadline);
-}
-
-TEST(Budget, SpecScalingClampsToCeiling) {
-  BudgetSpec Initial{/*DeadlineMs=*/100, /*MaxVisited=*/1'000,
-                     /*MaxMemoryBytes=*/0};
-  BudgetSpec Ceiling{/*DeadlineMs=*/15'000, /*MaxVisited=*/2'000,
-                     /*MaxMemoryBytes=*/512};
-  BudgetSpec S = Initial.scaled(4, Ceiling);
-  EXPECT_EQ(S.DeadlineMs, 400);
-  EXPECT_EQ(S.MaxVisited, 2'000u); // 4000 clamped.
-  EXPECT_EQ(S.MaxMemoryBytes, 512u); // Unlimited clamped to the ceiling.
-}
-
-TEST(Budget, UnlimitedCeilingLeavesFieldsAlone) {
-  BudgetSpec Initial{10, 10, 10};
-  BudgetSpec S = Initial.scaled(3, BudgetSpec{});
-  EXPECT_EQ(S.DeadlineMs, 30);
-  EXPECT_EQ(S.MaxVisited, 30u);
-  EXPECT_EQ(S.MaxMemoryBytes, 30u);
 }
 
 TEST(Budget, MergeReasonPrefersSpecific) {
@@ -260,59 +240,6 @@ TEST(Truncation, ExhaustiveRunsStillProve) {
   Verdict<Interleaving> V = checkProgramDrf(Racy, ExecLimits{});
   ASSERT_TRUE(V.isRefuted());
   EXPECT_TRUE(V.Witness.has_value());
-}
-
-//===----------------------------------------------------------------------===//
-// Escalation
-//===----------------------------------------------------------------------===//
-
-TEST(Escalate, ConvergesFromTinyInitialBudget) {
-  // DRF by lock discipline; needs a few thousand states — the first rung
-  // (10 visits) must come back Unknown, a later rung proves it.
-  Program P = parseOrDie("thread { lock m; x := 1; r0 := x; unlock m; }\n"
-                         "thread { lock m; r1 := x; x := 2; unlock m; }");
-  EscalationPolicy Policy;
-  Policy.Initial = BudgetSpec{0, /*MaxVisited=*/10, 0};
-  Policy.Growth = 100;
-  Policy.MaxAttempts = 4;
-  Policy.Ceiling = BudgetSpec{0, 10'000'000, 0};
-  Escalated<Interleaving> E = escalateProgramDrf(P, Policy);
-  EXPECT_TRUE(E.Final.isProved());
-  ASSERT_GE(E.Attempts.size(), 2u);
-  EXPECT_EQ(E.Attempts.front().Result, VerdictKind::Unknown);
-  EXPECT_EQ(E.Attempts.back().Result, VerdictKind::Proved);
-}
-
-TEST(Escalate, RefutationStopsTheLadder) {
-  Program Racy = parseOrDie("thread { x := 1; }\nthread { r0 := x; }");
-  EscalationPolicy Policy;
-  Policy.Initial = BudgetSpec{0, 1'000'000, 0};
-  Policy.Ceiling = BudgetSpec{0, 10'000'000, 0};
-  Escalated<Interleaving> E = escalateProgramDrf(Racy, Policy);
-  EXPECT_TRUE(E.Final.isRefuted());
-  EXPECT_EQ(E.Attempts.size(), 1u);
-}
-
-TEST(Escalate, StopsAtCeilingWithPartialHistory) {
-  EscalationPolicy Policy;
-  Policy.Initial = BudgetSpec{0, /*MaxVisited=*/100, 0};
-  Policy.Growth = 10;
-  Policy.MaxAttempts = 10;
-  Policy.Ceiling = BudgetSpec{0, /*MaxVisited=*/1'000, 0};
-  Escalated<Interleaving> E = escalateProgramDrf(explodingProgram(), Policy);
-  EXPECT_FALSE(E.Final.isProved());
-  // 100 -> 1000 (clamped) -> stop: the ladder must not spin at the ceiling.
-  EXPECT_LE(E.Attempts.size(), 2u);
-  for (const EscalationAttempt &A : E.Attempts)
-    EXPECT_LE(A.Spec.MaxVisited, 1'000u);
-}
-
-TEST(Escalate, DrfGuaranteeReportsOutcome) {
-  Program P = parseOrDie("thread { lock m; x := 1; unlock m; }\n"
-                         "thread { lock m; r0 := x; unlock m; }");
-  // Identity "transformation": the guarantee trivially holds.
-  Escalated<DrfGuaranteeReport> E = escalateDrfGuarantee(P, P);
-  EXPECT_TRUE(E.Final.isProved());
 }
 
 //===----------------------------------------------------------------------===//

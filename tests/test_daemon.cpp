@@ -1617,11 +1617,15 @@ TEST(Daemon, StatsExposeTheMemoisationCounters) {
   QueryResponse R = Client.call(SQ);
   EXPECT_EQ(R.Status, ResponseStatus::Ok);
   for (const char *Key :
-       {"coalesced=", "cache-hits=", "cache-misses=", "cache-query-hits=",
-        "cache-query-misses=", "cache-bytes=", "cache-evictions=",
-        "persist-loaded=", "persist-spilled="})
+       {"coalesced=", "cache-query-hits=", "cache-query-misses=",
+        "cache-bytes=", "cache-evictions=", "persist-loaded=",
+        "persist-spilled="})
     EXPECT_NE(R.Detail.find(Key), std::string::npos)
         << "missing " << Key << " in: " << R.Detail;
+  // The verdict cache's counters are printed once, as cache-query-*.
+  for (const char *Key : {" cache-hits=", " cache-misses="})
+    EXPECT_EQ(R.Detail.find(Key), std::string::npos)
+        << "duplicate " << Key << " in: " << R.Detail;
   Server.shutdown();
 }
 

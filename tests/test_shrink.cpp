@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 using namespace tracesafe;
 
@@ -121,8 +122,7 @@ TEST(Fuzz, CleanRunHasNoUninjectedFailures) {
   Options.Seed = 7;
   Options.Programs = 12;
   Options.CheckThinAir = true;
-  Options.Escalation.Initial = BudgetSpec{100, 20'000, 32u << 20};
-  Options.Escalation.MaxAttempts = 2;
+  Options.Budget = BudgetSpec{400, 80'000, 128u << 20};
   FuzzReport R = runFuzz(Options);
   EXPECT_EQ(R.ProgramsRun, 12u);
   EXPECT_GT(R.ChecksRun, 0u);
@@ -144,8 +144,7 @@ TEST(Fuzz, InjectedFailureIsFoundMinimisedAndWritten) {
   Options.InjectUnsafe = true;
   Options.InjectEvery = 1;
   Options.ReproDir = Dir;
-  Options.Escalation.Initial = BudgetSpec{200, 50'000, 32u << 20};
-  Options.Escalation.MaxAttempts = 2;
+  Options.Budget = BudgetSpec{800, 200'000, 128u << 20};
   Options.Shrink = ShrinkOptions{/*MaxRounds=*/8, /*MaxCandidates=*/200,
                                  /*DeadlineMs=*/5'000};
   FuzzReport R = runFuzz(Options);
@@ -169,6 +168,43 @@ TEST(Fuzz, InjectedFailureIsFoundMinimisedAndWritten) {
   }
 
   std::filesystem::remove_all(Dir);
+}
+
+TEST(Fuzz, ProgramDependsOnlyOnSeedAndIndex) {
+  // Program I of a campaign is a function of (Seed, I) alone: how many of
+  // the earlier programs' queries came back Unknown must not change it.
+  // A tight visit cap makes Unknowns from the start; a generous one makes
+  // almost none. The failures both runs find must name the same program.
+  FuzzOptions Options;
+  Options.Seed = 3;
+  Options.Programs = 100;
+  Options.CheckThinAir = false;
+  Options.InjectUnsafe = true;
+  Options.InjectEvery = 1;
+  Options.Shrink = ShrinkOptions{/*MaxRounds=*/1, /*MaxCandidates=*/1,
+                                 /*DeadlineMs=*/0};
+  Options.Budget = BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/300,
+                              /*MaxMemoryBytes=*/0};
+  FuzzReport Tight = runFuzz(Options);
+  Options.Budget.MaxVisited = 1'000'000;
+  FuzzReport Generous = runFuzz(Options);
+  ASSERT_EQ(Tight.ProgramsRun, 100u);
+  ASSERT_EQ(Generous.ProgramsRun, 100u);
+  EXPECT_GT(Tight.UnknownQueries, Generous.UnknownQueries);
+
+  std::map<uint64_t, std::string> TightSources;
+  for (const FuzzFailure &F : Tight.Failures)
+    TightSources[F.ProgramIndex] = F.OriginalSource;
+  size_t Compared = 0;
+  for (const FuzzFailure &F : Generous.Failures) {
+    auto It = TightSources.find(F.ProgramIndex);
+    if (F.ProgramIndex < 32 || It == TightSources.end())
+      continue;
+    ++Compared;
+    EXPECT_EQ(It->second, F.OriginalSource)
+        << "program " << F.ProgramIndex << " depends on the visit cap";
+  }
+  EXPECT_GT(Compared, 0u) << Tight.summary() << "\n" << Generous.summary();
 }
 
 //===----------------------------------------------------------------------===//
@@ -288,8 +324,7 @@ TEST(ChainShrink, FuzzReportsMinimisedChains) {
   Options.Programs = 30;
   Options.CheckThinAir = false;
   Options.CheckSemanticSteps = true;
-  Options.Escalation.Initial = BudgetSpec{100, 20'000, 32u << 20};
-  Options.Escalation.MaxAttempts = 2;
+  Options.Budget = BudgetSpec{400, 80'000, 128u << 20};
   FuzzReport R = runFuzz(Options);
   for (const FuzzFailure &F : R.Failures) {
     if (F.Injected)
