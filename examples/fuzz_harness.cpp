@@ -39,7 +39,6 @@
 #include "daemon/Client.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
-#include "opt/Pipeline.h"
 #include "opt/Unsafe.h"
 #include "support/Failure.h"
 #include "support/Format.h"
@@ -239,10 +238,11 @@ int runChaos(FuzzOptions Options, uint64_t Seed,
 
 /// --server: the campaign's generate-and-check loop as a thin client of a
 /// tracesafed daemon (SOCKET path or HOST:PORT). Programs and transforms
-/// are produced locally (the daemon is a verification service, not a
-/// fuzzer); every guarantee query ships over the connection and retries
-/// through the client library's backoff, so a daemon restart mid-campaign
-/// only delays the batch. Queries are batch-class: a human waiting on an
+/// are produced locally by fuzzCase, so program N is program N of the
+/// local campaign with the same flags (the daemon is a verification
+/// service, not a fuzzer); every guarantee query ships over the
+/// connection and retries through the client library's backoff, so a
+/// daemon restart mid-campaign only delays the batch. Queries are batch-class: a human waiting on an
 /// interactive CLI preempts us at the daemon's admission queue. The batch
 /// goes out pipelined on one connection (callBatch); after a transport
 /// error only the unanswered queries are resubmitted.
@@ -253,36 +253,25 @@ int runRemote(const FuzzOptions &Options, const std::string &Server,
   CO.Name = "fuzz-harness-" + std::to_string(::getpid());
   daemon::DaemonClient Client(CO);
 
-  Rng R(Options.Seed);
   std::vector<daemon::QueryRequest> Batch;
   std::vector<bool> IsInjected;
   std::vector<uint64_t> Origin;
   for (uint64_t I = 0; I < Options.Programs; ++I) {
     if (GCancel.requested())
       return ExitInterrupted;
-    Program P = generateProgram(R, Options.Gen);
-    bool Injected = false;
-    std::optional<Program> T;
-    if (Options.InjectUnsafe && Options.InjectEvery &&
-        I % Options.InjectEvery == 0) {
-      T = applyFirstUnsafe(P);
-      Injected = T.has_value();
-    }
-    if (!T)
-      T = greedyChain(P, RuleSet::all(), Options.MaxChainSteps).Result;
-
+    FuzzCase Case = fuzzCase(Options, I);
     daemon::QueryRequest Q;
     Q.Kind = daemon::QueryKind::DrfGuarantee;
     Q.Class = daemon::ClientClass::Batch;
-    Q.Program = printProgram(P);
-    Q.Transformed = printProgram(*T);
+    Q.Program = printProgram(Case.Original);
+    Q.Transformed = printProgram(Case.Transformed);
     Batch.push_back(Q);
-    IsInjected.push_back(Injected);
+    IsInjected.push_back(Case.Injected);
     Origin.push_back(I);
     if (Options.CheckThinAir) {
       Q.Kind = daemon::QueryKind::ThinAir;
       Batch.push_back(Q);
-      IsInjected.push_back(Injected);
+      IsInjected.push_back(Case.Injected);
       Origin.push_back(I);
     }
   }

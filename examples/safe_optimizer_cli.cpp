@@ -184,7 +184,12 @@ int main(int argc, char **argv) {
   std::printf("== certification ==\n");
   if (!ServerSocket.empty())
     return certifyRemote(ServerSocket, P, Chain.Result, Verbose);
-  TheoremCaseReport Report = checkTheoremsOnChain(P, Chain);
+  // An unlimited budget that carries the signal token into every search
+  // of the certification, so SIGINT unwinds it within one check interval.
+  Budget B(BudgetSpec{}, &Stop);
+  TheoremCheckOptions Options;
+  Options.attachBudget(B);
+  TheoremCaseReport Report = checkTheoremsOnChain(P, Chain, Options);
   std::printf("%s\n", Report.summary().c_str());
   std::printf("verdict: %s\n",
               Report.allHold() ? "CERTIFIED" : "NOT certified");

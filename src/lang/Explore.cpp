@@ -21,10 +21,7 @@ public:
 
 private:
   void dfs(const ThreadState &S, size_t SilentBudget) {
-    if (++Stats.Visited > Limits.MaxStates) {
-      Stats.truncate(TruncationReason::StateCap);
-      return;
-    }
+    ++Stats.Visited;
     // Tracesets retain every explored prefix, so charge the shared budget
     // roughly one trace-node worth of memory per expansion.
     if (Limits.Shared && !Limits.Shared->charge(/*Bytes=*/64)) {
@@ -162,11 +159,9 @@ ScProgram::ScProgram(const Program &P, const ExecLimits &Limits) {
   ExploreLimits XL;
   XL.MaxActions = Limits.MaxActionsPerThread;
   XL.MaxSilentRun = Limits.MaxSilentRun;
-  XL.MaxStates = Limits.MaxVisited;
   XL.Shared = Limits.Shared;
   Meaning = programTraceset(P, std::vector<Value>(Reads.begin(), Reads.end()),
                             XL, &Built, Inputs);
-  Search.MaxVisited = Limits.MaxVisited;
   // [[P]] already bounds every trace (start action included); the search's
   // own depth cap sits above that so it never truncates a complete build.
   Search.MaxEvents = Limits.MaxActionsPerThread + 2;

@@ -38,10 +38,10 @@ struct ExploreLimits {
   /// Maximum consecutive silent steps before a thread is declared stuck
   /// (cuts `while (r0 == r0) skip;`).
   size_t MaxSilentRun = 512;
-  /// Global cap on explored configurations.
-  uint64_t MaxStates = 20'000'000;
-  /// Optional shared query budget (deadline / visit / memory caps across
-  /// every engine of one query). Non-owning; may be null.
+  /// The query budget (deadline / visit / memory caps across every engine
+  /// of one query): the only visit bound of the exploration. Non-owning;
+  /// null means no visit cap (the exploration still ends: MaxActions and
+  /// MaxSilentRun bound every path).
   Budget *Shared = nullptr;
   /// Inert: programTraceset explores the threads one after another in the
   /// calling thread. It stays because the frozen perfbench replay model
@@ -106,10 +106,8 @@ struct ExecLimits {
   size_t MaxActionsPerThread = 64;
   /// Maximum consecutive silent steps per thread (cuts silent loops).
   size_t MaxSilentRun = 512;
-  /// Cap on explored states, for the [[P]] build and the search each.
-  uint64_t MaxVisited = 50'000'000;
-  /// Optional shared query budget (deadline / visit / memory caps across
-  /// every engine of one query). Non-owning; may be null.
+  /// The query budget, charged by the [[P]] build and the search alike:
+  /// their only visit bound. Non-owning; null means no visit cap.
   Budget *Shared = nullptr;
   /// Search with the seed's sequential std::set-memoised enumerator
   /// instead of the interned reduced one (EnumerationLimits::

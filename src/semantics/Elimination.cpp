@@ -144,7 +144,7 @@ private:
   }
 
   bool dfs(size_t J, size_t Extra) {
-    if (++Nodes > Limits.MaxNodesPerTrace) {
+    if (Limits.Shared && !Limits.Shared->charge()) {
       Hit = true;
       return false;
     }
@@ -211,7 +211,6 @@ private:
   std::vector<size_t> Dropped;
   std::vector<Trace> Instances;
   std::vector<std::vector<Trace>> InstanceStack;
-  uint64_t Nodes = 0;
   bool Hit = false;
 };
 

@@ -22,6 +22,7 @@
 #define TRACESAFE_SEMANTICS_ELIMINATION_H
 
 #include "semantics/Eliminable.h"
+#include "support/Budget.h"
 #include "trace/Traceset.h"
 
 #include <cstdint>
@@ -43,14 +44,20 @@ std::string checkVerdictName(CheckVerdict V);
 bool isEliminationOfTrace(const Trace &T, const Trace &TPrime,
                           bool ProperOnly = false);
 
-/// Bounds for the wildcard-witness search.
+/// Bounds for the wildcard-witness search. MaxExtra and MaxInstances
+/// bound the witnesses searched for; the query budget bounds the work.
 struct EliminationSearchLimits {
   /// Maximum number of eliminated (inserted) actions in the witness.
   size_t MaxExtra = 6;
   /// Cap on the instance-set size (grows by |domain| per wildcard).
   size_t MaxInstances = 4096;
-  /// Cap on search nodes per trace of T'.
-  uint64_t MaxNodesPerTrace = 2'000'000;
+  /// The query budget: every search node charges one visit, and an
+  /// exhausted budget (visit cap, deadline, cancellation) truncates the
+  /// search, so the verdict is Unknown and the budget's reason says why.
+  /// The search charges no memory, so the budget's memory cap does not
+  /// cover it. Non-owning; null means no visit cap (the search still
+  /// ends: MaxExtra bounds every witness).
+  Budget *Shared = nullptr;
 };
 
 /// Searches for a wildcard trace t that belongs-to \p Orig such that

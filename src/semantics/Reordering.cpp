@@ -60,7 +60,7 @@ public:
 
 private:
   bool dfs(size_t I) {
-    if (++Nodes > Limits.MaxNodesPerTrace) {
+    if (Limits.Shared && !Limits.Shared->charge()) {
       Hit = true;
       return false;
     }
@@ -97,7 +97,6 @@ private:
   ReorderingSearchLimits Limits;
   Permutation F;
   std::vector<bool> Used;
-  uint64_t Nodes = 0;
   bool Hit = false;
 };
 

@@ -47,7 +47,13 @@ Trace depermute(const Trace &TPrime, const Permutation &F);
 
 /// Bounds for the de-permutation search.
 struct ReorderingSearchLimits {
-  uint64_t MaxNodesPerTrace = 5'000'000;
+  /// The query budget: every search node charges one visit, and an
+  /// exhausted budget (visit cap, deadline, cancellation) truncates the
+  /// search, so the verdict is Unknown and the budget's reason says why.
+  /// The search charges no memory, so the budget's memory cap does not
+  /// cover it. Non-owning; null means no visit cap (the search still
+  /// ends: it ranges over the permutations of one finite trace).
+  Budget *Shared = nullptr;
 };
 
 /// Searches for a function de-permuting \p TPrime into the trace set given

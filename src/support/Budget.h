@@ -5,11 +5,14 @@
 /// harness.
 ///
 /// Every exhaustive search in the library (traceset generation, execution
-/// enumeration, the SC interpreter, the transformation checkers) is
-/// exponential in the worst case. A Budget bounds a whole *query* — not one
-/// engine — with a wall-clock deadline, a state-visit cap and an
+/// enumeration, the SC and TSO/PSO machines, the transformation checkers)
+/// is exponential in the worst case. A Budget bounds a whole *query* — not
+/// one engine — with a wall-clock deadline, a state-visit cap and an
 /// approximate memory cap, shared cooperatively by every engine the query
-/// touches. When a budget is exhausted the engines stop and report a
+/// touches. It is the only visit bound of every search: no engine has a
+/// cap of its own, so a search without a budget has no visit cap. The
+/// transformation checkers charge visits only, so the memory cap does not
+/// cover them. When a budget is exhausted the engines stop and report a
 /// structured TruncationReason; callers surface the query result as a
 /// Verdict whose Unknown state carries that reason, never as a wrong or
 /// asserted-away answer.
@@ -31,7 +34,7 @@ namespace tracesafe {
 /// Why a search stopped early. None means the search ran to completion.
 enum class TruncationReason : uint8_t {
   None,
-  StateCap,    ///< per-query or per-engine visit cap reached
+  StateCap,    ///< the query budget's visit cap reached
   DepthCap,    ///< per-trace/per-thread action bound reached
   SilentLoop,  ///< a thread exceeded its silent-step allowance
   MemoryCap,   ///< approximate memory charge exceeded the budget

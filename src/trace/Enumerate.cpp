@@ -52,13 +52,19 @@ public:
     return true;
   }
 
-  /// All (Tid, Action) steps enabled now.
-  std::vector<Event> enabledSteps() const {
+  /// All (Tid, Action) steps enabled now. Threads at the MaxEvents bound
+  /// are not extended; \p DepthHit reports whether there was one.
+  std::vector<Event> enabledSteps(bool &DepthHit) const {
     std::vector<Event> Out;
-    for (const auto &[Tid, Cur] : ThreadTraces)
+    for (const auto &[Tid, Cur] : ThreadTraces) {
+      if (Cur.size() >= Limits.MaxEvents) {
+        DepthHit = true;
+        continue;
+      }
       for (const Action &A : T.successors(Cur))
         if (enabled(Tid, A))
           Out.push_back(Event{Tid, A});
+    }
     return Out;
   }
 
@@ -102,23 +108,21 @@ public:
   /// DFS visiting every execution prefix. Visit=false stops everything.
   bool dfs(const std::function<bool(const Interleaving &)> &Visit,
            bool MaximalOnly, EnumerationStats &Stats) {
-    if (++Stats.Visited > Limits.MaxVisited) {
-      Stats.truncate(TruncationReason::StateCap);
-      return true;
-    }
-    if (Current.size() >= Limits.MaxEvents) {
-      Stats.truncate(TruncationReason::DepthCap);
-      return true;
-    }
+    ++Stats.Visited;
     if (Limits.Shared && !Limits.Shared->charge()) {
       Stats.truncate(Limits.Shared->reason());
       return true;
     }
-    std::vector<Event> Steps = enabledSteps();
+    bool DepthHit = false;
+    std::vector<Event> Steps = enabledSteps(DepthHit);
+    if (DepthHit)
+      Stats.truncate(TruncationReason::DepthCap);
     if (!MaximalOnly && !Current.empty())
       if (!Visit(Current))
         return false;
-    if (MaximalOnly && Steps.empty())
+    // A thread at the depth bound may still have a future, so the
+    // execution is not known to be maximal.
+    if (MaximalOnly && Steps.empty() && !DepthHit)
       if (!Visit(Current))
         return false;
     for (const Event &E : Steps) {
@@ -216,10 +220,7 @@ public:
 
   template <typename OnStep>
   void search(std::vector<Event> Tail, const OnStep &Step) {
-    if (++Stats.Visited > Limits.MaxVisited) {
-      Stats.truncate(TruncationReason::StateCap);
-      return;
-    }
+    ++Stats.Visited;
     // Each memoised state retains a full StateKey; charge the shared
     // budget a rough per-entry footprint so memory caps bite where the
     // memory actually goes.
@@ -315,10 +316,7 @@ RaceReport oracleFindAdjacentRace(const Traceset &T,
   std::function<void()> Dfs = [&]() {
     if (Found)
       return;
-    if (++S.Stats.Visited > Limits.MaxVisited) {
-      S.Stats.truncate(TruncationReason::StateCap);
-      return;
-    }
+    ++S.Stats.Visited;
     if (Limits.Shared && !Limits.Shared->charge(/*Bytes=*/256)) {
       S.Stats.truncate(Limits.Shared->reason());
       return;
@@ -950,10 +948,7 @@ private:
   void search(SoaState &N) {
     if (Stop)
       return;
-    if (++Stats.Visited > Limits.MaxVisited) {
-      Stats.truncate(TruncationReason::StateCap);
-      return;
-    }
+    ++Stats.Visited;
     if (Limits.Shared && !Limits.Shared->charge()) {
       Stats.truncate(Limits.Shared->reason());
       return;

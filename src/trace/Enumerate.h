@@ -39,13 +39,15 @@ namespace tracesafe {
 /// means the query is *unknown*, never silently wrong; callers (and all
 /// tests) check the flag.
 struct EnumerationLimits {
-  /// Upper bound on interleaving length (tracesets generated from loops can
-  /// be deep).
+  /// Upper bound on each thread's trace length (start action included)
+  /// inside an execution, in every search: a thread at the bound is not
+  /// extended and the search truncates with DepthCap (tracesets generated
+  /// from loops can be deep).
   size_t MaxEvents = 256;
-  /// Upper bound on DFS node expansions across the whole query.
-  uint64_t MaxVisited = 50'000'000;
-  /// Optional shared query budget (deadline / visit / memory caps across
-  /// every engine of one query). Non-owning; may be null.
+  /// The query budget (deadline / visit / memory caps across every engine
+  /// of one query): the only visit bound of the searches. Non-owning;
+  /// null means no visit cap (the search still ends: tracesets are finite
+  /// and MaxEvents bounds every thread).
   Budget *Shared = nullptr;
   /// Inert: no engine reads it (every search is sequential). It stays
   /// because the frozen perfbench replay model still assigns it (the

@@ -752,10 +752,7 @@ private:
   void search(BufNode &N) {
     if (Stop)
       return;
-    if (++Stats.Visited > Limits.MaxVisited) {
-      Stats.truncate(TruncationReason::StateCap);
-      return;
-    }
+    ++Stats.Visited;
     if (Limits.Shared && !Limits.Shared->charge()) {
       Stats.truncate(Limits.Shared->reason());
       return;

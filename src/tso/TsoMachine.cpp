@@ -61,7 +61,6 @@ ExecLimits tracesafe::scLimitsFor(const TsoLimits &Limits) {
   Sc.InputDomain = Limits.InputDomain;
   Sc.MaxActionsPerThread = Limits.MaxActionsPerThread;
   Sc.MaxSilentRun = Limits.MaxSilentRun;
-  Sc.MaxVisited = Limits.MaxVisited;
   Sc.Shared = Limits.Shared;
   return Sc;
 }

@@ -50,14 +50,14 @@ struct TsoLimits {
   size_t MaxActionsPerThread = 64;
   size_t MaxSilentRun = 512;
   size_t MaxBufferedStores = 8;
-  uint64_t MaxVisited = 50'000'000;
   /// Sleep-set partial-order reduction over store-buffer transitions
   /// (see tso/BufferedEngine.cpp for the independence relation). Sound:
   /// results are identical with and without; the switch exists for the
   /// cross-check tests and the POR state-count benchmarks.
   bool UseReduction = true;
-  /// Optional shared query budget (deadline / visit / memory caps across
-  /// every engine of one query). Non-owning; may be null.
+  /// The query budget (deadline / visit / memory caps across every engine
+  /// of one query): the only visit bound of the machine search.
+  /// Non-owning; null means no visit cap.
   Budget *Shared = nullptr;
 };
 

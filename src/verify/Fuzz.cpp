@@ -423,6 +423,34 @@ std::string FuzzReport::toJson(bool IncludeVolatile) const {
   return Out;
 }
 
+FuzzCase tracesafe::fuzzCase(const FuzzOptions &Options, uint64_t Index) {
+  uint64_t SubSeed = mixSeeds(Options.Seed, Index);
+  Rng R(SubSeed);
+
+  // Vary the program shape so one run sweeps all disciplines and a mix
+  // of thread counts / input use.
+  GenOptions G = Options.Gen;
+  G.Discipline = disciplineFor(Options.Seed, Index);
+  if (Index % 7 == 3)
+    G.Threads = G.Threads < 3 ? G.Threads + 1 : G.Threads;
+  G.AllowInput = Index % 11 == 5;
+
+  FuzzCase Case;
+  Case.Original = generateProgram(R, G);
+  Case.ChainSeed = mixSeeds(SubSeed, 0x5eed);
+  if (Options.InjectUnsafe && Options.InjectEvery &&
+      Index % Options.InjectEvery == 0) {
+    if (std::optional<Program> T = applyFirstUnsafe(Case.Original)) {
+      Case.Transformed = std::move(*T);
+      Case.Injected = true;
+      return Case;
+    }
+  }
+  Case.Transformed =
+      applySafeChain(Case.Original, Case.ChainSeed, Options.MaxChainSteps);
+  return Case;
+}
+
 FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
   FuzzReport Report;
   auto Start = std::chrono::steady_clock::now();
@@ -542,25 +570,13 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
   // worker count — and a resumed index's journaled record is identical to
   // a re-run one.
   auto RunOne = [&](uint64_t I, IndexRecord &Rec) {
-    uint64_t SubSeed = mixSeeds(Options.Seed, I);
-    Rng R(SubSeed);
-
-    // Vary the program shape so one run sweeps all disciplines and a mix
-    // of thread counts / input use.
-    GenOptions G = Options.Gen;
-    G.Discipline = disciplineFor(Options.Seed, I);
-    if (I % 7 == 3)
-      G.Threads = G.Threads < 3 ? G.Threads + 1 : G.Threads;
-    G.AllowInput = I % 11 == 5;
-
-    Program P = generateProgram(R, G);
-
-    bool Injected = false;
+    FuzzCase Case = fuzzCase(Options, I);
+    const Program &P = Case.Original;
+    const Program &T = Case.Transformed;
+    bool Injected = Case.Injected;
+    uint64_t ChainSeed = Case.ChainSeed;
     TransformFn Transform;
-    uint64_t ChainSeed = mixSeeds(SubSeed, 0x5eed);
-    if (Options.InjectUnsafe && Options.InjectEvery &&
-        I % Options.InjectEvery == 0 && applyFirstUnsafe(P)) {
-      Injected = true;
+    if (Injected) {
       Transform = [](const Program &Q) { return applyFirstUnsafe(Q); };
     } else {
       size_t MaxSteps = Options.MaxChainSteps;
@@ -570,8 +586,6 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
       };
     }
     Rec.Injected = Injected;
-
-    Program T = *Transform(P);
 
     Verdict<DrfGuaranteeReport> Drf = runCheck<DrfGuaranteeReport>(
         Options, Rec, [&](const ExecLimits &E, const ExploreLimits &) {

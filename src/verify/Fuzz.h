@@ -62,8 +62,9 @@ struct FuzzOptions {
   /// Maximum random rewrite-rule applications per chain.
   size_t MaxChainSteps = 4;
   /// The budget of every query: each guarantee check, each semantic step
-  /// check, each shrink re-check and each degraded retry of a faulted
-  /// query.
+  /// check (the traceset builds and the Lemma 4/5 witness and
+  /// de-permutation searches all charge it), each shrink re-check and each
+  /// degraded retry of a faulted query.
   BudgetSpec Budget{/*DeadlineMs=*/12'800, /*MaxVisited=*/6'400'000,
                     /*MaxMemoryBytes=*/512u << 20};
   /// Check Theorem 5 (thin air) in addition to the DRF guarantee.
@@ -161,6 +162,25 @@ struct FuzzReport {
   /// same campaign, which the resume tests assert.
   std::string toJson(bool IncludeVolatile = true) const;
 };
+
+/// Program \p Index of the campaign \p Options describes: the generated
+/// original, the program the guarantee checks compare it with, and how
+/// that program was made. A function of (Options, Index) alone; runFuzz
+/// checks exactly this pair, and `fuzz_harness --server` sends exactly
+/// this pair to a daemon, so both runs of one campaign check the same
+/// programs.
+struct FuzzCase {
+  Program Original;
+  Program Transformed;
+  /// Transformed comes from an unsafe pass (FuzzOptions::InjectUnsafe),
+  /// not from a rewrite chain.
+  bool Injected = false;
+  /// Seed of the random rewrite chain (applied when !Injected; the
+  /// semantic step checks and the shrinker regenerate the chain from it).
+  uint64_t ChainSeed = 0;
+};
+
+FuzzCase fuzzCase(const FuzzOptions &Options, uint64_t Index);
 
 FuzzReport runFuzz(const FuzzOptions &Options);
 

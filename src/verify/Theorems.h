@@ -37,12 +37,17 @@ struct TheoremCheckOptions {
   /// Verify Theorem 5 with a fresh constant.
   bool CheckThinAir = true;
 
-  /// Points every engine limit at \p B so the whole battery runs under one
-  /// shared budget (deadline, visit cap, memory cap). \p B must outlive
-  /// every query made with these options.
+  /// Points all four limit structs at \p B so the whole battery runs
+  /// under one shared budget: the guarantee checks, the traceset builds
+  /// and the Lemma 4/5 step searches all charge it, so its visit cap,
+  /// deadline and cancel token stop every one of them (its memory cap
+  /// covers all but the step searches, which charge no memory). \p B must
+  /// outlive every query made with these options.
   void attachBudget(Budget &B) {
     Exec.Shared = &B;
     Explore.Shared = &B;
+    Elim.Shared = &B;
+    Reorder.Shared = &B;
   }
 };
 

@@ -60,8 +60,9 @@ private:
   }
 
   void dfs(const Behaviour &BehSoFar) {
-    if (++Stats.Visited > Limits.MaxVisited) {
-      Stats.Truncated = true;
+    ++Stats.Visited;
+    if (Limits.Shared && !Limits.Shared->charge()) {
+      Stats.truncate(Limits.Shared->reason());
       return;
     }
     if (!Seen.insert(std::make_tuple(State, ActionsDone, BehSoFar)).second)
@@ -214,8 +215,9 @@ private:
   }
 
   void dfs(const Behaviour &BehSoFar) {
-    if (++Stats.Visited > Limits.MaxVisited) {
-      Stats.Truncated = true;
+    ++Stats.Visited;
+    if (Limits.Shared && !Limits.Shared->charge()) {
+      Stats.truncate(Limits.Shared->reason());
       return;
     }
     if (!Seen.insert(std::make_tuple(State, ActionsDone, BehSoFar)).second)

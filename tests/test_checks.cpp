@@ -131,16 +131,20 @@ TEST(ThinAir, LaunderedValuesAreNotOrigins) {
 
 TEST(CompareBehaviours, TruncationPropagates) {
   Program P = parseOrDie("thread { x := 1; } thread { r1 := x; print r1; }");
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/2,
+                      /*MaxMemoryBytes=*/0});
   ExecLimits Limits;
-  Limits.MaxVisited = 2;
+  Limits.Shared = &B;
   BehaviourComparison C = compareBehaviours(P, P, Limits);
   EXPECT_TRUE(C.Truncated);
 }
 
 TEST(DrfGuarantee, TruncationMeansNotProven) {
   Program P = parseOrDie("thread { lock m; x := 1; unlock m; }");
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/1,
+                      /*MaxMemoryBytes=*/0});
   ExecLimits Limits;
-  Limits.MaxVisited = 1;
+  Limits.Shared = &B;
   DrfGuaranteeReport R = checkDrfGuarantee(P, P, Limits);
   EXPECT_TRUE(R.Truncated);
   EXPECT_FALSE(R.holds()) << "a truncated check must not claim the "

@@ -183,10 +183,32 @@ TEST(EliminationTraceset, TruncationYieldsUnknown) {
   Program T = parseOrDie("thread { x := 1; }");
   Traceset TO = programTraceset(O, {0, 1});
   Traceset TT = programTraceset(T, {0, 1});
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/1, // Absurdly small.
+                      /*MaxMemoryBytes=*/0});
   EliminationSearchLimits Limits;
-  Limits.MaxNodesPerTrace = 1; // Absurdly small.
+  Limits.Shared = &B;
   TransformCheckResult R = checkElimination(TO, TT, Limits);
   EXPECT_EQ(R.Verdict, CheckVerdict::Unknown);
+  EXPECT_EQ(B.reason(), TruncationReason::StateCap);
+}
+
+TEST(EliminationTraceset, CancelledBudgetYieldsUnknown) {
+  // Every trace of [[P]] needs its own witness search, so checking [[P]]
+  // against itself charges far more than one budget check interval (256
+  // visits): a token requested before the check starts is observed.
+  Program P = parseOrDie(
+      "thread { r1 := x; r2 := y; r3 := x; r4 := y; z := 1; print r1; }");
+  Traceset TS = programTraceset(P, {0, 1});
+  ASSERT_EQ(checkElimination(TS, TS).Verdict, CheckVerdict::Holds);
+
+  CancelToken Stop;
+  Stop.request();
+  Budget B(BudgetSpec{}, &Stop);
+  EliminationSearchLimits Limits;
+  Limits.Shared = &B;
+  TransformCheckResult R = checkElimination(TS, TS, Limits);
+  EXPECT_EQ(R.Verdict, CheckVerdict::Unknown);
+  EXPECT_EQ(B.reason(), TruncationReason::Cancelled);
 }
 
 TEST(EliminationWitness, MaxExtraBoundIsRespectedAndRaisable) {

@@ -126,6 +126,41 @@ TEST(Enumerate, HappensBeforeRaceAgreesOnExamples) {
   EXPECT_TRUE(isDataRaceFree(Locked));
 }
 
+TEST(Enumerate, MaxEventsBoundsEachThreadInEverySearch) {
+  // Two four-action threads racing on x: every maximal execution has
+  // eight events, but no thread has more than four. MaxEvents bounds each
+  // thread's trace, so at 8 all three race searches run to completion and
+  // agree, as the two race definitions must.
+  auto W = [](const char *Loc) {
+    return Action::mkWrite(Symbol::intern(Loc), 1);
+  };
+  Traceset T({0, 1});
+  T.insert(Trace{Action::mkStart(0), W("a"), W("b"), W("x")});
+  T.insert(Trace{Action::mkStart(1), W("c"), W("d"), W("x")});
+  EnumerationLimits Limits;
+  Limits.MaxEvents = 8;
+  RaceReport Hb = findHappensBeforeRace(T, Limits);
+  EXPECT_TRUE(Hb.HasRace);
+  EXPECT_FALSE(Hb.Stats.Truncated);
+  for (bool Oracle : {false, true}) {
+    Limits.ExhaustiveOracle = Oracle;
+    RaceReport Adjacent = findAdjacentRace(T, Limits);
+    EXPECT_TRUE(Adjacent.HasRace) << "oracle " << Oracle;
+    EXPECT_FALSE(Adjacent.Stats.Truncated) << "oracle " << Oracle;
+  }
+
+  // At 3 no thread can finish: every search stops short of the race on x
+  // and says so.
+  Limits.MaxEvents = 3;
+  Limits.ExhaustiveOracle = false;
+  Hb = findHappensBeforeRace(T, Limits);
+  EXPECT_FALSE(Hb.HasRace);
+  EXPECT_EQ(Hb.Stats.Reason, TruncationReason::DepthCap);
+  RaceReport Adjacent = findAdjacentRace(T, Limits);
+  EXPECT_FALSE(Adjacent.HasRace);
+  EXPECT_EQ(Adjacent.Stats.Reason, TruncationReason::DepthCap);
+}
+
 TEST(Enumerate, VolatileAccessesDoNotRace) {
   Traceset T({0, 1});
   T.insert(Trace{Action::mkStart(0), Action::mkWrite(X(), 1, true)});
@@ -145,13 +180,16 @@ TEST(Enumerate, VisitorCanStopEarly) {
 }
 
 TEST(Enumerate, TruncationIsReported) {
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/3,
+                      /*MaxMemoryBytes=*/0});
   EnumerationLimits Limits;
-  Limits.MaxVisited = 3;
+  Limits.Shared = &B;
   EnumerationStats S =
       forEachExecution(fig2Original(), [](const Interleaving &) {
         return true;
       }, Limits);
   EXPECT_TRUE(S.Truncated);
+  EXPECT_EQ(S.Reason, TruncationReason::StateCap);
 }
 
 TEST(Enumerate, BlockedThreadsEndMaximalExecutionsEarly) {
@@ -184,11 +222,14 @@ TEST(Enumerate, BlockedThreadsEndMaximalExecutionsEarly) {
 
 TEST(Enumerate, BehaviourCollectionReportsTruncation) {
   Traceset T = fig2Original();
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/2,
+                      /*MaxMemoryBytes=*/0});
   EnumerationLimits Limits;
-  Limits.MaxVisited = 2;
+  Limits.Shared = &B;
   EnumerationStats Stats;
   collectBehaviours(T, Limits, &Stats);
   EXPECT_TRUE(Stats.Truncated);
+  EXPECT_EQ(Stats.Reason, TruncationReason::StateCap);
 }
 
 TEST(Enumerate, EmptyTracesetHasOnlyEmptyBehaviour) {

@@ -75,8 +75,10 @@ bool checkProgram(const Program &P, DiffTally &Tally,
   ExploreLimits EL;
   EL.MaxActions = 12;
   Traceset T = programTraceset(P, defaultDomainFor(P, 2), EL);
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/2'000'000,
+                      /*MaxMemoryBytes=*/0});
   EnumerationLimits L;
-  L.MaxVisited = 2'000'000;
+  L.Shared = &B;
   uint64_t Seen = 0;
   bool AnyRacy = false;
   uint64_t Before = Tally.RacyTraces;

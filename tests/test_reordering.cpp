@@ -178,11 +178,14 @@ TEST(CheckReordering, TruncationYieldsUnknown) {
   Program O = parseOrDie("thread { x := 1; y := 2; print 3; }");
   Program T = parseOrDie("thread { y := 2; x := 1; print 3; }");
   std::vector<Value> D = {0, 1, 2, 3};
+  Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/1,
+                      /*MaxMemoryBytes=*/0});
   ReorderingSearchLimits Tight;
-  Tight.MaxNodesPerTrace = 1;
+  Tight.Shared = &B;
   TransformCheckResult R = checkEliminationThenReordering(
       programTraceset(O, D), programTraceset(T, D), {}, Tight);
   EXPECT_EQ(R.Verdict, CheckVerdict::Unknown);
+  EXPECT_EQ(B.reason(), TruncationReason::StateCap);
 }
 
 TEST(CheckReordering, UnlockDeferredAfterWriteHolds) {

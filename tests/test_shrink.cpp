@@ -207,6 +207,32 @@ TEST(Fuzz, ProgramDependsOnlyOnSeedAndIndex) {
   EXPECT_GT(Compared, 0u) << Tight.summary() << "\n" << Generous.summary();
 }
 
+TEST(Fuzz, FailuresComeFromTheirIndexCase) {
+  // fuzzCase is the one definition of "program I" (fuzz_harness --server
+  // builds its batch from it): every failure of an injection campaign is
+  // recorded on the original of its own index's case, with the same
+  // injected flag.
+  FuzzOptions Options;
+  Options.Seed = 2;
+  Options.Programs = 24;
+  Options.CheckThinAir = false;
+  Options.InjectUnsafe = true;
+  Options.InjectEvery = 1;
+  Options.Shrink = ShrinkOptions{/*MaxRounds=*/1, /*MaxCandidates=*/1,
+                                 /*DeadlineMs=*/0};
+  FuzzReport R = runFuzz(Options);
+  ASSERT_FALSE(R.Failures.empty()) << R.summary();
+  for (const FuzzFailure &F : R.Failures) {
+    FuzzCase Case = fuzzCase(Options, F.ProgramIndex);
+    EXPECT_EQ(F.OriginalSource, printProgram(Case.Original))
+        << "program " << F.ProgramIndex;
+    EXPECT_EQ(F.Injected, Case.Injected) << "program " << F.ProgramIndex;
+  }
+  // The case is a function of (Options, index) alone.
+  EXPECT_EQ(printProgram(fuzzCase(Options, 5).Transformed),
+            printProgram(fuzzCase(Options, 5).Transformed));
+}
+
 //===----------------------------------------------------------------------===//
 // Chain minimisation
 //===----------------------------------------------------------------------===//

@@ -115,6 +115,46 @@ TEST(TheoremHarness, SummaryMentionsEverything) {
   EXPECT_NE(S.find("thin-air"), std::string::npos);
 }
 
+TEST(TheoremHarness, StepSearchesChargeTheAttachedBudget) {
+  // A budget whose visit cap covers both traceset builds of a one-step
+  // chain, and not one visit more, must stop the step's witness search:
+  // the step is Unknown and the budget names the visit cap. One chain per
+  // checker: Lemma 4 (an E rule) and Lemma 5 (an R rule).
+  struct StepCase {
+    const char *Source;
+    RuleSet Rules;
+    bool Elimination;
+  };
+  for (const StepCase &C :
+       {StepCase{"thread { r1 := x; r2 := x; print r2; }",
+                 RuleSet::eliminationsOnly(), true},
+        StepCase{"thread { x := 1; r1 := y; print r1; }",
+                 RuleSet::reorderingsOnly(), false}}) {
+    SCOPED_TRACE(C.Source);
+    Program P = parseOrDie(C.Source);
+    TransformChain Chain = greedyChain(P, C.Rules, 1);
+    ASSERT_EQ(Chain.Steps.size(), 1u);
+    ASSERT_EQ(isEliminationRule(Chain.Steps[0].Rule), C.Elimination);
+    ASSERT_EQ(verifyChainSteps(P, Chain)[0].Semantic, CheckVerdict::Holds);
+
+    Budget Builds(BudgetSpec{});
+    ExploreLimits XL;
+    XL.Shared = &Builds;
+    std::vector<Value> Domain = defaultDomainFor(P, 2);
+    programTraceset(P, Domain, XL);
+    programTraceset(Chain.Result, Domain, XL);
+
+    Budget B(BudgetSpec{/*DeadlineMs=*/0, /*MaxVisited=*/Builds.visited(),
+                        /*MaxMemoryBytes=*/0});
+    TheoremCheckOptions Options;
+    Options.attachBudget(B);
+    std::vector<StepVerification> Steps = verifyChainSteps(P, Chain, Options);
+    ASSERT_EQ(Steps.size(), 1u);
+    EXPECT_EQ(Steps[0].Semantic, CheckVerdict::Unknown);
+    EXPECT_EQ(B.reason(), TruncationReason::StateCap);
+  }
+}
+
 TEST(TheoremHarness, RuleClassification) {
   EXPECT_TRUE(isEliminationRule(RuleKind::ERaR));
   EXPECT_TRUE(isEliminationRule(RuleKind::EIr));
